@@ -2,10 +2,11 @@
    plus two ablations (checker variants; linear-vs-superlinear scaling), a
    micro-benchmark of per-event throughput on Table-1-style workloads at
    high thread counts, and a multicore section (corpus fan-out across a
-   domain pool; pipelined vs sequential single-trace streaming).
+   work-stealing scheduler).
 
-   With [--jobs N] trace generation and the corpus fan-out use a fixed
-   pool of N domains.  Timed per-checker runs are never co-tenant: table
+   With [--jobs N] trace generation and the corpus fan-out run on a
+   work-stealing scheduler of N domains.  Timed per-checker runs are
+   never co-tenant: table
    rows serialize their timed regions, each on a dedicated domain, so
    per-checker numbers stay honest while the untimed work overlaps.
 
@@ -247,6 +248,15 @@ let timed_sample ?(dedicated = false) checker tr =
   in
   if dedicated then Domain.join (Domain.spawn measure) else measure ()
 
+(* [f] over [xs] as tasks on a work-stealing scheduler of [jobs]
+   domains, results in input order; one job maps sequentially. *)
+let sched_map ~jobs f xs =
+  if jobs <= 1 then List.map f xs
+  else
+    Parallel.Deque.with_scheduler jobs (fun sched ->
+        List.map (fun x -> Parallel.Deque.submit sched (fun () -> f x)) xs
+        |> List.map (Parallel.Deque.await sched))
+
 let row_of_trace name tr samples =
   {
     rname = name;
@@ -260,7 +270,7 @@ let row_of_trace name tr samples =
 (* --- tables --- *)
 
 (* Untimed per-row work (trace generation, metainfo): this is what
-   [--jobs] overlaps across the pool.  The timed checker runs happen
+   [--jobs] overlaps across the scheduler.  The timed checker runs happen
    afterwards, strictly one at a time, so they never share the machine
    with another timed run. *)
 let prepare_profile (p : Workloads.Profile.t) =
@@ -294,7 +304,7 @@ let run_table n =
   in
   if profiles <> [] then begin
     let wall0 = Unix.gettimeofday () in
-    let prepared = Parallel.Pool.run ~jobs:opts.jobs prepare_profile profiles in
+    let prepared = sched_map ~jobs:opts.jobs prepare_profile profiles in
     let pairs = List.map (bench_profile ~dedicated:(opts.jobs > 1)) prepared in
     let wall = Unix.gettimeofday () -. wall0 in
     let rows = List.map fst pairs in
@@ -498,18 +508,16 @@ let run_micro () =
         @ [ row_of_trace wname tr_fast (s_epoch :: s_base :: slow_samples) ])
     (micro_workloads ())
 
-(* --- Multicore: corpus fan-out and pipelined ingestion ---
+(* --- Multicore: corpus fan-out ---
 
-   Fan-out: a deterministic corpus of independent traces (the service
-   workload: many users submit traces, the pool drains the queue) is
-   checked at --jobs 1 and at --jobs N on a fixed domain pool; each
-   trace's checker is the unmodified sequential one, so the per-trace
-   verdicts cannot differ — the harness asserts they do not — and the
-   interesting number is aggregate wall-clock events/sec.
-
-   Pipelined: one large trace streamed from a binary file with and
-   without the producer-domain ring buffer (interleaved repetitions,
-   best of each), reported as a speedup with byte-identical verdicts. *)
+   A deterministic corpus of independent traces (the service workload:
+   many users submit traces, the scheduler drains the queue) is written
+   to binary files and checked at --jobs 1 and at --jobs N, where
+   [Runner.run_many] fans the files out as tasks on a work-stealing
+   scheduler of N domains.  Each trace's checker is the unmodified
+   sequential one, so the per-trace verdicts cannot differ — the
+   harness asserts they do not — and the interesting number is
+   aggregate wall-clock events/sec. *)
 
 type parallel_run = {
   pr_jobs : int;
@@ -523,17 +531,11 @@ type parallel_summary = {
   corpus_traces : int;
   corpus_events : int;
   corpus_runs : parallel_run list;
-  pipe_events : int;
-  pipe_seq_seconds : float;
-  pipe_seconds : float;
-  pipe_speedup : float;
-  pipe_match : bool;
 }
 
 let json_parallel : parallel_summary option ref = ref None
 
 let run_parallel () =
-  (* corpus fan-out *)
   let traces = 16 in
   let events_total = int_of_float (2_400_000. *. opts.scale) in
   let corpus = Workloads.Corpus.generate ~traces ~events_total () in
@@ -544,109 +546,71 @@ let run_parallel () =
     "@.Multicore: corpus fan-out (%d traces, %d events total, aerodrome \
      per trace)@."
     traces corpus_events;
-  let fingerprint (r : Analysis.Runner.result) =
-    ( r.Analysis.Runner.checker,
-      verdict_string r,
-      r.Analysis.Runner.events_fed,
-      match r.Analysis.Runner.outcome with
-      | Analysis.Runner.Verdict (Some v) -> Some v.Aerodrome.Violation.index
-      | _ -> None )
+  let fingerprint (fr : Analysis.Runner.file_report) =
+    match fr.Analysis.Runner.report with
+    | Error msg -> Error msg
+    | Ok r ->
+      Ok
+        ( r.Analysis.Runner.checker,
+          verdict_string r,
+          r.Analysis.Runner.events_fed,
+          match r.Analysis.Runner.outcome with
+          | Analysis.Runner.Verdict (Some v) -> Some v.Aerodrome.Violation.index
+          | _ -> None )
   in
-  let check_corpus jobs =
-    let t0 = Unix.gettimeofday () in
-    let rs =
-      Parallel.Pool.run ~jobs
-        (fun (_, tr) -> Analysis.Runner.run ~timeout:opts.timeout aerodrome tr)
-        corpus
-    in
-    (Unix.gettimeofday () -. t0, List.map fingerprint rs)
-  in
-  let baseline_wall, baseline = check_corpus 1 in
-  let runs =
+  let paths =
     List.map
-      (fun jobs ->
-        let wall, fps =
-          if jobs = 1 then (baseline_wall, baseline) else check_corpus jobs
-        in
-        let pr_match = fps = baseline in
-        if not pr_match then
-          Format.fprintf fmt
-            "!! corpus fan-out at --jobs %d: verdicts differ from --jobs 1@."
-            jobs;
-        {
-          pr_jobs = jobs;
-          pr_wall = wall;
-          pr_eps = float_of_int corpus_events /. max wall 1e-9;
-          pr_speedup = baseline_wall /. max wall 1e-9;
-          pr_match;
-        })
-      (List.sort_uniq compare [ 1; opts.jobs ])
+      (fun (_, tr) ->
+        let path = Filename.temp_file "aerodrome-bench" ".bin" in
+        Traces.Binfmt.write_file path tr;
+        path)
+      corpus
   in
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "  --jobs %-2d  %8.3fs wall  %10.1f Kev/s aggregate  %.2fx vs 1 job%s@."
-        r.pr_jobs r.pr_wall (r.pr_eps /. 1e3) r.pr_speedup
-        (if r.pr_match then "" else "  [MISMATCH]"))
-    runs;
-  (* pipelined single-trace streaming *)
-  let big =
-    Workloads.Generator.generate
-      {
-        Workloads.Generator.default with
-        events = int_of_float (400_000. *. opts.scale);
-        threads = 8;
-        locks = 8;
-        vars = int_of_float (150_000. *. opts.scale) + 256;
-      }
-  in
-  let path = Filename.temp_file "aerodrome-bench" ".bin" in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
     (fun () ->
-      Traces.Binfmt.write_file path big;
-      let run pipelined =
-        Analysis.Runner.run_stream ~timeout:opts.timeout ~pipelined aerodrome
-          path
+      let check_corpus jobs =
+        let t0 = Unix.gettimeofday () in
+        let run ?sched () =
+          Analysis.Runner.run_many ~timeout:opts.timeout ?sched aerodrome paths
+        in
+        let rs =
+          if jobs = 1 then run ()
+          else Parallel.Deque.with_scheduler jobs (fun sched -> run ~sched ())
+        in
+        (Unix.gettimeofday () -. t0, List.map fingerprint rs)
       in
-      (* interleaved repetitions, best of each mode *)
-      let best_seq = ref (run false) in
-      let best_pipe = ref (run true) in
-      for _ = 2 to 3 do
-        let s = run false in
-        if s.Analysis.Runner.seconds < !best_seq.Analysis.Runner.seconds then
-          best_seq := s;
-        let p = run true in
-        if p.Analysis.Runner.seconds < !best_pipe.Analysis.Runner.seconds then
-          best_pipe := p
-      done;
-      let pipe_match = fingerprint !best_seq = fingerprint !best_pipe in
-      if not pipe_match then
-        Format.fprintf fmt "!! pipelined stream: verdict differs from sequential@.";
-      let speedup =
-        !best_seq.Analysis.Runner.seconds
-        /. max !best_pipe.Analysis.Runner.seconds 1e-9
+      let baseline_wall, baseline = check_corpus 1 in
+      let runs =
+        List.map
+          (fun jobs ->
+            let wall, fps =
+              if jobs = 1 then (baseline_wall, baseline) else check_corpus jobs
+            in
+            let pr_match = fps = baseline in
+            if not pr_match then
+              Format.fprintf fmt
+                "!! corpus fan-out at --jobs %d: verdicts differ from --jobs 1@."
+                jobs;
+            {
+              pr_jobs = jobs;
+              pr_wall = wall;
+              pr_eps = float_of_int corpus_events /. max wall 1e-9;
+              pr_speedup = baseline_wall /. max wall 1e-9;
+              pr_match;
+            })
+          (List.sort_uniq compare [ 1; opts.jobs ])
       in
-      Format.fprintf fmt
-        "@.Multicore: pipelined ingestion (%d-event binary trace, best of 3)@."
-        (Trace.length big);
-      Format.fprintf fmt
-        "  sequential %8.3fs   pipelined %8.3fs   %.2fx%s@."
-        !best_seq.Analysis.Runner.seconds !best_pipe.Analysis.Runner.seconds
-        speedup
-        (if pipe_match then "" else "  [MISMATCH]");
+      List.iter
+        (fun r ->
+          Format.fprintf fmt
+            "  --jobs %-2d  %8.3fs wall  %10.1f Kev/s aggregate  %.2fx vs 1 job%s@."
+            r.pr_jobs r.pr_wall (r.pr_eps /. 1e3) r.pr_speedup
+            (if r.pr_match then "" else "  [MISMATCH]"))
+        runs;
       json_parallel :=
-        Some
-          {
-            corpus_traces = traces;
-            corpus_events;
-            corpus_runs = runs;
-            pipe_events = Trace.length big;
-            pipe_seq_seconds = !best_seq.Analysis.Runner.seconds;
-            pipe_seconds = !best_pipe.Analysis.Runner.seconds;
-            pipe_speedup = speedup;
-            pipe_match;
-          })
+        Some { corpus_traces = traces; corpus_events; corpus_runs = runs })
 
 (* --- Telemetry overhead guard ---
 
@@ -1155,10 +1119,11 @@ let run_arena () =
    arena (DESIGN.md §17).  Sequential vs sharded end-to-end streaming
    runs on the same binary file; the sharded side must report the exact
    same verdict and events_fed (validate_json refuses the file
-   otherwise).  A separate pass calls [Parallel.Shard.check] directly on
-   a pre-built arena to expose the boundary plan (quiescent vs seamed
-   cuts, repaired events) and per-chunk utilization that the streaming
-   path keeps internal.
+   otherwise).  Each shard count runs on a work-stealing scheduler of
+   that many domains.  A separate pass calls
+   [Parallel.Shard.check_stealing] directly on a pre-built arena to
+   expose the boundary plan (quiescent vs seamed cuts, repaired events)
+   and per-chunk utilization that the streaming path keeps internal.
 
    Quiescent-cut density falls off exponentially with thread count
    (roughly p^T), so the section runs a friendly case (threads=4, a
@@ -1217,27 +1182,27 @@ let run_shards () =
         (* No [~timeout]: the runner's shardable gate falls back to the
            sequential path when a timeout is armed, so the sequential
            side drops it too and both sides time the same code shape. *)
-        let run shards = Analysis.Runner.run_stream ~shards aerodrome path in
-        let best shards =
-          let r = ref (run shards) in
+        let best run =
+          let r = ref (run ()) in
           for _ = 2 to 3 do
-            let s = run shards in
+            let s = run () in
             if s.Analysis.Runner.seconds < !r.Analysis.Runner.seconds then
               r := s
           done;
           !r
         in
-        let seq = best 1 in
+        let seq = best (fun () -> Analysis.Runner.run_stream aerodrome path) in
         let seq_eps =
           float_of_int events_in /. Float.max seq.Analysis.Runner.seconds 1e-9
         in
         let arena = Packed.Arena.create () in
         Trace.iteri (fun _ e -> Packed.Arena.push arena (Packed.of_event e)) tr;
-        let detail shards =
+        let detail sched shards =
           let t0 = Unix.gettimeofday () in
           let o =
-            Parallel.Shard.check ~shards ~threads:(Trace.threads tr)
-              ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) arena
+            Parallel.Shard.check_stealing ~sched ~shards
+              ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
+              ~vars:(Trace.vars tr) arena
           in
           let wall = Unix.gettimeofday () -. t0 in
           let chunk_wall =
@@ -1257,8 +1222,15 @@ let run_shards () =
         let runs =
           List.map
             (fun shards ->
-              let r = best shards in
-              let plan, util, repaired = detail shards in
+              let r, (plan, util, repaired) =
+                Parallel.Deque.with_scheduler shards (fun sched ->
+                    let r =
+                      best (fun () ->
+                          Analysis.Runner.run_stream ~shards ~sched aerodrome
+                            path)
+                    in
+                    (r, detail sched shards))
+              in
               let verdicts_match = verdict_string seq = verdict_string r in
               let reports_match =
                 seq.Analysis.Runner.outcome = r.Analysis.Runner.outcome
@@ -1319,20 +1291,15 @@ let run_shards () =
   let adversarial = case ~threads:8 ~shard_counts:[ 4 ] in
   json_shards := [ friendly; adversarial ]
 
-(* --- Scheduler axis: static one-chunk-per-domain vs work-stealing ---
+(* --- Scheduler axis: sequential vs work-stealing ---
 
    The same adversarial 8-thread corpus as the shards section, checked
-   three ways: sequentially, with the static plan (one chunk per
-   domain on a dedicated pool — the PR 9 executor) and with the
-   work-stealing scheduler (DESIGN.md §18: oversubscribed micro-chunks
-   on per-domain deques, seam repairs performed out of order as chunks
-   retire).  Static sharding is hostage to its slowest chunk — on an
-   adversarial trace the per-chunk work is skewed, so domains idle at
-   the tail — while stealing rebalances at micro-chunk granularity,
-   which is where the steal-vs-static ratio comes from.  Reports must
-   stay byte-identical to sequential on every executor.  On a
-   single-core machine both hover around 1x; the ratio to read comes
-   from multi-core CI runners. *)
+   sequentially and with auto micro-chunking on the work-stealing
+   scheduler (DESIGN.md §18: oversubscribed micro-chunks on per-domain
+   deques, seam repairs performed out of order as chunks retire).  The
+   report must stay byte-identical to sequential.  On a single-core
+   machine the speedup hovers around 1x; the number to read comes from
+   multi-core CI runners. *)
 
 type sched_side = {
   ss_seconds : float;
@@ -1348,7 +1315,6 @@ type sched_result = {
   sd_domains : int;
   sd_seq_seconds : float;
   sd_seq_eps : float;
-  sd_static : sched_side;
   sd_steal : sched_side;
   sd_chunks : int;  (* micro-chunk tasks the steal run completed *)
   sd_steals : int;
@@ -1356,15 +1322,14 @@ type sched_result = {
   sd_injected : int;
   sd_utilization : float array;
       (* per-domain busy fraction of the steal run's wall clock *)
-  sd_steal_vs_static : float;  (* steal events/sec over static events/sec *)
 }
 
 let json_scheduler : sched_result option ref = ref None
 
 let run_scheduler () =
   Format.fprintf fmt
-    "@.Work-stealing scheduler: static chunks vs micro-chunk stealing \
-     (adversarial corpus, best of 3)@.";
+    "@.Work-stealing scheduler: micro-chunk stealing (adversarial corpus, \
+     best of 3)@.";
   (* floor the workload above the runner's steal-viability threshold
      (2 x min_shard_events): below it the steal side degenerates to a
      sequential run with zero chunks, and the section would measure
@@ -1382,7 +1347,7 @@ let run_scheduler () =
     (fun () ->
       Traces.Binfmt.write_file path tr;
       (* no [~timeout], as in the shards section: the shardable gate
-         must stay open so all three sides time the same code shape *)
+         must stay open so both sides time the same code shape *)
       (* each attempt returns (seconds, payload); keep the fastest *)
       let best_of_3 run =
         let r = ref (run ()) in
@@ -1394,7 +1359,7 @@ let run_scheduler () =
       in
       let seq =
         best_of_3 (fun () ->
-            let r = Analysis.Runner.run_stream ~shards:1 aerodrome path in
+            let r = Analysis.Runner.run_stream aerodrome path in
             (r.Analysis.Runner.seconds, r))
       in
       let seq_eps =
@@ -1415,13 +1380,6 @@ let run_scheduler () =
             && seq.Analysis.Runner.events_fed = r.Analysis.Runner.events_fed;
         }
       in
-      let static_r =
-        best_of_3 (fun () ->
-            let r =
-              Analysis.Runner.run_stream ~shards:domains aerodrome path
-            in
-            (r.Analysis.Runner.seconds, r))
-      in
       let steal_r, st, wall =
         best_of_3 (fun () ->
             (* a fresh scheduler per attempt so the counters describe
@@ -1436,13 +1394,9 @@ let run_scheduler () =
             let st = Parallel.Deque.stats sched in
             (r.Analysis.Runner.seconds, (r, st, wall)))
       in
-      let static = side static_r in
       let steal = side steal_r in
-      if
-        not
-          (static.ss_verdicts_match && static.ss_reports_match
-          && steal.ss_verdicts_match && steal.ss_reports_match)
-      then Format.fprintf fmt "!! scheduler: report diverged from sequential@.";
+      if not (steal.ss_verdicts_match && steal.ss_reports_match) then
+        Format.fprintf fmt "!! scheduler: report diverged from sequential@.";
       let util =
         Array.map
           (fun b -> Float.min 1.0 (b /. Float.max wall 1e-9))
@@ -1452,10 +1406,6 @@ let run_scheduler () =
         "  threads=%d  %d events  domains=%d   sequential %8.3fs  %9.1f \
          Kev/s@."
         threads events_in domains seq.Analysis.Runner.seconds (seq_eps /. 1e3);
-      Format.fprintf fmt "    static:%d %8.3fs  %9.1f Kev/s  (%.2fx)%s@."
-        domains static.ss_seconds (static.ss_eps /. 1e3) static.ss_speedup
-        (if static.ss_verdicts_match && static.ss_reports_match then ""
-         else "  [MISMATCH]");
       Format.fprintf fmt
         "    steal    %8.3fs  %9.1f Kev/s  (%.2fx)  chunks=%d steals=%d \
          failed=%d util=[%s]%s@."
@@ -1466,8 +1416,6 @@ let run_scheduler () =
            (Array.to_list (Array.map (Printf.sprintf "%.2f") util)))
         (if steal.ss_verdicts_match && steal.ss_reports_match then ""
          else "  [MISMATCH]");
-      let ratio = steal.ss_eps /. Float.max static.ss_eps 1e-9 in
-      Format.fprintf fmt "    steal vs static: %.2fx@." ratio;
       json_scheduler :=
         Some
           {
@@ -1476,14 +1424,12 @@ let run_scheduler () =
             sd_domains = domains;
             sd_seq_seconds = seq.Analysis.Runner.seconds;
             sd_seq_eps = seq_eps;
-            sd_static = static;
             sd_steal = steal;
             sd_chunks = st.Parallel.Deque.completed;
             sd_steals = st.Parallel.Deque.steals;
             sd_failed_steals = st.Parallel.Deque.failed_steals;
             sd_injected = st.Parallel.Deque.injected;
             sd_utilization = util;
-            sd_steal_vs_static = ratio;
           })
 
 (* --- Observability axis: live exporter overhead + flight recorder ---
@@ -1786,9 +1732,7 @@ let emit_json path =
           "{\"jobs\":%d,\"wall_seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup_vs_jobs1\":%.3f,\"verdicts_match\":%b}"
           r.pr_jobs r.pr_wall r.pr_eps r.pr_speedup r.pr_match)
       p.corpus_runs;
-    add "]},\"pipelined\":{\"events\":%d,\"sequential_seconds\":%.6f,\"pipelined_seconds\":%.6f,\"speedup\":%.3f,\"reports_match\":%b}}"
-      p.pipe_events p.pipe_seq_seconds p.pipe_seconds p.pipe_speedup
-      p.pipe_match);
+    add "]}}");
   add ",\"telemetry\":";
   (match !json_telemetry with
   | None -> add "null"
@@ -1882,26 +1826,14 @@ let emit_json path =
     add
       "{\"threads\":%d,\"events\":%d,\"domains\":%d,\"sequential\":{\"seconds\":%.6f,\"events_per_sec\":%.1f},"
       s.sd_threads s.sd_events s.sd_domains s.sd_seq_seconds s.sd_seq_eps;
-    let side name (x : sched_side) extra =
-      add
-        "\"%s\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup\":%.3f,%s\"verdicts_match\":%b,\"reports_match\":%b}"
-        name x.ss_seconds x.ss_eps x.ss_speedup extra x.ss_verdicts_match
-        x.ss_reports_match
-    in
-    side "static" s.sd_static "";
-    add ",";
-    let steal_extra =
-      let util =
-        String.concat ","
-          (Array.to_list
-             (Array.map (Printf.sprintf "%.3f") s.sd_utilization))
-      in
-      Printf.sprintf
-        "\"chunks\":%d,\"steals\":%d,\"failed_steals\":%d,\"injected\":%d,\"utilization\":[%s],"
-        s.sd_chunks s.sd_steals s.sd_failed_steals s.sd_injected util
-    in
-    side "steal" s.sd_steal steal_extra;
-    add ",\"steal_vs_static\":%.3f}" s.sd_steal_vs_static);
+    let x = s.sd_steal in
+    add
+      "\"steal\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup\":%.3f,\"chunks\":%d,\"steals\":%d,\"failed_steals\":%d,\"injected\":%d,\"utilization\":["
+      x.ss_seconds x.ss_eps x.ss_speedup s.sd_chunks s.sd_steals
+      s.sd_failed_steals s.sd_injected;
+    sep_list (fun u -> add "%.3f" u) (Array.to_list s.sd_utilization);
+    add "],\"verdicts_match\":%b,\"reports_match\":%b}}" x.ss_verdicts_match
+      x.ss_reports_match);
   add ",\"observability\":";
   (match !json_observability with
   | None -> add "null"

@@ -1,9 +1,7 @@
 (* Validator for the telemetry artifacts `rapid check` writes:
 
-     validate_stats stats [--pipelined] FILE
-       FILE is a --stats-json document (schema "aerodrome-stats/1");
-       with --pipelined every successful file entry must also carry the
-       ring-buffer counters.
+     validate_stats stats FILE
+       FILE is a --stats-json document (schema "aerodrome-stats/1").
 
      validate_stats trace FILE
        FILE is a --trace-out Chrome trace-event document.
@@ -47,14 +45,6 @@ let required_metrics =
     "violation.index";
   ]
 
-let ring_metrics =
-  [
-    "ring.capacity";
-    "ring.occupancy_hwm";
-    "ring.producer_stalls";
-    "ring.consumer_stalls";
-  ]
-
 let metric_value ~where metrics key =
   match List.assoc_opt key metrics with
   | Some (Num f) -> f
@@ -62,7 +52,7 @@ let metric_value ~where metrics key =
   | Some _ -> bad "%s[%S]: expected a number" where key
   | None -> bad "%s: missing metric %S" where key
 
-let check_stats_file ~pipelined ~where f =
+let check_stats_file ~where f =
   ignore (as_str (where ^ ".file") (field f "file"));
   match List.assoc_opt "error" (as_obj where f) with
   | Some (Str msg) -> if msg = "" then bad "%s: empty error message" where
@@ -94,11 +84,7 @@ let check_stats_file ~pipelined ~where f =
           where total
     | _ ->
       if total <> fed then
-        bad "%s: events.total (%.0f) <> events_fed (%.0f)" where total fed);
-    if pipelined then
-      List.iter
-        (fun key -> ignore (metric_value ~where:mwhere metrics key))
-        ring_metrics
+        bad "%s: events.total (%.0f) <> events_fed (%.0f)" where total fed)
 
 (* Scheduler telemetry: when `rapid` ran the work-stealing scheduler
    the process snapshot carries a "sched" object and the global
@@ -145,7 +131,7 @@ let check_sched process =
           l)
       [ "busy_seconds"; "utilization"; "tasks" ]
 
-let check_stats ~pipelined j =
+let check_stats j =
   let schema = as_str "schema" (field j "schema") in
   if schema <> "aerodrome-stats/1" then bad "unknown schema %S" schema;
   if as_str "checker" (field j "checker") = "" then bad "empty checker name";
@@ -153,7 +139,7 @@ let check_stats ~pipelined j =
   if files = [] then bad "no file entries";
   List.iteri
     (fun i f ->
-      check_stats_file ~pipelined ~where:(Printf.sprintf "files[%d]" i) f)
+      check_stats_file ~where:(Printf.sprintf "files[%d]" i) f)
     files;
   check_sched (field j "process")
 
@@ -179,14 +165,13 @@ let check_trace j =
     events
 
 let usage () =
-  prerr_endline "usage: validate_stats stats [--pipelined] FILE | validate_stats trace FILE";
+  prerr_endline "usage: validate_stats stats FILE | validate_stats trace FILE";
   exit 2
 
 let () =
   let check, path =
     match Array.to_list Sys.argv with
-    | [ _; "stats"; path ] -> (check_stats ~pipelined:false, path)
-    | [ _; "stats"; "--pipelined"; path ] -> (check_stats ~pipelined:true, path)
+    | [ _; "stats"; path ] -> (check_stats, path)
     | [ _; "trace"; path ] -> (check_trace, path)
     | _ -> usage ()
   in

@@ -23,14 +23,6 @@ let read_trace path =
       Format.eprintf "%s: %a@." path Traces.Parser.pp_error e;
       exit 2
 
-(* --shards execution mode.  [Steal] is the work-stealing scheduler
-   (DESIGN.md §18): one machine-wide domain budget (--jobs) owns both
-   the file fan-out and the intra-file micro-chunks.  [Static n] is the
-   fixed boundary-summary plan on a dedicated chunk pool (n = 0: the
-   per-file auto count), kept for differential testing and as the
-   --no-packed fallback. *)
-type shard_mode = Steal | Static of int
-
 let checker_of_name = function
   | "aerodrome" -> Ok (module Aerodrome.Opt : Aerodrome.Checker.S)
   | "aerodrome-basic" -> Ok (module Aerodrome.Basic : Aerodrome.Checker.S)
@@ -98,79 +90,53 @@ let check_cmd =
       & opt int (Domain.recommended_domain_count ())
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "The machine-wide domain budget (default: the number of \
-             available cores).  In the default $(b,--shards) $(b,steal) \
-             mode one work-stealing scheduler of $(docv) domains owns \
-             both parallelism axes — trace files fan out as tasks that \
-             spawn their own chunk tasks on the same deques.  In \
-             $(b,static) mode it caps the file-level fan-out.  Reports \
-             are printed in argument order regardless of completion \
-             order; each file's report is byte-identical to $(b,--jobs) \
-             1.")
+            "The domain budget (default: the number of available cores).  \
+             One work-stealing scheduler of $(docv) domains owns both \
+             parallelism axes — trace files fan out as tasks that spawn \
+             their own chunk tasks on the same deques.  Reports are \
+             printed in argument order regardless of completion order; \
+             each file's report is byte-identical to $(b,--jobs) 1.")
   in
   let shards =
-    (* $(docv) selects the execution mode: "steal"/"auto" is the
-       work-stealing scheduler, "static:N" (or a bare integer, the
-       historical spelling) the fixed chunk plan on a dedicated pool *)
+    (* 0 is auto; 1 turns sharding off; n > 1 forces an n-chunk plan *)
     let shards_conv =
-      let parse s =
-        match s with
-        | "steal" | "auto" -> Ok Steal
-        | "static" | "static:auto" -> Ok (Static 0)
-        | _ -> (
-          let static n = Ok (Static (max 1 n)) in
+      let parse = function
+        | "auto" -> Ok 0
+        | s -> (
           match int_of_string_opt s with
-          | Some n -> static n
-          | None -> (
-            match String.index_opt s ':' with
-            | Some i
-              when String.sub s 0 i = "static" ->
-              (match
-                 int_of_string_opt
-                   (String.sub s (i + 1) (String.length s - i - 1))
-               with
-              | Some n -> static n
-              | None ->
-                Error
-                  (`Msg (Printf.sprintf "invalid static shard count %S" s)))
-            | _ ->
-              Error
-                (`Msg
-                   (Printf.sprintf
-                      "invalid shard mode %S (expected \"steal\", \
-                       \"static:N\", an integer or \"auto\")"
-                      s))))
+          | Some n when n >= 1 -> Ok n
+          | _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "invalid shard count %S (expected \"auto\" or a \
+                     positive integer)"
+                    s)))
       in
       let print ppf = function
-        | Steal -> Format.pp_print_string ppf "steal"
-        | Static 0 -> Format.pp_print_string ppf "static:auto"
-        | Static n -> Format.fprintf ppf "static:%d" n
+        | 0 -> Format.pp_print_string ppf "auto"
+        | n -> Format.pp_print_int ppf n
       in
       Arg.conv (parse, print)
     in
     Arg.(
-      value
-      & opt (some shards_conv) None
-      & info [ "s"; "shards" ] ~docv:"MODE"
+      value & opt shards_conv 0
+      & info [ "s"; "shards" ] ~docv:"auto|N"
           ~doc:
-            "How to split packed binary traces into chunks at \
-             boundary-summary cuts and check the chunks concurrently.  \
-             Cuts need not be quiescent: each chunk checker is seeded \
-             with the cut's open-transaction summary, and reconciliation \
-             repairs only the short window until the transactions \
+            "How to split a packed binary trace into chunks at \
+             boundary-summary cuts and check the chunks concurrently on \
+             the $(b,--jobs) scheduler.  Cuts need not be quiescent: each \
+             chunk checker is seeded with the cut's open-transaction \
+             summary, and only the short window until the transactions \
              straddling the cut (and those open at their close) have \
-             retired, so the report is byte-identical to the sequential \
-             run.  $(b,steal) (also $(b,auto); the default on packed \
-             runs) cuts each trace into fine-grained micro-chunks and \
-             runs them — and the file fan-out itself — on one \
-             work-stealing scheduler of $(b,--jobs) domains, the single \
-             machine-wide budget.  $(b,static:N) (or a bare integer) \
-             pins a fixed chunk count on a dedicated pool, one domain \
-             per chunk ($(b,static:auto) sizes the count per file); \
-             $(b,--shards) 1 disables sharding.  Only the default \
-             $(b,aerodrome) checker shards; other algorithms, text \
-             traces, timed-out and $(b,--no-packed) runs fall back to \
-             the sequential path.")
+             retired is repaired, so the report is byte-identical to the \
+             sequential run.  $(b,auto) (the default) cuts a trace large \
+             enough to pay for it into fine-grained micro-chunks whenever \
+             $(b,--jobs) exceeds 1.  An integer N > 1 forces an N-chunk \
+             plan, even at $(b,--jobs) 1; $(b,--shards) 1 disables \
+             sharding.  Only the default $(b,aerodrome) checker shards; \
+             other algorithms, text traces, timed-out and \
+             $(b,--no-packed) runs stay sequential.")
   in
   let reclaim =
     Arg.(
@@ -192,16 +158,6 @@ let check_cmd =
                   "Keep every variable's clock state for the whole run \
                    (the pre-reclamation behaviour)." );
           ])
-  in
-  let pipelined =
-    Arg.(
-      value & flag
-      & info [ "pipelined" ]
-          ~doc:
-            "Overlap trace ingestion (read, decode, intern) with checking: \
-             a producer domain streams event batches through a bounded \
-             ring buffer to the checker.  Verdicts are identical to the \
-             sequential stream.")
   in
   let prefilter =
     Arg.(
@@ -333,9 +289,9 @@ let check_cmd =
       non_empty & pos_all string []
       & info [] ~docv:"TRACE" ~doc:"Trace files in the rapid .std or binary format.")
   in
-  let run checker timeout quiet jobs shards reclaim pipelined prefilter packed
-      stats stats_json trace_out progress metrics_addr flight_record
-      flight_window paths =
+  let run checker timeout quiet jobs shards reclaim prefilter packed stats
+      stats_json trace_out progress metrics_addr flight_record flight_window
+      paths =
     let (module C : Aerodrome.Checker.S) = checker in
     let flight =
       Option.map
@@ -346,30 +302,10 @@ let check_cmd =
           })
         flight_record
     in
-    let mode =
-      match shards with
-      | Some m -> m
-      | None ->
-        (* default: the work-stealing scheduler whenever the packed
-           chunk path is available; --no-packed runs have nothing to
-           chunk and keep the sequential per-file path *)
-        if packed then Steal else Static 1
-    in
     let cores = Domain.recommended_domain_count () in
-    (* one consolidated warning on the unified domain budget: in
-       stealing mode the scheduler owns every domain and --jobs is the
-       whole budget; in static mode the worst case is the larger axis
-       (the runner divides --jobs by the shard width, so the product
-       never exceeds it).  Auto counts cap at the core count by
-       construction, so only explicit counts warn. *)
-    let budget, budget_src =
-      match mode with
-      | Steal -> (jobs, "--jobs")
-      | Static n -> if n > jobs then (n, "--shards") else (jobs, "--jobs")
-    in
-    if budget > cores then
-      Format.eprintf "rapid: warning: %s %d exceeds %d available core%s@."
-        budget_src budget cores
+    if jobs > cores then
+      Format.eprintf "rapid: warning: --jobs %d exceeds %d available core%s@."
+        jobs cores
         (if cores = 1 then "" else "s");
     if stats || stats_json <> None || trace_out <> None || metrics_addr <> None
     then Obs.enable ();
@@ -399,34 +335,33 @@ let check_cmd =
             ~label:"check" ())
         progress
     in
-    let pool_busy = ref None in
-    (* The work-stealing scheduler: created once, machine-wide, when
-       stealing has more than one domain to run on and the batch can
-       actually use them — any multi-file run (the file fan-out itself
-       executes on the scheduler), or a lone packed binary trace (its
-       chunks do).  A lone text trace stays on the sequential path it
-       always had, so no idle scheduler pollutes its telemetry. *)
+    (* The work-stealing scheduler: created once, with --jobs domains,
+       when the batch has parallel work for it — any multi-file run (the
+       file fan-out itself executes on the scheduler), or a lone packed
+       binary trace that shards.  Auto sharding needs more than one
+       domain; a forced --shards N creates the scheduler even at
+       --jobs 1 so the forced plan really runs.  A lone text trace stays
+       on the sequential path, so no idle scheduler pollutes its
+       telemetry. *)
     let sched =
-      match mode with
-      | Static _ -> None
-      | Steal when budget <= 1 -> None
-      | Steal ->
-        let viable =
-          match paths with
-          | [ p ] -> (
-            packed
-            && (try Traces.Binfmt.is_binary p with Sys_error _ -> false)
-            &&
-            (* too-small traces run sequentially (the runner's own
-               gate); don't spawn idle domains for them *)
-            match Traces.Binfmt.read_header p with
-            | h ->
-              Analysis.Runner.steal_worthwhile ~shards:0
-                ~events:h.Traces.Binfmt.events
-            | exception _ -> false)
-          | _ -> true
-        in
-        if viable then Some (Parallel.Deque.create budget) else None
+      let useful =
+        match paths with
+        | [ p ] -> (
+          shards <> 1 && packed
+          && (try Traces.Binfmt.is_binary p with Sys_error _ -> false)
+          &&
+          (* too-small traces run sequentially (the runner's own gate);
+             don't spawn idle domains for them *)
+          match Traces.Binfmt.read_header p with
+          | h ->
+            Analysis.Runner.steal_worthwhile ~shards
+              ~events:h.Traces.Binfmt.events
+          | exception _ -> false)
+        | _ -> true
+      in
+      if useful && (jobs > 1 || shards > 1) then
+        Some (Parallel.Deque.create jobs)
+      else None
     in
     (* live scheduler telemetry for the OpenMetrics endpoint (and the
        process snapshot): lazy probes, sampled at scrape time *)
@@ -443,56 +378,13 @@ let check_cmd =
           s.failed_steals);
       stat "sched.injected" (fun (s : Parallel.Deque.stats) -> s.injected);
       stat "sched.completed" (fun (s : Parallel.Deque.stats) -> s.completed));
-    (* the shard width handed to the runner: 0 (auto micro-chunking)
-       only makes sense on a live scheduler — a steal-mode run that
-       created none (one domain, lone text trace, sub-threshold binary)
-       is sequential, and must stay eligible for --pipelined *)
-    let shards =
-      match mode with
-      | Steal -> if sched = None then 1 else 0
-      | Static n -> n
-    in
-    (* a lone sharded trace reuses one chunk pool across the run so its
-       per-domain busy seconds can be reported like the file pool's *)
-    let shard_pool =
-      (* static mode only, and only when the file can actually shard
-         (binary): idle workers would otherwise pollute the pool
-         telemetry.  An auto count is resolved from the header here so
-         the pool matches the chunk fan-out the runner will pick. *)
-      match paths with
-      | [ p ]
-        when sched = None
-             && (match mode with Static _ -> true | Steal -> false)
-             && (shards = 0 || shards > 1)
-             && (try Traces.Binfmt.is_binary p with Sys_error _ -> false) ->
-        let width =
-          if shards > 0 then shards
-          else
-            match Traces.Binfmt.read_header p with
-            | h ->
-              Analysis.Runner.resolve_shards ~shards
-                ~events:h.Traces.Binfmt.events
-            | exception _ -> 1
-        in
-        if width > 1 then Some (Parallel.Pool.create width) else None
-      | _ -> None
-    in
     let run_started = Unix.gettimeofday () in
     let reports =
-      Analysis.Runner.run_many ?timeout ?heartbeat ~pipelined ~reclaim
-        ~prefilter ~packed ~jobs ~shards ?shard_pool ?sched ?flight
-        ?on_pool:
-          (if sched = None then Some (fun b -> pool_busy := Some b) else None)
-        checker paths
+      Analysis.Runner.run_many ?timeout ?heartbeat ~reclaim ~prefilter ~packed
+        ~shards ?sched ?flight checker paths
     in
     Option.iter Obs.Exporter.stop exporter;
     let run_wall = Unix.gettimeofday () -. run_started in
-    (match shard_pool with
-    | Some p ->
-      Parallel.Pool.shutdown p;
-      if !pool_busy = None then
-        pool_busy := Some (Parallel.Pool.busy_seconds p)
-    | None -> ());
     (* final scheduler reading, after the joined workers' counters are
        all published *)
     let sched_stats =
@@ -529,12 +421,6 @@ let check_cmd =
         reports;
       let g = process_snapshot () in
       if g <> [] then Format.printf "process metrics:@.%a" Obs.Snapshot.pp g;
-      (match !pool_busy with
-      | Some busy ->
-        Array.iteri
-          (fun i s -> Format.printf "  pool.worker%d.busy_seconds  %.3f@." i s)
-          busy
-      | None -> ());
       (match sched_stats with
       | Some st ->
         Array.iteri
@@ -580,78 +466,36 @@ let check_cmd =
               ])
       in
       let process =
-        let fields =
-          [ ("global", Obs.Snapshot.to_json (process_snapshot ())) ]
-        in
+        let global = ("global", Obs.Snapshot.to_json (process_snapshot ())) in
         (* per-worker scheduler telemetry: the counters mirror the
            sched.* probes in [global]; utilization is each domain's
            busy fraction of the whole run's wall clock *)
-        let fields =
-          match sched_stats with
-          | None -> fields
-          | Some st ->
-            let nums f xs =
-              Obs.Json.List (Array.to_list xs |> List.map f)
-            in
-            fields
-            @ [
-                ( "sched",
-                  Obs.Json.Obj
-                    [
-                      ( "domains",
-                        Obs.Json.Num
-                          (float_of_int st.Parallel.Deque.domains) );
-                      ( "steals",
-                        Obs.Json.Num (float_of_int st.Parallel.Deque.steals)
-                      );
-                      ( "failed_steals",
-                        Obs.Json.Num
-                          (float_of_int st.Parallel.Deque.failed_steals) );
-                      ( "injected",
-                        Obs.Json.Num (float_of_int st.Parallel.Deque.injected)
-                      );
-                      ( "completed",
-                        Obs.Json.Num
-                          (float_of_int st.Parallel.Deque.completed) );
-                      ( "busy_seconds",
-                        nums
-                          (fun s -> Obs.Json.Num s)
-                          st.Parallel.Deque.busy_seconds );
-                      ( "utilization",
-                        nums
-                          (fun s ->
-                            Obs.Json.Num
-                              (if run_wall > 0. then s /. run_wall else 0.))
-                          st.Parallel.Deque.busy_seconds );
-                      ( "tasks",
-                        nums
-                          (fun n -> Obs.Json.Num (float_of_int n))
-                          st.Parallel.Deque.ran );
-                    ] );
-              ]
-        in
-        match !pool_busy with
-        | Some busy ->
-          fields
-          @ [
-              ( "pool_busy_seconds",
-                Obs.Json.List
-                  (Array.to_list busy |> List.map (fun s -> Obs.Json.Num s)) );
-              (* per-domain busy fraction of the whole run's wall clock;
-                 idle workers show the fan-out is under-utilized *)
-              ( "pool",
-                Obs.Json.Obj
-                  [
-                    ( "utilization",
-                      Obs.Json.List
-                        (Array.to_list busy
-                        |> List.map (fun s ->
-                               Obs.Json.Num
-                                 (if run_wall > 0. then s /. run_wall
-                                  else 0.))) );
-                  ] );
-            ]
-        | None -> fields
+        match sched_stats with
+        | None -> [ global ]
+        | Some st ->
+          let num x = Obs.Json.Num (float_of_int x) in
+          let nums f xs = Obs.Json.List (Array.to_list xs |> List.map f) in
+          [
+            global;
+            ( "sched",
+              Obs.Json.Obj
+                [
+                  ("domains", num st.Parallel.Deque.domains);
+                  ("steals", num st.Parallel.Deque.steals);
+                  ("failed_steals", num st.Parallel.Deque.failed_steals);
+                  ("injected", num st.Parallel.Deque.injected);
+                  ("completed", num st.Parallel.Deque.completed);
+                  ( "busy_seconds",
+                    nums (fun s -> Obs.Json.Num s) st.Parallel.Deque.busy_seconds
+                  );
+                  ( "utilization",
+                    nums
+                      (fun s ->
+                        Obs.Json.Num (if run_wall > 0. then s /. run_wall else 0.))
+                      st.Parallel.Deque.busy_seconds );
+                  ("tasks", nums num st.Parallel.Deque.ran);
+                ] );
+          ]
       in
       let doc =
         Obs.Json.Obj
@@ -711,9 +555,9 @@ let check_cmd =
           code: 0 all serializable, 1 violation, 2 unreadable/malformed \
           file, 3 timeout)")
     Term.(
-      const run $ algo $ timeout $ quiet $ jobs $ shards $ reclaim $ pipelined
-      $ prefilter $ packed $ stats $ stats_json $ trace_out $ progress
-      $ metrics_addr $ flight_record $ flight_window $ traces)
+      const run $ algo $ timeout $ quiet $ jobs $ shards $ reclaim $ prefilter
+      $ packed $ stats $ stats_json $ trace_out $ progress $ metrics_addr
+      $ flight_record $ flight_window $ traces)
 
 (* scrape: one-shot GET against a running metrics exporter.  Exists so
    the cram tests (and machines without curl) can exercise the exporter

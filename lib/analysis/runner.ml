@@ -25,8 +25,8 @@ let check_interval = 4096
    enabled: the checker constructor attaches its {!Aerodrome.Cmetrics}
    registry to the scope, and the harvested snapshot lands in
    [result.metrics] without the checker signature changing.  The inner
-   run functions put any runner-level entries (ingest sizes, ring
-   telemetry, time-to-first-violation) in [metrics] themselves; the
+   run functions put any runner-level entries (ingest sizes,
+   time-to-first-violation) in [metrics] themselves; the
    scope snapshot is prepended.  With telemetry off the scope machinery
    is skipped entirely and [metrics] is whatever the inner function
    produced (normally {!Obs.Snapshot.empty}). *)
@@ -214,61 +214,41 @@ let heap_sampler () =
 
 (* --- sharded checking ---
 
-   [shards > 1] (or [shards = 0], the auto sentinel) partitions the
-   (filtered) packed event stream into contiguous chunk batches at
-   boundary-summary cuts and checks the chunks concurrently on a
-   domain pool, reconciling the chunk verdicts left-to-right with
-   window repair ({!Parallel.Shard}, {!Aerodrome.Merge}).  Reports are
+   With a work-stealing scheduler lent ([?sched]) and [shards] other
+   than [1], the (filtered) packed event stream is materialized into an
+   arena, cut into chunks at boundary-summary cuts, and the chunks run
+   as scheduler tasks, each owner repairing its seam windows
+   ({!Parallel.Shard.check_stealing}, {!Aerodrome.Merge}).  [shards = 0]
+   lets the shard layer micro-chunk (oversubscribed, scheduler-sized);
+   an explicit count forces that exact plan.  Reports are
    byte-identical to the sequential path: a chunk checker seeded from
    its cut's boundary summary is contained in the sequential checker
-   and exact past the cut's repair window, and reconciliation re-runs
-   only the window events against the true frontier (DESIGN.md §17).
-   The seed argument is specific to the default Opt configuration, so
-   other checkers fall back to the sequential path, as do timed-out
-   runs (a per-chunk deadline would make [events_fed] racy) and
-   streams that cannot pack.
+   and exact past the cut's repair window, and repair re-runs only the
+   window events against the true frontier (DESIGN.md §17, §18).  The
+   seed argument is specific to the default Opt configuration, so
+   other checkers run sequentially, as do timed-out runs (a per-chunk
+   deadline would make [events_fed] racy) and streams that cannot
+   pack.  Without a scheduler every run is sequential.
 
    Chunk checkers run with reclamation off: per-variable lifetimes are
    chunk-local here, and reclamation is verdict-neutral either way. *)
 
 (* Below roughly two chunks' worth of this, the planner scan and the
    per-chunk checker setup cost more than the parallelism returns, so
-   auto resolves to a single shard and the sequential path runs. *)
+   auto sharding leaves the run on the sequential path. *)
 let min_shard_events = 65536
 
-(* [shards = 0] means auto: pick the chunk count from the trace length
-   and the machine, one shard per [min_shard_events] events capped at
-   the recommended domain count.  An explicit [shards] is always
-   honoured (tests force tiny traces through the sharded path). *)
-let resolve_shards ~shards ~events =
-  if shards <> 0 then shards
-  else if events < 2 * min_shard_events then 1
-  else
-    min (Domain.recommended_domain_count ()) (max 1 (events / min_shard_events))
-
-let shardable ~shards ~timeout (module C : Aerodrome.Checker.S) =
-  (shards = 0 || shards > 1) && timeout = None && C.name = Aerodrome.Opt.name
-
-(* With a scheduler lent ([?sched]) the sharded paths execute on it in
-   work-stealing mode ({!Parallel.Shard.check_stealing}): [shards] then
-   keeps its sentinel reading — [0] lets the shard layer micro-chunk
-   (oversubscribed, scheduler-sized), an explicit count forces that
-   exact plan (the differential tests run the {e same} plans as static
-   sharding through the stealing executor).  Auto stealing keeps the
-   static path's small-trace gate: below it the planner costs more
-   than the parallelism returns and the sequential path runs. *)
 let steal_worthwhile ~shards ~events =
   shards > 1 || events >= 2 * min_shard_events
 
-let shard_check ?sched ?shard_pool ?flight ~shards ~threads ~locks ~vars arena
-    =
+(* The scheduler a run shards on, or [None] for the sequential path. *)
+let sharding ?sched ~shards ~timeout ~events (module C : Aerodrome.Checker.S) =
   match sched with
-  | Some sched ->
-    Parallel.Shard.check_stealing ~sched ?flight ~shards ~threads ~locks ~vars
-      arena
-  | None ->
-    Parallel.Shard.check ?pool:shard_pool ?flight ~shards ~threads ~locks
-      ~vars arena
+  | Some _
+    when shards <> 1 && timeout = None && C.name = Aerodrome.Opt.name
+         && steal_worthwhile ~shards ~events ->
+    sched
+  | _ -> None
 
 let shard_entries ~events (o : Parallel.Shard.outcome) =
   if not (Obs.on ()) then []
@@ -350,7 +330,7 @@ let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
 
 (* Sharded variant of [run]: filter like the sequential path, pack the
    (filtered) trace into an arena, fan chunk checkers out. *)
-let run_trace_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched ?flight
+let run_trace_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
     (module C : Aerodrome.Checker.S) tr =
   collected (fun () ->
       let tr =
@@ -365,7 +345,7 @@ let run_trace_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched ?flight
       let arena = Packed.Arena.create () in
       Trace.iteri (fun _ e -> Packed.Arena.push arena (Packed.of_event e)) tr;
       let o =
-        shard_check ?sched ?shard_pool
+        Parallel.Shard.check_stealing ~sched
           ?flight:(Option.map (fun f -> f.flight_window) flight)
           ~shards ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
           ~vars:(Trace.vars tr) arena
@@ -376,25 +356,17 @@ let run_trace_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched ?flight
         ~vars:(Trace.vars tr) o ~events_fed:n)
 
 let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
-    ?shard_pool ?sched ?flight (module C : Aerodrome.Checker.S) tr =
-  let events = Trace.length tr in
-  let stealing =
-    sched <> None
-    && shardable ~shards ~timeout (module C)
-    && steal_worthwhile ~shards ~events
-  in
-  let shards = if stealing then shards else resolve_shards ~shards ~events in
-  if
-    (stealing || shardable ~shards ~timeout (module C))
-    && Packed.fits ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-         ~vars:(Trace.vars tr)
-  then
-    run_trace_sharded ?heartbeat ~prefilter ~shards ?shard_pool
-      ?sched:(if stealing then sched else None)
-      ?flight
+    ?sched ?flight (module C : Aerodrome.Checker.S) tr =
+  match
+    sharding ?sched ~shards ~timeout ~events:(Trace.length tr) (module C)
+  with
+  | Some sched
+    when Packed.fits ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
+           ~vars:(Trace.vars tr) ->
+    run_trace_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
       (module C : Aerodrome.Checker.S)
       tr
-  else
+  | _ ->
   collected (fun () ->
       (* filtering and the oracle pass run before the timer starts, like
          trace I/O; the oracle is computed on the filtered trace so its
@@ -528,7 +500,7 @@ let run_seq ?timeout ?heartbeat ?total ?(reclaim = true) ?last_use
 (* Accessor statistics for a binary file: the v3 footer is one seek away;
    an explicit [Exact] request on a v1/v2 file (no statistics footer) is
    honored with a dedicated pre-scan — a full decode pass, so [Auto]
-   prefers the online mode there instead. *)
+   runs unfiltered there instead. *)
 let binary_stats ~prefilter path =
   match prefilter with
   | Off | Online -> None
@@ -657,8 +629,8 @@ let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
 (* Sharded counterpart of [run_packed_file]: ingest (and filter) into
    an arena first, then fan chunk checkers out over it.  The timer
    covers the ingestion, mirroring the sequential path's decode. *)
-let run_packed_file_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched
-    ?flight (module C : Aerodrome.Checker.S) path
+let run_packed_file_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
+    (module C : Aerodrome.Checker.S) path
     (header : Traces.Binfmt.header) =
   collected ~file:path (fun () ->
       let stats = binary_stats ~prefilter path in
@@ -675,7 +647,7 @@ let run_packed_file_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched
                Prefilter.feed_packed p w push));
         Prefilter.finish_packed p push);
       let o =
-        shard_check ?sched ?shard_pool
+        Parallel.Shard.check_stealing ~sched
           ?flight:(Option.map (fun f -> f.flight_window) flight)
           ~shards ~threads:header.Traces.Binfmt.threads
           ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
@@ -687,24 +659,20 @@ let run_packed_file_sharded ?heartbeat ~prefilter ~shards ?shard_pool ?sched
         ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars o
         ~events_fed:(Packed.Arena.length arena))
 
-let run_stream_seq ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
-    ?(packed = true) ?(shards = 1) ?shard_pool ?sched ?flight
+let run_stream ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
+    ?(packed = true) ?(shards = 1) ?sched ?flight
     (module C : Aerodrome.Checker.S) path =
   if Traces.Binfmt.is_binary path then begin
     let header = Traces.Binfmt.read_header path in
-    let events = header.Traces.Binfmt.events in
-    let stealing =
-      sched <> None
-      && shardable ~shards ~timeout (module C)
-      && steal_worthwhile ~shards ~events
-    in
-    let shards = if stealing then shards else resolve_shards ~shards ~events in
     if packed && packable ~prefilter header then
-      if stealing || shardable ~shards ~timeout (module C) then
-        run_packed_file_sharded ?heartbeat ~prefilter ~shards ?shard_pool
-          ?sched:(if stealing then sched else None)
-          ?flight (module C) path header
-      else
+      match
+        sharding ?sched ~shards ~timeout ~events:header.Traces.Binfmt.events
+          (module C)
+      with
+      | Some sched ->
+        run_packed_file_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
+          (module C) path header
+      | None ->
         run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
           (module C) path header
     else
@@ -814,285 +782,6 @@ let run_stream_seq ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
               @ flight_metrics;
           })
 
-(* --- pipelined ingestion ---
-
-   A producer domain reads, decodes and interns the trace file and pushes
-   event batches through a bounded SPSC ring; the calling domain pops
-   batches and feeds the checker, so I/O + decode overlap vector-clock
-   work.  The checker sees exactly the event sequence the sequential path
-   sees, in order, so verdicts and violation indices are identical. *)
-
-type stream_msg =
-  | Domains of {
-      threads : int;
-      locks : int;
-      vars : int;
-      events : int option;  (* total, when the format knows it upfront *)
-      last_use : Traces.Lifetime.t option;  (* oracle, when available *)
-      stats : Varstats.t option;  (* prefilter oracle, when available *)
-    }
-  | Batch of Traces.Event.t array
-  | Packed_batch of Traces.Packed.chunk * int
-      (* a filled arena chunk and its length: one batch = one chunk, so
-         batch boundaries align with chunk boundaries by construction *)
-
-let batch_size = 8192
-let ring_capacity = 8
-
-exception Stop_producing
-
-let produce_file path ~reclaim ~prefilter ~packed ~push =
-  let push_or_stop m = if not (push m) then raise Stop_producing in
-  let scratch = Array.make batch_size (Traces.Event.begin_ 0) in
-  let fill = ref 0 in
-  (* Spans cover read + decode + intern of one batch; the (possibly
-     blocking) push is excluded so producer stalls show as gaps between
-     spans rather than inflating decode time. *)
-  let trace_on = Obs.Chrome_trace.active () in
-  let batch_t0 = ref (if trace_on then Obs.now_us () else 0.0) in
-  let flush () =
-    if !fill > 0 then begin
-      if trace_on then
-        Obs.Chrome_trace.add_span ~cat:"ingest" ~name:"decode-batch"
-          ~ts_us:!batch_t0
-          ~dur_us:(Obs.now_us () -. !batch_t0)
-          ();
-      push_or_stop (Batch (Array.sub scratch 0 !fill));
-      fill := 0;
-      if trace_on then batch_t0 := Obs.now_us ()
-    end
-  in
-  let feed () e =
-    scratch.(!fill) <- e;
-    incr fill;
-    if !fill = batch_size then flush ()
-  in
-  try
-    (if Traces.Binfmt.is_binary path then begin
-       let h = Traces.Binfmt.read_header path in
-       let last_use =
-         if reclaim then Traces.Binfmt.read_last_use path else None
-       in
-       let stats = binary_stats ~prefilter path in
-       push_or_stop
-         (Domains
-            {
-              threads = h.Traces.Binfmt.threads;
-              locks = h.Traces.Binfmt.locks;
-              vars = h.Traces.Binfmt.vars;
-              events = Some h.Traces.Binfmt.events;
-              last_use;
-              stats;
-            });
-       if packed && packable ~prefilter h then begin
-         (* decode straight into packed chunks; a full chunk is pushed
-            as-is (chunks are off-heap and immutable once handed over,
-            so sharing them with the consumer domain is safe) *)
-         let cw = batch_size in
-         let chunk = ref (Traces.Packed.make_chunk cw) in
-         let cfill = ref 0 in
-         let flush_packed () =
-           if !cfill > 0 then begin
-             if trace_on then
-               Obs.Chrome_trace.add_span ~cat:"ingest" ~name:"decode-batch"
-                 ~ts_us:!batch_t0
-                 ~dur_us:(Obs.now_us () -. !batch_t0)
-                 ();
-             push_or_stop (Packed_batch (!chunk, !cfill));
-             chunk := Traces.Packed.make_chunk cw;
-             cfill := 0;
-             if trace_on then batch_t0 := Obs.now_us ()
-           end
-         in
-         ignore
-           (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w ->
-                Bigarray.Array1.unsafe_set !chunk !cfill w;
-                incr cfill;
-                if !cfill = cw then flush_packed ()));
-         flush_packed ()
-       end
-       else ignore (Traces.Binfmt.fold path ~init:() ~f:feed)
-     end
-     else begin
-       (* the last-use and stats callbacks fire after pass 1, before [init] *)
-       let oracle = ref None in
-       let vstats = ref None in
-       Traces.Parser.fold_file_exn
-         ?last_use:
-           (if reclaim then Some (fun lt -> oracle := Some lt) else None)
-         ?stats:
-           (match prefilter with
-           | Off | Online -> None
-           | Exact | Auto -> Some (fun vs -> vstats := Some vs))
-         path
-         ~init:(fun ~threads ~locks ~vars ->
-           push_or_stop
-             (Domains
-                {
-                  threads;
-                  locks;
-                  vars;
-                  events = None;
-                  last_use = !oracle;
-                  stats = !vstats;
-                }))
-         ~f:feed
-     end);
-    flush ()
-  with Stop_producing -> ()
-
-let ring_entries (s : Parallel.Ring.stats) =
-  Obs.Snapshot.
-    [
-      entry "ring.capacity" (Int s.Parallel.Ring.st_capacity);
-      entry "ring.occupancy_hwm" (Int s.Parallel.Ring.occupancy_hwm);
-      entry "ring.producer_stalls" (Int s.Parallel.Ring.producer_stalls);
-      entry "ring.consumer_stalls" (Int s.Parallel.Ring.consumer_stalls);
-    ]
-
-let run_stream_pipelined ?timeout ?heartbeat ?(reclaim = true)
-    ?(prefilter = Off) ?(packed = true) ?flight
-    (module C : Aerodrome.Checker.S) path =
-  collected ~file:path (fun () ->
-      let ring_stats = ref None in
-      let r =
-        Parallel.Pipeline.run ~capacity:ring_capacity
-          ~on_stats:(fun s -> ring_stats := Some s)
-          ~produce:(fun ~push ->
-            produce_file path ~reclaim ~prefilter ~packed ~push)
-          ~consume:(fun ~pop ->
-            match pop () with
-            | None ->
-              (* the producer failed before announcing the domains (bad
-                 header, malformed text, unreadable file); Pipeline.run
-                 re-raises its exception and this placeholder is
-                 discarded *)
-              {
-                checker = C.name;
-                outcome = Verdict None;
-                seconds = 0.;
-                events_fed = 0;
-                metrics = Obs.Snapshot.empty;
-              }
-            | Some (Batch _ | Packed_batch _) ->
-              assert false (* producer announces domains first *)
-            | Some (Domains { threads; locks; vars; events; last_use; stats })
-              ->
-              let st =
-                Aerodrome.Reclaim.with_policy (policy ~reclaim last_use)
-                  (fun () -> C.create ~threads ~locks ~vars)
-              in
-              (* the filter runs on the consumer so its counters publish
-                 into this run's ambient scope; the producer only supplies
-                 the statistics *)
-              let pf =
-                Option.map Prefilter.create (prefilter_mode ~prefilter ~stats)
-              in
-              let sample_heap = heap_sampler () in
-              let fl = flight_recorder flight ~threads ~locks ~vars in
-              arm_heartbeat heartbeat ~total:events;
-              let started = Unix.gettimeofday () in
-              let deadline = Option.map (fun b -> started +. b) timeout in
-              let timed_out = ref false in
-              let viol_at = ref (-1.0) in
-              let fed = ref 0 in
-              let checkpoint () =
-                incr fed;
-                if !fed land (check_interval - 1) = 0 then begin
-                  tick heartbeat !fed;
-                  sample_heap ();
-                  match deadline with
-                  | Some d when Unix.gettimeofday () > d ->
-                    timed_out := true;
-                    raise Exit
-                  | _ -> ()
-                end
-              in
-              let feed_one e =
-                (match fl with
-                | Some f when !viol_at < 0.0 ->
-                  Flight.note f !fed (Packed.of_event e)
-                | _ -> ());
-                (match C.feed st e with
-                | Some _ -> note_violation viol_at ~started
-                | None -> ());
-                checkpoint ()
-              in
-              let feed_one_packed w =
-                (match fl with
-                | Some f when !viol_at < 0.0 -> Flight.note f !fed w
-                | _ -> ());
-                (match C.feed_packed st w with
-                | Some _ -> note_violation viol_at ~started
-                | None -> ());
-                checkpoint ()
-              in
-              (try
-                 let rec loop () =
-                   match pop () with
-                   | None -> ()
-                   | Some (Domains _) -> assert false
-                   | Some (Batch events) ->
-                     Obs.Chrome_trace.span ~cat:"check" "feed-batch"
-                       (fun () ->
-                         Array.iter
-                           (fun e ->
-                             match pf with
-                             | None -> feed_one e
-                             | Some p -> Prefilter.feed p e feed_one)
-                           events);
-                     loop ()
-                   | Some (Packed_batch (chunk, len)) ->
-                     Obs.Chrome_trace.span ~cat:"check" "feed-batch"
-                       (fun () ->
-                         for i = 0 to len - 1 do
-                           let w = Bigarray.Array1.unsafe_get chunk i in
-                           match pf with
-                           | None -> feed_one_packed w
-                           | Some p ->
-                             Prefilter.feed_packed p w feed_one_packed
-                         done);
-                     loop ()
-                 in
-                 loop ()
-               with Exit -> ());
-              (match pf with
-              | None -> ()
-              | Some p -> ( try Prefilter.finish p feed_one with Exit -> ()));
-              sample_heap ();
-              let outcome =
-                if !timed_out then Timed_out else Verdict (C.violation st)
-              in
-              {
-                checker = C.name;
-                outcome;
-                seconds = Unix.gettimeofday () -. started;
-                events_fed = !fed;
-                metrics =
-                  runner_entries ?file_bytes:(file_size path) viol_at
-                  @ flight_finish flight fl
-                      (module C : Aerodrome.Checker.S)
-                      ~source:path ~threads ~locks ~vars outcome;
-              })
-          ()
-      in
-      match !ring_stats with
-      | Some s when Obs.on () -> { r with metrics = r.metrics @ ring_entries s }
-      | _ -> r)
-
-let run_stream ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
-    ?(prefilter = Off) ?(packed = true) ?(shards = 1) ?shard_pool ?sched
-    ?flight checker path =
-  (* the sharded path materializes the whole arena before any checking
-     starts, so a pipelined producer would have nothing to overlap with;
-     when both are requested, sharding wins *)
-  if pipelined && not (shardable ~shards ~timeout checker) then
-    run_stream_pipelined ?timeout ?heartbeat ~reclaim ~prefilter ~packed
-      ?flight checker path
-  else
-    run_stream_seq ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
-      ?shard_pool ?sched ?flight checker path
-
 (* --- multi-file fan-out --- *)
 
 type file_report = {
@@ -1100,12 +789,11 @@ type file_report = {
   report : (result, string) Stdlib.result;
 }
 
-let run_file ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
-    ?(prefilter = Off) ?(packed = true) ?(shards = 1) ?shard_pool ?sched
+let run_file ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
     ?flight checker path =
   match
-    run_stream ?timeout ?heartbeat ~pipelined ~reclaim ~prefilter ~packed
-      ~shards ?shard_pool ?sched ?flight checker path
+    run_stream ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
+      ?flight checker path
   with
   | r -> Ok r
   | exception Traces.Binfmt.Corrupt msg -> Error msg
@@ -1113,83 +801,33 @@ let run_file ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
     Error (Format.asprintf "%s: %a" path Traces.Parser.pp_error e)
   | exception Sys_error msg -> Error msg
 
-let run_many ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
-    ?(prefilter = Off) ?(packed = true) ?(jobs = 1) ?(shards = 1) ?shard_pool
-    ?sched ?flight ?on_pool checker paths =
+let run_many ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
+    ?flight checker paths =
+  let report ?heartbeat ?sched path =
+    {
+      file = path;
+      report =
+        run_file ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
+          ?flight checker path;
+    }
+  in
   match sched with
   | Some sc when List.compare_length_with paths 1 > 0 ->
-    (* Unified budget (DESIGN.md §18): the scheduler owns every domain,
-       and a file is just a task that spawns chunk tasks on the same
-       deques — [await] helps, so a file task waiting on its chunks
-       becomes another chunk consumer instead of an idle domain, and a
-       second file's chunks start the moment any deque has room rather
-       than at a file boundary.  [jobs] is not consulted here: the
-       caller sized the scheduler to the machine-wide budget.  The
-       heartbeat is dropped as on the pool path (concurrent workers
+    (* One budget (DESIGN.md §18): the scheduler owns every domain, and
+       a file is just a task that spawns chunk tasks on the same deques
+       — [await] helps, so a file task waiting on its chunks becomes
+       another chunk consumer instead of an idle domain, and a second
+       file's chunks start the moment any deque has room rather than at
+       a file boundary.  The heartbeat is dropped (concurrent workers
        would interleave its lines). *)
-    let promises =
-      List.map
-        (fun path ->
-          Parallel.Deque.submit sc (fun () ->
-              {
-                file = path;
-                report =
-                  run_file ?timeout ~pipelined ~reclaim ~prefilter ~packed
-                    ~shards ~sched:sc ?flight checker path;
-              }))
-        paths
-    in
-    let reports = List.map (Parallel.Deque.await sc) promises in
-    (match on_pool with
-    | Some f -> f (Parallel.Deque.stats sc).Parallel.Deque.busy_seconds
-    | None -> ());
-    reports
-  | Some _ ->
-    (* one file: run it on the calling domain (keeping the heartbeat);
-       its chunks still fan out over the scheduler *)
     List.map
-      (fun path ->
-        {
-          file = path;
-          report =
-            run_file ?timeout ?heartbeat ~pipelined ~reclaim ~prefilter
-              ~packed ~shards ?sched ?flight checker path;
-        })
+      (fun path -> Parallel.Deque.submit sc (fun () -> report ~sched:sc path))
       paths
-  | None ->
-    (* The static domain budget is shared between the file fan-out and
-       intra-file sharding: [jobs] caps the product, so sharded runs fan
-       out fewer files concurrently instead of oversubscribing cores.
-       Auto sharding resolves per file, so budget with the machine-wide
-       estimate it is capped at. *)
-    let shard_width =
-      if shards = 0 then Domain.recommended_domain_count () else shards
-    in
-    let file_jobs =
-      if shard_width > 1 then max 1 (jobs / shard_width) else jobs
-    in
-    (* A lent shard pool is single-consumer ({!Parallel.Pool.map} is not
-       reentrant); once files fan out across workers, each file's run
-       creates its own chunk pool instead. *)
-    let shard_pool =
-      if file_jobs > 1 && List.compare_length_with paths 1 > 0 then None
-      else shard_pool
-    in
-    (* A shared heartbeat would interleave lines from concurrent workers;
-       drop it when the files actually fan out. *)
-    let heartbeat =
-      if file_jobs > 1 && List.compare_length_with paths 1 > 0 then None
-      else heartbeat
-    in
-    Parallel.Pool.run ?report:on_pool ~jobs:file_jobs
-      (fun path ->
-        {
-          file = path;
-          report =
-            run_file ?timeout ?heartbeat ~pipelined ~reclaim ~prefilter
-              ~packed ~shards ?shard_pool ?flight checker path;
-        })
-      paths
+    |> List.map (Parallel.Deque.await sc)
+  | _ ->
+    (* no scheduler, or one file: run on the calling domain (keeping
+       the heartbeat); a lone file's chunks still fan out over [sched] *)
+    List.map (report ?heartbeat ?sched) paths
 
 let violating r =
   match r.outcome with Verdict (Some _) -> true | Verdict None | Timed_out -> false

@@ -13,10 +13,7 @@
     with runner-level entries —
 
     - ["violation.seconds"]: elapsed seconds to the first violation;
-    - ["ingest.file_bytes"]: size of the trace file (file-based runs);
-    - ["ring.capacity"], ["ring.occupancy_hwm"], ["ring.producer_stalls"],
-      ["ring.consumer_stalls"]: {!Parallel.Ring} occupancy telemetry
-      (pipelined runs only).
+    - ["ingest.file_bytes"]: size of the trace file (file-based runs).
 
     Sharded runs report ["shard.chunks"], ["shard.quiescent_cuts"],
     ["shard.seamed_cuts"], ["shard.tainted_events"],
@@ -34,9 +31,9 @@
     per-event cost of the plumbing is one branch.  A [heartbeat]
     (ticked from the existing 4096-event timeout checkpoint) emits
     progress lines independently of the metric scope.  When a
-    {!Obs.Chrome_trace} collector is active, pipelined runs record
-    producer decode spans, consumer feed spans, and an instant marker
-    at the first violation.
+    {!Obs.Chrome_trace} collector is active, runs record an instant
+    marker at the first violation, and sharded runs record planner and
+    per-chunk feed spans.
 
     {2 State reclamation}
 
@@ -115,50 +112,37 @@ type prefilter =
 
     {2 Sharded checking}
 
-    Every file-level run function (and {!run}) takes [?shards] (default
-    [1]; [0] means {e auto} — a chunk count derived from the trace
-    length and [Domain.recommended_domain_count], resolving to [1] for
-    traces too small to amortize the planner).  With more than one
-    shard the (filtered) event stream is materialized into a packed
-    arena, partitioned into contiguous chunks at boundary-summary cuts
-    — arbitrary positions annotated with each thread's open-transaction
-    depth, snapped to a nearby globally quiescent position when one
-    exists — and the chunks are checked concurrently on a domain pool,
-    each from a checker seeded with its boundary summary.  Chunk
-    verdicts are reconciled left-to-right with {e window repair}: only
-    the events between a non-quiescent cut and the retirement of the
-    transactions it straddles (and of those open at their close) are
-    re-fed against the true frontier, instead of replaying
-    whole chunks ({!Parallel.Shard}, {!Aerodrome.Merge}, DESIGN.md
-    §17).  Verdicts, violation indices and [events_fed] are
+    Every file-level run function (and {!run}) takes [?sched], a
+    {!Parallel.Deque} work-stealing scheduler, and [?shards] (default
+    [1], which turns sharding off; [0] means {e auto}).  Sharding
+    happens only on a lent scheduler: without one every run is
+    sequential.  With one and [shards <> 1] the (filtered) event stream
+    is materialized into a packed arena, partitioned into contiguous
+    chunks at boundary-summary cuts — arbitrary positions annotated
+    with each thread's open-transaction depth, snapped to a nearby
+    globally quiescent position when one exists — and each chunk runs
+    as a scheduler task, from a checker seeded with its boundary
+    summary ({!Parallel.Shard.check_stealing}).  Auto cuts
+    fine-grained micro-chunks (oversubscribed ~8x per scheduler
+    domain) and keeps traces too small to amortize the planner on the
+    sequential path ({!steal_worthwhile}); an explicit [shards] forces
+    that exact plan.  Each chunk performs the seam repairs it owns as
+    soon as it retires: only the events between a non-quiescent cut
+    and the retirement of the transactions it straddles (and of those
+    open at their close) are re-fed against the true frontier, instead
+    of replaying whole chunks ({!Aerodrome.Merge}, DESIGN.md §17,
+    §18).  Verdicts, violation indices and [events_fed] are
     {e byte-identical} to the sequential path; a cut through open
     transactions costs a repair window, never a divergent answer.
 
-    Sharding silently falls back to the sequential path whenever the
-    exactness argument does not apply: non-default checkers
-    ([--algo slow]/[faithful]), runs with a [timeout], id domains beyond
-    {!Traces.Packed.fits}, and boxed ([~packed:false]) or [Online]-
-    filtered streams.  [?shard_pool] lends an existing domain pool to
-    the chunk fan-out (one is created per run otherwise).
-
-    {2 Work-stealing execution}
-
-    Every function that takes [?shards] also takes [?sched], a
-    {!Parallel.Deque} work-stealing scheduler.  With one lent, a
-    shardable run executes in {e stealing} mode
-    ({!Parallel.Shard.check_stealing}): the arena is cut into
-    fine-grained micro-chunks (oversubscribed ~8x per scheduler
-    domain when [shards = 0]; an explicit [shards] forces that exact
-    plan), the chunks run as scheduler tasks in whatever order the
-    deques and steals produce, and each chunk performs the seam
-    repairs it owns as soon as it retires — reports stay
-    byte-identical to the sequential path (DESIGN.md §18).  The same
-    fallbacks apply, and auto stealing keeps the static path's
-    small-trace gate.  [shard_pool] is ignored in stealing mode.
-    Sharded runs in either mode report ["shard.*"] entries alike;
-    scheduler-level telemetry (steals, injections, per-domain busy
-    seconds) lives on the scheduler ({!Parallel.Deque.stats}) because
-    its counters span every run sharing the pool. *)
+    A run stays sequential whenever the exactness argument does not
+    apply: non-default checkers ([--algo slow]/[faithful]), runs with
+    a [timeout], id domains beyond {!Traces.Packed.fits}, and boxed
+    ([~packed:false]) or [Online]-filtered streams.  Sharded runs
+    report ["shard.*"] entries; scheduler-level telemetry (steals,
+    injections, per-domain busy seconds) lives on the scheduler
+    ({!Parallel.Deque.stats}) because its counters span every run
+    sharing it. *)
 
 type flight = {
   flight_dir : string;  (** directory the witness bundles are written to *)
@@ -168,28 +152,19 @@ type flight = {
     recording} above).  {!Traces.Flight.default_window} is the
     conventional window. *)
 
-val resolve_shards : shards:int -> events:int -> int
-(** The chunk count a run with [?shards] uses on a trace of [events]
-    events: [shards] itself when explicit (non-zero), otherwise the
-    auto choice — one chunk per ~64k events, capped at
-    [Domain.recommended_domain_count], and [1] for traces too small to
-    amortize the planner.  Exposed so callers (the CLI) can size a
-    lent shard pool to match. *)
-
 val steal_worthwhile : shards:int -> events:int -> bool
 (** Whether a run with [?shards] on a trace of [events] events would
     use a lent work-stealing scheduler: an explicit chunk count always
-    does, auto micro-chunking keeps the static path's small-trace gate
-    (below it the planner costs more than the parallelism returns).
-    Core-count independent, unlike {!resolve_shards}: the caller's
-    scheduler fixes the domain budget.  Exposed so the CLI can decide
-    whether creating a scheduler for a lone trace is worthwhile. *)
+    does, auto micro-chunking only from two minimum-size chunks up
+    (below that the planner costs more than the parallelism returns).
+    Core-count independent: the caller's scheduler fixes the domain
+    budget.  Exposed so the CLI can decide whether creating a
+    scheduler for a lone trace is worthwhile. *)
 
 val run :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
-  ?prefilter:prefilter -> ?shards:int -> ?shard_pool:Parallel.Pool.t ->
-  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
-  Traces.Trace.t -> result
+  ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
+  ?flight:flight -> Aerodrome.Checker.t -> Traces.Trace.t -> result
 (** [timeout] in seconds; default: none.  [heartbeat] is restarted, given
     the trace length as total, and ticked as the run progresses.  With
     [reclaim] (the default) the last-use oracle is computed from the
@@ -208,8 +183,9 @@ val run_seq :
     (when the caller knows the event count upfront) only feeds the
     heartbeat's ETA.  [last_use] is the reclamation oracle if the caller
     has one; without it a reclaiming run uses the inactivity heuristic.
-    [stats] likewise supplies the exact-mode prefilter oracle; an [Exact]
-    or [Auto] prefilter without it runs in online mode.  [source]
+    [stats] likewise supplies the exact-mode prefilter oracle; without
+    it an [Exact] prefilter runs in online mode and [Auto] runs
+    unfiltered.  [source]
     (default ["stream"]) names the input in witness bundles and labels
     the live-exposure scope when it is a file path. *)
 
@@ -220,14 +196,14 @@ val run_binary_file :
 (** [run_seq] over a binary trace file, domains and total event count
     from its header; a version-2/3 footer supplies the reclamation
     oracle, a version-3 footer also the prefilter statistics ([Exact] on
-    an older file falls back to a pre-scan, [Auto] to the online mode).
+    an older file falls back to a pre-scan, [Auto] runs unfiltered).
     @raise Traces.Binfmt.Corrupt *)
 
 val run_stream :
-  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?pipelined:bool ->
-  ?reclaim:bool -> ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
-  ?shard_pool:Parallel.Pool.t -> ?sched:Parallel.Deque.t -> ?flight:flight ->
-  Aerodrome.Checker.t -> string -> result
+  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
+  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
+  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
+  string -> result
 (** Analyze a trace file without materializing it, auto-detecting the
     format: binary files stream in one pass (domains from the header),
     text files via {!Traces.Parser.fold_file} (two passes, since the text
@@ -246,17 +222,8 @@ val run_stream :
     Verdicts, violation indices and [events_fed] are identical on
     either path.
 
-    With [~pipelined:true] ingestion (read + decode + intern) runs on a
-    dedicated producer domain and feeds the checker through a bounded
-    ring of event batches, overlapping I/O with vector-clock work; the
-    checker consumes the identical event sequence, so the verdict,
-    violation index and [events_fed] match the sequential path exactly
-    ([seconds] measures the consumer's wall clock from checker creation
-    to verdict, so it includes any stall waiting for the producer).
-
-    [shards > 1] selects the sharded path where applicable (see
-    {e Sharded checking} above); it takes precedence over [pipelined],
-    whose producer would have nothing to overlap with.
+    With [sched] lent, [shards] selects the sharded path where
+    applicable (see {e Sharded checking} above).
     @raise Traces.Binfmt.Corrupt on a corrupt binary trace,
     [Traces.Parser.Parse_error] on a malformed text trace. *)
 
@@ -269,59 +236,35 @@ type file_report = {
 }
 
 val run_file :
-  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?pipelined:bool ->
-  ?reclaim:bool -> ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
-  ?shard_pool:Parallel.Pool.t -> ?sched:Parallel.Deque.t -> ?flight:flight ->
-  Aerodrome.Checker.t -> string -> (result, string) Stdlib.result
+  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
+  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
+  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
+  string -> (result, string) Stdlib.result
 (** {!run_stream} with per-file error capture instead of exceptions:
     [Sys_error], {!Traces.Binfmt.Corrupt} and
     {!Traces.Parser.Parse_error} become [Error msg]. *)
 
 val run_many :
-  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?pipelined:bool ->
-  ?reclaim:bool -> ?prefilter:prefilter -> ?packed:bool -> ?jobs:int ->
-  ?shards:int -> ?shard_pool:Parallel.Pool.t -> ?sched:Parallel.Deque.t ->
-  ?flight:flight -> ?on_pool:(float array -> unit) -> Aerodrome.Checker.t ->
+  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
+  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
+  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
   string list -> file_report list
 (** Check many trace files, one {!file_report} per input path {e in input
     order}.  A failing file yields its [Error] report and the remaining
     files are still checked.
 
-    With [?sched] (the unified work-stealing mode) the scheduler owns
-    the whole machine-wide domain budget across {e both} axes of
-    parallelism: every file is submitted as one scheduler task, each
-    file's chunks are further tasks on the same deques, and a file
-    task awaiting its chunks {e helps} instead of idling — so
-    [jobs] × [shards] no longer multiply and there is no idle-domain
-    gap at file boundaries.  [jobs] and [shard_pool] are ignored in
-    this mode (the caller sizes the scheduler); result ordering is
-    still deterministic input order, and with a single path the run
-    stays on the calling domain (keeping the heartbeat) while its
-    chunks fan out.
-
-    Without a scheduler, with [jobs > 1] the files fan out across a
-    fixed pool of [jobs] domains ({!Parallel.Pool}); result ordering is
-    deterministic and identical to [jobs = 1], and each file's checker
-    runs single-threaded on one domain (the exact sequential checker —
-    verdicts cannot differ).  [jobs <= 1] runs sequentially in the
-    calling domain with no pool.
-
-    [jobs] budgets domains across {e both} axes of parallelism: with
-    [shards > 1] at most [max 1 (jobs / shards)] files run concurrently,
-    each fanning its chunks out over its own shard pool, so the total
-    domain count stays within the budget rather than multiplying.  Auto
-    sharding ([shards = 0]) resolves per file, so the budget divides by
-    the machine-wide cap ([Domain.recommended_domain_count]) instead.
-    [shard_pool] is forwarded to the per-file runs only while they stay
-    on the calling domain ({!Parallel.Pool.map} is single-consumer);
-    once files fan out it is ignored and chunk pools are per-file.
+    Without [?sched] the files run one after another on the calling
+    domain.  With one, the scheduler owns the whole domain budget
+    across {e both} axes of parallelism: every file is submitted as one
+    scheduler task, each file's chunks are further tasks on the same
+    deques, and a file task awaiting its chunks {e helps} instead of
+    idling, so there is no idle-domain gap at file boundaries.  Result
+    ordering is still deterministic input order, and each report is
+    byte-identical to the sequential one.  With a single path the run
+    stays on the calling domain while its chunks fan out.
 
     [heartbeat] is forwarded to each file's run, except when files fan
-    out (concurrent workers would interleave its lines).
-    [on_pool] receives {!Parallel.Pool.busy_seconds} — seconds each
-    worker spent checking, by worker index — after the pool is joined
-    (in unified mode, the scheduler's per-worker busy seconds, which
-    also cover chunk tasks); it is not called on the sequential path. *)
+    out (concurrent workers would interleave its lines). *)
 
 val pp_file_report : Format.formatter -> file_report -> unit
 (** ["path: <report>"] or ["path: error: <msg>"]. *)

@@ -8,9 +8,9 @@
    while it is active (each [Cmetrics.create] in a checker constructor)
    calls [attach] and is snapshotted when [f] returns.
 
-   Scopes are domain-local (Domain.DLS), so a pipelined producer domain
-   or pool worker never leaks its registries into another run — each
-   worker's [run_file] call opens its own scope on its own domain.
+   Scopes are domain-local (Domain.DLS), so a scheduler worker never
+   leaks its registries into another run — each worker's [run_file]
+   call opens its own scope on its own domain.
 
    When live exposure is on (a metrics exporter is serving), attached
    registries are additionally published to [Live] for the duration of

@@ -62,8 +62,8 @@ let diff ~(before : t) ~(after : t) : t =
 (* [sorted t] orders entries by metric name (stable, so duplicate names
    keep their relative order).  Renderers use it so `--stats` and
    `--stats-json` output cannot depend on registration order, which
-   under multi-domain collection (pipelined producers, shard pools) is
-   an interleaving accident. *)
+   under multi-domain collection (files and chunks on scheduler
+   workers) is an interleaving accident. *)
 let sorted (t : t) : t =
   List.stable_sort (fun a b -> String.compare a.name b.name) t
 

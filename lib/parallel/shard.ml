@@ -1,20 +1,18 @@
-(* Chunked parallel checking: plan boundary-summary cuts, fan
-   speculative seeded chunk checkers out over the domain pool, then
-   reconcile left-to-right, repairing each cut's window against the
-   true frontier.  The arena is fully built and immutable before any
-   task is submitted, so chunk ranges cross domain boundaries without
-   copying or marshalling (the chunks are off-heap Bigarrays).
+(* Chunked parallel checking: plan boundary-summary cuts, run a
+   speculative seeded checker per chunk as a work-stealing task, and
+   repair each cut's window against the true frontier.  The arena is
+   fully built and immutable before any task is submitted, so chunk
+   ranges cross domain boundaries without copying or marshalling (the
+   chunks are off-heap Bigarrays).
 
    The correctness contract (DESIGN.md §17): a chunk checker seeded
    from its boundary summary ({!Aerodrome.Opt.seed_boundary}) is
    generation-wise {e contained} in the sequential checker — it can
    miss violations whose evidence predates the cut, but never invents
    one — and it is {e exact} from the end of the cut's repair window
-   onward.  Reconciliation therefore walks the boundaries in order,
-   feeds each window segment into the live checker (the true
-   sequential state), and only then trusts the chunk's own speculative
-   verdict for the remainder of its range.  A chunk that survives with
-   no violation becomes the next live checker. *)
+   onward.  A window segment fed into a checker whose state is exact up
+   to the segment start is therefore exact too, and the chunk's own
+   speculative verdict can be trusted past it. *)
 
 type task = {
   base : int;
@@ -38,7 +36,7 @@ type outcome = {
 (* One chunk: a fresh checker seeded from the boundary summary over
    [base, stop).  The checker freezes at its first violation, so the
    loop stops there — by the containment invariant that violation is
-   real, though reconciliation may find an earlier one in the window.
+   real, though a repair window may surface an earlier one.
 
    With [?flight] a per-chunk recorder rides along, noting chunk-local
    indices seeded with the boundary depths: position 0 of the recorder
@@ -49,8 +47,7 @@ type outcome = {
 
    Each chunk's feed loop is also a Chrome span (cat "shard"), so a
    [--trace-out] run shows the chunk lanes per worker domain in
-   Perfetto, next to the planner and reconcile spans recorded by
-   {!check}. *)
+   Perfetto, next to the planner span recorded by {!check_stealing}. *)
 let run_chunk ?flight ~threads ~locks ~vars arena
     ((b : Aerodrome.Merge.boundary), (base, stop)) =
   let t0 = Unix.gettimeofday () in
@@ -121,65 +118,13 @@ let repair st arena ~from ~upto =
    with Exit -> ());
   (!violation, !fed)
 
-(* Left-to-right reconciliation with repair.  [live] is the checker
-   whose state is exact through [covered]; window segments are clipped
-   against [covered] (windows are monotone, see {!Aerodrome.Merge}),
-   fed into [live], and a chunk whose whole range fell inside a window
-   is discarded.  A chunk consulted past its window either hands its
-   (exact-region) violation up or becomes the next live checker. *)
-let reconcile (plan : Aerodrome.Merge.plan) (tasks : task array) arena =
-  let rebase (t : task) =
-    Option.map
-      (fun (v : Aerodrome.Violation.t) ->
-        Aerodrome.Violation.make ~index:(t.base + v.index) ~event:v.event
-          ~site:v.site)
-      t.violation
-  in
-  let n = Traces.Packed.Arena.length arena in
-  let live = ref tasks.(0).checker in
-  let covered = ref tasks.(0).stop in
-  let violation = ref (rebase tasks.(0)) in
-  let repaired = ref 0 in
-  let k = ref 1 in
-  while !violation = None && !k < Array.length tasks do
-    let b = plan.Aerodrome.Merge.boundaries.(!k) in
-    let t = tasks.(!k) in
-    let h = min n (b.Aerodrome.Merge.cut + b.Aerodrome.Merge.window) in
-    let from = max b.Aerodrome.Merge.cut !covered in
-    if h > from then begin
-      let v, fed = repair !live arena ~from ~upto:h in
-      repaired := !repaired + fed;
-      violation := v
-    end;
-    if !violation = None then begin
-      covered := max !covered h;
-      if t.stop > !covered then begin
-        (match rebase t with
-        | Some v when v.Aerodrome.Violation.index >= !covered ->
-          violation := Some v
-        | Some _ ->
-          (* a speculative violation inside the repaired window that
-             the repair did not confirm would contradict the
-             containment invariant — fail loudly rather than report a
-             verdict the sequential checker would not *)
-          failwith "Shard.check: speculative violation unconfirmed by repair"
-        | None -> ());
-        if !violation = None then begin
-          live := t.checker;
-          covered := t.stop
-        end
-      end
-    end;
-    incr k
-  done;
-  (!violation, !repaired)
-
 (* Work-stealing execution over micro-chunks (DESIGN.md §18).  The
-   left-to-right fold above is order-dependent only in appearance: the
-   covered frontier, segment extents, seam owners and chunk survival
-   are all functions of the plan alone, so {!Aerodrome.Merge.seams}
-   evaluates the fold before any chunk runs.  Execution then needs no
-   order at all:
+   left-to-right reconciliation fold (walk the cuts in order, feed each
+   window into the live checker, let a surviving chunk take over) is
+   order-dependent only in appearance: the covered frontier, segment
+   extents, seam owners and chunk survival are all functions of the
+   plan alone, so {!Aerodrome.Merge.seams} evaluates the fold before
+   any chunk runs.  Execution then needs no order at all:
 
    - every chunk is one scheduler task; the deques and steals decide
      placement, so a hot chunk (violation site, dense lock traffic,
@@ -198,15 +143,15 @@ let reconcile (plan : Aerodrome.Merge.plan) (tasks : task array) arena =
      violations.  The exact regions and repair segments partition the
      arena, each checked under exact sequential state, so the minimum
      is the sequential checker's first violation — the same answer
-     {!reconcile} folds to, now computed from an unordered bag of
-     retirements (the [retired] bitmap). *)
+     the fold reaches, computed from an unordered bag of retirements
+     (the [retired] bitmap). *)
 let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
     ~shards ~threads ~locks ~vars arena =
   let n = Traces.Packed.Arena.length arena in
   let shards =
     match cuts with
     | Some _ -> 0 (* the plan takes the forced cuts verbatim *)
-    | None when shards <> 0 -> shards (* forced chunk count (tests, static:N comparisons) *)
+    | None when shards <> 0 -> shards (* forced chunk count (--shards N, tests) *)
     | None ->
       max 1 (min (Deque.size sched * max 1 oversub) (max 1 (n / max 1 chunk_floor)))
   in
@@ -287,9 +232,10 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
           consider (Some v)
         | _ -> ())
     results;
-  (* the same loud guard as [reconcile]: a surviving chunk's
-     speculative violation below its exact region must be explained by
-     an earlier final violation, else containment is broken *)
+  (* a surviving chunk's speculative violation below its exact region
+     must be explained by an earlier final violation, else containment
+     is broken: fail loudly rather than report a verdict the sequential
+     checker would not *)
   Array.iteri
     (fun i ((t : task), _, _) ->
       if i > 0 && seams.(i).Aerodrome.Merge.survives then
@@ -302,7 +248,7 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
             when w.index <= v.Aerodrome.Violation.index ->
             ()
           | _ ->
-            failwith "Shard.check: speculative violation unconfirmed by repair")
+            failwith "Shard.check_stealing: speculative violation unconfirmed by repair")
         | _ -> ())
     results;
   {
@@ -310,44 +256,6 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
     plan;
     tasks = Array.map (fun (t, _, _) -> t) results;
     repaired_events = Array.fold_left (fun a (_, _, f) -> a + f) 0 results;
-    plan_seconds;
-    merge_seconds = Unix.gettimeofday () -. t1;
-  }
-
-let check ?pool ?cuts ?flight ~shards ~threads ~locks ~vars arena =
-  let t0 = Unix.gettimeofday () in
-  let plan =
-    Obs.Chrome_trace.span ~cat:"shard" "plan" (fun () ->
-        Aerodrome.Merge.plan ~threads ~shards ?cuts arena)
-  in
-  let plan_seconds = Unix.gettimeofday () -. t0 in
-  let bounds =
-    Aerodrome.Merge.bounds plan ~total:(Traces.Packed.Arena.length arena)
-  in
-  let chunks =
-    Array.mapi (fun i b -> (plan.Aerodrome.Merge.boundaries.(i), b)) bounds
-  in
-  let run = run_chunk ?flight ~threads ~locks ~vars arena in
-  let tasks =
-    match pool with
-    | Some p when Array.length chunks > 1 -> Pool.map p run chunks
-    | Some _ | None ->
-      if Array.length chunks <= 1 then Array.map run chunks
-      else
-        Pool.with_pool
-          (min (Array.length chunks) (max 1 shards))
-          (fun p -> Pool.map p run chunks)
-  in
-  let t1 = Unix.gettimeofday () in
-  let violation, repaired_events =
-    Obs.Chrome_trace.span ~cat:"shard" "reconcile" (fun () ->
-        reconcile plan tasks arena)
-  in
-  {
-    violation;
-    plan;
-    tasks;
-    repaired_events;
     plan_seconds;
     merge_seconds = Unix.gettimeofday () -. t1;
   }

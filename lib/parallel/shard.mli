@@ -1,13 +1,13 @@
 (** Single-trace chunked parallel checking over a packed arena.
 
-    {!check} partitions an arena into contiguous chunk batches at the
-    boundary-summary cuts chosen by {!Aerodrome.Merge.plan}, runs an
+    {!check_stealing} partitions an arena into contiguous chunks at the
+    boundary-summary cuts chosen by {!Aerodrome.Merge.plan} and runs an
     independent speculative {!Aerodrome.Opt} checker on each chunk —
     seeded from the cut's boundary summary
-    ({!Aerodrome.Opt.seed_boundary}) and fanned out over a {!Pool} of
-    domains — then reconciles left-to-right, {e repairing} each cut's
-    window against the true sequential frontier instead of replaying
-    whole chunks.
+    ({!Aerodrome.Opt.seed_boundary}) and submitted as a task to a
+    {!Deque} work-stealing scheduler — {e repairing} each cut's window
+    against the true sequential frontier instead of replaying whole
+    chunks.
 
     The contract (DESIGN.md §17): a seeded chunk checker is
     generation-wise {e contained} in the sequential checker — it never
@@ -15,19 +15,17 @@
     {e exact} from the end of its cut's repair window (the two-phase
     horizon where the straddling transactions and then the
     transactions open at the last straddler's close have all retired;
-    zero for touch-free and quiescent cuts) onward.  Reconciliation
-    feeds each
-    window segment into the live checker carried over from the
-    previous chunk, then trusts the chunk's speculative verdict for
-    the remainder of its range; a surviving chunk's checker becomes
-    the next live checker.  The reported violation is byte-identical
-    to the sequential checker's.
+    zero for touch-free and quiescent cuts) onward.  Each window
+    segment is fed into a checker whose state is exact up to the
+    segment start, and the chunk's speculative verdict is trusted for
+    the remainder of its range.  The reported violation is
+    byte-identical to the sequential checker's.
 
     Soundness of the boundary seed is specific to the default
     {!Aerodrome.Opt} configuration (component-epoch fast checks,
-    non-faithful), which is why [check] takes no checker module: the
-    caller — normally {!Analysis.Runner} — gates sharding on the
-    checker being ["aerodrome"].  Chunk checkers run with
+    non-faithful), which is why [check_stealing] takes no checker
+    module: the caller — normally {!Analysis.Runner} — gates sharding
+    on the checker being ["aerodrome"].  Chunk checkers run with
     {!Aerodrome.Reclaim.Off} (reclamation is verdict-neutral, and
     oracle indices would be meaningless chunk-locally). *)
 
@@ -35,8 +33,8 @@ type task = {
   base : int;  (** chunk entry position in the arena *)
   stop : int;  (** chunk end, exclusive *)
   checker : Aerodrome.Opt.t;
-      (** the chunk's checker, kept live for window repair during
-          reconciliation *)
+      (** the chunk's checker, kept live for the seam repairs the chunk
+          owns *)
   violation : Aerodrome.Violation.t option;
       (** first violation of the chunk's speculative run, index
           {e chunk-local} *)
@@ -63,53 +61,39 @@ type outcome = {
           (the sharding overhead actually paid, [<=]
           [plan.repair_events]; a repair stops at a violation) *)
   plan_seconds : float;  (** cut-scan (boundary summary) wall-clock *)
-  merge_seconds : float;  (** reconciliation + repair wall-clock *)
+  merge_seconds : float;  (** final verdict assembly wall-clock *)
 }
-
-val check :
-  ?pool:Pool.t -> ?cuts:int list -> ?flight:int -> shards:int ->
-  threads:int -> locks:int -> vars:int -> Traces.Packed.Arena.t -> outcome
-(** Check a fully built arena with up to [shards] chunks.  [pool] runs
-    the chunk tasks on an existing pool (it must have no other work in
-    flight); without it a temporary pool of [min shards chunks] domains
-    is created — and a single-chunk plan runs in the calling domain
-    with no pool at all.  [cuts] is forwarded to
-    {!Aerodrome.Merge.plan} (the adversarial-boundary test hook:
-    forced cuts are taken verbatim, never snapped); [flight] attaches
-    a violation flight recorder of that ring window to every chunk.
-    When a Chrome trace collector is active the planner, each chunk's
-    feed loop (on its worker domain) and the reconcile pass are
-    recorded as "shard"-category spans.
-
-    @raise Failure if a chunk's speculative violation inside a
-    repaired window is not confirmed by the repair — impossible under
-    the §17 containment invariant; the failure guards against silently
-    reporting a verdict the sequential checker would not produce. *)
 
 val check_stealing :
   sched:Deque.t -> ?oversub:int -> ?chunk_floor:int -> ?cuts:int list ->
   ?flight:int -> shards:int -> threads:int -> locks:int -> vars:int ->
   Traces.Packed.Arena.t -> outcome
-(** Work-stealing variant (DESIGN.md §18): the arena is cut into
-    fine-grained micro-chunks — with [shards = 0], [oversub] (default
-    8) chunks per scheduler domain, floored at [chunk_floor] (default
-    8192) events per chunk; an explicit [shards] forces that exact
-    chunk count, so the differential tests run the {e same} plans as
-    {!check} through the stealing executor — submitted as tasks to
-    [sched] and executed in whatever
-    order the deques and steals produce.  Reconciliation is the {e
-    precomputed} left-to-right fold ({!Aerodrome.Merge.seams}): each
-    chunk task, once its own range is fed, immediately performs the
-    seam repairs it owns (its exact state already reaches them, and
-    the arena is immutable, so no other chunk need have retired), a
-    completion bitmap records retirement for the final assembly, and
-    the verdict is the minimum-index candidate over the chunks' exact
-    regions and the repair segments — which partition the arena, so
-    the answer is byte-identical to {!check} and to the sequential
-    checker.  [cuts] forces exact micro-chunk cuts (the adversarial
-    test hook); [oversub]/[chunk_floor] are ignored when it is given.
+(** Check a fully built arena on [sched] (DESIGN.md §18).  With
+    [shards = 0] the arena is cut into fine-grained micro-chunks —
+    [oversub] (default 8) chunks per scheduler domain, floored at
+    [chunk_floor] (default 8192) events per chunk; an explicit [shards]
+    forces that exact chunk count.  [cuts] forces exact cuts, taken
+    verbatim and never snapped (the adversarial-boundary test hook);
+    [shards], [oversub] and [chunk_floor] are ignored when it is given.
+    [flight] attaches a violation flight recorder of that ring window
+    to every chunk.  A single-chunk plan runs in the calling domain.
 
-    The same {!outcome} is produced, with [merge_seconds] covering
+    Every chunk is a scheduler task, executed in whatever order the
+    deques and steals produce.  Reconciliation is the {e precomputed}
+    left-to-right fold ({!Aerodrome.Merge.seams}): each chunk task, once
+    its own range is fed, immediately performs the seam repairs it owns
+    (its exact state already reaches them, and the arena is immutable,
+    so no other chunk need have retired), a completion bitmap records
+    retirement for the final assembly, and the verdict is the
+    minimum-index candidate over the chunks' exact regions and the
+    repair segments — which partition the arena, so the answer is
+    byte-identical to the sequential checker.  [merge_seconds] covers
     only the final assembly (repairs are on the chunk tasks' clock).
-    @raise Failure under the same unconfirmed-speculation guard as
-    {!check}. *)
+    When a Chrome trace collector is active the planner and each
+    chunk's feed loop (on its worker domain) are recorded as
+    "shard"-category spans.
+
+    @raise Failure if a chunk's speculative violation inside a
+    repaired window is not confirmed by the repair — impossible under
+    the §17 containment invariant; the failure guards against silently
+    reporting a verdict the sequential checker would not produce. *)

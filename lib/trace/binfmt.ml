@@ -210,8 +210,8 @@ let rec reader_next r () =
     reader_next r ()
   end
 
-(* Process-wide ingestion counters (the pipelined runner decodes on a
-   producer domain, hence atomic).  Updated in bulk per file/stream so
+(* Process-wide ingestion counters (files fanned out over the scheduler
+   decode on worker domains, hence atomic).  Updated in bulk per file/stream so
    the per-event decode loop stays branch-free; [pos_in] over-counts by
    at most one read-ahead chunk, which is the honest "bytes read from
    the file" figure. *)

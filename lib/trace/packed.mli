@@ -71,10 +71,8 @@ val to_event : int -> Event.t
 
 type chunk = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** A fixed-size block of packed words, off the OCaml heap.  A full
-    chunk is immutable and may be handed to another domain (the
-    pipelined runner's batches are arena chunks). *)
-
-val make_chunk : int -> chunk
+    chunk is immutable and may be read from another domain (sharded
+    checking hands arena ranges to worker domains). *)
 
 (** Growable flat event store: appended chunks, never copied. *)
 module Arena : sig

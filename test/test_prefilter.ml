@@ -1,7 +1,7 @@
 (* The prefilter must be invisible to the checkers: on every trace the
    reduced stream has a conflict-serializability violation iff the
    original does — for all three AeroDrome algorithms, in both filter
-   modes, composed with reclamation and pipelined ingestion.  Structural
+   modes, composed with reclamation and file ingestion.  Structural
    properties: filtering is idempotent, preserves well-formedness, and
    never grows a trace; the online mode is at least as conservative as
    the exact one (it keeps a superset of the events). *)
@@ -145,7 +145,7 @@ let test_mixed_workload () =
   check Alcotest.bool "mixed verdict preserved" (violating_opt tr)
     (violating_opt reduced)
 
-(* --- runner composition: prefilter x reclaim x pipelined --- *)
+(* --- runner composition: prefilter x reclaim x ingestion --- *)
 
 let test_runner_composition () =
   let traces =
@@ -176,13 +176,13 @@ let test_runner_composition () =
             base
             (Analysis.Runner.violating r))
         [ ("exact", Analysis.Runner.Exact); ("online", Analysis.Runner.Online) ];
-      (* file-based runs: text and binary (v3 footer), sequential and
-         pipelined, reclaim on and off *)
+      (* file-based runs: text and binary (v3 footer), reclaim on and
+         off *)
       let stream_cases path =
         List.iter
-          (fun (pipelined, reclaim, pf, label) ->
+          (fun (reclaim, pf, label) ->
             let r =
-              Analysis.Runner.run_stream ~pipelined ~reclaim ~prefilter:pf
+              Analysis.Runner.run_stream ~reclaim ~prefilter:pf
                 (module Aerodrome.Opt) path
             in
             check Alcotest.bool
@@ -191,12 +191,10 @@ let test_runner_composition () =
               base
               (Analysis.Runner.violating r))
           [
-            (false, true, Analysis.Runner.Auto, "seq+reclaim+auto");
-            (false, false, Analysis.Runner.Auto, "seq+noreclaim+auto");
-            (false, true, Analysis.Runner.Online, "seq+reclaim+online");
-            (true, true, Analysis.Runner.Auto, "pipe+reclaim+auto");
-            (true, true, Analysis.Runner.Online, "pipe+reclaim+online");
-            (true, false, Analysis.Runner.Exact, "pipe+noreclaim+exact");
+            (true, Analysis.Runner.Auto, "reclaim+auto");
+            (false, Analysis.Runner.Auto, "noreclaim+auto");
+            (true, Analysis.Runner.Online, "reclaim+online");
+            (false, Analysis.Runner.Exact, "noreclaim+exact");
           ]
       in
       tmp ".std" (fun path ->
@@ -205,20 +203,30 @@ let test_runner_composition () =
       tmp ".bin" (fun path ->
           Binfmt.write_file path tr;
           stream_cases path);
-      (* v1 binary: no footer — Auto degrades to online, Exact pre-scans *)
+      (* v1 binary: no footer — Auto runs unfiltered, Exact pre-scans *)
       tmp ".bin" (fun path ->
           Binfmt.write_file ~last_use:false path tr;
           List.iter
-            (fun pf ->
-              let r =
-                Analysis.Runner.run_stream ~prefilter:pf
-                  (module Aerodrome.Opt) path
-              in
-              check Alcotest.bool
-                (tname ^ "/v1 binary: verdict")
-                base
-                (Analysis.Runner.violating r))
-            [ Analysis.Runner.Auto; Analysis.Runner.Exact ]))
+            (fun packed ->
+              List.iter
+                (fun pf ->
+                  let r =
+                    Analysis.Runner.run_stream ~packed ~prefilter:pf
+                      (module Aerodrome.Opt) path
+                  in
+                  check Alcotest.bool
+                    (Printf.sprintf "%s/v1 binary packed=%b: verdict" tname
+                       packed)
+                    base
+                    (Analysis.Runner.violating r);
+                  if pf = Analysis.Runner.Auto then
+                    check Alcotest.int
+                      (Printf.sprintf
+                         "%s/v1 binary packed=%b: Auto feeds every event"
+                         tname packed)
+                      (Trace.length tr) r.Analysis.Runner.events_fed)
+                [ Analysis.Runner.Auto; Analysis.Runner.Exact ])
+            [ true; false ]))
     traces
 
 (* --- windowing composition ---

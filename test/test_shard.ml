@@ -1,7 +1,8 @@
-(* Sharded single-trace checking ({!Parallel.Shard} + {!Aerodrome.Merge}):
-   the differential matrix — sequential vs sharded runs must render
-   byte-identical reports across shard counts, prefilter and reclaim
-   settings — plus adversarial chunk boundaries driven through the
+(* Sharded single-trace checking ({!Parallel.Shard} + {!Aerodrome.Merge})
+   on the work-stealing scheduler: the differential matrix — sequential
+   vs sharded runs must render byte-identical reports across shard
+   counts, prefilter and reclaim settings — plus adversarial chunk
+   boundaries driven through the
    [?cuts] test hook: cuts through open transactions (mid-transaction,
    between an open transaction's write and a racing read, fork/join
    spanning the boundary), which the planner now accepts with a
@@ -18,14 +19,16 @@ let arena_of tr =
   Trace.iteri (fun _ e -> Packed.Arena.push a (Packed.of_event e)) tr;
   a
 
-let shard_check ?cuts ?flight ~shards tr =
-  Parallel.Shard.check ?cuts ?flight ~shards ~threads:(Trace.threads tr)
-    ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) (arena_of tr)
-
-let steal_check ?cuts ?flight ~sched ~shards tr =
-  Parallel.Shard.check_stealing ~sched ?cuts ?flight ~shards
-    ~threads:(Trace.threads tr) ~locks:(Trace.locks tr) ~vars:(Trace.vars tr)
-    (arena_of tr)
+(* Without [sched], on a fresh two-domain scheduler. *)
+let steal_check ?sched ?cuts ?flight ~shards tr =
+  let check sched =
+    Parallel.Shard.check_stealing ~sched ?cuts ?flight ~shards
+      ~threads:(Trace.threads tr) ~locks:(Trace.locks tr) ~vars:(Trace.vars tr)
+      (arena_of tr)
+  in
+  match sched with
+  | Some sched -> check sched
+  | None -> Parallel.Deque.with_scheduler 2 check
 
 let seq_violation tr = Aerodrome.Checker.run (module Aerodrome.Opt) tr
 
@@ -129,11 +132,10 @@ let horizon tr cut =
 (* --- differential matrix --- *)
 
 (* >= 500 mixed corpus traces, each checked sequentially and with
-   2/3/4 shards under every prefilter x reclaim x executor (static
-   pool vs work-stealing scheduler) combination; the rendered runner
-   reports (verdict, 1-based violation index, events fed) must match
-   byte for byte once timings are zeroed.  The stealing runs force the
-   same chunk counts, so both executors reconcile the same plans. *)
+   2/3/4 forced shards on the work-stealing scheduler under every
+   prefilter x reclaim combination; the rendered runner reports
+   (verdict, 1-based violation index, events fed) must match byte for
+   byte once timings are zeroed. *)
 let test_matrix () =
   let normalized r =
     Format.asprintf "%a" Analysis.Runner.pp
@@ -142,7 +144,6 @@ let test_matrix () =
   (* the mixed corpus is serializable by construction; add generator
      traces with injected violations so both verdicts are exercised *)
   Parallel.Deque.with_scheduler 4 (fun sched ->
-  Parallel.Pool.with_pool 4 (fun pool ->
       let traces = ref 0 in
       let violating = ref 0 in
       for seed = 0 to 169 do
@@ -170,18 +171,6 @@ let test_matrix () =
                       (fun shards ->
                         let r =
                           Analysis.Runner.run ~prefilter ~reclaim ~shards
-                            ~shard_pool:pool opt tr
-                        in
-                        Alcotest.(check string)
-                          (Printf.sprintf
-                             "seed=%d threads=%d shards=%d prefilter=%b \
-                              reclaim=%b"
-                             seed threads shards
-                             (prefilter <> Analysis.Runner.Off)
-                             reclaim)
-                          base_s (normalized r);
-                        let r =
-                          Analysis.Runner.run ~prefilter ~reclaim ~shards
                             ~sched opt tr
                         in
                         Alcotest.(check string)
@@ -202,7 +191,7 @@ let test_matrix () =
       Alcotest.(check bool) "some traces violate" true (!violating > 0);
       Alcotest.(check bool)
         "some traces are serializable" true
-        (!violating < !traces)))
+        (!violating < !traces))
 
 (* Forced cuts at arbitrary (frequently non-quiescent) positions across
    a generated corpus, composed with the exact prefilter and per-chunk
@@ -237,8 +226,10 @@ let test_adversarial_cut_matrix () =
                   let cuts = List.filter (fun c -> c > 0 && c < n) cuts in
                   if cuts <> [] then begin
                     incr checked;
+                    (* out-of-order seam repair must land on the
+                       sequential verdict *)
                     let o =
-                      shard_check ~cuts ~flight:64
+                      steal_check ~sched ~cuts ~flight:64
                         ~shards:(List.length cuts + 1)
                         tr
                     in
@@ -252,21 +243,7 @@ let test_adversarial_cut_matrix () =
                       (fun (t : Parallel.Shard.task) ->
                         Alcotest.(check bool)
                           "flight recorder attached" true (t.flight <> None))
-                      o.Parallel.Shard.tasks;
-                    (* the same forced cuts through the stealing
-                       executor: out-of-order seam repair must land on
-                       the identical verdict *)
-                    let o =
-                      steal_check ~sched ~cuts ~flight:64
-                        ~shards:(List.length cuts + 1)
-                        tr
-                    in
-                    Alcotest.(check violation)
-                      (Printf.sprintf
-                         "seed=%d threads=%d prefilter=%b cuts=[%s] stealing"
-                         seed threads prefiltered
-                         (String.concat ";" (List.map string_of_int cuts)))
-                      expected o.Parallel.Shard.violation
+                      o.Parallel.Shard.tasks
                   end)
                 [
                   [ n / 2 ];
@@ -460,7 +437,7 @@ let test_boundary_violation () =
   (* cut before the violating pattern: the whole pattern lands in chunk 2 *)
   List.iter
     (fun cuts ->
-      let o = shard_check ~cuts ~shards:(List.length cuts + 1) tr in
+      let o = steal_check ~cuts ~shards:(List.length cuts + 1) tr in
       Alcotest.(check violation)
         (Printf.sprintf "cuts at [%s]"
            (String.concat ";" (List.map string_of_int cuts)))
@@ -487,7 +464,7 @@ let test_mid_transaction_cut () =
   let expected = seq_violation tr in
   List.iter
     (fun (cut, window, repaired) ->
-      let o = shard_check ~cuts:[ cut ] ~shards:2 tr in
+      let o = steal_check ~cuts:[ cut ] ~shards:2 tr in
       let p = o.Parallel.Shard.plan in
       Alcotest.(check int)
         (Printf.sprintf "cut %d seamed" cut)
@@ -528,7 +505,7 @@ let test_write_racing_read_cut () =
   (match expected with
   | Some v -> Alcotest.(check int) "sequential violation index" 6 v.index
   | None -> Alcotest.fail "write/racing-read trace must violate");
-  let o = shard_check ~cuts:[ 2 ] ~flight:16 ~shards:2 tr in
+  let o = steal_check ~cuts:[ 2 ] ~flight:16 ~shards:2 tr in
   let p = o.Parallel.Shard.plan in
   Alcotest.(check int) "seamed" 1 p.Aerodrome.Merge.seamed;
   Alcotest.(check int) "quiescent" 0 p.Aerodrome.Merge.quiescent;
@@ -568,7 +545,7 @@ let test_transaction_spanning_edge () =
            [ Event.begin_ 1; Event.read 1 (3 + (i mod 2)); Event.end_ 1 ]))
   in
   let tr = Trace.of_events (prologue @ mid @ epilogue) in
-  let o = shard_check ~shards:2 tr in
+  let o = steal_check ~shards:2 tr in
   let p = o.Parallel.Shard.plan in
   Alcotest.(check int) "midpoint cut seamed" 1 p.Aerodrome.Merge.seamed;
   Alcotest.(check int) "no quiescent snap in range" 0
@@ -605,7 +582,7 @@ let test_fork_join_across_shards () =
   in
   let expected = seq_violation tr in
   (* quiescent cut in the gap between fork and join *)
-  let o = shard_check ~cuts:[ 13 ] ~shards:2 tr in
+  let o = steal_check ~cuts:[ 13 ] ~shards:2 tr in
   Alcotest.(check int) "cut quiescent" 1
     o.Parallel.Shard.plan.Aerodrome.Merge.quiescent;
   Alcotest.(check int) "two chunks" 2 (Array.length o.Parallel.Shard.tasks);
@@ -613,7 +590,7 @@ let test_fork_join_across_shards () =
     o.Parallel.Shard.violation;
   (* non-quiescent cut mid-filler-transaction, still between fork and
      join: seamed, repaired to the transaction end, same verdict *)
-  let o = shard_check ~cuts:[ 15 ] ~shards:2 tr in
+  let o = steal_check ~cuts:[ 15 ] ~shards:2 tr in
   let p = o.Parallel.Shard.plan in
   Alcotest.(check int) "cut seamed" 1 p.Aerodrome.Merge.seamed;
   Alcotest.(check int) "window to the filler end" 1
@@ -622,11 +599,12 @@ let test_fork_join_across_shards () =
     o.Parallel.Shard.violation
 
 (* events_fed and the rendered report go through the runner too: a
-   violating binary-style trace via Runner.run with a forced shard
-   count must match the sequential report byte for byte.  (The
-   file-level plumbing is covered by the cram test; here we pin the
-   trace-level entry.)  [0] is the auto sentinel — a 16-event trace
-   resolves to one shard and must take the sequential path. *)
+   violating binary-style trace via Runner.run on a lent scheduler with
+   a forced shard count must match the sequential report byte for byte.
+   (The file-level plumbing is covered by the cram test; here we pin
+   the trace-level entry.)  [0] is auto — a 16-event trace stays under
+   the small-trace gate and must take the sequential path — and [1]
+   turns sharding off. *)
 let test_runner_report_identity () =
   let tr = boundary_trace () in
   let normalized r =
@@ -634,23 +612,14 @@ let test_runner_report_identity () =
       { r with Analysis.Runner.seconds = 0.0 }
   in
   let base = Analysis.Runner.run opt tr in
-  List.iter
-    (fun shards ->
-      let r = Analysis.Runner.run ~shards opt tr in
-      Alcotest.(check string)
-        (Printf.sprintf "runner report, %d shards" shards)
-        (normalized base) (normalized r))
-    [ 0; 2; 3; 4 ];
-  (* the same through a lent scheduler: [0] stays sequential (the
-     small-trace gate), explicit counts steal *)
   Parallel.Deque.with_scheduler 2 (fun sched ->
       List.iter
         (fun shards ->
           let r = Analysis.Runner.run ~shards ~sched opt tr in
           Alcotest.(check string)
-            (Printf.sprintf "runner report, %d shards stealing" shards)
+            (Printf.sprintf "runner report, %d shards" shards)
             (normalized base) (normalized r))
-        [ 0; 2; 3; 4 ])
+        [ 0; 1; 2; 3; 4 ])
 
 let suite =
   ( "shard",
