@@ -48,6 +48,30 @@ let test_steal_fifo () =
   Alcotest.(check (option int)) "then the next" (Some 1) (Q.steal q);
   Alcotest.(check (option int)) "owner still newest" (Some 5) (Q.pop q)
 
+(* capacity 4, a thousand rounds of push/steal/pop: [top] and [bottom]
+   run far past the ring size, so every slot is reused hundreds of
+   times, and the masked indices must still hand back each entry from
+   the right end *)
+let test_ring_wraparound () =
+  let q = Q.make 4 in
+  for round = 0 to 999 do
+    let a = round * 3 in
+    for k = 0 to 2 do
+      Alcotest.(check bool) "push fits" true (Q.push q (a + k))
+    done;
+    Alcotest.(check (option int)) "thief takes the oldest" (Some a) (Q.steal q);
+    Alcotest.(check (option int)) "owner takes the newest" (Some (a + 2))
+      (Q.pop q);
+    Alcotest.(check (option int)) "then the middle" (Some (a + 1)) (Q.pop q);
+    Alcotest.(check (option int)) "drained" None (Q.pop q)
+  done;
+  (* after the wraparound the bound is still exactly the capacity *)
+  for k = 0 to 3 do
+    Alcotest.(check bool) "refill fits" true (Q.push q k)
+  done;
+  Alcotest.(check bool) "fifth push refused" false (Q.push q 4);
+  Alcotest.(check int) "full" 4 (Q.length q)
+
 (* owner pops while thieves steal: conservation — every item is taken
    exactly once, none invented, none lost.  The one-element case is the
    interesting race (pop and steal CAS the same top). *)
@@ -182,6 +206,113 @@ let test_stats_conservation () =
   Alcotest.(check int) "all injected" n st.D.injected;
   Alcotest.(check bool) "clock advanced" true (st.D.age_seconds >= 0.)
 
+let test_spill_to_injection () =
+  (* one worker, so nothing is stolen: a task that submits more
+     children than its deque holds must spill the overflow to the
+     injection queue, and every child still runs exactly once *)
+  let s = D.create 1 in
+  let n = 1000 in
+  let outer =
+    D.submit s (fun () ->
+        let ps = List.init n (fun i -> D.submit s (fun () -> i)) in
+        List.fold_left (fun acc p -> acc + D.await s p) 0 ps)
+  in
+  Alcotest.(check int) "children summed" (n * (n - 1) / 2) (D.await s outer);
+  D.shutdown s;
+  let st = D.stats s in
+  Alcotest.(check int) "outer + children completed" (n + 1) st.D.completed;
+  Alcotest.(check int) "no steals with one worker" 0 st.D.steals;
+  (* the outer task itself came from the main domain *)
+  let spilled = st.D.injected - 1 in
+  Alcotest.(check bool) "some children spilled" true (spilled > 0);
+  Alcotest.(check bool) "some children stayed on the deque" true (spilled < n)
+
+let test_clamped_single_worker () =
+  (* [create 0] still yields one worker, and on a lone worker nested
+     awaits can only finish by helping *)
+  let s = D.create 0 in
+  Alcotest.(check int) "clamped to one domain" 1 (D.size s);
+  let rec tree depth =
+    if depth = 0 then 1
+    else
+      let l = D.submit s (fun () -> tree (depth - 1)) in
+      let r = D.submit s (fun () -> tree (depth - 1)) in
+      D.await s l + D.await s r
+  in
+  let p = D.submit s (fun () -> tree 6) in
+  Alcotest.(check int) "2^6 leaves" 64 (D.await s p);
+  D.shutdown s;
+  (* the root task plus 2 + 4 + ... + 64 submitted subtrees *)
+  Alcotest.(check int) "every node ran on worker 0" 127 (D.stats s).D.ran.(0)
+
+let test_failures_per_promise () =
+  (* each promise carries its own outcome: awaiting in input order,
+     every failing task re-raises its own exception and the tasks
+     around it still deliver their values *)
+  let s = D.create 3 in
+  let ps =
+    List.init 40 (fun i ->
+        D.submit s (fun () -> if i mod 5 = 0 then raise (Boom i) else i * 2))
+  in
+  List.iteri
+    (fun i p ->
+      if i mod 5 = 0 then
+        Alcotest.check_raises
+          (Printf.sprintf "task %d raises its own" i)
+          (Boom i)
+          (fun () -> ignore (D.await s p))
+      else
+        Alcotest.(check int) (Printf.sprintf "task %d value" i) (i * 2)
+          (D.await s p))
+    ps;
+  (* a promise resolves just before its task is counted: read the
+     counters once the scheduler is quiescent *)
+  D.shutdown s;
+  Alcotest.(check int) "every task completed" 40 (D.stats s).D.completed
+
+let test_with_scheduler_drains_on_exception () =
+  (* an exception out of the body still shuts the scheduler down, after
+     draining the tasks it left unawaited *)
+  let leaked = ref None in
+  let ran = Atomic.make 0 in
+  Alcotest.check_raises "body exception re-raised" (Boom 1) (fun () ->
+      D.with_scheduler 2 (fun s ->
+          leaked := Some s;
+          for _ = 1 to 50 do
+            ignore (D.submit s (fun () -> Atomic.incr ran))
+          done;
+          raise (Boom 1)));
+  let s = Option.get !leaked in
+  Alcotest.(check int) "unawaited tasks drained" 50 (Atomic.get ran);
+  Alcotest.(check int) "completed count" 50 (D.stats s).D.completed;
+  Alcotest.check_raises "closed"
+    (Invalid_argument "Deque.submit: scheduler is shut down") (fun () ->
+      ignore (D.submit s (fun () -> ())))
+
+let test_busy_accounting () =
+  (* a task that spins for at least 5 ms must show up as at least that
+     much busy time on some worker, within the scheduler's age *)
+  let s = D.create 2 in
+  let spin () =
+    let t0 = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t0 < 0.005 do
+      Domain.cpu_relax ()
+    done
+  in
+  let ps = List.init 4 (fun _ -> D.submit s spin) in
+  List.iter (D.await s) ps;
+  D.shutdown s;
+  let st = D.stats s in
+  Alcotest.(check int) "one busy slot per worker" 2
+    (Array.length st.D.busy_seconds);
+  let busy = Array.fold_left ( +. ) 0. st.D.busy_seconds in
+  Alcotest.(check bool) "busy covers the four spins" true (busy >= 0.02);
+  Array.iter
+    (fun b ->
+      Alcotest.(check bool) "a worker is never busier than the scheduler is old"
+        true (b <= st.D.age_seconds))
+    st.D.busy_seconds
+
 let suite =
   ( "deque",
     [
@@ -198,4 +329,14 @@ let suite =
       Alcotest.test_case "shutdown rejects submit" `Quick
         test_shutdown_rejects;
       Alcotest.test_case "stats conservation" `Quick test_stats_conservation;
+      Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
+      Alcotest.test_case "full deque spills to injection" `Quick
+        test_spill_to_injection;
+      Alcotest.test_case "create clamps to one worker" `Quick
+        test_clamped_single_worker;
+      Alcotest.test_case "failures stay per promise" `Quick
+        test_failures_per_promise;
+      Alcotest.test_case "with_scheduler drains on exception" `Quick
+        test_with_scheduler_drains_on_exception;
+      Alcotest.test_case "busy-time accounting" `Quick test_busy_accounting;
     ] )

@@ -160,6 +160,137 @@ let test_differential_errors_in_batch () =
             (Helpers.contains (List.nth seq i) "error:"))
         [ 1; 2; 3 ])
 
+(* Without a scheduler [run_many] is [run_file] per path, in order; an
+   empty batch yields no reports with or without one. *)
+let test_run_many_sequential () =
+  let dir = corpus_dir () in
+  let paths = build_corpus dir 14 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let per_file =
+        List.map
+          (fun p ->
+            normalized_report
+              { Analysis.Runner.file = p; report = Analysis.Runner.run_file checker p })
+          paths
+      in
+      Alcotest.(check (list string))
+        "run_many = run_file per path" per_file
+        (List.map normalized_report (Analysis.Runner.run_many checker paths));
+      Alcotest.(check int) "empty batch" 0
+        (List.length (Analysis.Runner.run_many checker []));
+      Parallel.Deque.with_scheduler 2 (fun sched ->
+          Alcotest.(check int) "empty batch on a scheduler" 0
+            (List.length (Analysis.Runner.run_many ~sched checker []));
+          Alcotest.(check int) "nothing submitted" 0
+            (Parallel.Deque.stats sched).Parallel.Deque.completed))
+
+(* Task accounting of the two fan-out shapes.  A lone file runs on the
+   calling domain: only its chunks are tasks, and all of them arrive
+   through the injection queue.  Two files are two injected tasks whose
+   chunks go onto the workers' own deques. *)
+let test_lone_file_on_calling_domain () =
+  (* counters read after shutdown: a promise resolves just before its
+     task is counted *)
+  let quiescent_run f =
+    let sched = Parallel.Deque.create 2 in
+    let r = f sched in
+    Parallel.Deque.shutdown sched;
+    (r, Parallel.Deque.stats sched)
+  in
+  let dir = corpus_dir () in
+  let path = Filename.concat dir "lone.bin" in
+  let tr =
+    Workloads.Generator.generate
+      {
+        Workloads.Generator.default with
+        events = 3000;
+        threads = 4;
+        plan = Workloads.Generator.Violate_at 0.6;
+      }
+  in
+  Binfmt.write_file path tr;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let sequential =
+        normalized_report
+          { Analysis.Runner.file = path; report = Analysis.Runner.run_file checker path }
+      in
+      Alcotest.(check bool) "trace violates" true
+        (Helpers.contains sequential "violation");
+      let lone, lone_stats =
+        quiescent_run (fun sched ->
+            Analysis.Runner.run_many ~shards:3 ~sched checker [ path ])
+      in
+      Alcotest.(check (list string)) "lone file report" [ sequential ]
+        (List.map normalized_report lone);
+      Alcotest.(check int) "three chunk tasks" 3 lone_stats.Parallel.Deque.completed;
+      Alcotest.(check int) "all injected" 3 lone_stats.Parallel.Deque.injected;
+      let pair, pair_stats =
+        quiescent_run (fun sched ->
+            Analysis.Runner.run_many ~shards:3 ~sched checker [ path; path ])
+      in
+      Alcotest.(check (list string)) "pair reports" [ sequential; sequential ]
+        (List.map normalized_report pair);
+      Alcotest.(check int) "two file tasks + six chunk tasks" 8
+        pair_stats.Parallel.Deque.completed;
+      Alcotest.(check int) "only the file tasks injected" 2
+        pair_stats.Parallel.Deque.injected)
+
+(* Sharding needs a packed binary stream: boxed ingestion, an online
+   prefilter and text input all stay on the sequential path even with a
+   forced chunk count on a lent scheduler, submit no chunk task, and
+   report what the plain run reports. *)
+let test_unpackable_runs_stay_sequential () =
+  let dir = corpus_dir () in
+  let bin = Filename.concat dir "seq.bin" in
+  let txt = Filename.concat dir "seq.std" in
+  let tr =
+    Workloads.Generator.generate
+      {
+        Workloads.Generator.default with
+        events = 2000;
+        threads = 3;
+        plan = Workloads.Generator.Violate_at 0.4;
+      }
+  in
+  Binfmt.write_file bin tr;
+  Parser.to_file txt tr;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ bin; txt ];
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let report path r = normalized_report { Analysis.Runner.file = path; report = r } in
+      List.iter
+        (fun (label, path, packed, prefilter) ->
+          let sequential =
+            Analysis.Runner.run_file ?packed ?prefilter checker path
+          in
+          let sched = Parallel.Deque.create 2 in
+          let lent =
+            Analysis.Runner.run_file ?packed ?prefilter ~shards:3 ~sched checker
+              path
+          in
+          Parallel.Deque.shutdown sched;
+          Alcotest.(check string) (label ^ ": sequential report")
+            (report path sequential) (report path lent);
+          Alcotest.(check bool) (label ^ ": violation found") true
+            (Helpers.contains (report path lent) "violation");
+          Alcotest.(check int) (label ^ ": no chunk task") 0
+            (Parallel.Deque.stats sched).Parallel.Deque.completed)
+        [
+          ("boxed", bin, Some false, None);
+          ("online prefilter", bin, None, Some Analysis.Runner.Online);
+          ("text", txt, None, None);
+        ])
+
 let suite =
   ( "parallel",
     [
@@ -168,4 +299,10 @@ let suite =
         test_differential_parallel_paths;
       Alcotest.test_case "differential: per-file errors" `Quick
         test_differential_errors_in_batch;
+      Alcotest.test_case "run_many: sequential and empty batches" `Quick
+        test_run_many_sequential;
+      Alcotest.test_case "run_many: lone file stays on the calling domain"
+        `Quick test_lone_file_on_calling_domain;
+      Alcotest.test_case "run_many: unpackable runs stay sequential" `Quick
+        test_unpackable_runs_stay_sequential;
     ] )

@@ -621,6 +621,103 @@ let test_runner_report_identity () =
             (normalized base) (normalized r))
         [ 0; 1; 2; 3; 4 ])
 
+(* Run [f] on a fresh two-domain scheduler; the result and the number
+   of tasks the scheduler ran, read once it is shut down (a promise
+   resolves just before its task is counted, so a mid-run read can
+   lag). *)
+let tasks_run f =
+  let sched = Parallel.Deque.create 2 in
+  let r = f sched in
+  Parallel.Deque.shutdown sched;
+  (r, (Parallel.Deque.stats sched).Parallel.Deque.completed)
+
+(* Auto sizing ([shards = 0]): the chunk count is the scheduler's domain
+   count times [oversub], capped so no chunk falls under [chunk_floor];
+   a plan that comes out as one chunk runs on the calling domain
+   without touching the scheduler.  The verdict is the sequential one
+   throughout. *)
+let test_auto_plan_sizing () =
+  let tr = violating_trace ~seed:11 ~threads:4 ~at:0.7 in
+  let n = Trace.length tr in
+  let expected = seq_violation tr in
+  Alcotest.(check bool) "trace violates" true (expected <> None);
+  Parallel.Deque.with_scheduler 2 (fun sched ->
+      let auto ?oversub ?chunk_floor () =
+        Parallel.Shard.check_stealing ~sched ?oversub ?chunk_floor ~shards:0
+          ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
+          ~vars:(Trace.vars tr) (arena_of tr)
+      in
+      let chunks (o : Parallel.Shard.outcome) =
+        Array.length o.Parallel.Shard.tasks
+      in
+      let o = auto ~oversub:2 ~chunk_floor:100 () in
+      Alcotest.(check int) "2 domains x oversub 2" 4 (chunks o);
+      Alcotest.(check violation) "oversub-bound verdict" expected
+        o.Parallel.Shard.violation;
+      let o = auto ~chunk_floor:(n / 3) () in
+      Alcotest.(check int) "floor-bound" 3 (chunks o);
+      Alcotest.(check violation) "floor-bound verdict" expected
+        o.Parallel.Shard.violation);
+  (* the default floor exceeds the whole trace *)
+  let o, tasks =
+    tasks_run (fun sched ->
+        Parallel.Shard.check_stealing ~sched ~shards:0
+          ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
+          ~vars:(Trace.vars tr) (arena_of tr))
+  in
+  Alcotest.(check int) "one chunk" 1 (Array.length o.Parallel.Shard.tasks);
+  Alcotest.(check int) "no scheduler task" 0 tasks;
+  Alcotest.(check int) "nothing repaired" 0 o.Parallel.Shard.repaired_events;
+  Alcotest.(check violation) "single-chunk verdict" expected
+    o.Parallel.Shard.violation
+
+(* A lent scheduler does not make every run sharded: a timeout, a
+   non-default checker, [shards = 1] and an auto run on a small trace
+   all stay sequential, submit nothing, and report what the plain
+   sequential run reports.  A forced count on the default checker is
+   the positive control. *)
+let test_runner_sequential_fallbacks () =
+  let tr = violating_trace ~seed:3 ~threads:3 ~at:0.5 in
+  let normalized r =
+    Format.asprintf "%a" Analysis.Runner.pp
+      { r with Analysis.Runner.seconds = 0.0 }
+  in
+  let basic = (module Aerodrome.Basic : Aerodrome.Checker.S) in
+  Alcotest.(check bool) "explicit count always shards" true
+    (Analysis.Runner.steal_worthwhile ~shards:2 ~events:16);
+  Alcotest.(check bool) "auto skips a small trace" false
+    (Analysis.Runner.steal_worthwhile ~shards:0 ~events:(Trace.length tr));
+  Alcotest.(check bool) "auto takes a large trace" true
+    (Analysis.Runner.steal_worthwhile ~shards:0 ~events:10_000_000);
+  let fallbacks, tasks =
+    tasks_run (fun sched ->
+        [
+          ( "timeout",
+            Analysis.Runner.run ~timeout:600. ~shards:3 ~sched opt tr,
+            Analysis.Runner.run ~timeout:600. opt tr );
+          ( "basic checker",
+            Analysis.Runner.run ~shards:3 ~sched basic tr,
+            Analysis.Runner.run basic tr );
+          ( "shards 1",
+            Analysis.Runner.run ~shards:1 ~sched opt tr,
+            Analysis.Runner.run opt tr );
+          ( "auto on a small trace",
+            Analysis.Runner.run ~shards:0 ~sched opt tr,
+            Analysis.Runner.run opt tr );
+        ])
+  in
+  List.iter
+    (fun (label, r, sequential) ->
+      Alcotest.(check string) (label ^ ": sequential report")
+        (normalized sequential) (normalized r))
+    fallbacks;
+  Alcotest.(check int) "no task submitted" 0 tasks;
+  let r, tasks = tasks_run (fun sched -> Analysis.Runner.run ~shards:3 ~sched opt tr) in
+  Alcotest.(check int) "forced 3 chunks ran as tasks" 3 tasks;
+  Alcotest.(check string) "forced report"
+    (normalized (Analysis.Runner.run opt tr))
+    (normalized r)
+
 let suite =
   ( "shard",
     [
@@ -644,4 +741,8 @@ let suite =
         test_fork_join_across_shards;
       Alcotest.test_case "runner: sharded report identity" `Quick
         test_runner_report_identity;
+      Alcotest.test_case "plan: auto sizing from domains, oversub, floor"
+        `Quick test_auto_plan_sizing;
+      Alcotest.test_case "runner: sequential fallbacks on a lent scheduler"
+        `Quick test_runner_sequential_fallbacks;
     ] )
