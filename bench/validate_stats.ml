@@ -71,6 +71,16 @@ let check_stats_file ~where f =
     List.iter
       (fun key -> ignore (metric_value ~where:mwhere metrics key))
       required_metrics;
+    (* A sharded entry also reports how many chunks ran no checker
+       because a repair re-feeds their whole range; chunk 0 always
+       runs. *)
+    if List.mem_assoc "shard.chunks" metrics then begin
+      let chunks = metric_value ~where:mwhere metrics "shard.chunks" in
+      let skipped = metric_value ~where:mwhere metrics "shard.skipped_chunks" in
+      if skipped < 0. || skipped >= chunks then
+        bad "%s: shard.skipped_chunks (%.0f) outside [0, shard.chunks)" where
+          skipped
+    end;
     let total = metric_value ~where:mwhere metrics "events.total" in
     (* The runner feeds the whole trace even after a violation, but the
        checker's own counters freeze at the violating event — so strict

@@ -123,8 +123,12 @@ let flight_finish flight fl checker ~source ~threads ~locks ~vars ?base outcome
       [])
   | _ -> []
 
-(* Sharded runs record per chunk; the bundle comes from the chunk that
-   owns the reconciled violation, rebased by its arena position. *)
+(* Sharded runs record per chunk, and a surviving chunk's recorder
+   follows its checker through the repairs it owns.  The bundle comes
+   from the first recorder (in trace order) that noted the reconciled
+   violation: that is the recorder of the checker which found it — a
+   repairing owner, exact from before the seam, rather than the chunk
+   that merely contains the index — rebased by its arena position. *)
 let flight_finish_sharded flight checker ~source ~threads ~locks ~vars
     (o : Parallel.Shard.outcome) =
   match (flight, o.Parallel.Shard.violation) with
@@ -133,7 +137,11 @@ let flight_finish_sharded flight checker ~source ~threads ~locks ~vars
     let owner =
       Array.to_list o.Parallel.Shard.tasks
       |> List.find_opt (fun (t : Parallel.Shard.task) ->
-             t.Parallel.Shard.base <= idx && idx < t.Parallel.Shard.stop)
+             match t.Parallel.Shard.flight with
+             | Some f ->
+               t.Parallel.Shard.base <= idx
+               && idx < t.Parallel.Shard.base + Flight.noted f
+             | None -> false)
     in
     match owner with
     | Some ({ Parallel.Shard.flight = Some f; _ } as t) -> (
@@ -261,6 +269,7 @@ let shard_entries ~events (o : Parallel.Shard.outcome) =
     Obs.Snapshot.
       [
         entry "shard.chunks" (Int (Array.length o.Parallel.Shard.tasks));
+        entry "shard.skipped_chunks" (Int o.Parallel.Shard.skipped_chunks);
         entry "shard.quiescent_cuts" (Int p.Aerodrome.Merge.quiescent);
         entry "shard.seamed_cuts" (Int p.Aerodrome.Merge.seamed);
         entry "shard.tainted_events" (Int p.Aerodrome.Merge.tainted_events);
@@ -293,25 +302,6 @@ let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
   let viol_at =
     ref (if o.Parallel.Shard.violation <> None then seconds else -1.0)
   in
-  let chunk_metrics =
-    Obs.Snapshot.merge
-      (Array.to_list o.Parallel.Shard.tasks
-      |> List.map (fun (t : Parallel.Shard.task) -> t.Parallel.Shard.metrics))
-    (* additive merge is right for the event/txn counters but not for
-       the violation-index gauge, which is chunk-local: rewrite it to
-       the reconciled arena-global index *)
-    |> List.map (fun (e : Obs.Snapshot.entry) ->
-           if e.Obs.Snapshot.name = "violation.index" then
-             {
-               e with
-               Obs.Snapshot.value =
-                 Obs.Snapshot.Int
-                   (match o.Parallel.Shard.violation with
-                   | Some v -> v.Aerodrome.Violation.index
-                   | None -> -1);
-             }
-           else e)
-  in
   let flight_metrics =
     flight_finish_sharded flight
       (module C : Aerodrome.Checker.S)
@@ -323,7 +313,7 @@ let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
     seconds;
     events_fed;
     metrics =
-      chunk_metrics @ runner_entries ?file_bytes viol_at
+      o.Parallel.Shard.metrics @ runner_entries ?file_bytes viol_at
       @ shard_entries ~events:events_fed o
       @ flight_metrics;
   }

@@ -15,11 +15,15 @@
     - ["violation.seconds"]: elapsed seconds to the first violation;
     - ["ingest.file_bytes"]: size of the trace file (file-based runs).
 
-    Sharded runs report ["shard.chunks"], ["shard.quiescent_cuts"],
-    ["shard.seamed_cuts"], ["shard.tainted_events"],
-    ["shard.repaired_events"], ["shard.repair_fraction"],
-    ["shard.plan_seconds"], ["shard.merge_seconds"] and per-chunk
-    ["shard.chunk<i>.events"] / ["shard.chunk<i>.seconds"] entries.
+    Sharded runs report ["shard.chunks"], ["shard.skipped_chunks"]
+    (chunks that ran no checker because a repair re-feeds them),
+    ["shard.quiescent_cuts"], ["shard.seamed_cuts"],
+    ["shard.tainted_events"], ["shard.repaired_events"],
+    ["shard.repair_fraction"], ["shard.plan_seconds"],
+    ["shard.merge_seconds"] and per-chunk ["shard.chunk<i>.events"] /
+    ["shard.chunk<i>.seconds"] entries.  Their ["events.*"],
+    ["txn.begins"] and ["txn.commits"] equal the sequential run's
+    ({!Parallel.Shard.outcome}).
     Flight-recorded violating runs add ["flight.slice_events"],
     ["flight.replayable"] and ["flight.validated"] (see {!flight}).
 
@@ -107,8 +111,9 @@ type prefilter =
     id domains beyond {!Traces.Packed.fits} run without a recorder; a
     bundle that cannot be written degrades to a warning on stderr.
     Sharded runs record per chunk (each recorder seeded with its
-    boundary's open-transaction depths) and emit from the chunk owning
-    the reconciled violation.
+    boundary's open-transaction depths, and following its checker
+    through the repairs it owns) and emit from the first recorder that
+    noted the reconciled violation — the one whose checker found it.
 
     {2 Sharded checking}
 

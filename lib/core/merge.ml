@@ -81,13 +81,15 @@ let trivial ~threads =
    seeding reproduces, so they do not count), and a callback at every
    position with the live frontier.  [at ~pos] runs before event [pos]
    (position p = the gap before event p), with [quiet] true iff no
-   thread is mid-transaction there. *)
+   thread is mid-transaction there and [closed] the thread whose
+   outermost transaction event [pos - 1] just closed ([-1] if none). *)
 let scan ~threads arena at =
   let depth = Array.make threads 0 in
   let touch = Array.make threads 0 in
   let open_txns = ref 0 in
   let pos = ref 0 in
-  at ~pos:0 ~quiet:true ~depth ~touch;
+  let closed = ref (-1) in
+  at ~pos:0 ~quiet:true ~closed:(-1) ~depth ~touch;
   Packed.Arena.iter arena (fun w ->
       let op = Packed.opcode w in
       let t = Packed.tid w in
@@ -103,13 +105,15 @@ let scan ~threads arena at =
           depth.(t) <- depth.(t) - 1;
           if depth.(t) = 0 then begin
             decr open_txns;
-            touch.(t) <- 0
+            touch.(t) <- 0;
+            closed := t
           end
         end
       end
       else if depth.(t) > 0 then touch.(t) <- touch.(t) + 1;
       incr pos;
-      at ~pos:!pos ~quiet:(!open_txns = 0) ~depth ~touch)
+      at ~pos:!pos ~quiet:(!open_txns = 0) ~closed:!closed ~depth ~touch;
+      closed := -1)
 
 (* Snapshot a boundary summary from the live frontier.  [window = -1]
    marks a summary whose repair window is still open: it closes once
@@ -151,29 +155,48 @@ let plan ~threads ~shards ?cuts arena =
        [snap_window] (a free window-0 cut; spacing exceeds twice the
        snap window, so snapped cuts stay strictly increasing and
        distinct), and the boundary summary at the candidate position
-       itself.  A summary with an open repair window sits in [pending]
-       carrying the set of threads whose current transaction it is
-       still waiting on: first the straddlers (phase 1), then — once
-       the last straddler has closed — the threads mid-transaction at
-       that moment (phase 2).  A thread leaves the set at the first
-       position where its depth returns to 0, so any globally
-       quiescent position closes every pending window at once. *)
+       itself.  A summary with an open repair window waits on a set of
+       threads whose current transaction must close: first the
+       straddlers (phase 1), then — once the last straddler has
+       closed — the threads mid-transaction at that moment (phase 2).
+       A thread leaves the set at the first position where its depth
+       returns to 0, so any globally quiescent position closes every
+       open window at once.
+
+       A waiting set only shrinks at an outermost [End], so the open
+       windows are touched there and nowhere else: each window keeps a
+       byte-per-thread membership set plus its size, [opened] lists
+       the open windows, and the per-event loop allocates nothing —
+       O(1) per event, O(open windows) per outermost [End]. *)
     let snapped = Array.make m (-1) in
     let snapd = Array.make m max_int in
     let summary = Array.make m None in
-    let pending = ref [] in
+    let straddlers = Array.make m 0 in
+    let members = Array.make m Bytes.empty in
+    let waiting = Array.make m 0 in
+    let phase2 = Array.make m false in
+    let opened = Array.make m 0 in
+    let nopen = ref 0 in
     let next = ref 0 in
     let lo = ref 0 in
-    let waiting_on depth = function
-      | [] -> []
-      | mask -> List.filter (fun t -> depth.(t) > 0) mask
+    (* window [j] waits on every thread mid-transaction at [depth] *)
+    let wait_on_openers j depth =
+      let mem = members.(j) in
+      let c = ref 0 in
+      for t = 0 to threads - 1 do
+        if depth.(t) > 0 then begin
+          Bytes.unsafe_set mem t '\001';
+          incr c
+        end
+      done;
+      waiting.(j) <- !c
     in
-    let openers depth =
-      let acc = ref [] in
-      Array.iteri (fun t d -> if d > 0 then acc := t :: !acc) depth;
-      !acc
+    let close j stop =
+      match summary.(j) with
+      | Some b -> summary.(j) <- Some { b with window = stop - b.cut }
+      | None -> assert false
     in
-    scan ~threads arena (fun ~pos ~quiet ~depth ~touch ->
+    scan ~threads arena (fun ~pos ~quiet ~closed ~depth ~touch ->
         if quiet then begin
           while !lo < m && candidates.(!lo) + snap_window < pos do
             incr lo
@@ -188,33 +211,44 @@ let plan ~threads ~shards ?cuts arena =
             incr j
           done
         end;
-        if !pending <> [] then
-          pending :=
-            List.filter
-              (fun (j, b, phase2, mask) ->
-                mask := waiting_on depth !mask;
-                if !mask = [] && not !phase2 then begin
-                  phase2 := true;
-                  mask := openers depth
-                end;
-                if !mask = [] then begin
-                  summary.(j) <- Some ({ b with window = pos - b.cut }, -1);
-                  false
-                end
-                else true)
-              !pending;
+        if closed >= 0 && !nopen > 0 then begin
+          let kept = ref 0 in
+          for r = 0 to !nopen - 1 do
+            let j = opened.(r) in
+            let mem = members.(j) in
+            if Bytes.unsafe_get mem closed <> '\000' then begin
+              Bytes.unsafe_set mem closed '\000';
+              waiting.(j) <- waiting.(j) - 1;
+              if waiting.(j) = 0 && not phase2.(j) then begin
+                phase2.(j) <- true;
+                wait_on_openers j depth
+              end
+            end;
+            if waiting.(j) = 0 then close j pos
+            else begin
+              opened.(!kept) <- j;
+              incr kept
+            end
+          done;
+          nopen := !kept
+        end;
         if !next < m && candidates.(!next) = pos then begin
-          let b, straddlers = summarize ~pos ~depth ~touch in
-          if b.window < 0 then
-            pending := !pending @ [ (!next, b, ref false, ref (openers depth)) ];
-          summary.(!next) <- Some (b, straddlers);
+          let j = !next in
+          let b, s = summarize ~pos ~depth ~touch in
+          summary.(j) <- Some b;
+          straddlers.(j) <- s;
+          if b.window < 0 then begin
+            members.(j) <- Bytes.make threads '\000';
+            wait_on_openers j depth;
+            opened.(!nopen) <- j;
+            incr nopen
+          end;
           incr next
         end);
     (* Windows still open at the end of the arena span to it. *)
-    List.iter
-      (fun (j, b, _, _) ->
-        summary.(j) <- Some ({ b with window = n - b.cut }, -1))
-      !pending;
+    for r = 0 to !nopen - 1 do
+      close opened.(r) n
+    done;
     let boundaries = ref [] in
     let quiescent = ref 0 in
     let seamed = ref 0 in
@@ -235,8 +269,8 @@ let plan ~threads ~shards ?cuts arena =
         else
           match summary.(j) with
           | None -> ()
-          | Some (b, straddlers) ->
-            if straddlers = 0 then incr quiescent else incr seamed;
+          | Some b ->
+            if straddlers.(j) = 0 then incr quiescent else incr seamed;
             tainted_events := !tainted_events + b.tainted;
             boundaries := b :: !boundaries)
       candidates;

@@ -24,7 +24,10 @@
       the next one.
 
     Planning reads only the event text (depth and access counters per
-    thread), never clock state, in a single pass over the arena. *)
+    thread), never clock state, in a single pass over the arena that
+    allocates nothing per event: O(1) per event, plus O(open repair
+    windows) at each outermost [End] — the only place a window's
+    waiting set can shrink. *)
 
 type boundary = {
   cut : int;  (** arena position of the cut (before event [cut]) *)
@@ -92,7 +95,8 @@ type seam = {
   survives : bool;
       (** whether this chunk's checker is consulted at all — false
           when its whole extent falls inside the repair horizon and is
-          re-fed by the segment instead *)
+          re-fed by the segment instead; {!Parallel.Shard} then runs
+          no checker on the chunk *)
 }
 
 val seams : plan -> total:int -> seam array

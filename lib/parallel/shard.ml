@@ -1,9 +1,9 @@
 (* Chunked parallel checking: plan boundary-summary cuts, run a
-   speculative seeded checker per chunk as a work-stealing task, and
-   repair each cut's window against the true frontier.  The arena is
-   fully built and immutable before any task is submitted, so chunk
-   ranges cross domain boundaries without copying or marshalling (the
-   chunks are off-heap Bigarrays).
+   speculative seeded checker per surviving chunk as a work-stealing
+   task, and repair each cut's window against the true frontier.  The
+   arena is fully built and immutable before any task is submitted, so
+   chunk ranges cross domain boundaries without copying or marshalling
+   (the chunks are off-heap Bigarrays).
 
    The correctness contract (DESIGN.md §17): a chunk checker seeded
    from its boundary summary ({!Aerodrome.Opt.seed_boundary}) is
@@ -17,7 +17,6 @@
 type task = {
   base : int;
   stop : int;
-  checker : Aerodrome.Opt.t;
   violation : Aerodrome.Violation.t option; (* chunk-local index *)
   seconds : float;
   metrics : Obs.Snapshot.t;
@@ -28,95 +27,153 @@ type outcome = {
   violation : Aerodrome.Violation.t option; (* arena-global index *)
   plan : Aerodrome.Merge.plan;
   tasks : task array;
+  skipped_chunks : int;
   repaired_events : int;
+  metrics : Obs.Snapshot.t;
   plan_seconds : float;
   merge_seconds : float;
 }
 
-(* One chunk: a fresh checker seeded from the boundary summary over
-   [base, stop).  The checker freezes at its first violation, so the
-   loop stops there — by the containment invariant that violation is
-   real, though a repair window may surface an earlier one.
+(* The per-chunk flight recorder, noting chunk-local indices seeded
+   with the boundary depths: position 0 of the recorder is the chunk
+   base, so with open transactions straddling the cut no position
+   counts as quiescent until they close, and the recorder never claims
+   a replayable slice the §15/§17 argument does not cover. *)
+let recorder ?flight ~threads (b : Aerodrome.Merge.boundary) =
+  Option.map
+    (fun window ->
+      Traces.Flight.create ~window
+        ?depths:
+          (if Array.exists (fun d -> d > 0) b.Aerodrome.Merge.depths then
+             Some b.Aerodrome.Merge.depths
+           else None)
+        ~threads ())
+    flight
 
-   With [?flight] a per-chunk recorder rides along, noting chunk-local
-   indices seeded with the boundary depths: position 0 of the recorder
-   is the chunk base, so with open transactions straddling the cut no
-   position counts as quiescent until they close, and the recorder
-   never claims a replayable slice the §15/§17 argument does not
-   cover.
+(* Feed [from, upto) of the arena into a live checker whose recorder
+   (if any) has position 0 at [base]; each event is noted before it is
+   fed.  Returns the first violation, rebased to its arena-global
+   position, and the number of events actually fed (the feed stops at
+   a violation, so a recorder's tail ends exactly there). *)
+let feed_range st fl ~base arena ~from ~upto =
+  let fed = ref 0 in
+  let violation = ref None in
+  (try
+     Traces.Packed.Arena.iter_range arena from upto (fun w ->
+         let p = from + !fed in
+         (match fl with
+         | Some f -> Traces.Flight.note f (p - base) w
+         | None -> ());
+         incr fed;
+         match Aerodrome.Opt.feed_packed st w with
+         | Some (v : Aerodrome.Violation.t) ->
+           violation :=
+             Some (Aerodrome.Violation.make ~index:p ~event:v.event ~site:v.site);
+           raise Exit
+         | None -> ())
+   with Exit -> ());
+  (!violation, !fed)
 
-   Each chunk's feed loop is also a Chrome span (cat "shard"), so a
-   [--trace-out] run shows the chunk lanes per worker domain in
-   Perfetto, next to the planner span recorded by {!check_stealing}. *)
+(* One surviving chunk: a fresh checker seeded from the boundary
+   summary runs over [base, stop) — it freezes at its first violation,
+   which by the containment invariant is real, though a repair window
+   may surface an earlier one — and then, unless frozen, feeds the
+   repair segments the chunk owns ([owned], ascending).  Those segments
+   continue the chunk's stream contiguously, so the recorder keeps
+   noting through them: a violation a repair finds gets a witness from
+   the recorder whose checker found it.
+
+   The checker lives only inside this call, so its state is garbage
+   once the task retires.  Each chunk's own feed loop is also a Chrome
+   span (cat "shard"), so a [--trace-out] run shows the chunk lanes per
+   worker domain in Perfetto, next to the planner span recorded by
+   {!check_stealing}. *)
 let run_chunk ?flight ~threads ~locks ~vars arena
-    ((b : Aerodrome.Merge.boundary), (base, stop)) =
+    ((b : Aerodrome.Merge.boundary), (base, stop)) owned =
   let t0 = Unix.gettimeofday () in
-  let seeded = Array.exists (fun d -> d > 0) b.Aerodrome.Merge.depths in
-  let fl =
-    Option.map
-      (fun window ->
-        Traces.Flight.create ~window
-          ?depths:(if seeded then Some b.Aerodrome.Merge.depths else None)
-          ~threads ())
-      flight
-  in
+  let fl = recorder ?flight ~threads b in
   let work () =
     let st =
       Aerodrome.Reclaim.with_policy Aerodrome.Reclaim.Off (fun () ->
           Aerodrome.Opt.create ~threads ~locks ~vars)
     in
-    if seeded then Aerodrome.Opt.seed_boundary st b.Aerodrome.Merge.depths;
+    if Array.exists (fun d -> d > 0) b.Aerodrome.Merge.depths then
+      Aerodrome.Opt.seed_boundary st b.Aerodrome.Merge.depths;
     Obs.Chrome_trace.span ~cat:"shard" "feed" (fun () ->
-        let i = ref 0 in
-        try
-          Traces.Packed.Arena.iter_range arena base stop (fun w ->
-              (match fl with
-              | Some f -> Traces.Flight.note f !i w
-              | None -> ());
-              incr i;
-              match Aerodrome.Opt.feed_packed st w with
-              | Some _ -> raise Exit
-              | None -> ())
-        with Exit -> ());
-    st
+        ignore (feed_range st fl ~base arena ~from:base ~upto:stop));
+    (st, Aerodrome.Opt.violation st)
   in
   (* each chunk opens its own (domain-local) scope so the checker's
      counters are not lost on the worker domain; the caller merges the
      per-chunk snapshots back into a whole-trace reading *)
-  let st, metrics =
+  let (st, v), metrics =
     if Obs.on () then Obs.Scope.collect work else (work (), Obs.Snapshot.empty)
   in
-  {
-    base;
-    stop;
-    checker = st;
-    violation = Aerodrome.Opt.violation st;
-    seconds = Unix.gettimeofday () -. t0;
-    metrics;
-    flight = fl;
-  }
-
-(* Feed [from, upto) of the arena into the live checker; the first
-   violation comes back rebased to its arena-global position, along
-   with the number of events actually fed (the feed stops at a
-   violation). *)
-let repair st arena ~from ~upto =
+  let seconds = Unix.gettimeofday () -. t0 in
+  let rv = ref None in
   let fed = ref 0 in
-  let violation = ref None in
-  (try
-     let p = ref from in
-     Traces.Packed.Arena.iter_range arena from upto (fun w ->
-         (match Aerodrome.Opt.feed_packed st w with
-         | Some (v : Aerodrome.Violation.t) ->
-           violation :=
-             Some
-               (Aerodrome.Violation.make ~index:!p ~event:v.event ~site:v.site);
-           incr fed;
-           raise Exit
-         | None -> incr fed);
-         incr p)
-   with Exit -> ());
-  (!violation, !fed)
+  if v = None then
+    List.iter
+      (fun (from, upto) ->
+        if !rv = None then begin
+          let r, f = feed_range st fl ~base arena ~from ~upto in
+          fed := !fed + f;
+          rv := r
+        end)
+      owned;
+  ({ base; stop; violation = v; seconds; metrics; flight = fl }, !rv, !fed)
+
+(* A non-surviving chunk: its whole range is re-fed by an earlier
+   owner's repair, and neither its verdict nor its checker would ever
+   be read, so no checker runs.  With [?flight] its recorder still
+   notes the range, so every task carries one. *)
+let skip_chunk ?flight ~threads arena
+    ((b : Aerodrome.Merge.boundary), (base, stop)) =
+  let fl = recorder ?flight ~threads b in
+  Option.iter
+    (fun f ->
+      let p = ref 0 in
+      Traces.Packed.Arena.iter_range arena base stop (fun w ->
+          Traces.Flight.note f !p w;
+          incr p))
+    fl;
+  ( {
+      base;
+      stop;
+      violation = None;
+      seconds = 0.;
+      metrics = Obs.Snapshot.empty;
+      flight = fl;
+    },
+    None,
+    0 )
+
+(* The event and transaction counters a sequential checker reports
+   after feeding the first [upto] words of [arena]: one opcode/depth
+   pass through a detached {!Aerodrome.Cmetrics} set, with the same
+   outermost-begin/-end rule as {!Aerodrome.Opt}'s handlers.  Chunk
+   ranges overlap repair segments and skipped chunks count nothing, so
+   summing the chunk checkers' own counters would be wrong. *)
+let prefix_counts ~threads arena ~upto =
+  let m = Aerodrome.Cmetrics.create ~attach:false () in
+  let depth = Array.make (max threads 1) 0 in
+  Traces.Packed.Arena.iter_range arena 0 upto (fun w ->
+      let op = Traces.Packed.opcode w in
+      let t = Traces.Packed.tid w in
+      Aerodrome.Cmetrics.count_op m op;
+      if op = Traces.Packed.op_begin then begin
+        depth.(t) <- depth.(t) + 1;
+        if depth.(t) = 1 then Aerodrome.Cmetrics.txn_begin m
+      end
+      else if op = Traces.Packed.op_end && depth.(t) > 0 then begin
+        depth.(t) <- depth.(t) - 1;
+        if depth.(t) = 0 then Aerodrome.Cmetrics.txn_commit m
+      end);
+  List.filter
+    (fun (e : Obs.Snapshot.entry) ->
+      String.starts_with ~prefix:"events." e.name
+      || String.starts_with ~prefix:"txn." e.name)
+    (Aerodrome.Cmetrics.snapshot m)
 
 (* Work-stealing execution over micro-chunks (DESIGN.md §18).  The
    left-to-right reconciliation fold (walk the cuts in order, feed each
@@ -134,6 +191,10 @@ let repair st arena ~from ~upto =
      start, and the arena is immutable, so the right-hand chunk of the
      seam need not have retired (it contributes no state to the
      repair, only its verdict to the final assembly);
+   - a chunk that does not survive never runs a checker: its whole
+     range is re-fed by its owner's repair, and neither its verdict nor
+     its state is ever read, so a repair-dominated plan costs planning
+     plus the survivors' work;
    - an owner frozen at its own violation skips its repairs: every
      position they would cover lies past a real violation the
      assembly already reports, so the sequential checker would never
@@ -171,31 +232,20 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
   for i = k - 1 downto 1 do
     let s = seams.(i) in
     if s.Aerodrome.Merge.upto > s.Aerodrome.Merge.from_ then
-      owned.(s.Aerodrome.Merge.owner) <- i :: owned.(s.Aerodrome.Merge.owner)
+      owned.(s.Aerodrome.Merge.owner) <-
+        (s.Aerodrome.Merge.from_, s.Aerodrome.Merge.upto)
+        :: owned.(s.Aerodrome.Merge.owner)
   done;
   let retired = Array.init k (fun _ -> Atomic.make false) in
   let work i () =
-    let t =
-      run_chunk ?flight ~threads ~locks ~vars arena
-        (plan.Aerodrome.Merge.boundaries.(i), bounds.(i))
+    let chunk = (plan.Aerodrome.Merge.boundaries.(i), bounds.(i)) in
+    let r =
+      if seams.(i).Aerodrome.Merge.survives then
+        run_chunk ?flight ~threads ~locks ~vars arena chunk owned.(i)
+      else skip_chunk ?flight ~threads arena chunk
     in
     Atomic.set retired.(i) true;
-    let rv = ref None in
-    let fed = ref 0 in
-    if t.violation = None then
-      List.iter
-        (fun si ->
-          if !rv = None then begin
-            let s = seams.(si) in
-            let v, f =
-              repair t.checker arena ~from:s.Aerodrome.Merge.from_
-                ~upto:s.Aerodrome.Merge.upto
-            in
-            fed := !fed + f;
-            rv := v
-          end)
-        owned.(i);
-    (t, !rv, !fed)
+    r
   in
   let results =
     if k <= 1 then Array.init k (fun i -> work i ())
@@ -251,11 +301,46 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
             failwith "Shard.check_stealing: speculative violation unconfirmed by repair")
         | _ -> ())
     results;
+  let merge_seconds = Unix.gettimeofday () -. t1 in
+  let violation = !best in
+  let tasks = Array.map (fun (t, _, _) -> t) results in
+  (* The whole-run checker reading: survivors' counters summed, except
+     that the violation gauge is rewritten to the reconciled index and
+     the event/transaction counters are re-derived from the prefix the
+     sequential checker feeds. *)
+  let metrics =
+    if not (Obs.on ()) then Obs.Snapshot.empty
+    else
+      let upto =
+        match violation with Some v -> v.Aerodrome.Violation.index + 1 | None -> n
+      in
+      let exact = prefix_counts ~threads arena ~upto in
+      Obs.Snapshot.merge
+        (Array.to_list tasks |> List.map (fun (t : task) -> t.metrics))
+      |> List.map (fun (e : Obs.Snapshot.entry) ->
+             match Obs.Snapshot.find exact e.name with
+             | Some x -> x
+             | None when e.name = "violation.index" ->
+               {
+                 e with
+                 value =
+                   Obs.Snapshot.Int
+                     (match violation with
+                     | Some v -> v.Aerodrome.Violation.index
+                     | None -> -1);
+               }
+             | None -> e)
+  in
   {
-    violation = !best;
+    violation;
     plan;
-    tasks = Array.map (fun (t, _, _) -> t) results;
+    tasks;
+    skipped_chunks =
+      Array.fold_left
+        (fun a (s : Aerodrome.Merge.seam) -> if s.survives then a else a + 1)
+        0 seams;
     repaired_events = Array.fold_left (fun a (_, _, f) -> a + f) 0 results;
+    metrics;
     plan_seconds;
-    merge_seconds = Unix.gettimeofday () -. t1;
+    merge_seconds;
   }

@@ -7,7 +7,9 @@
     ({!Aerodrome.Opt.seed_boundary}) and submitted as a task to a
     {!Deque} work-stealing scheduler — {e repairing} each cut's window
     against the true sequential frontier instead of replaying whole
-    chunks.
+    chunks.  A chunk that lies wholly inside an earlier cut's repair
+    window is {e skipped}: the repair re-feeds its range, so no
+    checker runs on it.
 
     The contract (DESIGN.md §17): a seeded chunk checker is
     generation-wise {e contained} in the sequential checker — it never
@@ -32,23 +34,31 @@
 type task = {
   base : int;  (** chunk entry position in the arena *)
   stop : int;  (** chunk end, exclusive *)
-  checker : Aerodrome.Opt.t;
-      (** the chunk's checker, kept live for the seam repairs the chunk
-          owns *)
   violation : Aerodrome.Violation.t option;
       (** first violation of the chunk's speculative run, index
-          {e chunk-local} *)
-  seconds : float;  (** wall-clock of this chunk's checker *)
+          {e chunk-local}; [None] for a skipped chunk *)
+  seconds : float;
+      (** wall-clock of this chunk's checker over its own range
+          (repairs excluded); [0.] for a skipped chunk *)
   metrics : Obs.Snapshot.t;
       (** the chunk checker's own counters, collected on the worker
-          domain; empty with telemetry off.  {!Obs.Snapshot.merge} sums
-          the per-chunk snapshots back into a whole-trace reading. *)
+          domain; empty with telemetry off and for a skipped chunk *)
   flight : Traces.Flight.t option;
       (** the chunk's flight recorder when one was requested; indices
           are chunk-local ([base] is the recorder's position 0, seeded
           with the boundary's open-transaction depths so quiescence
-          bookkeeping stays honest at a non-quiescent cut). *)
+          bookkeeping stays honest at a non-quiescent cut).  A
+          surviving chunk's recorder also notes the repair segments
+          its checker feeds (they continue its stream contiguously),
+          so it covers [\[base, base + Flight.noted)]; a skipped
+          chunk's recorder notes its range without a checker. *)
 }
+(** One chunk of the plan, in trace order.  A chunk whose seam does not
+    survive ({!Aerodrome.Merge.seam.survives} false) is {e skipped}: its
+    whole range is re-fed by an earlier owner's repair, so no checker
+    runs on it.  The chunk checkers themselves are not exposed — each
+    lives only inside its task (repairs run there too), so its state is
+    garbage once the task retires. *)
 
 type outcome = {
   violation : Aerodrome.Violation.t option;
@@ -56,10 +66,20 @@ type outcome = {
           same violation the sequential checker reports *)
   plan : Aerodrome.Merge.plan;
   tasks : task array;  (** one per chunk, in trace order *)
+  skipped_chunks : int;
+      (** chunks that ran no checker because their range is re-fed by a
+          repair *)
   repaired_events : int;
       (** events re-fed into the live frontier during window repair
           (the sharding overhead actually paid, [<=]
           [plan.repair_events]; a repair stops at a violation) *)
+  metrics : Obs.Snapshot.t;
+      (** the whole-run checker reading (empty with telemetry off): the
+          chunk checkers' counters summed, with [violation.index]
+          rewritten to the reconciled index and the [events.*],
+          [txn.begins] and [txn.commits] counters derived from the
+          arena prefix the sequential checker feeds ([\[0, violation
+          index\]], or all of it), so they equal a sequential run's *)
   plan_seconds : float;  (** cut-scan (boundary summary) wall-clock *)
   merge_seconds : float;  (** final verdict assembly wall-clock *)
 }
@@ -79,7 +99,8 @@ val check_stealing :
     to every chunk.  A single-chunk plan runs in the calling domain.
 
     Every chunk is a scheduler task, executed in whatever order the
-    deques and steals produce.  Reconciliation is the {e precomputed}
+    deques and steals produce; a non-surviving chunk's task runs no
+    checker (only its flight recorder, when one is attached).  Reconciliation is the {e precomputed}
     left-to-right fold ({!Aerodrome.Merge.seams}): each chunk task, once
     its own range is fed, immediately performs the seam repairs it owns
     (its exact state already reaches them, and the arena is immutable,

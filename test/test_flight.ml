@@ -192,6 +192,90 @@ let test_witness_differential () =
      but only replayability is a hard requirement *)
   ignore !context_only
 
+(* A violation inside a chunk the sharded run skips — its range is
+   re-fed by an earlier owner's repair, so no checker runs on it —
+   still gets a replay-verified witness.  The bundle comes from the
+   recorder of the owner whose repair found the violation; with a ring
+   wide enough to keep the trace start, it is byte for byte the bundle
+   the sequential run writes. *)
+let test_witness_skipped_chunk () =
+  let tr =
+    Workloads.Generator.generate
+      {
+        Workloads.Generator.default with
+        events = 6000;
+        threads = 6;
+        shape = Workloads.Generator.Anchored;
+        plan = Workloads.Generator.Violate_at 0.6;
+        seed = 5L;
+      }
+  in
+  let n = Trace.length tr in
+  let shards = 8 in
+  let v =
+    match Aerodrome.Checker.run aerodrome tr with
+    | Some v -> v
+    | None -> Alcotest.fail "anchored trace must violate"
+  in
+  (* the case is vacuous unless the violation's chunk is skipped *)
+  let arena = Packed.Arena.create () in
+  Trace.iteri (fun _ e -> Packed.Arena.push arena (Packed.of_event e)) tr;
+  let plan = Aerodrome.Merge.plan ~threads:(Trace.threads tr) ~shards arena in
+  let bounds = Aerodrome.Merge.bounds plan ~total:n in
+  let seams = Aerodrome.Merge.seams plan ~total:n in
+  let chunk = ref (-1) in
+  Array.iteri
+    (fun i (base, stop) ->
+      if base <= v.Aerodrome.Violation.index && v.index < stop then chunk := i)
+    bounds;
+  check Alcotest.bool "violation inside a skipped chunk" false
+    seams.(!chunk).Aerodrome.Merge.survives;
+  let bundle ?sched () =
+    in_fresh_dir (fun dir ->
+        let r =
+          Analysis.Runner.run ?sched ~shards
+            ~flight:{ Analysis.Runner.flight_dir = dir; flight_window = n }
+            aerodrome tr
+        in
+        check Alcotest.bool "violation reported" true
+          (Analysis.Runner.violating r);
+        let read name =
+          let path = Filename.concat dir name in
+          check Alcotest.bool (name ^ " written") true (Sys.file_exists path);
+          In_channel.with_open_bin path In_channel.input_all
+        in
+        let json = read "trace.witness.json" in
+        let slice = read "trace.slice.bin" in
+        let rr =
+          Analysis.Runner.run_binary_file aerodrome
+            (Filename.concat dir "trace.slice.bin")
+        in
+        (json, slice, rr.Analysis.Runner.outcome))
+  in
+  let seq_json, seq_slice, _ = bundle () in
+  let json, slice, replayed =
+    Parallel.Deque.with_scheduler 2 (fun sched -> bundle ~sched ())
+  in
+  let doc = Obs.Json.parse_exn json in
+  (match Obs.Json.member "window" doc with
+  | Some (Obs.Json.Obj _ as w) -> (
+    match Obs.Json.member "replay" w with
+    | Some replay ->
+      check Alcotest.bool "bundle replay matches" true
+        (Obs.Json.member "matches" replay = Some (Obs.Json.Bool true))
+    | None -> Alcotest.fail "window without replay")
+  | _ -> Alcotest.fail "sharded witness is not replayable");
+  (match replayed with
+  | Analysis.Runner.Verdict (Some rv) ->
+    check Alcotest.bool "slice replay: same event" true
+      (Event.equal rv.Aerodrome.Violation.event v.Aerodrome.Violation.event);
+    check Alcotest.bool "slice replay: same site" true
+      (rv.Aerodrome.Violation.site = v.Aerodrome.Violation.site)
+  | _ -> Alcotest.fail "slice replay did not report a violation");
+  check Alcotest.string "witness json equals the sequential run's" seq_json
+    json;
+  check Alcotest.string "slice equals the sequential run's" seq_slice slice
+
 let test_no_bundle_when_serializable () =
   in_fresh_dir (fun dir ->
       let r =
@@ -213,6 +297,8 @@ let suite =
       Alcotest.test_case "ring basics" `Quick test_ring_basics;
       Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
       Alcotest.test_case "witness differential" `Slow test_witness_differential;
+      Alcotest.test_case "witness: violation in a skipped chunk" `Quick
+        test_witness_skipped_chunk;
       Alcotest.test_case "serializable runs emit nothing" `Quick
         test_no_bundle_when_serializable;
     ] )

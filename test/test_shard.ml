@@ -131,11 +131,59 @@ let horizon tr cut =
 
 (* --- differential matrix --- *)
 
-(* >= 500 mixed corpus traces, each checked sequentially and with
-   2/3/4 forced shards on the work-stealing scheduler under every
-   prefilter x reclaim combination; the rendered runner reports
-   (verdict, 1-based violation index, events fed) must match byte for
-   byte once timings are zeroed. *)
+(* A generator trace of the given shape and plan. *)
+let generated ~shape ~plan ~threads ~seed ~events =
+  Workloads.Generator.generate
+    {
+      Workloads.Generator.default with
+      events;
+      threads;
+      shape;
+      plan;
+      seed = Int64.of_int seed;
+      vars = max Workloads.Generator.default.vars (events / 3);
+    }
+
+(* Telemetry on (or off) for the duration of [f], restored afterwards. *)
+let with_telemetry ?(on = true) f =
+  let was = Obs.on () in
+  if on then Obs.enable () else Obs.disable ();
+  Fun.protect
+    ~finally:(fun () -> if was then Obs.enable () else Obs.disable ())
+    f
+
+(* The counters a sharded run must report exactly as the sequential
+   checker does: derived from the fed prefix, not summed over chunks. *)
+let sequential_counters =
+  [
+    "events.total"; "events.read"; "events.write"; "events.acquire";
+    "events.release"; "events.fork"; "events.join"; "events.begin";
+    "events.end"; "txn.begins"; "txn.commits";
+  ]
+
+let check_counters label (base : Analysis.Runner.result)
+    (r : Analysis.Runner.result) =
+  List.iter
+    (fun name ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "%s: %s" label name)
+        (Obs.Snapshot.get_int base.Analysis.Runner.metrics name)
+        (Obs.Snapshot.get_int r.Analysis.Runner.metrics name))
+    sequential_counters
+
+let skipped_chunks (r : Analysis.Runner.result) =
+  Option.value ~default:0
+    (Obs.Snapshot.get_int r.Analysis.Runner.metrics "shard.skipped_chunks")
+
+(* >= 500 mixed corpus traces plus Anchored generator traces (long
+   anchor transactions straddle every cut, so most chunks are skipped),
+   each checked sequentially and with 2/3/4 forced shards on the
+   work-stealing scheduler under every prefilter x reclaim combination;
+   the rendered runner reports (verdict, 1-based violation index,
+   events fed) must match byte for byte once timings are zeroed.  The
+   reclaim-on leg runs with telemetry on (the reclaim-off leg keeps the
+   default, off) and also requires the sharded event/transaction
+   counters to equal the sequential ones. *)
 let test_matrix () =
   let normalized r =
     Format.asprintf "%a" Analysis.Runner.pp
@@ -146,15 +194,25 @@ let test_matrix () =
   Parallel.Deque.with_scheduler 4 (fun sched ->
       let traces = ref 0 in
       let violating = ref 0 in
+      let anchored = ref 0 in
+      let skipping_runs = ref 0 in
       for seed = 0 to 169 do
         List.iter
-          (fun threads ->
+          (fun (threads, shape) ->
             incr traces;
             let tr =
-              if seed land 3 = 3 then
+              match shape with
+              | `Anchored ->
+                incr anchored;
+                generated ~shape:Workloads.Generator.Anchored
+                  ~plan:
+                    (if seed land 1 = 0 then Workloads.Generator.Atomic
+                     else Violate_at (0.2 +. (0.1 *. float_of_int (seed mod 7))))
+                  ~threads ~seed ~events:1200
+              | `Mixed when seed land 3 = 3 ->
                 violating_trace ~seed ~threads
                   ~at:(0.15 +. (0.1 *. float_of_int (seed land 7)))
-              else
+              | `Mixed ->
                 Workloads.Corpus.mixed ~seed:(Int64.of_int seed) ~threads
                   ~events_total:1200 ()
             in
@@ -163,6 +221,7 @@ let test_matrix () =
               (fun prefilter ->
                 List.iter
                   (fun reclaim ->
+                    with_telemetry ~on:reclaim @@ fun () ->
                     let base =
                       Analysis.Runner.run ~prefilter ~reclaim opt tr
                     in
@@ -173,25 +232,70 @@ let test_matrix () =
                           Analysis.Runner.run ~prefilter ~reclaim ~shards
                             ~sched opt tr
                         in
-                        Alcotest.(check string)
-                          (Printf.sprintf
-                             "seed=%d threads=%d shards=%d prefilter=%b \
-                              reclaim=%b stealing"
-                             seed threads shards
-                             (prefilter <> Analysis.Runner.Off)
-                             reclaim)
-                          base_s (normalized r))
+                        let label =
+                          Printf.sprintf
+                            "seed=%d threads=%d shards=%d prefilter=%b \
+                             reclaim=%b %s"
+                            seed threads shards
+                            (prefilter <> Analysis.Runner.Off)
+                            reclaim
+                            (match shape with
+                            | `Anchored -> "anchored"
+                            | `Mixed -> "mixed")
+                        in
+                        Alcotest.(check string) label base_s (normalized r);
+                        if reclaim then check_counters label base r;
+                        if skipped_chunks r > 0 then incr skipping_runs)
                       [ 2; 3; 4 ])
                   [ false; true ])
               [ Analysis.Runner.Off; Analysis.Runner.Exact ])
-          [ 2; 3; 4 ]
+          ([ (2, `Mixed); (3, `Mixed); (4, `Mixed) ]
+          @ if seed mod 5 = 0 then [ (4 + (seed mod 3), `Anchored) ] else [])
       done;
       Alcotest.(check bool) "matrix covers >= 500 traces" true (!traces >= 500);
+      Alcotest.(check bool) "matrix covers anchored traces" true (!anchored >= 30);
       (* the corpus must exercise both verdicts or the matrix is vacuous *)
       Alcotest.(check bool) "some traces violate" true (!violating > 0);
       Alcotest.(check bool)
         "some traces are serializable" true
-        (!violating < !traces))
+        (!violating < !traces);
+      (* ... and some sharded runs must skip chunks, or skipping is
+         untested *)
+      Alcotest.(check bool) "some runs skip chunks" true (!skipping_runs > 0))
+
+(* The sharded event and transaction counters are the sequential
+   checker's on anchored traces shaped like the CLI's
+   `generate --shape anchored --threads 16`, serializable and
+   violating.  Summing the chunk checkers' counters instead would count
+   every repair segment twice on a violating run, and skipped chunks
+   not at all. *)
+let test_counters_anchored () =
+  with_telemetry @@ fun () ->
+  Parallel.Deque.with_scheduler 2 (fun sched ->
+      List.iter
+        (fun plan ->
+          let tr =
+            generated ~shape:Workloads.Generator.Anchored ~plan ~threads:16
+              ~seed:13 ~events:30_000
+          in
+          let base = Analysis.Runner.run opt tr in
+          List.iter
+            (fun shards ->
+              let r = Analysis.Runner.run ~shards ~sched opt tr in
+              let label =
+                Printf.sprintf "%s shards=%d"
+                  (if Analysis.Runner.violating base then "violating"
+                   else "serializable")
+                  shards
+              in
+              Alcotest.(check bool) (label ^ ": same verdict")
+                (Analysis.Runner.violating base)
+                (Analysis.Runner.violating r);
+              check_counters label base r;
+              Alcotest.(check bool) (label ^ ": chunks skipped") true
+                (skipped_chunks r > 0))
+            [ 5; 16 ])
+        [ Workloads.Generator.Atomic; Violate_at 0.7 ])
 
 (* Forced cuts at arbitrary (frequently non-quiescent) positions across
    a generated corpus, composed with the exact prefilter and per-chunk
@@ -201,14 +305,24 @@ let test_matrix () =
 let test_adversarial_cut_matrix () =
   Parallel.Deque.with_scheduler 4 (fun sched ->
   let checked = ref 0 in
+  let skipping_runs = ref 0 in
   for seed = 0 to 39 do
     List.iter
-      (fun threads ->
+      (fun (threads, shape) ->
         let tr0 =
-          if seed land 1 = 1 then
+          match shape with
+          | `Anchored ->
+            generated ~shape:Workloads.Generator.Anchored
+              ~plan:
+                (if seed land 1 = 1 then
+                   Workloads.Generator.Violate_at
+                     (0.2 +. (0.1 *. float_of_int (seed land 5)))
+                 else Atomic)
+              ~threads ~seed ~events:1200
+          | `Mixed when seed land 1 = 1 ->
             violating_trace ~seed ~threads
               ~at:(0.2 +. (0.1 *. float_of_int (seed land 5)))
-          else
+          | `Mixed ->
             Workloads.Corpus.mixed ~seed:(Int64.of_int seed) ~threads
               ~events_total:1200 ()
         in
@@ -243,7 +357,9 @@ let test_adversarial_cut_matrix () =
                       (fun (t : Parallel.Shard.task) ->
                         Alcotest.(check bool)
                           "flight recorder attached" true (t.flight <> None))
-                      o.Parallel.Shard.tasks
+                      o.Parallel.Shard.tasks;
+                    if o.Parallel.Shard.skipped_chunks > 0 then
+                      incr skipping_runs
                   end)
                 [
                   [ n / 2 ];
@@ -252,9 +368,10 @@ let test_adversarial_cut_matrix () =
                 ]
             end)
           [ false; true ])
-      [ 2; 3; 4 ]
+      [ (2, `Mixed); (3, `Mixed); (4, `Mixed); (5, `Anchored) ]
   done;
-  Alcotest.(check bool) "adversarial matrix non-vacuous" true (!checked >= 400))
+  Alcotest.(check bool) "adversarial matrix non-vacuous" true (!checked >= 400);
+  Alcotest.(check bool) "some runs skip chunks" true (!skipping_runs > 0))
 
 (* Auto-planned boundaries: the chunk bounds partition the arena, the
    summaries match an independent depth recomputation, and each repair
@@ -408,6 +525,91 @@ let test_seam_invariants () =
          ~cuts:[ n / 3; n / 2; 2 * n / 3 ]
          arena)
   done
+
+(* The allocation-free planner against the list-based one it replaced
+   (test/reference/reference_merge.ml): over Independent and Anchored
+   generator traces, serializable and violating, at 4, 8 and 16
+   threads, every equidistant plan and every forced-cut plan must be
+   structurally equal — cuts, depth vectors, windows, taint and the
+   classification counters. *)
+let test_plan_reference () =
+  let compared = ref 0 in
+  let windowed = ref 0 in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun plan ->
+              for seed = 0 to 3 do
+                let tr = generated ~shape ~plan ~threads ~seed ~events:3000 in
+                let n = Trace.length tr in
+                let threads = Trace.threads tr in
+                let arena = arena_of tr in
+                let same label ?cuts shards =
+                  incr compared;
+                  let got = Aerodrome.Merge.plan ~threads ~shards ?cuts arena in
+                  let want =
+                    Reference.Reference_merge.plan ~threads ~shards ?cuts arena
+                  in
+                  if got <> want then
+                    Alcotest.failf
+                      "seed=%d threads=%d n=%d %s: plan differs from the \
+                       reference planner"
+                      seed threads n label;
+                  if
+                    Array.exists
+                      (fun (b : Aerodrome.Merge.boundary) -> b.window > 0)
+                      got.Aerodrome.Merge.boundaries
+                  then incr windowed
+                in
+                List.iter
+                  (fun shards -> same (Printf.sprintf "shards=%d" shards) shards)
+                  [ 2; 3; 5; 16; 64 ];
+                List.iter
+                  (fun cuts ->
+                    same
+                      (Printf.sprintf "cuts=[%s]"
+                         (String.concat ";" (List.map string_of_int cuts)))
+                      ~cuts 0)
+                  [
+                    [ n / 2 ];
+                    [ (n / 2) - 1; n / 2; (n / 2) + 1 ];
+                    List.init 15 (fun i -> (i + 1) * n / 16);
+                    List.init (n / 7) (fun i -> 7 * (i + 1));
+                  ]
+              done)
+            [ Workloads.Generator.Atomic; Violate_at 0.3; Violate_at 0.7 ])
+        [ 4; 8; 16 ])
+    [ Workloads.Generator.Independent; Anchored ];
+  Alcotest.(check bool) "reference comparison non-vacuous" true
+    (!compared >= 500 && !windowed > 0)
+
+(* The planner's loop allocates nothing per event: on an anchored
+   trace, where every repair window stays open to the arena end, what
+   it allocates depends on the number of cuts, not on the trace
+   length (the list-based planner allocated ~100 words per event
+   here). *)
+let test_plan_allocation () =
+  List.iter
+    (fun events ->
+      let tr =
+        generated ~shape:Workloads.Generator.Anchored
+          ~plan:Workloads.Generator.Atomic ~threads:16 ~seed:13 ~events
+      in
+      let arena = arena_of tr in
+      let shards = 16 in
+      let before = Gc.minor_words () in
+      let plan =
+        Aerodrome.Merge.plan ~threads:(Trace.threads tr) ~shards arena
+      in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) "windows stay open" true
+        (plan.Aerodrome.Merge.seamed > 0);
+      if words > float_of_int (256 * (shards + 1)) then
+        Alcotest.failf "n=%d: plan allocated %.0f words" (Trace.length tr)
+          words)
+    [ 20_000; 80_000 ]
 
 (* --- adversarial boundaries --- *)
 
@@ -725,10 +927,16 @@ let suite =
         test_matrix;
       Alcotest.test_case "differential: forced adversarial cuts" `Slow
         test_adversarial_cut_matrix;
+      Alcotest.test_case "counters: sharded equals sequential (anchored)"
+        `Quick test_counters_anchored;
       Alcotest.test_case "plan: summaries, windows, bounds partition" `Quick
         test_plan_invariants;
       Alcotest.test_case "plan: seams partition for out-of-order repair"
         `Quick test_seam_invariants;
+      Alcotest.test_case "plan: equals the list-based reference planner"
+        `Quick test_plan_reference;
+      Alcotest.test_case "plan: no per-event allocation" `Quick
+        test_plan_allocation;
       Alcotest.test_case "boundary: violation at the cut" `Quick
         test_boundary_violation;
       Alcotest.test_case "boundary: cut inside an open transaction" `Quick
