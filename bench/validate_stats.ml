@@ -141,6 +141,18 @@ let check_sched process =
           l)
       [ "busy_seconds"; "utilization"; "tasks" ]
 
+(* Text ingestion: every `rapid` process registers the text reader's
+   counters, and the lines that missed the canonical fast path are a
+   subset of the lines read — the number a user checks to see whether a
+   generator's dialect costs the slow path. *)
+let check_ingest process =
+  let global = as_obj "process.global" (field process "global") in
+  let lines = metric_value ~where:"process.global" global "ingest.text.lines_read" in
+  let slow = metric_value ~where:"process.global" global "ingest.text.slow_lines" in
+  if slow < 0. || slow > lines then
+    bad "process.global: ingest.text.slow_lines (%.0f) outside [0, lines_read = %.0f]"
+      slow lines
+
 let check_stats j =
   let schema = as_str "schema" (field j "schema") in
   if schema <> "aerodrome-stats/1" then bad "unknown schema %S" schema;
@@ -151,7 +163,8 @@ let check_stats j =
     (fun i f ->
       check_stats_file ~where:(Printf.sprintf "files[%d]" i) f)
     files;
-  check_sched (field j "process")
+  check_sched (field j "process");
+  check_ingest (field j "process")
 
 let check_trace j =
   let events = as_list "traceEvents" (field j "traceEvents") in

@@ -135,8 +135,8 @@ let check_cmd =
              $(b,--jobs) exceeds 1.  An integer N > 1 forces an N-chunk \
              plan, even at $(b,--jobs) 1; $(b,--shards) 1 disables \
              sharding.  Only the default $(b,aerodrome) checker shards; \
-             other algorithms, text traces, timed-out and \
-             $(b,--no-packed) runs stay sequential.")
+             other algorithms, timed-out and $(b,--no-packed) runs stay \
+             sequential.")
   in
   let reclaim =
     Arg.(
@@ -147,9 +147,10 @@ let check_cmd =
               info [ "reclaim" ]
                 ~doc:
                   "Release each variable's clock state at its last access \
-                   (the default): a last-use index — computed during text \
-                   interning, or read from a binary trace's footer — makes \
-                   peak memory proportional to live variables.  Streams \
+                   (the default): a last-use index — built while a text \
+                   trace is scanned, or read from a binary trace's \
+                   footer — makes peak memory proportional to live \
+                   variables.  Streams \
                    with no index fall back to periodically collapsing \
                    inactive state.  Verdicts are identical either way." );
             ( false,
@@ -338,24 +339,25 @@ let check_cmd =
     (* The work-stealing scheduler: created once, with --jobs domains,
        when the batch has parallel work for it — any multi-file run (the
        file fan-out itself executes on the scheduler), or a lone packed
-       binary trace that shards.  Auto sharding needs more than one
-       domain; a forced --shards N creates the scheduler even at
-       --jobs 1 so the forced plan really runs.  A lone text trace stays
-       on the sequential path, so no idle scheduler pollutes its
-       telemetry. *)
+       trace that shards.  Auto sharding needs more than one domain; a
+       forced --shards N creates the scheduler even at --jobs 1 so the
+       forced plan really runs. *)
     let sched =
       let useful =
         match paths with
         | [ p ] -> (
           shards <> 1 && packed
-          && (try Traces.Binfmt.is_binary p with Sys_error _ -> false)
           &&
           (* too-small traces run sequentially (the runner's own gate);
-             don't spawn idle domains for them *)
-          match Traces.Binfmt.read_header p with
-          | h ->
-            Analysis.Runner.steal_worthwhile ~shards
-              ~events:h.Traces.Binfmt.events
+             don't spawn idle domains for them.  A text trace's event
+             count is only known once scanned: its size bounds it, a
+             canonical line taking at least four bytes *)
+          match
+            if Traces.Binfmt.is_binary p then
+              (Traces.Binfmt.read_header p).Traces.Binfmt.events
+            else (Unix.stat p).Unix.st_size / 4
+          with
+          | events -> Analysis.Runner.steal_worthwhile ~shards ~events
           | exception _ -> false)
         | _ -> true
       in

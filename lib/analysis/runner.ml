@@ -161,7 +161,7 @@ let flight_finish_sharded flight checker ~source ~threads ~locks ~vars
    [reclaim] selects the checkers' state-lifetime policy (installed
    ambiently around checker creation, see {!Aerodrome.Reclaim}): with a
    last-use oracle — computed from the materialized trace, read from a
-   v2 binary footer, or built by the text parser's interning pass —
+   v2 binary footer, or built from a text file's scanned arena —
    variables are released exactly at their final access; without one,
    streaming runs fall back to the inactivity heuristic. *)
 
@@ -179,8 +179,8 @@ let policy ~reclaim oracle =
    [prefilter] inserts a {!Traces.Prefilter} between ingestion and the
    checker, dropping events that provably cannot change the verdict.
    [Exact] wants whole-trace accessor statistics ({!Traces.Varstats}) —
-   from a materialized trace, a v3 binary footer, the text parser's
-   interning pass, or a dedicated pre-scan — and [Auto] applies the
+   from a materialized trace, a v3 binary footer, a text file's
+   scanned arena, or a dedicated pre-scan — and [Auto] applies the
    exact mode when the statistics come for free and otherwise runs
    unfiltered: the online mode's buffering costs more than it saves on
    checker-rate workloads (BENCH_2026-08-05 measured it at 0.74x), so
@@ -427,7 +427,7 @@ let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
       })
 
 let run_seq ?timeout ?heartbeat ?total ?(reclaim = true) ?last_use
-    ?(prefilter = Off) ?stats ?flight ?(source = "stream")
+    ?(prefilter = Off) ?stats ?flight ?(source = "stream") ?started
     (module C : Aerodrome.Checker.S) ~threads ~locks ~vars events =
   collected ?file:(if source = "stream" then None else Some source) (fun () ->
       let events =
@@ -442,10 +442,10 @@ let run_seq ?timeout ?heartbeat ?total ?(reclaim = true) ?last_use
       let sample_heap = heap_sampler () in
       let fl = flight_recorder flight ~threads ~locks ~vars in
       arm_heartbeat heartbeat ~total;
-      let deadline =
-        Option.map (fun budget -> Unix.gettimeofday () +. budget) timeout
+      let started =
+        match started with Some t -> t | None -> Unix.gettimeofday ()
       in
-      let started = Unix.gettimeofday () in
+      let deadline = Option.map (fun budget -> started +. budget) timeout in
       let timed_out = ref false in
       let viol_at = ref (-1.0) in
       let fed = ref 0 in
@@ -528,14 +528,38 @@ let run_binary_file ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
 
 (* --- packed ingestion ---
 
-   The default path for binary inputs: {!Traces.Binfmt.fold_packed}
-   mmaps the file and decodes each record into one packed int word
-   ({!Traces.Packed}), fed to the checker's [feed_packed] entry — no
-   per-event heap allocation between the file and the vector-clock
-   work.  The exact-mode prefilter runs on the packed words too, so
-   elided events are never materialized.  The boxed [run_binary_file]
-   remains the reference implementation: verdicts, violation indices
-   and [events_fed] are differential-tested identical. *)
+   The default path for every input whose ids fit {!Traces.Packed}: a
+   packed {e source} is a stream of packed int words fed to the
+   checker's [feed_packed] entry — no per-event heap allocation between
+   the input and the vector-clock work.  A binary file is memory-mapped
+   and decoded in place ({!Traces.Binfmt.fold_packed}); a text file is
+   scanned once into an arena ({!Traces.Parser.read_packed}).  The
+   exact-mode prefilter runs on the packed words too, so elided events
+   are never materialized.  The boxed [run_seq] remains the reference
+   implementation: verdicts, violation indices and [events_fed] are
+   differential-tested identical. *)
+
+type words =
+  | Mapped of string  (** a binary file, decoded in place *)
+  | Arena of Packed.Arena.t  (** a text file, already scanned *)
+
+type source = {
+  path : string;
+  threads : int;
+  locks : int;
+  vars : int;
+  events : int;
+  last_use : Lifetime.t option;
+  stats : Varstats.t option;
+  words : words;
+}
+
+(* [f] is handed to the binary decoder as is: the mmap loop pays no
+   indirection for the choice of source. *)
+let fold_words words f =
+  match words with
+  | Mapped path -> ignore (Traces.Binfmt.fold_packed path ~init:() ~f)
+  | Arena a -> Packed.Arena.iter a (f ())
 
 let packable ~prefilter (h : Traces.Binfmt.header) =
   Traces.Packed.fits ~threads:h.Traces.Binfmt.threads
@@ -544,27 +568,27 @@ let packable ~prefilter (h : Traces.Binfmt.header) =
      the boxed path rather than unpack/repack every event *)
   && prefilter <> Online
 
-let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
-    (module C : Aerodrome.Checker.S) path (header : Traces.Binfmt.header) =
-  collected ~file:path (fun () ->
-      let last_use =
-        if reclaim then Traces.Binfmt.read_last_use path else None
-      in
-      let stats = binary_stats ~prefilter path in
+(* The sequential feed loop.  [started] defaults to now; a text run
+   passes the time before its scan, so [seconds] covers ingestion. *)
+let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
+    (module C : Aerodrome.Checker.S) src =
+  collected ~file:src.path (fun () ->
       let st =
-        Aerodrome.Reclaim.with_policy (policy ~reclaim last_use) (fun () ->
-            C.create ~threads:header.Traces.Binfmt.threads
-              ~locks:header.Traces.Binfmt.locks
-              ~vars:header.Traces.Binfmt.vars)
+        Aerodrome.Reclaim.with_policy (policy ~reclaim src.last_use) (fun () ->
+            C.create ~threads:src.threads ~locks:src.locks ~vars:src.vars)
       in
-      let pf = Option.map Prefilter.create (prefilter_mode ~prefilter ~stats) in
+      let pf =
+        Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
+      in
       let sample_heap = heap_sampler () in
       let fl =
-        flight_recorder flight ~threads:header.Traces.Binfmt.threads
-          ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
+        flight_recorder flight ~threads:src.threads ~locks:src.locks
+          ~vars:src.vars
       in
-      arm_heartbeat heartbeat ~total:(Some header.Traces.Binfmt.events);
-      let started = Unix.gettimeofday () in
+      arm_heartbeat heartbeat ~total:(Some src.events);
+      let started =
+        match started with Some t -> t | None -> Unix.gettimeofday ()
+      in
       let deadline = Option.map (fun b -> started +. b) timeout in
       let timed_out = ref false in
       let viol_at = ref (-1.0) in
@@ -588,12 +612,10 @@ let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
         end
       in
       (try
-         ignore
-           (Traces.Binfmt.fold_packed path ~init:()
-              ~f:
-                (match pf with
-                | None -> fun () w -> feed_one w
-                | Some p -> fun () w -> Prefilter.feed_packed p w feed_one))
+         fold_words src.words
+           (match pf with
+           | None -> fun () w -> feed_one w
+           | Some p -> fun () w -> Prefilter.feed_packed p w feed_one)
        with Exit -> ());
       (match pf with
       | None -> ()
@@ -608,169 +630,160 @@ let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
         seconds = Unix.gettimeofday () -. started;
         events_fed = !fed;
         metrics =
-          runner_entries ?file_bytes:(file_size path) viol_at
+          runner_entries ?file_bytes:(file_size src.path) viol_at
           @ flight_finish flight fl
               (module C : Aerodrome.Checker.S)
-              ~source:path ~threads:header.Traces.Binfmt.threads
-              ~locks:header.Traces.Binfmt.locks
-              ~vars:header.Traces.Binfmt.vars outcome;
+              ~source:src.path ~threads:src.threads ~locks:src.locks
+              ~vars:src.vars outcome;
       })
 
-(* Sharded counterpart of [run_packed_file]: ingest (and filter) into
-   an arena first, then fan chunk checkers out over it.  The timer
-   covers the ingestion, mirroring the sequential path's decode. *)
-let run_packed_file_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
-    (module C : Aerodrome.Checker.S) path
-    (header : Traces.Binfmt.header) =
-  collected ~file:path (fun () ->
-      let stats = binary_stats ~prefilter path in
-      let pf = Option.map Prefilter.create (prefilter_mode ~prefilter ~stats) in
-      arm_heartbeat heartbeat ~total:(Some header.Traces.Binfmt.events);
-      let started = Unix.gettimeofday () in
-      let arena = Packed.Arena.create () in
-      let push w = Packed.Arena.push arena w in
-      (match pf with
-      | None -> ignore (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w -> push w))
-      | Some p ->
-        ignore
-          (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w ->
-               Prefilter.feed_packed p w push));
-        Prefilter.finish_packed p push);
+(* Sharded counterpart of [run_packed]: filter into an arena first (a
+   scanned text arena is used as is when nothing is filtered), then fan
+   chunk checkers out over it.  The timer covers the ingestion,
+   mirroring the sequential path's decode. *)
+let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
+    (module C : Aerodrome.Checker.S) src =
+  collected ~file:src.path (fun () ->
+      let pf =
+        Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
+      in
+      arm_heartbeat heartbeat ~total:(Some src.events);
+      let started =
+        match started with Some t -> t | None -> Unix.gettimeofday ()
+      in
+      let arena =
+        match (src.words, pf) with
+        | Arena a, None -> a
+        | words, _ ->
+          let arena = Packed.Arena.create () in
+          let push w = Packed.Arena.push arena w in
+          (match pf with
+          | None -> fold_words words (fun () w -> push w)
+          | Some p ->
+            fold_words words (fun () w -> Prefilter.feed_packed p w push);
+            Prefilter.finish_packed p push);
+          arena
+      in
       let o =
         Parallel.Shard.check_stealing ~sched
           ?flight:(Option.map (fun f -> f.flight_window) flight)
-          ~shards ~threads:header.Traces.Binfmt.threads
-          ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
-          arena
+          ~shards ~threads:src.threads ~locks:src.locks ~vars:src.vars arena
       in
       tick heartbeat (Packed.Arena.length arena);
-      finish_sharded (module C) ~started ?file_bytes:(file_size path) ?flight
-        ~source:path ~threads:header.Traces.Binfmt.threads
-        ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars o
-        ~events_fed:(Packed.Arena.length arena))
+      finish_sharded (module C) ~started ?file_bytes:(file_size src.path)
+        ?flight ~source:src.path ~threads:src.threads ~locks:src.locks
+        ~vars:src.vars o ~events_fed:(Packed.Arena.length arena))
+
+let run_binary_packed ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched
+    ?flight checker path (header : Traces.Binfmt.header) =
+  let sched =
+    sharding ?sched ~shards ~timeout ~events:header.Traces.Binfmt.events checker
+  in
+  (* v2 files carry the oracle in their footer, one seek away; chunk
+     checkers run without it *)
+  let last_use =
+    if reclaim && sched = None then Traces.Binfmt.read_last_use path else None
+  in
+  let src =
+    {
+      path;
+      threads = header.Traces.Binfmt.threads;
+      locks = header.Traces.Binfmt.locks;
+      vars = header.Traces.Binfmt.vars;
+      events = header.Traces.Binfmt.events;
+      last_use;
+      stats = binary_stats ~prefilter path;
+      words = Mapped path;
+    }
+  in
+  match sched with
+  | Some sched ->
+    run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight checker src
+  | None -> run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker src
+
+(* A text file is scanned once into an arena — the last-use index, and
+   the accessor statistics when filtering, come with it — and then runs
+   like a binary one.  The clock starts before the scan, whose
+   checkpoints also honor the deadline. *)
+let run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
+    ?sched ?flight (module C : Aerodrome.Checker.S) path =
+  let started = Unix.gettimeofday () in
+  let checkpoint =
+    Option.map
+      (fun budget () -> if Unix.gettimeofday () > started +. budget then raise Exit)
+      timeout
+  in
+  let stats = match prefilter with Exact | Auto -> true | Off | Online -> false in
+  match Traces.Parser.read_packed ~stats ?checkpoint path with
+  | exception Exit ->
+    (* timed out mid-scan: no event reached a checker.  One is still
+       created (on empty domains) so the run reports its counters *)
+    collected ~file:path (fun () ->
+        ignore (C.create ~threads:0 ~locks:0 ~vars:0);
+        {
+          checker = C.name;
+          outcome = Timed_out;
+          seconds = Unix.gettimeofday () -. started;
+          events_fed = 0;
+          metrics = runner_entries ?file_bytes:(file_size path) (ref (-1.0));
+        })
+  | p ->
+    let arena = p.Traces.Parser.arena and sy = p.Traces.Parser.symbols in
+    let threads = Array.length sy.Trace.Symbols.threads
+    and locks = Array.length sy.Trace.Symbols.locks
+    and vars = Array.length sy.Trace.Symbols.vars in
+    let last_use = if reclaim then Some p.Traces.Parser.lifetime else None in
+    let events = Packed.Arena.length arena in
+    if packed && prefilter <> Online then
+      let src =
+        {
+          path;
+          threads;
+          locks;
+          vars;
+          events;
+          last_use;
+          stats = p.Traces.Parser.stats;
+          words = Arena arena;
+        }
+      in
+      match sharding ?sched ~shards ~timeout ~events (module C) with
+      | Some sched ->
+        run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
+          ~started (module C) src
+      | None ->
+        run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ~started
+          (module C) src
+    else
+      let cursor = Packed.Cursor.of_arena arena in
+      let rec boxed () =
+        let w = Packed.Cursor.next cursor in
+        if w < 0 then Seq.Nil else Seq.Cons (Packed.to_event w, boxed)
+      in
+      let r =
+        run_seq ?timeout ?heartbeat ~total:events ~reclaim ?last_use ~prefilter
+          ?stats:p.Traces.Parser.stats ?flight ~source:path ~started
+          (module C) ~threads ~locks ~vars boxed
+      in
+      {
+        r with
+        metrics = r.metrics @ runner_entries ?file_bytes:(file_size path) (ref (-1.0));
+      }
 
 let run_stream ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
-    ?(packed = true) ?(shards = 1) ?sched ?flight
-    (module C : Aerodrome.Checker.S) path =
+    ?(packed = true) ?(shards = 1) ?sched ?flight checker path =
   if Traces.Binfmt.is_binary path then begin
     let header = Traces.Binfmt.read_header path in
     if packed && packable ~prefilter header then
-      match
-        sharding ?sched ~shards ~timeout ~events:header.Traces.Binfmt.events
-          (module C)
-      with
-      | Some sched ->
-        run_packed_file_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
-          (module C) path header
-      | None ->
-        run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
-          (module C) path header
+      run_binary_packed ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched
+        ?flight checker path header
     else
-      run_binary_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
-        (module C) path
+      run_binary_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker
+        path
   end
   else
-    collected ~file:path (fun () ->
-        (* text: Parser.fold_file announces the domains (pass 1) before any
-           event reaches the checker (pass 2), so no Trace.t is built.
-           The interning pass hands over the last-use oracle — and, when
-           filtering, the accessor statistics — for free. *)
-        let st = ref None in
-        let started = ref 0.0 in
-        let deadline = ref None in
-        let timed_out = ref false in
-        let viol_at = ref (-1.0) in
-        let fed = ref 0 in
-        let oracle = ref None in
-        let stats = ref None in
-        let pf = ref None in
-        let sample_heap = ref (fun () -> ()) in
-        let fl = ref None in
-        let domains = ref None in
-        let feed_one s e =
-          (match !fl with
-          | Some f when !viol_at < 0.0 ->
-            Flight.note f !fed (Packed.of_event e)
-          | _ -> ());
-          (match C.feed s e with
-          | Some _ -> note_violation viol_at ~started:!started
-          | None -> ());
-          incr fed;
-          if !fed land (check_interval - 1) = 0 then begin
-            tick heartbeat !fed;
-            !sample_heap ();
-            match !deadline with
-            | Some d when Unix.gettimeofday () > d ->
-              timed_out := true;
-              raise Exit
-            | _ -> ()
-          end
-        in
-        (try
-           ignore
-             (Traces.Parser.fold_file_exn
-                ?last_use:
-                  (if reclaim then Some (fun lt -> oracle := Some lt)
-                   else None)
-                ?stats:
-                  (match prefilter with
-                  | Off | Online -> None
-                  | Exact | Auto -> Some (fun vs -> stats := Some vs))
-                path
-                ~init:(fun ~threads ~locks ~vars ->
-                  let s =
-                    Aerodrome.Reclaim.with_policy (policy ~reclaim !oracle)
-                      (fun () -> C.create ~threads ~locks ~vars)
-                  in
-                  st := Some s;
-                  domains := Some (threads, locks, vars);
-                  fl := flight_recorder flight ~threads ~locks ~vars;
-                  (match prefilter_mode ~prefilter ~stats:!stats with
-                  | None -> ()
-                  | Some mode -> pf := Some (Prefilter.create mode));
-                  sample_heap := heap_sampler ();
-                  arm_heartbeat heartbeat ~total:None;
-                  started := Unix.gettimeofday ();
-                  deadline := Option.map (fun b -> !started +. b) timeout;
-                  s)
-                ~f:(fun s e ->
-                  (match !pf with
-                  | None -> feed_one s e
-                  | Some p -> Prefilter.feed p e (feed_one s));
-                  s))
-         with Exit -> ());
-        (* end of stream: drop/flush whatever the filter still buffers and
-           publish its counters ([finish] emits nothing in practice — the
-           online mode's pending events are exactly the droppable ones) *)
-        (match !pf with
-        | None -> ()
-        | Some p ->
-          let emit e = match !st with Some s -> feed_one s e | None -> () in
-          (try Prefilter.finish p emit with Exit -> ()));
-        !sample_heap ();
-        match !st with
-        | None -> assert false (* [init] runs before the first event *)
-        | Some s ->
-          let outcome =
-            if !timed_out then Timed_out else Verdict (C.violation s)
-          in
-          let flight_metrics =
-            match !domains with
-            | Some (threads, locks, vars) ->
-              flight_finish flight !fl
-                (module C : Aerodrome.Checker.S)
-                ~source:path ~threads ~locks ~vars outcome
-            | None -> []
-          in
-          {
-            checker = C.name;
-            outcome;
-            seconds = Unix.gettimeofday () -. !started;
-            events_fed = !fed;
-            metrics =
-              runner_entries ?file_bytes:(file_size path) viol_at
-              @ flight_metrics;
-          })
+    run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
+      ?sched ?flight checker path
 
 (* --- multi-file fan-out --- *)
 

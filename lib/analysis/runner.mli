@@ -44,8 +44,8 @@
     Every run function takes [?reclaim] (default [true]), selecting the
     checkers' state-lifetime policy ({!Aerodrome.Reclaim}): when a
     last-use oracle is available — computed from a materialized trace,
-    read from a version-2 binary footer, or built by the text parser's
-    interning pass — each variable's clock state is released back to the
+    read from a version-2 binary footer, or built from a text file's
+    scanned arena — each variable's clock state is released back to the
     pool at its final access, making peak memory proportional to live
     variables; a stream with no oracle falls back to the inactivity
     heuristic (periodic epoch-collapse of cold state).  Verdicts and
@@ -75,8 +75,8 @@ type prefilter =
   | Off  (** feed the checker every event (the default) *)
   | Exact
       (** {!Traces.Prefilter.Exact}: whole-trace accessor statistics — from
-          the materialized trace, a v3 binary footer, the text parser's
-          interning pass, or (binary v1/v2) a dedicated pre-scan; a bare
+          the materialized trace, a v3 binary footer, a text file's
+          scanned arena, or (binary v1/v2) a dedicated pre-scan; a bare
           event sequence with no [stats] falls back to the online mode *)
   | Online
       (** {!Traces.Prefilter.Online}: single-pass adaptive buffering.  Only
@@ -85,7 +85,7 @@ type prefilter =
           unfiltered throughput, BENCH_2026-08-05) *)
   | Auto
       (** exact when the statistics come for free (materialized trace, v3
-          binary footer, text interning pass), {e off} otherwise (binary
+          binary footer, text scan), {e off} otherwise (binary
           v1/v2 files, bare sequences) — never online *)
 (** Sound trace reduction between ingestion and the checker
     ({!Traces.Prefilter}): drops thread-local, read-only, redundant and
@@ -180,7 +180,7 @@ val run_seq :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?total:int ->
   ?reclaim:bool -> ?last_use:Traces.Lifetime.t -> ?prefilter:prefilter ->
   ?stats:Traces.Varstats.t -> ?flight:flight -> ?source:string ->
-  Aerodrome.Checker.t ->
+  ?started:float -> Aerodrome.Checker.t ->
   threads:int -> locks:int -> vars:int -> Traces.Event.t Seq.t -> result
 (** Streaming variant: analyze an event sequence without materializing it
     (e.g. {!Traces.Binfmt.read_seq} of a file larger than memory).  The
@@ -192,7 +192,9 @@ val run_seq :
     it an [Exact] prefilter runs in online mode and [Auto] runs
     unfiltered.  [source]
     (default ["stream"]) names the input in witness bundles and labels
-    the live-exposure scope when it is a file path. *)
+    the live-exposure scope when it is a file path.  [started] (default:
+    now) is the [Unix.gettimeofday] the run's [seconds] and [timeout]
+    count from, for a caller whose ingestion should count too. *)
 
 val run_binary_file :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
@@ -209,23 +211,28 @@ val run_stream :
   ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
   ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
   string -> result
-(** Analyze a trace file without materializing it, auto-detecting the
-    format: binary files stream in one pass (domains from the header),
-    text files via {!Traces.Parser.fold_file} (two passes, since the text
-    format only reveals its domains once scanned).  Peak memory is the
+(** Analyze a trace file, auto-detecting the format.  Binary files
+    stream in one pass (domains from the header): peak memory is the
     checker's state plus an I/O buffer, independent of the trace length.
-    For text traces [seconds] excludes the interning pass.
+    Text files are read once into a packed arena
+    ({!Traces.Parser.read_packed}, 8 bytes per event), since the text
+    format only reveals its domains once scanned; the arena then runs
+    exactly like a binary file.  For text traces [seconds] includes the
+    scan, and [timeout] is checked every 4096 lines of it (a scan that
+    runs out of time reports [Timed_out] with no event fed).
 
-    Binary inputs default to the {e packed} ingestion path
-    ({!Traces.Binfmt.fold_packed}): the file is memory-mapped and each
-    record decodes into one {!Traces.Packed} int word fed to the
-    checker's [feed_packed] entry, with no per-event heap allocation;
-    the exact-mode prefilter also runs over the packed words.  The
-    boxed decoder remains the reference implementation and is used with
-    [~packed:false], for id domains beyond {!Traces.Packed.fits}, and
-    for an explicit [Online] prefilter (whose buffering is boxed).
-    Verdicts, violation indices and [events_fed] are identical on
-    either path.
+    Both formats default to the {e packed} ingestion path: binary files
+    are memory-mapped and each record decodes into one
+    {!Traces.Packed} int word ({!Traces.Binfmt.fold_packed}), text files
+    feed their arena's words, and the checker's [feed_packed] entry
+    takes them with no per-event heap allocation; the exact-mode
+    prefilter also runs over the packed words.  The boxed [run_seq]
+    remains the reference implementation and is used with
+    [~packed:false], for an explicit [Online] prefilter (whose
+    buffering is boxed) and for binary id domains beyond
+    {!Traces.Packed.fits} (a text trace that overflows them is a
+    [Parse_error]).  Verdicts, violation indices and [events_fed] are
+    identical on every path.
 
     With [sched] lent, [shards] selects the sharded path where
     applicable (see {e Sharded checking} above).

@@ -40,33 +40,98 @@ module Vid = Make (struct
 end)
 
 module Interner = struct
+  (* Open addressing over the names themselves: [slots] holds [id + 1]
+     (0 = empty) in a power-of-two table, and [hashes.(id)] caches each
+     name's hash.  Lookups hash the bytes in place, so a byte slice of a
+     read buffer can be found without building a string ({!intern_sub}). *)
   type t = {
-    table : (string, int) Hashtbl.t;
+    mutable slots : int array;
     mutable names : string array;
+    mutable hashes : int array;
     mutable count : int;
   }
 
-  let create () = { table = Hashtbl.create 64; names = Array.make 16 ""; count = 0 }
+  let create () =
+    {
+      slots = Array.make 64 0;
+      names = Array.make 16 "";
+      hashes = Array.make 16 0;
+      count = 0;
+    }
 
-  let grow t =
-    if t.count = Array.length t.names then begin
-      let names = Array.make (2 * Array.length t.names) "" in
-      Array.blit t.names 0 names 0 t.count;
-      t.names <- names
-    end
+  (* FNV-1a over [b.[pos .. stop-1]], wrapping at the int width *)
+  let rec hash_bytes b i stop h =
+    if i = stop then h
+    else
+      let h = (h lxor Char.code (Bytes.unsafe_get b i)) * 0x100000001b3 in
+      hash_bytes b (i + 1) stop h
+
+  let hash_sub b pos len = hash_bytes b pos (pos + len) 0x811c9dc5
+
+  let rec same_bytes name b pos i len =
+    i = len
+    || String.unsafe_get name i = Bytes.unsafe_get b (pos + i)
+       && same_bytes name b pos (i + 1) len
+
+  let rec probe t h b pos len i =
+    let k = Array.unsafe_get t.slots i in
+    if k = 0 then -1 - i
+    else
+      let id = k - 1 in
+      let name = Array.unsafe_get t.names id in
+      if
+        Array.unsafe_get t.hashes id = h
+        && String.length name = len
+        && same_bytes name b pos 0 len
+      then id
+      else probe t h b pos len ((i + 1) land (Array.length t.slots - 1))
+
+  (* The id of the slice, or [-1 - slot] for the empty slot it would take. *)
+  let [@inline] lookup t h b pos len =
+    probe t h b pos len (h land (Array.length t.slots - 1))
+
+  let rehash t =
+    let slots = Array.make (2 * Array.length t.slots) 0 in
+    let mask = Array.length slots - 1 in
+    for id = 0 to t.count - 1 do
+      let rec place i =
+        if slots.(i) = 0 then slots.(i) <- id + 1 else place ((i + 1) land mask)
+      in
+      place (t.hashes.(id) land mask)
+    done;
+    t.slots <- slots
+
+  let add t h name slot =
+    let id = t.count in
+    if id = Array.length t.names then begin
+      let grow a = Array.append a (Array.make (Array.length a) (Array.unsafe_get a 0)) in
+      t.names <- grow t.names;
+      t.hashes <- grow t.hashes
+    end;
+    t.names.(id) <- name;
+    t.hashes.(id) <- h;
+    t.slots.(slot) <- id + 1;
+    t.count <- id + 1;
+    if 2 * t.count > Array.length t.slots then rehash t;
+    id
+
+  let intern_sub t b pos len =
+    let h = hash_sub b pos len in
+    let r = lookup t h b pos len in
+    if r >= 0 then r else add t h (Bytes.sub_string b pos len) (-1 - r)
 
   let intern t name =
-    match Hashtbl.find_opt t.table name with
-    | Some id -> id
-    | None ->
-      let id = t.count in
-      grow t;
-      t.names.(id) <- name;
-      t.count <- t.count + 1;
-      Hashtbl.add t.table name id;
-      id
+    let b = Bytes.unsafe_of_string name in
+    let len = String.length name in
+    let h = hash_sub b 0 len in
+    let r = lookup t h b 0 len in
+    if r >= 0 then r else add t h name (-1 - r)
 
-  let find t name = Hashtbl.find_opt t.table name
+  let find t name =
+    let b = Bytes.unsafe_of_string name in
+    let len = String.length name in
+    let r = lookup t (hash_sub b 0 len) b 0 len in
+    if r >= 0 then Some r else None
 
   let name t id =
     if id < 0 || id >= t.count then invalid_arg "Interner.name: out of range";

@@ -44,6 +44,11 @@ module Interner : sig
   val intern : t -> string -> int
   (** Id of [name], allocating the next dense id on first sight. *)
 
+  val intern_sub : t -> Bytes.t -> int -> int -> int
+  (** [intern_sub t b pos len] is [intern t (Bytes.sub_string b pos len)],
+      but allocates only on a name's first sight: a known name is found by
+      hashing and comparing the bytes in place. *)
+
   val find : t -> string -> int option
   (** Id of [name] if already interned. *)
 

@@ -4,8 +4,8 @@
     A checker holding this oracle can release a variable's entire clock
     state the moment its last access is processed, making peak memory
     proportional to the {e live} variables instead of all of them.  The
-    index is computed for free during the text parser's interning pass
-    ({!Parser.fold_file}), stored in the binary format's optional footer
+    index is computed from the text reader's scanned arena
+    ({!Parser.read_packed}), stored in the binary format's optional footer
     ({!Binfmt}), or derived from a materialized trace ({!of_trace}). *)
 
 type t = {
@@ -26,6 +26,9 @@ val note : t -> int -> Event.t -> unit
 (** [note t i e] records event [e] at index [i]: accesses overwrite the
     entry, so after a full in-order pass each entry holds the final
     access.  Non-access events are ignored. *)
+
+val note_packed : t -> int -> int -> unit
+(** {!note} for a {!Packed} word. *)
 
 val of_trace : Trace.t -> t
 (** One pass over a materialized trace. *)

@@ -37,6 +37,39 @@ val parse_string_exn : string -> Trace.t
 
 val parse_file_exn : string -> Trace.t
 
+type packed = {
+  arena : Packed.Arena.t;  (** every event, in order *)
+  symbols : Trace.Symbols.t;
+      (** the interned names; their counts are the domain sizes *)
+  lifetime : Lifetime.t;  (** final access of every variable and lock *)
+  stats : Varstats.t option;  (** accessor statistics, when asked for *)
+  slow_lines : int;
+      (** lines the canonical fast path did not decode (blank, comment or
+          otherwise non-canonical) *)
+}
+
+val read_packed : ?stats:bool -> ?checkpoint:(unit -> unit) -> string -> packed
+(** [read_packed path] reads the file once, decoding each event straight
+    into a {!Packed.Arena}: memory is the arena (8 bytes per event) plus
+    the symbol tables and one read window.  Events, ids, symbols and
+    errors are exactly those of {!parse_file}.
+
+    Lines are read through one reusable byte window.  A canonical line —
+    [name|kw(name)] or [name|begin], [end], [b], [e], with a lower-case
+    keyword, an optional [|...] third field, ending in [\n] or [\r\n] —
+    is decoded in place and allocates nothing once its names are known.
+    Every other line (padded, commented, blank, upper-case, malformed)
+    goes through the per-line parser on the same interners;
+    [slow_lines] counts them, as does the process-wide
+    [ingest.text.slow_lines] counter.
+
+    The last-use index is always built; with [~stats:true] the
+    {!Varstats} accessor statistics are too.  [checkpoint] runs every
+    4096 lines; an exception it raises aborts the scan and propagates.
+    I/O exceptions propagate.
+    @raise Parse_error on a malformed line, and on a line whose new name
+    would overflow the packed id ranges ({!Packed.fits}). *)
+
 val fold_file :
   ?last_use:(Lifetime.t -> unit) ->
   ?stats:(Varstats.t -> unit) ->
@@ -44,21 +77,17 @@ val fold_file :
   init:(threads:int -> locks:int -> vars:int -> 'a) ->
   f:('a -> Event.t -> 'a) ->
   ('a, error) result
-(** [fold_file path ~init ~f] parses the file in streaming fashion, never
-    materializing a {!Trace.t}: memory use is the symbol tables plus one
-    line, independent of the event count.  Because a text trace only
-    reveals its domain sizes once fully scanned, the file is read twice —
-    pass 1 interns every name, then [init] is called with the domain
-    sizes (e.g. to create a checker), then pass 2 folds [f] over the
-    events.  The file must not change between the passes.  I/O exceptions
-    propagate.
+(** [fold_file path ~init ~f] reads the file once with {!read_packed},
+    never materializing a {!Trace.t}: memory is the arena (8 bytes per
+    event) plus the symbol tables.  Because a text trace only reveals its
+    domain sizes once fully scanned, [init] is called with the domain
+    sizes (e.g. to create a checker) after the scan, and [f] is then
+    folded over the arena's events.  I/O exceptions propagate.
 
-    When [last_use] is given, the interning pass additionally builds the
-    {!Lifetime} index (final access of every variable and lock) and hands
-    it to the callback after pass 1, before [init] runs — at no extra
-    I/O cost, since pass 1 decodes every event anyway.  [stats] likewise
-    receives the {!Varstats} accessor statistics (the exact-mode
-    prefilter oracle) gathered during pass 1. *)
+    [last_use] receives the {!Lifetime} index (final access of every
+    variable and lock) and [stats] the {!Varstats} accessor statistics
+    (the exact-mode prefilter oracle), both built from the arena before
+    [init] runs. *)
 
 val fold_file_exn :
   ?last_use:(Lifetime.t -> unit) ->

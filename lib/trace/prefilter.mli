@@ -16,8 +16,8 @@
       held by one thread — release-to-acquire edges need two threads.
 
     Two modes.  {!Exact} knows the whole-trace {!Varstats} up front
-    (from a materialized trace, the binfmt v3 footer, the text parser's
-    interning pass, or a dedicated pre-scan) and applies all four rules
+    (from a materialized trace, the binfmt v3 footer, the text reader's
+    scanned arena, or a dedicated pre-scan) and applies all four rules
     as a pure per-event decision.  {!Online} is single-pass: rule (c) is
     applied exactly, while for (a), (b) and (d) it buffers a variable's
     (or lock's) events while the object is still single-owner, flushes

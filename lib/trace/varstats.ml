@@ -57,6 +57,21 @@ let note st (e : Event.t) =
     st.lock_mask.(l) <- st.lock_mask.(l) lor bit_of_thread t
   | Event.Fork _ | Event.Join _ | Event.Begin | Event.End -> ()
 
+let note_packed st w =
+  let op = Packed.opcode w in
+  if op <= Packed.op_release then begin
+    let bit = bit_of_thread (Packed.tid w) and x = Packed.target w in
+    if op <= Packed.op_write then begin
+      ensure_var st x;
+      st.var_mask.(x) <- st.var_mask.(x) lor bit;
+      if op = Packed.op_write then st.var_writes.(x) <- st.var_writes.(x) + 1
+    end
+    else begin
+      ensure_lock st x;
+      st.lock_mask.(x) <- st.lock_mask.(x) lor bit
+    end
+  end
+
 let of_trace tr =
   let st = create ~vars:(Trace.vars tr) ~locks:(Trace.locks tr) in
   Trace.iter (note st) tr;

@@ -7,7 +7,7 @@
     access can ever contribute a cross-thread conflict edge.
 
     Statistics are gathered in one cheap pass — over a materialized
-    trace ({!of_trace}), during the text parser's interning pass, or
+    trace ({!of_trace}), from the text reader's scanned arena, or
     while scanning a binary file — and persisted in the binfmt v3
     footer so later runs skip the pass entirely.
 
@@ -30,6 +30,9 @@ val create : vars:int -> locks:int -> t
 val note : t -> Event.t -> unit
 (** Record one event.  Fork/join/begin/end do not touch any variable or
     lock and are ignored. *)
+
+val note_packed : t -> int -> unit
+(** {!note} for a {!Packed} word. *)
 
 val of_trace : Trace.t -> t
 

@@ -114,6 +114,230 @@ let prop_roundtrip_preserves_verdict =
       Helpers.verdict (module Aerodrome.Opt) tr
       = Helpers.verdict (module Aerodrome.Opt) tr')
 
+(* --- the single-pass packed reader against the per-line parser ---
+
+   [read_packed] must give exactly what [parse_string_exn] gives: the
+   same events (as packed words), symbols, last-use index and accessor
+   statistics, or the same [Parse_error]. *)
+
+type reading = {
+  words : int list;
+  names : string array * string array * string array;
+  last_use : int array * int array;
+  accessors : int array * int array * int array;
+}
+
+let accessors vs =
+  ( Array.init (Varstats.vars vs) (Varstats.var_mask vs),
+    Array.init (Varstats.vars vs) (Varstats.var_writes vs),
+    Array.init (Varstats.locks vs) (Varstats.lock_mask vs) )
+
+let reference text =
+  match Parser.parse_string_exn text with
+  | exception Parser.Parse_error e -> Error e
+  | tr ->
+    let sy = Option.get (Trace.symbols tr) in
+    let lt = Lifetime.of_trace tr in
+    Ok
+      {
+        words = List.map Packed.of_event (Trace.to_list tr);
+        names = (sy.threads, sy.locks, sy.vars);
+        last_use = (lt.vars, lt.locks);
+        accessors = accessors (Varstats.of_trace tr);
+      }
+
+let with_text text f =
+  let path = Filename.temp_file "aerodrome" ".std" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+(* The scan's reading of [text], and how many lines missed the fast path. *)
+let scanned text =
+  with_text text (fun path ->
+      match Parser.read_packed ~stats:true path with
+      | exception Parser.Parse_error e -> (Error e, 0)
+      | p ->
+        let words = ref [] in
+        Packed.Arena.iter p.arena (fun w -> words := w :: !words);
+        ( Ok
+            {
+              words = List.rev !words;
+              names = (p.symbols.threads, p.symbols.locks, p.symbols.vars);
+              last_use = (p.lifetime.vars, p.lifetime.locks);
+              accessors = accessors (Option.get p.stats);
+            },
+          p.slow_lines ))
+
+let pp_reading ppf = function
+  | Error e -> Format.fprintf ppf "Parse_error (%a)" Parser.pp_error e
+  | Ok r ->
+    let list a = String.concat "," (Array.to_list a) in
+    let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+    let t, l, v = r.names and lv, ll = r.last_use and m, w, lm = r.accessors in
+    Format.fprintf ppf
+      "words [%s]@ threads [%s] locks [%s] vars [%s]@ last_use [%s] [%s]@ \
+       accessors [%s] [%s] [%s]"
+      (String.concat "," (List.map string_of_int r.words))
+      (list t) (list l) (list v) (ints lv) (ints ll) (ints m) (ints w) (ints lm)
+
+let reading = Alcotest.testable pp_reading ( = )
+
+let same_reading ?slow label text =
+  let got, slow_lines = scanned text in
+  Alcotest.check reading label (reference text) got;
+  Option.iter (fun n -> Alcotest.(check int) (label ^ ": slow lines") n slow_lines) slow
+
+let test_read_packed_scenarios () =
+  List.iter
+    (fun (name, tr, _) -> same_reading ~slow:0 name (Parser.to_string tr))
+    Workloads.Scenarios.all;
+  List.iter
+    (fun seed ->
+      let tr =
+        Workloads.Generator.generate
+          {
+            Workloads.Generator.default with
+            seed = Int64.of_int seed;
+            events = 3000;
+            threads = 2 + (seed mod 5);
+            locks = 1 + (seed mod 3);
+            plan =
+              (if seed mod 2 = 0 then Workloads.Generator.Violate_at 0.5
+               else Workloads.Generator.Atomic);
+          }
+      in
+      same_reading ~slow:0
+        (Printf.sprintf "generated seed %d" seed)
+        (Parser.to_string tr))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* Lines off the canonical form: each table entry is a whole file and
+   the number of its lines the per-line parser has to take. *)
+let test_read_packed_noncanonical () =
+  let long = String.make 200_000 'v' in
+  List.iter
+    (fun (label, text, slow) -> same_reading ~slow label text)
+    [
+      ("CRLF", "t1|begin\r\nt1|w(x)\r\nt2|r(x)\r\nt1|end\r\n", 0);
+      ("leading spaces", "  t1|w(x)\n\tt2|r(x)\n", 2);
+      ("trailing spaces", "t1|w(x)  \nt2|r(x)\t\n", 2);
+      ("inner spaces", "t1 | w( x )\nt1|r(x)\n", 1);
+      ("comments", "# header\nt1|w(x)\n  # indented\nt2|r(x)\n", 2);
+      ("blank lines", "\nt1|w(x)\n\n\r\n  \nt2|r(x)\n", 4);
+      ("upper-case keywords", "t1|R(x)\nt1|ACQ(l)\nt1|Rel(l)\nt1|BEGIN\nt1|End\n", 5);
+      ("begin with a target", "t1|begin(x)\nt1|w(x)\nt1|end\n", 1);
+      ("location field", "t1|w(x)|Foo.java:42\nt2|r(x)|\nt2|begin|loc\nt2|end|a|b\n", 0);
+      ("no final newline", "t1|w(x)\nt2|r(x)", 0);
+      ("no final newline, CRLF", "t1|w(x)\r\nt2|r(x)\r", 0);
+      ("empty file", "", 0);
+      ("only newlines", "\n\n\n", 3);
+      ( "aliases",
+        "t1|read(x)\nt1|write(x)\nt1|lock(m)\nt1|unlock(m)\nt1|acquire(m)\n\
+         t1|release(m)\nt1|b\nt1|e\n",
+        0 );
+      ("fork and join", "main|fork(w)\nw|r(x)\nmain|join(w)\n", 0);
+      ("name characters", "T.0:a$b@c-d_e|w(X.1)\nt-2|acq(L$0)\nt-2|rel(L$0)\n", 0);
+      ( "line longer than the window",
+        "t1|w(x)\nt2|r(" ^ long ^ ")\nt1|r(" ^ long ^ ")\n",
+        0 );
+      ("padded line longer than the window", "t1|w(x)\n  t2|w(" ^ long ^ ")  \n", 1);
+    ]
+
+(* Malformed lines, each the third line of its file: the scan fails with
+   the per-line parser's error, on line 3. *)
+let test_read_packed_malformed () =
+  List.iter
+    (fun line ->
+      let text = "t1|w(x)\nt2|r(x)\n" ^ line ^ "\nt1|r(x)\n" in
+      let got, _ = scanned text in
+      Alcotest.check reading line (reference text) got;
+      match got with
+      | Error e -> Alcotest.(check int) (line ^ ": line") 3 e.Parser.line
+      | Ok _ -> Alcotest.failf "%S: expected a parse error" line)
+    [
+      "t|r()";
+      "t|r(x";
+      "t|foo(x)";
+      "|r(x)";
+      "t";
+      "t|r(x y)";
+      "t!|r(x)";
+      "t|r(x!)";
+      "t|r(x)y";
+      "t|r";
+      "t|r(x)(y)";
+      "t|\xc3\xa9(x)";
+    ]
+
+(* Byte-level mutations of a rendered trace: replace, insert, delete or
+   duplicate bytes, biased towards the format's delimiters.  Whatever
+   the result, both parsers agree — the same reading or the same
+   [Parse_error] — and no other exception escapes. *)
+let mutate rs text =
+  let special = "|()\n\r \t#xRbe\000\255" in
+  let byte () =
+    if Random.State.bool rs then special.[Random.State.int rs (String.length special)]
+    else Char.chr (Random.State.int rs 256)
+  in
+  let b = Buffer.create (String.length text + 16) in
+  Buffer.add_string b text;
+  for _ = 1 to 1 + Random.State.int rs 4 do
+    let s = Buffer.contents b in
+    let n = String.length s in
+    let at = if n = 0 then 0 else Random.State.int rs n in
+    Buffer.clear b;
+    match Random.State.int rs 4 with
+    | 0 when n > 0 ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_char b (byte ());
+      Buffer.add_string b (String.sub s (at + 1) (n - at - 1))
+    | 1 when n > 0 ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_string b (String.sub s (at + 1) (n - at - 1))
+    | 2 ->
+      let len = min (n - at) (1 + Random.State.int rs 12) in
+      Buffer.add_string b (String.sub s 0 (at + len));
+      Buffer.add_string b (String.sub s at len);
+      Buffer.add_string b (String.sub s (at + len) (n - at - len))
+    | _ ->
+      Buffer.add_string b (String.sub s 0 at);
+      Buffer.add_char b (byte ());
+      Buffer.add_string b (String.sub s at (n - at))
+  done;
+  Buffer.contents b
+
+let arb_mutated =
+  let gen rs =
+    let len = 1 + Random.State.int rs 40 in
+    let tr =
+      Helpers.gen_trace_events ~threads:3 ~locks:2 ~vars:3 ~len ~complete:false rs
+    in
+    mutate rs (Parser.to_string tr)
+  in
+  QCheck.make ~print:String.escaped gen
+
+let prop_mutated_text =
+  QCheck.Test.make ~name:"mutated .std: scan agrees with the per-line parser" ~count:500
+    arb_mutated (fun text -> fst (scanned text) = reference text)
+
+let test_writer_streams () =
+  List.iter
+    (fun (name, tr, _) ->
+      let path = Filename.temp_file "aerodrome" ".std" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Parser.to_file path tr;
+          Alcotest.(check string) name (Parser.to_string tr)
+            (In_channel.with_open_bin path In_channel.input_all)))
+    (( "unnamed",
+       Trace.of_events [ Event.write 0 0; Event.fork 0 1; Event.acquire 1 0 ],
+       `Serializable )
+    :: Workloads.Scenarios.all)
+
 let suite =
   ( "parser",
     [
@@ -124,5 +348,13 @@ let suite =
       Alcotest.test_case "errors" `Quick test_errors;
       Alcotest.test_case "scenario roundtrips" `Quick test_roundtrip_scenarios;
       Alcotest.test_case "file io" `Quick test_file_io;
+      Alcotest.test_case "to_file bytes = to_string bytes" `Quick test_writer_streams;
+      Alcotest.test_case "read_packed = parse_string: scenarios, generated" `Quick
+        test_read_packed_scenarios;
+      Alcotest.test_case "read_packed = parse_string: non-canonical lines" `Quick
+        test_read_packed_noncanonical;
+      Alcotest.test_case "read_packed = parse_string: malformed lines" `Quick
+        test_read_packed_malformed;
     ]
-    @ Helpers.qcheck_tests [ prop_roundtrip; prop_roundtrip_preserves_verdict ] )
+    @ Helpers.qcheck_tests
+        [ prop_roundtrip; prop_roundtrip_preserves_verdict; prop_mutated_text ] )
