@@ -104,6 +104,48 @@ let test_run_stream_serializable () =
       check Alcotest.bool "serializable" false (Analysis.Runner.violating r);
       check Alcotest.int "all events fed" (Trace.length tr) r.events_fed)
 
+(* A text trace is scanned into the packed arena and then takes the
+   binary file's path, so every ingestion configuration reports the same
+   verdict, violation index and [events_fed] for the two formats. *)
+let test_run_stream_text_as_binary () =
+  let tr = gen_trace ~events:6_000 ~plan:(Workloads.Generator.Violate_at 0.6) () in
+  tmp ".std" (fun text ->
+      tmp ".bin" (fun bin ->
+          Parser.to_file text tr;
+          Binfmt.write_file bin tr;
+          List.iter
+            (fun (label, packed, prefilter) ->
+              let report path =
+                let r =
+                  Analysis.Runner.run_stream ~packed ~prefilter
+                    (module Aerodrome.Opt) path
+                in
+                (violation_index r, r.events_fed)
+              in
+              check
+                Alcotest.(pair (option int) int)
+                label (report bin) (report text))
+            [
+              ("packed", true, Analysis.Runner.Off);
+              ("boxed", false, Analysis.Runner.Off);
+              ("packed, exact prefilter", true, Analysis.Runner.Exact);
+              ("boxed, exact prefilter", false, Analysis.Runner.Exact);
+              ("online prefilter", true, Analysis.Runner.Online);
+            ]))
+
+(* The clock starts before the scan, and the scan honors the deadline:
+   an exhausted budget stops it with no event fed. *)
+let test_run_stream_text_timeout () =
+  let tr = gen_trace ~events:20_000 () in
+  tmp ".std" (fun text ->
+      Parser.to_file text tr;
+      let r =
+        Analysis.Runner.run_stream ~timeout:0.0 (module Aerodrome.Opt) text
+      in
+      check Alcotest.bool "timed out" true
+        (r.Analysis.Runner.outcome = Analysis.Runner.Timed_out);
+      check Alcotest.int "no event fed" 0 r.events_fed)
+
 (* --- constant peak heap --- *)
 
 (* Feed a binary file through Binfmt.fold, sampling live words every 16k
@@ -167,5 +209,9 @@ let suite =
         test_run_stream_matches_run;
       Alcotest.test_case "run_stream on a serializable trace" `Quick
         test_run_stream_serializable;
+      Alcotest.test_case "run_stream: text reports as its binary" `Quick
+        test_run_stream_text_as_binary;
+      Alcotest.test_case "run_stream: timeout during the text scan" `Quick
+        test_run_stream_text_timeout;
       Alcotest.test_case "constant peak heap" `Quick test_constant_heap;
     ] )
