@@ -14,9 +14,9 @@
    (schema "aerodrome-bench/10": per-checker events/sec, Gc statistics,
    parallel wall-clock + speedup, telemetry overhead + metric snapshot,
    peak-memory with and without state reclamation, trace-reduction
-   throughput with the prefilter off/exact/online, the packed-arena
-   axis — boxed vs zero-copy packed ingestion end to end, plus the
-   ingestion micro-benchmark rows in "micro" — the sharded axis:
+   throughput with the prefilter off/exact, the packed-arena axis —
+   the boxed reference vs zero-copy packed ingestion end to end, plus
+   the ingestion micro-benchmark rows in "micro" — the sharded axis:
    sequential vs chunk-parallel single-trace checking with quiescent-cut
    and repair accounting — and the observability axis: live OpenMetrics
    scraping overhead plus flight-recorder overhead with witness-replay
@@ -808,15 +808,15 @@ let run_reclaim () =
             rc_match;
           })
 
-(* --- trace reduction: checking throughput with the prefilter off,
-   exact (v3 footer statistics), and online (single-pass) ---
+(* --- trace reduction: checking throughput with the prefilter off and
+   exact (v3 footer statistics) ---
 
    The workload is the mixed corpus trace: ~55% shared traffic plus ~45%
    traffic the filter can elide (thread-local variables, a read-only
    pool, redundant re-accesses, private locks).  Throughput is measured
    against the *input* event count on every side — the claim is that the
    same logical trace checks faster, not that fewer events per second
-   are processed.  Verdicts must agree across all three sides (event
+   are processed.  Verdicts must agree across both sides (event
    indices are renumbered by the reduction, so only the verdict itself
    is compared). *)
 
@@ -837,9 +837,7 @@ type prefilter_summary = {
   pf_ll : int;
   pf_off : prefilter_side;
   pf_exact : prefilter_side;
-  pf_online : prefilter_side;
   pf_speedup_exact : float;
-  pf_speedup_online : float;
   pf_match : bool;
 }
 
@@ -871,11 +869,7 @@ let run_prefilter () =
       in
       let r_off, off = side Analysis.Runner.Off in
       let r_exact, exact = side Analysis.Runner.Exact in
-      let r_online, online = side Analysis.Runner.Online in
-      let pf_match =
-        verdict_string r_off = verdict_string r_exact
-        && verdict_string r_off = verdict_string r_online
-      in
+      let pf_match = verdict_string r_off = verdict_string r_exact in
       if not pf_match then
         Format.fprintf fmt "!! prefilter: verdict differs from --no-prefilter@.";
       let speedup (s : prefilter_side) = off.pf_seconds /. Float.max s.pf_seconds 1e-9 in
@@ -898,7 +892,6 @@ let run_prefilter () =
       in
       line "off" off "";
       line "exact" exact (Printf.sprintf "   (%.2fx)" (speedup exact));
-      line "online" online (Printf.sprintf "   (%.2fx)" (speedup online));
       if not pf_match then Format.fprintf fmt "  [MISMATCH]@.";
       json_prefilter :=
         Some
@@ -913,9 +906,7 @@ let run_prefilter () =
             pf_ll = c.Traces.Prefilter.lock_local;
             pf_off = off;
             pf_exact = exact;
-            pf_online = online;
             pf_speedup_exact = speedup exact;
-            pf_speedup_online = speedup online;
             pf_match;
           })
 
@@ -923,10 +914,12 @@ let run_prefilter () =
 
    The same mixed-corpus binary trace (v3, so the exact prefilter is
    free on both sides; [Auto] selects it) checked end to end by the
-   linear-time checker through the boxed [Event.t] reference reader and
-   through the packed path: mmap -> packed words -> packed rule engine
-   -> [feed_packed], no per-event heap allocation between the file and
-   the vector-clock work, and elided events never materialized at all.
+   linear-time checker through the boxed reference — [Binfmt.fold] ->
+   boxed rule engine -> [feed], written out below since the runner has
+   no boxed path — and through the runner's packed path: mmap -> packed
+   words -> packed rule engine -> [feed_packed], no per-event heap
+   allocation between the file and the vector-clock work, and elided
+   events never materialized at all.
    Repetitions are interleaved so machine drift hits both sides
    equally; allocation figures are [Gc.allocated_bytes] deltas around
    the first repetition of each side.  Verdicts and reports must be
@@ -1036,9 +1029,41 @@ let run_arena () =
     (fun () ->
       Traces.Binfmt.write_file path tr;
       let file_bytes = (Unix.stat path).Unix.st_size in
+      let boxed () =
+        let module C = Aerodrome.Opt in
+        let started = Unix.gettimeofday () in
+        let h = Binfmt.read_header path in
+        let policy =
+          match Binfmt.read_last_use path with
+          | Some lt -> Aerodrome.Reclaim.Oracle lt
+          | None -> Aerodrome.Reclaim.Off
+        in
+        let st =
+          Aerodrome.Reclaim.with_policy policy (fun () ->
+              C.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
+                ~vars:h.Binfmt.vars)
+        in
+        let pf = Prefilter.create (Exact (Option.get (Binfmt.read_stats path))) in
+        let fed = ref 0 in
+        let emit e =
+          incr fed;
+          ignore (C.feed st e)
+        in
+        ignore (Binfmt.fold path ~init:() ~f:(fun () e -> Prefilter.feed pf e emit));
+        Prefilter.finish pf emit;
+        {
+          Analysis.Runner.checker = C.name;
+          outcome = Analysis.Runner.Verdict (C.violation st);
+          seconds = Unix.gettimeofday () -. started;
+          events_fed = !fed;
+          metrics = Obs.Snapshot.empty;
+        }
+      in
       let run packed =
-        Analysis.Runner.run_stream ~timeout:opts.timeout ~packed
-          ~prefilter:Analysis.Runner.Auto aerodrome path
+        if packed then
+          Analysis.Runner.run_stream ~timeout:opts.timeout
+            ~prefilter:Analysis.Runner.Auto aerodrome path
+        else boxed ()
       in
       let measured packed =
         let a0 = Gc.allocated_bytes () in
@@ -1774,10 +1799,8 @@ let emit_json path =
     side "off" p.pf_off;
     add ",";
     side "exact" p.pf_exact;
-    add ",";
-    side "online" p.pf_online;
-    add ",\"speedup_exact\":%.3f,\"speedup_online\":%.3f,\"verdicts_match\":%b}"
-      p.pf_speedup_exact p.pf_speedup_online p.pf_match);
+    add ",\"speedup_exact\":%.3f,\"verdicts_match\":%b}"
+      p.pf_speedup_exact p.pf_match);
   add ",\"arena\":";
   (match !json_arena with
   | None -> add "null"

@@ -123,7 +123,7 @@ let check_cmd =
       value & opt shards_conv 0
       & info [ "s"; "shards" ] ~docv:"auto|N"
           ~doc:
-            "How to split a packed binary trace into chunks at \
+            "How to split a trace into chunks at \
              boundary-summary cuts and check the chunks concurrently on \
              the $(b,--jobs) scheduler.  Cuts need not be quiescent: each \
              chunk checker is seeded with the cut's open-transaction \
@@ -135,8 +135,7 @@ let check_cmd =
              $(b,--jobs) exceeds 1.  An integer N > 1 forces an N-chunk \
              plan, even at $(b,--jobs) 1; $(b,--shards) 1 disables \
              sharding.  Only the default $(b,aerodrome) checker shards; \
-             other algorithms, timed-out and $(b,--no-packed) runs stay \
-             sequential.")
+             other algorithms and timed-out runs stay sequential.")
   in
   let reclaim =
     Arg.(
@@ -174,39 +173,12 @@ let check_cmd =
                    re-accesses, and operations on single-threaded locks.  \
                    Uses exact whole-trace statistics when they come for \
                    free (text traces, v3 binary footers) and runs \
-                   unfiltered otherwise (v1/v2 binary files): the exact \
-                   mode is a pure win (~1.4x), while the single-pass \
-                   buffering mode costs more than it saves on typical \
-                   workloads (~0.74x) and is only used with \
-                   $(b,--prefilter-online).  The verdict is identical; \
-                   violation indices refer to the reduced stream." );
-            ( Analysis.Runner.Online,
-              info [ "prefilter-online" ]
-                ~doc:
-                  "Force the single-pass adaptive buffering mode, which \
-                   filters without whole-trace statistics at the price of \
-                   buffering overhead (measured ~0.74x the unfiltered \
-                   throughput — useful when reducing the stream matters \
-                   more than wall-clock, e.g. ahead of a slower \
-                   downstream analysis)." );
+                   unfiltered otherwise (v1/v2 binary files).  The \
+                   verdict is identical; violation indices refer to the \
+                   reduced stream." );
             ( Analysis.Runner.Off,
               info [ "no-prefilter" ]
                 ~doc:"Feed the checker every event (the default)." );
-          ])
-  in
-  let packed =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( false,
-              info [ "no-packed" ]
-                ~doc:
-                  "Decode binary traces through the boxed reference \
-                   reader instead of the default zero-copy packed path \
-                   (mmap + flat int events).  Verdicts and reports are \
-                   identical; this exists for differential testing and \
-                   benchmarking." );
           ])
   in
   let stats =
@@ -290,9 +262,8 @@ let check_cmd =
       non_empty & pos_all string []
       & info [] ~docv:"TRACE" ~doc:"Trace files in the rapid .std or binary format.")
   in
-  let run checker timeout quiet jobs shards reclaim prefilter packed stats
-      stats_json trace_out progress metrics_addr flight_record flight_window
-      paths =
+  let run checker timeout quiet jobs shards reclaim prefilter stats stats_json
+      trace_out progress metrics_addr flight_record flight_window paths =
     let (module C : Aerodrome.Checker.S) = checker in
     let flight =
       Option.map
@@ -338,15 +309,15 @@ let check_cmd =
     in
     (* The work-stealing scheduler: created once, with --jobs domains,
        when the batch has parallel work for it — any multi-file run (the
-       file fan-out itself executes on the scheduler), or a lone packed
-       trace that shards.  Auto sharding needs more than one domain; a
+       file fan-out itself executes on the scheduler), or a lone trace
+       that shards.  Auto sharding needs more than one domain; a
        forced --shards N creates the scheduler even at --jobs 1 so the
        forced plan really runs. *)
     let sched =
       let useful =
         match paths with
         | [ p ] -> (
-          shards <> 1 && packed
+          shards <> 1
           &&
           (* too-small traces run sequentially (the runner's own gate);
              don't spawn idle domains for them.  A text trace's event
@@ -382,8 +353,8 @@ let check_cmd =
       stat "sched.completed" (fun (s : Parallel.Deque.stats) -> s.completed));
     let run_started = Unix.gettimeofday () in
     let reports =
-      Analysis.Runner.run_many ?timeout ?heartbeat ~reclaim ~prefilter ~packed
-        ~shards ?sched ?flight checker paths
+      Analysis.Runner.run_many ?timeout ?heartbeat ~reclaim ~prefilter ~shards
+        ?sched ?flight checker paths
     in
     Option.iter Obs.Exporter.stop exporter;
     let run_wall = Unix.gettimeofday () -. run_started in
@@ -558,7 +529,7 @@ let check_cmd =
           file, 3 timeout)")
     Term.(
       const run $ algo $ timeout $ quiet $ jobs $ shards $ reclaim $ prefilter
-      $ packed $ stats $ stats_json $ trace_out $ progress $ metrics_addr
+      $ stats $ stats_json $ trace_out $ progress $ metrics_addr
       $ flight_record $ flight_window $ traces)
 
 (* scrape: one-shot GET against a running metrics exporter.  Exists so
@@ -755,17 +726,6 @@ let filter_cmd =
       value & flag
       & info [ "text" ] ~doc:"Write the textual format (default: binary).")
   in
-  let mode =
-    Arg.(
-      value
-      & opt (enum [ ("exact", `Exact); ("online", `Online) ]) `Exact
-      & info [ "m"; "mode" ] ~docv:"MODE"
-          ~doc:
-            "$(b,exact) (default) classifies variables and locks from \
-             whole-trace statistics; $(b,online) replays the single-pass \
-             adaptive filter, which keeps more events (it can only drop \
-             what it could drop without seeing the future).")
-  in
   let window =
     let parse s =
       match String.index_opt s ':' with
@@ -789,14 +749,14 @@ let filter_cmd =
              (transaction markers repaired as in the checker), then \
              filter the window.")
   in
-  let run to_text mode window path out =
+  let run to_text window path out =
     let tr = read_trace path in
     let tr =
       match window with
       | None -> tr
       | Some (start, len) -> Traces.Transform.limit_window start len tr
     in
-    let reduced, c = Traces.Prefilter.run_trace mode tr in
+    let reduced, c = Traces.Prefilter.run_trace `Exact tr in
     if to_text then Traces.Parser.to_file out reduced
     else Traces.Binfmt.write_file out reduced;
     Format.printf
@@ -813,7 +773,7 @@ let filter_cmd =
          "Write a reduced trace with the same conflict-serializability \
           verdict: thread-local, read-only, redundant and lock-local \
           events elided")
-    Term.(const run $ to_text $ mode $ window $ trace_arg $ out)
+    Term.(const run $ to_text $ window $ trace_arg $ out)
 
 (* explain: everything we know about a trace's first violation *)
 

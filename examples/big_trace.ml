@@ -40,7 +40,7 @@ let () =
 
       (* 2. Stream-analyze from disk. *)
       let run name checker =
-        let r = Analysis.Runner.run_binary_file checker path in
+        let r = Analysis.Runner.run_stream checker path in
         Format.printf "  %-10s %a (%.1f M events/s)@." name
           Analysis.Runner.pp r
           (float_of_int r.Analysis.Runner.events_fed

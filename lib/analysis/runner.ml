@@ -10,7 +10,7 @@ type result = {
   metrics : Obs.Snapshot.t;
 }
 
-type prefilter = Off | Exact | Online | Auto
+type prefilter = Off | Exact | Auto
 
 type flight = {
   flight_dir : string;
@@ -85,16 +85,11 @@ let file_size path =
    pack plus a ring store) until the first violation freezes the
    recorder, and a violating run then emits a witness bundle — JSON
    diagnosis plus a replayable binfmt slice — via {!Witness.emit}.
-   Recording needs the packed word codec, so id domains beyond
-   {!Traces.Packed.fits} run without a recorder (the witness would not
-   be re-encodable anyway).  The noted index is the fed-stream position
-   — the same coordinate space as [Violation.index], filtered or not. *)
+   The noted index is the fed-stream position — the same coordinate
+   space as [Violation.index], filtered or not. *)
 
-let flight_recorder flight ~threads ~locks ~vars =
-  match flight with
-  | Some f when Packed.fits ~threads ~locks ~vars ->
-    Some (Flight.create ~window:f.flight_window ~threads ())
-  | _ -> None
+let flight_recorder flight ~threads =
+  Option.map (fun f -> Flight.create ~window:f.flight_window ~threads ()) flight
 
 let flight_entries (info : Witness.info) =
   if not (Obs.on ()) then []
@@ -109,13 +104,12 @@ let flight_entries (info : Witness.info) =
 (* Emit the bundle for a finished run.  A bundle that cannot be written
    (unwritable directory, full disk) degrades to a warning: the check
    verdict is the product, the witness is diagnostics. *)
-let flight_finish flight fl checker ~source ~threads ~locks ~vars ?base outcome
-    =
+let flight_finish flight fl checker ~source ~threads ~locks ~vars outcome =
   match (flight, fl, outcome) with
   | Some fopt, Some f, Verdict (Some v) -> (
     match
       Witness.emit ~dir:fopt.flight_dir ~source ~checker ~threads ~locks ~vars
-        ~flight:f ?base ~violation:v ()
+        ~flight:f ~violation:v ()
     with
     | Ok info -> flight_entries info
     | Error msg ->
@@ -182,9 +176,7 @@ let policy ~reclaim oracle =
    from a materialized trace, a v3 binary footer, a text file's
    scanned arena, or a dedicated pre-scan — and [Auto] applies the
    exact mode when the statistics come for free and otherwise runs
-   unfiltered: the online mode's buffering costs more than it saves on
-   checker-rate workloads (BENCH_2026-08-05 measured it at 0.74x), so
-   it only ever runs on explicit request.
+   unfiltered.
 
    Composition with [reclaim] is sound as-is: the oracle releases a
    variable when the checker's event index equals the recorded last-use
@@ -197,10 +189,8 @@ let policy ~reclaim oracle =
 
 let prefilter_mode ~prefilter ~stats =
   match (prefilter, stats) with
-  | Off, _ -> None
   | (Exact | Auto), Some vs -> Some (Prefilter.Exact vs)
-  | Online, _ | Exact, None -> Some Prefilter.Online
-  | Auto, None -> None
+  | _ -> None
 
 (* High-water mark of the major heap, sampled at the same 4096-event
    checkpoints as the timeout — the per-run memory axis the bench
@@ -235,8 +225,8 @@ let heap_sampler () =
    window events against the true frontier (DESIGN.md §17, §18).  The
    seed argument is specific to the default Opt configuration, so
    other checkers run sequentially, as do timed-out runs (a per-chunk
-   deadline would make [events_fed] racy) and streams that cannot
-   pack.  Without a scheduler every run is sequential.
+   deadline would make [events_fed] racy).  Without a scheduler every
+   run is sequential.
 
    Chunk checkers run with reclamation off: per-variable lifetimes are
    chunk-local here, and reclamation is verdict-neutral either way. *)
@@ -318,233 +308,23 @@ let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
       @ flight_metrics;
   }
 
-(* Sharded variant of [run]: filter like the sequential path, pack the
-   (filtered) trace into an arena, fan chunk checkers out. *)
-let run_trace_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
-    (module C : Aerodrome.Checker.S) tr =
-  collected (fun () ->
-      let tr =
-        match prefilter with
-        | Off -> tr
-        | Exact | Auto -> fst (Prefilter.run_trace `Exact tr)
-        | Online -> fst (Prefilter.run_trace `Online tr)
-      in
-      let n = Trace.length tr in
-      arm_heartbeat heartbeat ~total:(Some n);
-      let started = Unix.gettimeofday () in
-      let arena = Packed.Arena.create () in
-      Trace.iteri (fun _ e -> Packed.Arena.push arena (Packed.of_event e)) tr;
-      let o =
-        Parallel.Shard.check_stealing ~sched
-          ?flight:(Option.map (fun f -> f.flight_window) flight)
-          ~shards ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-          ~vars:(Trace.vars tr) arena
-      in
-      tick heartbeat n;
-      finish_sharded (module C) ~started ?flight ~source:"trace"
-        ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-        ~vars:(Trace.vars tr) o ~events_fed:n)
+(* --- packed sources ---
 
-let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
-    ?sched ?flight (module C : Aerodrome.Checker.S) tr =
-  match
-    sharding ?sched ~shards ~timeout ~events:(Trace.length tr) (module C)
-  with
-  | Some sched
-    when Packed.fits ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-           ~vars:(Trace.vars tr) ->
-    run_trace_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
-      (module C : Aerodrome.Checker.S)
-      tr
-  | _ ->
-  collected (fun () ->
-      (* filtering and the oracle pass run before the timer starts, like
-         trace I/O; the oracle is computed on the filtered trace so its
-         indices match what the checker sees *)
-      let tr =
-        match prefilter with
-        | Off -> tr
-        | Exact | Auto -> fst (Prefilter.run_trace `Exact tr)
-        | Online -> fst (Prefilter.run_trace `Online tr)
-      in
-      let oracle = if reclaim then Some (Lifetime.of_trace tr) else None in
-      let st =
-        Aerodrome.Reclaim.with_policy (policy ~reclaim oracle) (fun () ->
-            C.create ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-              ~vars:(Trace.vars tr))
-      in
-      let sample_heap = heap_sampler () in
-      let fl =
-        flight_recorder flight ~threads:(Trace.threads tr)
-          ~locks:(Trace.locks tr) ~vars:(Trace.vars tr)
-      in
-      let n = Trace.length tr in
-      arm_heartbeat heartbeat ~total:(Some n);
-      let deadline =
-        Option.map (fun budget -> Unix.gettimeofday () +. budget) timeout
-      in
-      let started = Unix.gettimeofday () in
-      let timed_out = ref false in
-      let viol_at = ref (-1.0) in
-      let i = ref 0 in
-      (try
-         while !i < n do
-           let e = Trace.get tr !i in
-           (match fl with
-           | Some f when !viol_at < 0.0 -> Flight.note f !i (Packed.of_event e)
-           | _ -> ());
-           (match C.feed st e with
-           | Some _ -> note_violation viol_at ~started
-           | None -> ());
-           incr i;
-           if !i land (check_interval - 1) = 0 then begin
-             tick heartbeat !i;
-             sample_heap ();
-             match deadline with
-             | Some d when Unix.gettimeofday () > d ->
-               timed_out := true;
-               raise Exit
-             | _ -> ()
-           end
-         done
-       with Exit -> ());
-      sample_heap ();
-      let seconds = Unix.gettimeofday () -. started in
-      let outcome =
-        if !timed_out then Timed_out else Verdict (C.violation st)
-      in
-      {
-        checker = C.name;
-        outcome;
-        seconds;
-        events_fed = !i;
-        metrics =
-          runner_entries viol_at
-          @ flight_finish flight fl
-              (module C : Aerodrome.Checker.S)
-              ~source:"trace" ~threads:(Trace.threads tr)
-              ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) outcome;
-      })
-
-let run_seq ?timeout ?heartbeat ?total ?(reclaim = true) ?last_use
-    ?(prefilter = Off) ?stats ?flight ?(source = "stream") ?started
-    (module C : Aerodrome.Checker.S) ~threads ~locks ~vars events =
-  collected ?file:(if source = "stream" then None else Some source) (fun () ->
-      let events =
-        match prefilter_mode ~prefilter ~stats with
-        | None -> events
-        | Some mode -> Prefilter.filter_seq (Prefilter.create mode) events
-      in
-      let st =
-        Aerodrome.Reclaim.with_policy (policy ~reclaim last_use) (fun () ->
-            C.create ~threads ~locks ~vars)
-      in
-      let sample_heap = heap_sampler () in
-      let fl = flight_recorder flight ~threads ~locks ~vars in
-      arm_heartbeat heartbeat ~total;
-      let started =
-        match started with Some t -> t | None -> Unix.gettimeofday ()
-      in
-      let deadline = Option.map (fun budget -> started +. budget) timeout in
-      let timed_out = ref false in
-      let viol_at = ref (-1.0) in
-      let fed = ref 0 in
-      let rec go events =
-        match Seq.uncons events with
-        | None -> ()
-        | Some (e, rest) -> (
-          (match fl with
-          | Some f when !viol_at < 0.0 ->
-            Flight.note f !fed (Packed.of_event e)
-          | _ -> ());
-          (match C.feed st e with
-          | Some _ -> note_violation viol_at ~started
-          | None -> ());
-          incr fed;
-          if !fed land (check_interval - 1) = 0 then begin
-            tick heartbeat !fed;
-            sample_heap ();
-            match deadline with
-            | Some d when Unix.gettimeofday () > d -> timed_out := true
-            | _ -> go rest
-          end
-          else go rest)
-      in
-      go events;
-      sample_heap ();
-      let outcome =
-        if !timed_out then Timed_out else Verdict (C.violation st)
-      in
-      {
-        checker = C.name;
-        outcome;
-        seconds = Unix.gettimeofday () -. started;
-        events_fed = !fed;
-        metrics =
-          runner_entries viol_at
-          @ flight_finish flight fl
-              (module C : Aerodrome.Checker.S)
-              ~source ~threads ~locks ~vars outcome;
-      })
-
-(* Accessor statistics for a binary file: the v3 footer is one seek away;
-   an explicit [Exact] request on a v1/v2 file (no statistics footer) is
-   honored with a dedicated pre-scan — a full decode pass, so [Auto]
-   runs unfiltered there instead. *)
-let binary_stats ~prefilter path =
-  match prefilter with
-  | Off | Online -> None
-  | Exact | Auto -> (
-    match Traces.Binfmt.read_stats path with
-    | Some _ as s -> s
-    | None when prefilter = Exact ->
-      let h = Traces.Binfmt.read_header path in
-      let vs =
-        Varstats.create ~vars:h.Traces.Binfmt.vars ~locks:h.Traces.Binfmt.locks
-      in
-      ignore (Traces.Binfmt.fold path ~init:() ~f:(fun () e -> Varstats.note vs e));
-      Some vs
-    | None -> None)
-
-let run_binary_file ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
-    ?flight checker path =
-  (* v2 files carry the oracle in their footer, one seek away; a corrupt
-     footer raises here, before any event is fed *)
-  let last_use = if reclaim then Traces.Binfmt.read_last_use path else None in
-  let stats = binary_stats ~prefilter path in
-  let header, (events, close) = Traces.Binfmt.read_seq path in
-  Fun.protect ~finally:close (fun () ->
-      let r =
-        run_seq ?timeout ?heartbeat ~total:header.Traces.Binfmt.events ~reclaim
-          ?last_use ~prefilter ?stats ?flight ~source:path checker
-          ~threads:header.Traces.Binfmt.threads
-          ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
-          events
-      in
-      {
-        r with
-        metrics = r.metrics @ runner_entries ?file_bytes:(file_size path) (ref (-1.0));
-      })
-
-(* --- packed ingestion ---
-
-   The default path for every input whose ids fit {!Traces.Packed}: a
-   packed {e source} is a stream of packed int words fed to the
-   checker's [feed_packed] entry — no per-event heap allocation between
-   the input and the vector-clock work.  A binary file is memory-mapped
-   and decoded in place ({!Traces.Binfmt.fold_packed}); a text file is
-   scanned once into an arena ({!Traces.Parser.read_packed}).  The
-   exact-mode prefilter runs on the packed words too, so elided events
-   are never materialized.  The boxed [run_seq] remains the reference
-   implementation: verdicts, violation indices and [events_fed] are
-   differential-tested identical. *)
+   Every run feeds packed words to the checker's [feed_packed] entry —
+   no per-event heap allocation between the input and the vector-clock
+   work.  A binary file is memory-mapped and decoded in place
+   ({!Traces.Binfmt.fold_packed}); a text file is scanned once into an
+   arena ({!Traces.Parser.read_packed}); a materialized trace is packed
+   into one.  The exact-mode prefilter runs on the packed words too, so
+   elided events are never materialized.  The boxed [Checker.S.feed]
+   stays the reference the tests compare against. *)
 
 type words =
   | Mapped of string  (** a binary file, decoded in place *)
-  | Arena of Packed.Arena.t  (** a text file, already scanned *)
+  | Arena of Packed.Arena.t  (** a scanned text file or a packed trace *)
 
 type source = {
-  path : string;
+  file : string option;  (** [None] for a materialized trace *)
   threads : int;
   locks : int;
   vars : int;
@@ -554,6 +334,9 @@ type source = {
   words : words;
 }
 
+(* The name witness bundles and the live-exposure label use. *)
+let source_name src = Option.value src.file ~default:"trace"
+
 (* [f] is handed to the binary decoder as is: the mmap loop pays no
    indirection for the choice of source. *)
 let fold_words words f =
@@ -561,18 +344,11 @@ let fold_words words f =
   | Mapped path -> ignore (Traces.Binfmt.fold_packed path ~init:() ~f)
   | Arena a -> Packed.Arena.iter a (f ())
 
-let packable ~prefilter (h : Traces.Binfmt.header) =
-  Traces.Packed.fits ~threads:h.Traces.Binfmt.threads
-    ~locks:h.Traces.Binfmt.locks ~vars:h.Traces.Binfmt.vars
-  (* online buffering is inherently boxed; honor an explicit request on
-     the boxed path rather than unpack/repack every event *)
-  && prefilter <> Online
-
 (* The sequential feed loop.  [started] defaults to now; a text run
    passes the time before its scan, so [seconds] covers ingestion. *)
 let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
     (module C : Aerodrome.Checker.S) src =
-  collected ~file:src.path (fun () ->
+  collected ?file:src.file (fun () ->
       let st =
         Aerodrome.Reclaim.with_policy (policy ~reclaim src.last_use) (fun () ->
             C.create ~threads:src.threads ~locks:src.locks ~vars:src.vars)
@@ -581,10 +357,7 @@ let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
         Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
       in
       let sample_heap = heap_sampler () in
-      let fl =
-        flight_recorder flight ~threads:src.threads ~locks:src.locks
-          ~vars:src.vars
-      in
+      let fl = flight_recorder flight ~threads:src.threads in
       arm_heartbeat heartbeat ~total:(Some src.events);
       let started =
         match started with Some t -> t | None -> Unix.gettimeofday ()
@@ -630,20 +403,20 @@ let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
         seconds = Unix.gettimeofday () -. started;
         events_fed = !fed;
         metrics =
-          runner_entries ?file_bytes:(file_size src.path) viol_at
+          runner_entries ?file_bytes:(Option.bind src.file file_size) viol_at
           @ flight_finish flight fl
               (module C : Aerodrome.Checker.S)
-              ~source:src.path ~threads:src.threads ~locks:src.locks
+              ~source:(source_name src) ~threads:src.threads ~locks:src.locks
               ~vars:src.vars outcome;
       })
 
-(* Sharded counterpart of [run_packed]: filter into an arena first (a
-   scanned text arena is used as is when nothing is filtered), then fan
-   chunk checkers out over it.  The timer covers the ingestion,
-   mirroring the sequential path's decode. *)
+(* Sharded counterpart of [run_packed]: filter into an arena first (an
+   arena is used as is when nothing is filtered), then fan chunk
+   checkers out over it.  The timer covers the ingestion, mirroring
+   the sequential path's decode. *)
 let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
     (module C : Aerodrome.Checker.S) src =
-  collected ~file:src.path (fun () ->
+  collected ?file:src.file (fun () ->
       let pf =
         Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
       in
@@ -670,50 +443,124 @@ let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
           ~shards ~threads:src.threads ~locks:src.locks ~vars:src.vars arena
       in
       tick heartbeat (Packed.Arena.length arena);
-      finish_sharded (module C) ~started ?file_bytes:(file_size src.path)
-        ?flight ~source:src.path ~threads:src.threads ~locks:src.locks
-        ~vars:src.vars o ~events_fed:(Packed.Arena.length arena))
+      finish_sharded (module C) ~started
+        ?file_bytes:(Option.bind src.file file_size)
+        ?flight ~source:(source_name src) ~threads:src.threads
+        ~locks:src.locks ~vars:src.vars o
+        ~events_fed:(Packed.Arena.length arena))
 
-let run_binary_packed ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched
-    ?flight checker path (header : Traces.Binfmt.header) =
+(* Run [src] on the scheduler {!sharding} chose, or sequentially. *)
+let run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight
+    ?started checker sched src =
+  match sched with
+  | Some sched ->
+    run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
+      checker src
+  | None ->
+    run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started checker
+      src
+
+(* A materialized trace is filtered, and its oracle computed, before the
+   timer starts, like trace I/O; the oracle is computed on the filtered
+   trace so its indices match what the checker sees.  The result is
+   packed into an arena and runs like a scanned text file. *)
+let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
+    ?sched ?flight checker tr =
   let sched =
-    sharding ?sched ~shards ~timeout ~events:header.Traces.Binfmt.events checker
+    sharding ?sched ~shards ~timeout ~events:(Trace.length tr) checker
   in
+  collected (fun () ->
+      let tr =
+        if prefilter = Off then tr else fst (Prefilter.run_trace `Exact tr)
+      in
+      let threads = Trace.threads tr
+      and locks = Trace.locks tr
+      and vars = Trace.vars tr in
+      if not (Packed.fits ~threads ~locks ~vars) then
+        invalid_arg "Runner.run: id domains exceed the packed limit";
+      let arena = Packed.Arena.create () in
+      Trace.iter (fun e -> Packed.Arena.push arena (Packed.of_event e)) tr;
+      let last_use =
+        if reclaim && sched = None then Some (Lifetime.of_trace tr) else None
+      in
+      run_source ?timeout ?heartbeat ~reclaim ~prefilter:Off ~shards ?flight
+        checker sched
+        {
+          file = None;
+          threads;
+          locks;
+          vars;
+          events = Trace.length tr;
+          last_use;
+          stats = None;
+          words = Arena arena;
+        })
+
+(* Accessor statistics for a binary file: the v3 footer is one seek away;
+   an explicit [Exact] request on a v1/v2 file (no statistics footer) is
+   honored with a packed pre-scan — a full decode pass, so [Auto] runs
+   unfiltered there instead. *)
+let binary_stats ~prefilter (h : Binfmt.header) path =
+  match prefilter with
+  | Off -> None
+  | Exact | Auto -> (
+    match Binfmt.read_stats path with
+    | Some _ as s -> s
+    | None when prefilter = Exact ->
+      let vs = Varstats.create ~vars:h.Binfmt.vars ~locks:h.Binfmt.locks in
+      ignore
+        (Binfmt.fold_packed path ~init:() ~f:(fun () w ->
+             Varstats.note_packed vs w));
+      Some vs
+    | None -> None)
+
+(* A binary file streams from its mapping, domains from the header.  Ids
+   beyond the packed word's slices are refused up front. *)
+let run_binary ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
+    checker path =
+  let h = Binfmt.read_header path in
+  let threads = h.Binfmt.threads and locks = h.Binfmt.locks
+  and vars = h.Binfmt.vars in
+  if not (Packed.fits ~threads ~locks ~vars) then
+    raise
+      (Binfmt.Corrupt
+         (Printf.sprintf
+            "%s: id domains (%d threads, %d locks, %d vars) exceed the \
+             packed limit (%d threads, %d locks or vars)"
+            path threads locks vars (Packed.max_tid + 1)
+            (Packed.max_target + 1)));
+  let sched = sharding ?sched ~shards ~timeout ~events:h.Binfmt.events checker in
   (* v2 files carry the oracle in their footer, one seek away; chunk
      checkers run without it *)
   let last_use =
-    if reclaim && sched = None then Traces.Binfmt.read_last_use path else None
+    if reclaim && sched = None then Binfmt.read_last_use path else None
   in
-  let src =
+  run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight checker
+    sched
     {
-      path;
-      threads = header.Traces.Binfmt.threads;
-      locks = header.Traces.Binfmt.locks;
-      vars = header.Traces.Binfmt.vars;
-      events = header.Traces.Binfmt.events;
+      file = Some path;
+      threads;
+      locks;
+      vars;
+      events = h.Binfmt.events;
       last_use;
-      stats = binary_stats ~prefilter path;
+      stats = binary_stats ~prefilter h path;
       words = Mapped path;
     }
-  in
-  match sched with
-  | Some sched ->
-    run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight checker src
-  | None -> run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker src
 
 (* A text file is scanned once into an arena — the last-use index, and
    the accessor statistics when filtering, come with it — and then runs
    like a binary one.  The clock starts before the scan, whose
    checkpoints also honor the deadline. *)
-let run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
-    ?sched ?flight (module C : Aerodrome.Checker.S) path =
+let run_text ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
+    (module C : Aerodrome.Checker.S) path =
   let started = Unix.gettimeofday () in
   let checkpoint =
     Option.map
       (fun budget () -> if Unix.gettimeofday () > started +. budget then raise Exit)
       timeout
   in
-  let stats = match prefilter with Exact | Auto -> true | Off | Online -> false in
+  let stats = prefilter <> Off in
   match Traces.Parser.read_packed ~stats ?checkpoint path with
   | exception Exit ->
     (* timed out mid-scan: no event reached a checker.  One is still
@@ -729,61 +576,29 @@ let run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
         })
   | p ->
     let arena = p.Traces.Parser.arena and sy = p.Traces.Parser.symbols in
-    let threads = Array.length sy.Trace.Symbols.threads
-    and locks = Array.length sy.Trace.Symbols.locks
-    and vars = Array.length sy.Trace.Symbols.vars in
-    let last_use = if reclaim then Some p.Traces.Parser.lifetime else None in
     let events = Packed.Arena.length arena in
-    if packed && prefilter <> Online then
-      let src =
-        {
-          path;
-          threads;
-          locks;
-          vars;
-          events;
-          last_use;
-          stats = p.Traces.Parser.stats;
-          words = Arena arena;
-        }
-      in
-      match sharding ?sched ~shards ~timeout ~events (module C) with
-      | Some sched ->
-        run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight
-          ~started (module C) src
-      | None ->
-        run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ~started
-          (module C) src
-    else
-      let cursor = Packed.Cursor.of_arena arena in
-      let rec boxed () =
-        let w = Packed.Cursor.next cursor in
-        if w < 0 then Seq.Nil else Seq.Cons (Packed.to_event w, boxed)
-      in
-      let r =
-        run_seq ?timeout ?heartbeat ~total:events ~reclaim ?last_use ~prefilter
-          ?stats:p.Traces.Parser.stats ?flight ~source:path ~started
-          (module C) ~threads ~locks ~vars boxed
-      in
+    run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight ~started
+      (module C)
+      (sharding ?sched ~shards ~timeout ~events (module C))
       {
-        r with
-        metrics = r.metrics @ runner_entries ?file_bytes:(file_size path) (ref (-1.0));
+        file = Some path;
+        threads = Array.length sy.Trace.Symbols.threads;
+        locks = Array.length sy.Trace.Symbols.locks;
+        vars = Array.length sy.Trace.Symbols.vars;
+        events;
+        last_use = (if reclaim then Some p.Traces.Parser.lifetime else None);
+        stats = p.Traces.Parser.stats;
+        words = Arena arena;
       }
 
 let run_stream ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
-    ?(packed = true) ?(shards = 1) ?sched ?flight checker path =
-  if Traces.Binfmt.is_binary path then begin
-    let header = Traces.Binfmt.read_header path in
-    if packed && packable ~prefilter header then
-      run_binary_packed ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched
-        ?flight checker path header
-    else
-      run_binary_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker
-        path
-  end
+    ?(shards = 1) ?sched ?flight checker path =
+  if Binfmt.is_binary path then
+    run_binary ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
+      checker path
   else
-    run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ~packed ~shards
-      ?sched ?flight checker path
+    run_text ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
+      checker path
 
 (* --- multi-file fan-out --- *)
 
@@ -792,11 +607,11 @@ type file_report = {
   report : (result, string) Stdlib.result;
 }
 
-let run_file ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
-    ?flight checker path =
+let run_file ?timeout ?heartbeat ?reclaim ?prefilter ?shards ?sched ?flight
+    checker path =
   match
-    run_stream ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
-      ?flight checker path
+    run_stream ?timeout ?heartbeat ?reclaim ?prefilter ?shards ?sched ?flight
+      checker path
   with
   | r -> Ok r
   | exception Traces.Binfmt.Corrupt msg -> Error msg
@@ -804,14 +619,14 @@ let run_file ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
     Error (Format.asprintf "%s: %a" path Traces.Parser.pp_error e)
   | exception Sys_error msg -> Error msg
 
-let run_many ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
-    ?flight checker paths =
+let run_many ?timeout ?heartbeat ?reclaim ?prefilter ?shards ?sched ?flight
+    checker paths =
   let report ?heartbeat ?sched path =
     {
       file = path;
       report =
-        run_file ?timeout ?heartbeat ?reclaim ?prefilter ?packed ?shards ?sched
-          ?flight checker path;
+        run_file ?timeout ?heartbeat ?reclaim ?prefilter ?shards ?sched ?flight
+          checker path;
     }
   in
   match sched with

@@ -76,17 +76,11 @@ type prefilter =
   | Exact
       (** {!Traces.Prefilter.Exact}: whole-trace accessor statistics — from
           the materialized trace, a v3 binary footer, a text file's
-          scanned arena, or (binary v1/v2) a dedicated pre-scan; a bare
-          event sequence with no [stats] falls back to the online mode *)
-  | Online
-      (** {!Traces.Prefilter.Online}: single-pass adaptive buffering.  Only
-          ever used on explicit request — its buffering overhead outweighs
-          the reduction on checker-rate workloads (measured at 0.74x the
-          unfiltered throughput, BENCH_2026-08-05) *)
+          scanned arena, or (binary v1/v2) a dedicated pre-scan *)
   | Auto
       (** exact when the statistics come for free (materialized trace, v3
-          binary footer, text scan), {e off} otherwise (binary
-          v1/v2 files, bare sequences) — never online *)
+          binary footer, text scan), {e off} otherwise (binary v1/v2
+          files) *)
 (** Sound trace reduction between ingestion and the checker
     ({!Traces.Prefilter}): drops thread-local, read-only, redundant and
     lock-local events.  Verdicts are preserved; violation indices refer
@@ -107,9 +101,8 @@ type prefilter =
     ([<source>.slice.bin]) that [rapid check] reproduces the violation
     on.  The bundle is validated in-process before the run returns (the
     slice is re-checked from its on-disk bytes) and the outcome lands
-    in [metrics] as [flight.*].  Recording needs the packed codec, so
-    id domains beyond {!Traces.Packed.fits} run without a recorder; a
-    bundle that cannot be written degrades to a warning on stderr.
+    in [metrics] as [flight.*].  A bundle that cannot be written
+    degrades to a warning on stderr.
     Sharded runs record per chunk (each recorder seeded with its
     boundary's open-transaction depths, and following its checker
     through the repairs it owns) and emit from the first recorder that
@@ -141,9 +134,7 @@ type prefilter =
     transactions costs a repair window, never a divergent answer.
 
     A run stays sequential whenever the exactness argument does not
-    apply: non-default checkers ([--algo slow]/[faithful]), runs with
-    a [timeout], id domains beyond {!Traces.Packed.fits}, and boxed
-    ([~packed:false]) or [Online]-filtered streams.  Sharded runs
+    apply: non-default checkers and runs with a [timeout].  Sharded runs
     report ["shard.*"] entries; scheduler-level telemetry (steals,
     injections, per-domain busy seconds) lives on the scheduler
     ({!Parallel.Deque.stats}) because its counters span every run
@@ -171,46 +162,18 @@ val run :
   ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
   ?flight:flight -> Aerodrome.Checker.t -> Traces.Trace.t -> result
 (** [timeout] in seconds; default: none.  [heartbeat] is restarted, given
-    the trace length as total, and ticked as the run progresses.  With
-    [reclaim] (the default) the last-use oracle is computed from the
-    trace before the timer starts; filtering likewise runs pre-timer,
-    and the oracle is computed on the already-filtered trace. *)
-
-val run_seq :
-  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?total:int ->
-  ?reclaim:bool -> ?last_use:Traces.Lifetime.t -> ?prefilter:prefilter ->
-  ?stats:Traces.Varstats.t -> ?flight:flight -> ?source:string ->
-  ?started:float -> Aerodrome.Checker.t ->
-  threads:int -> locks:int -> vars:int -> Traces.Event.t Seq.t -> result
-(** Streaming variant: analyze an event sequence without materializing it
-    (e.g. {!Traces.Binfmt.read_seq} of a file larger than memory).  The
-    sequence is consumed up to the violation or the timeout.  [total]
-    (when the caller knows the event count upfront) only feeds the
-    heartbeat's ETA.  [last_use] is the reclamation oracle if the caller
-    has one; without it a reclaiming run uses the inactivity heuristic.
-    [stats] likewise supplies the exact-mode prefilter oracle; without
-    it an [Exact] prefilter runs in online mode and [Auto] runs
-    unfiltered.  [source]
-    (default ["stream"]) names the input in witness bundles and labels
-    the live-exposure scope when it is a file path.  [started] (default:
-    now) is the [Unix.gettimeofday] the run's [seconds] and [timeout]
-    count from, for a caller whose ingestion should count too. *)
-
-val run_binary_file :
-  ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
-  ?prefilter:prefilter -> ?flight:flight -> Aerodrome.Checker.t -> string ->
-  result
-(** [run_seq] over a binary trace file, domains and total event count
-    from its header; a version-2/3 footer supplies the reclamation
-    oracle, a version-3 footer also the prefilter statistics ([Exact] on
-    an older file falls back to a pre-scan, [Auto] runs unfiltered).
-    @raise Traces.Binfmt.Corrupt *)
+    the trace length as total, and ticked as the run progresses.  The
+    trace is filtered, and packed into an arena, before the timer
+    starts; with [reclaim] (the default) the last-use oracle is
+    computed on the already-filtered trace, pre-timer too.  The arena
+    then runs exactly like a scanned text file.
+    @raise Invalid_argument when the trace's id domains exceed
+    {!Traces.Packed.fits}. *)
 
 val run_stream :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
-  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
-  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
-  string -> result
+  ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
+  ?flight:flight -> Aerodrome.Checker.t -> string -> result
 (** Analyze a trace file, auto-detecting the format.  Binary files
     stream in one pass (domains from the header): peak memory is the
     checker's state plus an I/O buffer, independent of the trace length.
@@ -221,22 +184,22 @@ val run_stream :
     scan, and [timeout] is checked every 4096 lines of it (a scan that
     runs out of time reports [Timed_out] with no event fed).
 
-    Both formats default to the {e packed} ingestion path: binary files
-    are memory-mapped and each record decodes into one
-    {!Traces.Packed} int word ({!Traces.Binfmt.fold_packed}), text files
-    feed their arena's words, and the checker's [feed_packed] entry
-    takes them with no per-event heap allocation; the exact-mode
-    prefilter also runs over the packed words.  The boxed [run_seq]
-    remains the reference implementation and is used with
-    [~packed:false], for an explicit [Online] prefilter (whose
-    buffering is boxed) and for binary id domains beyond
-    {!Traces.Packed.fits} (a text trace that overflows them is a
-    [Parse_error]).  Verdicts, violation indices and [events_fed] are
-    identical on every path.
+    Both formats take the {e packed} ingestion path: binary files are
+    memory-mapped and each record decodes into one {!Traces.Packed}
+    int word ({!Traces.Binfmt.fold_packed}), text files feed their
+    arena's words, and the checker's [feed_packed] entry takes them
+    with no per-event heap allocation; the exact-mode prefilter also
+    runs over the packed words.  A binary header whose id domains
+    exceed {!Traces.Packed.fits} is refused before any event is read
+    (a text trace that overflows them is a [Parse_error]).  A binary
+    v1/v2 file has no statistics footer, so [Exact] pre-scans it and
+    [Auto] runs unfiltered; a v2/v3 footer supplies the reclamation
+    oracle.
 
     With [sched] lent, [shards] selects the sharded path where
     applicable (see {e Sharded checking} above).
-    @raise Traces.Binfmt.Corrupt on a corrupt binary trace,
+    @raise Traces.Binfmt.Corrupt on a corrupt binary trace or one whose
+    id domains exceed {!Traces.Packed.fits},
     [Traces.Parser.Parse_error] on a malformed text trace. *)
 
 type file_report = {
@@ -249,18 +212,17 @@ type file_report = {
 
 val run_file :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
-  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
-  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
-  string -> (result, string) Stdlib.result
+  ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
+  ?flight:flight -> Aerodrome.Checker.t -> string ->
+  (result, string) Stdlib.result
 (** {!run_stream} with per-file error capture instead of exceptions:
     [Sys_error], {!Traces.Binfmt.Corrupt} and
     {!Traces.Parser.Parse_error} become [Error msg]. *)
 
 val run_many :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
-  ?prefilter:prefilter -> ?packed:bool -> ?shards:int ->
-  ?sched:Parallel.Deque.t -> ?flight:flight -> Aerodrome.Checker.t ->
-  string list -> file_report list
+  ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
+  ?flight:flight -> Aerodrome.Checker.t -> string list -> file_report list
 (** Check many trace files, one {!file_report} per input path {e in input
     order}.  A failing file yields its [Error] report and the remaining
     files are still checked.

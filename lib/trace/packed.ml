@@ -12,8 +12,7 @@
    ({!Cursor.next}).  With 38 target bits every packed word is
    nonnegative and the sentinel is unambiguous.  Traces whose id
    domains exceed the slice widths (2^21 threads, 2^38 variables/locks)
-   fall back to the boxed [Event.t] path; {!fits} is the guard the
-   runner consults. *)
+   cannot be checked; {!fits} is the guard the runner consults. *)
 
 let op_read = 0
 let op_write = 1

@@ -1,6 +1,6 @@
 open Ids
 
-type mode = Exact of Varstats.t | Online
+type mode = Exact of Varstats.t
 
 type counts = {
   mutable events_in : int;
@@ -9,8 +9,6 @@ type counts = {
   mutable read_only : int;
   mutable redundant : int;
   mutable lock_local : int;
-  mutable flushed : int;
-  mutable pending_hwm : int;
 }
 
 let elided c = c.thread_local + c.read_only + c.redundant + c.lock_local
@@ -38,9 +36,6 @@ let elided c = c.thread_local + c.read_only + c.redundant + c.lock_local
    per-event path. *)
 type tstate = {
   mutable depth : int;  (* open begin-markers *)
-  buf : Event.t Queue.t;  (* online: pending events, in thread order *)
-  mutable held_vars : int list;  (* vars with pending accesses in buf *)
-  mutable held_locks : int list;
   (* rule (c), current outermost transaction *)
   mutable gen : int;
   mutable sgen : int array;  (* generation at which entry x was written *)
@@ -51,10 +46,9 @@ type tstate = {
 }
 
 type t = {
-  mode : mode;
-  cap : int;
+  stats : Varstats.t;
   c : counts;
-  (* exact mode: the per-object rule-(a)/(b)/(d) verdicts, folded from
+  (* the per-object rule-(a)/(b)/(d) verdicts, folded from
      the {!Varstats} once at creation so the packed hot path pays one
      byte load instead of mask arithmetic per event.  Entries: 0 =
      retain, 1 = thread-local, 2 = read-only (variables only).  Objects
@@ -63,27 +57,15 @@ type t = {
   vclass : Bytes.t;
   lclass : Bytes.t;
   mutable threads : tstate option array;
-  (* per-variable (grown on demand); owner/holder are online-mode only *)
-  mutable vowner : int array;  (* -1 unseen, -2 shared, else sole thread *)
-  mutable vwritten : int array;
-  mutable vholder : int array;  (* thread whose buffer holds x's events *)
+  (* per-variable rule-(c) counters (grown on demand) *)
   mutable wstamp : int array;
   mutable astamp : int array;
-  (* per-lock *)
-  mutable lowner : int array;
-  mutable lholder : int array;
-  mutable lcompromised : int array;
-      (* 1 once any of the lock's ops was force-emitted: later ops are
-         emitted too, so acquire/release matching survives filtering *)
 }
 
 let new_tstate ~vars () =
   let n = max vars 16 in
   {
     depth = 0;
-    buf = Queue.create ();
-    held_vars = [];
-    held_locks = [];
     gen = 1;
     sgen = Array.make n 0;
     s_last_rw = Array.make n 0;
@@ -92,30 +74,21 @@ let new_tstate ~vars () =
     s_own = Array.make n 0;
   }
 
-let create ?(cap = 32768) mode =
-  let vars, locks =
-    match mode with Exact s -> (Varstats.vars s, Varstats.locks s) | Online -> (16, 4)
-  in
-  let vclass, lclass =
-    match mode with
-    | Online -> (Bytes.empty, Bytes.empty)
-    | Exact s ->
-      let vc = Bytes.make (Varstats.vars s) '\000' in
-      for x = 0 to Bytes.length vc - 1 do
-        if Varstats.var_single_threaded s x then Bytes.unsafe_set vc x '\001'
-        else if Varstats.var_read_only s x then Bytes.unsafe_set vc x '\002'
-      done;
-      let lc = Bytes.make (Varstats.locks s) '\000' in
-      for l = 0 to Bytes.length lc - 1 do
-        if Varstats.lock_single_threaded s l then Bytes.unsafe_set lc l '\001'
-      done;
-      (vc, lc)
-  in
+let create (Exact s) =
+  let vc = Bytes.make (Varstats.vars s) '\000' in
+  for x = 0 to Bytes.length vc - 1 do
+    if Varstats.var_single_threaded s x then Bytes.unsafe_set vc x '\001'
+    else if Varstats.var_read_only s x then Bytes.unsafe_set vc x '\002'
+  done;
+  let lc = Bytes.make (Varstats.locks s) '\000' in
+  for l = 0 to Bytes.length lc - 1 do
+    if Varstats.lock_single_threaded s l then Bytes.unsafe_set lc l '\001'
+  done;
+  let vars = max (Varstats.vars s) 1 in
   {
-    mode;
-    cap = max cap 1;
-    vclass;
-    lclass;
+    stats = s;
+    vclass = vc;
+    lclass = lc;
     c =
       {
         events_in = 0;
@@ -124,18 +97,10 @@ let create ?(cap = 32768) mode =
         read_only = 0;
         redundant = 0;
         lock_local = 0;
-        flushed = 0;
-        pending_hwm = 0;
       };
     threads = Array.make 8 None;
-    vowner = Array.make (max vars 1) (-1);
-    vwritten = Array.make (max vars 1) 0;
-    vholder = Array.make (max vars 1) (-1);
-    wstamp = Array.make (max vars 1) 0;
-    astamp = Array.make (max vars 1) 0;
-    lowner = Array.make (max locks 1) (-1);
-    lholder = Array.make (max locks 1) (-1);
-    lcompromised = Array.make (max locks 1) 0;
+    wstamp = Array.make vars 0;
+    astamp = Array.make vars 0;
   }
 
 let counts t = t.c
@@ -150,19 +115,9 @@ let grow a n fill =
   end
 
 let ensure_var t x =
-  if x >= Array.length t.vowner then begin
-    t.vowner <- grow t.vowner (x + 1) (-1);
-    t.vwritten <- grow t.vwritten (x + 1) 0;
-    t.vholder <- grow t.vholder (x + 1) (-1);
+  if x >= Array.length t.wstamp then begin
     t.wstamp <- grow t.wstamp (x + 1) 0;
     t.astamp <- grow t.astamp (x + 1) 0
-  end
-
-let ensure_lock t l =
-  if l >= Array.length t.lowner then begin
-    t.lowner <- grow t.lowner (l + 1) (-1);
-    t.lholder <- grow t.lholder (l + 1) (-1);
-    t.lcompromised <- grow t.lcompromised (l + 1) 0
   end
 
 let tstate t tid =
@@ -174,7 +129,7 @@ let tstate t tid =
   match t.threads.(tid) with
   | Some ts -> ts
   | None ->
-    let ts = new_tstate ~vars:(Array.length t.vowner) () in
+    let ts = new_tstate ~vars:(Array.length t.wstamp) () in
     t.threads.(tid) <- Some ts;
     ts
 
@@ -238,7 +193,9 @@ let retained_decision t ts x ~w =
 let retained_access t ts x ~w e emit =
   if retained_decision t ts x ~w then keep t e emit
 
-let feed_exact t s (e : Event.t) emit =
+let feed t (e : Event.t) emit =
+  t.c.events_in <- t.c.events_in + 1;
+  let s = t.stats in
   let ts () = tstate t (Tid.to_int e.thread) in
   match e.op with
   | Event.Read x ->
@@ -273,133 +230,11 @@ let feed_exact t s (e : Event.t) emit =
     if ts.depth = 0 then ts.gen <- ts.gen + 1;
     keep t e emit
 
-(* Online mode.  Pending (buffered) events are not counted in
-   wstamp/astamp until the moment they are flushed; while a variable or
-   lock still qualifies, all its events sit in its sole owner's buffer,
-   so no rule-(c) decision ever runs against a variable with uncounted
-   pending events. *)
-
-let flush_thread t h emit =
-  if h < Array.length t.threads then
-    match t.threads.(h) with
-    | None -> ()
-    | Some ts ->
-      let n = Queue.length ts.buf in
-      if n > 0 then begin
-        t.c.flushed <- t.c.flushed + n;
-        while not (Queue.is_empty ts.buf) do
-          let e = Queue.pop ts.buf in
-          (match e.Event.op with
-          | Event.Read x ->
-            let x = Vid.to_int x in
-            t.astamp.(x) <- t.astamp.(x) + 1
-          | Event.Write x ->
-            let x = Vid.to_int x in
-            t.astamp.(x) <- t.astamp.(x) + 1;
-            t.wstamp.(x) <- t.wstamp.(x) + 1
-          | Event.Acquire _ | Event.Release _ -> ()
-          | _ -> assert false);
-          keep t e emit
-        done;
-        List.iter (fun x -> if t.vholder.(x) = h then t.vholder.(x) <- -1) ts.held_vars;
-        List.iter
-          (fun l ->
-            if t.lholder.(l) = h then begin
-              t.lholder.(l) <- -1;
-              t.lcompromised.(l) <- 1
-            end)
-          ts.held_locks;
-        ts.held_vars <- [];
-        ts.held_locks <- []
-      end
-
-let push_pending t ts tid e emit =
-  Queue.add e ts.buf;
-  let n = Queue.length ts.buf in
-  if n > t.c.pending_hwm then t.c.pending_hwm <- n;
-  if n >= t.cap then flush_thread t tid emit
-
-let feed_online t (e : Event.t) emit =
-  let tid = Tid.to_int e.thread in
-  let ts = tstate t tid in
-  match e.op with
-  | Event.Read x | Event.Write x ->
-    let w = match e.op with Event.Write _ -> true | _ -> false in
-    let x = Vid.to_int x in
-    ensure_var t x;
-    let owner = t.vowner.(x) in
-    if owner = -1 || owner = tid then begin
-      (* still single-owner: defer the verdict on this event *)
-      t.vowner.(x) <- tid;
-      if w then t.vwritten.(x) <- 1;
-      if t.vholder.(x) <> tid then begin
-        t.vholder.(x) <- tid;
-        ts.held_vars <- x :: ts.held_vars
-      end;
-      push_pending t ts tid e emit
-    end
-    else begin
-      (* the pending events this one conflicts with must reach the
-         checker first, in their original order *)
-      if owner >= 0 then begin
-        if (w || t.vwritten.(x) = 1) && t.vholder.(x) >= 0 then
-          flush_thread t t.vholder.(x) emit;
-        t.vowner.(x) <- -2
-      end
-      else if w && t.vwritten.(x) = 0 && t.vholder.(x) >= 0 then
-        flush_thread t t.vholder.(x) emit;
-      if w then t.vwritten.(x) <- 1;
-      retained_access t ts x ~w e emit
-    end
-  | Event.Acquire l | Event.Release l ->
-    let l = Lid.to_int l in
-    ensure_lock t l;
-    let owner = t.lowner.(l) in
-    if (owner = -1 || owner = tid) && t.lcompromised.(l) = 0 then begin
-      t.lowner.(l) <- tid;
-      if t.lholder.(l) <> tid then begin
-        t.lholder.(l) <- tid;
-        ts.held_locks <- l :: ts.held_locks
-      end;
-      push_pending t ts tid e emit
-    end
-    else begin
-      if owner >= 0 && owner <> tid then begin
-        if t.lholder.(l) >= 0 then flush_thread t t.lholder.(l) emit;
-        t.lowner.(l) <- -2
-      end;
-      keep t e emit
-    end
-  | Event.Fork _ -> keep t e emit
-  | Event.Join u ->
-    (* if the child's pending events are ever emitted, it must be
-       before this join *)
-    flush_thread t (Tid.to_int u) emit;
-    keep t e emit
-  | Event.Begin ->
-    (* pending events belong to the closing unary stretch: emitting
-       them later, inside the new block, would reattribute them *)
-    if ts.depth = 0 then flush_thread t tid emit;
-    ts.depth <- ts.depth + 1;
-    keep t e emit
-  | Event.End ->
-    ts.depth <- max 0 (ts.depth - 1);
-    if ts.depth = 0 then begin
-      flush_thread t tid emit;
-      ts.gen <- ts.gen + 1
-    end;
-    keep t e emit
-
-let feed t e emit =
-  t.c.events_in <- t.c.events_in + 1;
-  match t.mode with
-  | Exact s -> feed_exact t s e emit
-  | Online -> feed_online t e emit
-
-(* Exact-mode decisions over packed words: rules (a)/(b)/(d) read only
-   the opcode and the target id, rule (c) shares [retained_decision], so
+(* The same decisions over packed words: rules (a)/(b)/(d) read only the
+   opcode and the target id, rule (c) shares [retained_decision], so
    elided events are never materialized as [Event.t]. *)
-let feed_exact_packed t w emit =
+let feed_packed t w emit =
+  t.c.events_in <- t.c.events_in + 1;
   let op = Packed.opcode w in
   if op <= Packed.op_write then begin
     let x = Packed.target w in
@@ -442,17 +277,9 @@ let feed_exact_packed t w emit =
     emit w
   end
 
-let feed_packed t w emit =
-  t.c.events_in <- t.c.events_in + 1;
-  match t.mode with
-  | Exact _ -> feed_exact_packed t w emit
-  | Online ->
-    (* online buffering is inherently boxed (per-thread event queues);
-       the runner only routes packed streams here when the user forced
-       online mode explicitly *)
-    feed_online t (Packed.to_event w) (fun e -> emit (Packed.of_event e))
-
-let publish t =
+(* The filter buffers nothing: the end of the stream only publishes the
+   counters. *)
+let finish t _emit =
   if Obs.on () && Obs.Scope.active () then begin
     let reg = Obs.Registry.create () in
     let add name v = Obs.Counter.add (Obs.Registry.counter reg name) v in
@@ -462,74 +289,13 @@ let publish t =
     add "prefilter.elided.read_only" t.c.read_only;
     add "prefilter.elided.redundant" t.c.redundant;
     add "prefilter.elided.lock_local" t.c.lock_local;
-    (match t.mode with
-    | Online ->
-      add "prefilter.online.flushed" t.c.flushed;
-      add "prefilter.online.pending_hwm" t.c.pending_hwm
-    | Exact _ -> ());
     Obs.Scope.attach reg
   end
 
-let finish t _emit =
-  (match t.mode with
-  | Exact _ -> ()
-  | Online ->
-    (* everything still pending is on an object that stayed
-       single-owner (or read-only) through end of trace: droppable *)
-    Array.iter
-      (function
-        | None -> ()
-        | Some ts ->
-          Queue.iter
-            (fun (e : Event.t) ->
-              match e.op with
-              | Event.Read x ->
-                if t.vwritten.(Vid.to_int x) = 1 then
-                  t.c.thread_local <- t.c.thread_local + 1
-                else t.c.read_only <- t.c.read_only + 1
-              | Event.Write _ -> t.c.thread_local <- t.c.thread_local + 1
-              | Event.Acquire _ | Event.Release _ ->
-                t.c.lock_local <- t.c.lock_local + 1
-              | _ -> assert false)
-            ts.buf;
-          Queue.clear ts.buf;
-          ts.held_vars <- [];
-          ts.held_locks <- [])
-      t.threads);
-  publish t
+let finish_packed = finish
 
-let finish_packed t emit =
-  finish t (fun e -> emit (Packed.of_event e))
-
-let filter_seq t src =
-  let q = Queue.create () in
-  let push e = Queue.add e q in
-  let src = ref src in
-  let finished = ref false in
-  let rec pull () =
-    match Queue.take_opt q with
-    | Some e -> Seq.Cons (e, pull)
-    | None ->
-      if !finished then Seq.Nil
-      else begin
-        match !src () with
-        | Seq.Nil ->
-          finished := true;
-          finish t push;
-          pull ()
-        | Seq.Cons (e, rest) ->
-          src := rest;
-          feed t e push;
-          pull ()
-      end
-  in
-  pull
-
-let run_trace mode tr =
-  let m =
-    match mode with `Exact -> Exact (Varstats.of_trace tr) | `Online -> Online
-  in
-  let t = create m in
+let run_trace `Exact tr =
+  let t = create (Exact (Varstats.of_trace tr)) in
   let b = Trace.Builder.create ~capacity:(Trace.length tr) () in
   let emit e = Trace.Builder.add b e in
   Trace.iter (fun e -> feed t e emit) tr;

@@ -161,7 +161,7 @@ let test_runner_streaming () =
   tmp (fun path ->
       Binfmt.write_file path tr;
       let streamed =
-        Analysis.Runner.run_binary_file (module Aerodrome.Opt) path
+        Analysis.Runner.run_stream (module Aerodrome.Opt) path
       in
       let materialized = Analysis.Runner.run (module Aerodrome.Opt) tr in
       check Alcotest.bool "both violating" true

@@ -162,20 +162,38 @@ let test_unary_write_not_stale () =
   check Alcotest.bool "eager for unary" false
     (Aerodrome.Opt.write_is_stale st 0)
 
-let test_run_seq_timeout () =
-  (* run_seq with an exhausted budget times out mid-stream *)
-  let slow =
-    Seq.concat_map
-      (fun e ->
-        ignore (Unix.select [] [] [] 0.0005);
-        Seq.return e)
-      (Seq.cycle (Trace.to_seq Workloads.Scenarios.rho1))
+(* Opt, 5 microseconds slower per event: the first 4096-event deadline
+   checkpoint lands well past a 10 ms budget *)
+module Slow_opt = struct
+  include Aerodrome.Opt
+
+  let feed_packed st w =
+    let until = Unix.gettimeofday () +. 5e-6 in
+    while Unix.gettimeofday () < until do
+      ()
+    done;
+    Aerodrome.Opt.feed_packed st w
+end
+
+let test_mmap_timeout () =
+  (* the deadline branch of the packed feed loop over a mapped binary
+     file: the run stops mid-stream *)
+  let tr =
+    Workloads.Generator.generate
+      { Workloads.Generator.default with events = 20_000 }
   in
-  let r =
-    Analysis.Runner.run_seq ~timeout:0.02 (module Aerodrome.Opt) ~threads:3
-      ~locks:0 ~vars:3 slow
-  in
-  check Alcotest.bool "timed out" true (r.outcome = Analysis.Runner.Timed_out)
+  let path = Filename.temp_file "aerodrome_timeout" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Binfmt.write_file path tr;
+      let r =
+        Analysis.Runner.run_stream ~timeout:0.01 (module Slow_opt) path
+      in
+      check Alcotest.bool "timed out" true
+        (r.outcome = Analysis.Runner.Timed_out);
+      check Alcotest.bool "stopped mid-stream" true
+        (0 < r.events_fed && r.events_fed < Trace.length tr))
 
 let test_fork_into_running_checker () =
   (* forks of threads that then perform no events must not break clocks *)
@@ -200,6 +218,6 @@ let suite =
       Alcotest.test_case "opt gc skips materialization" `Quick
         test_opt_gc_skips_materialization;
       Alcotest.test_case "unary writes eager" `Quick test_unary_write_not_stale;
-      Alcotest.test_case "run_seq timeout" `Quick test_run_seq_timeout;
+      Alcotest.test_case "mmap timeout" `Quick test_mmap_timeout;
       Alcotest.test_case "fork then nothing" `Quick test_fork_into_running_checker;
     ] )

@@ -171,7 +171,7 @@ let test_witness_differential () =
                 (* independent differential: re-run the on-disk slice
                    through the file-checking path and pin the report *)
                 let slice = Filename.concat dir "trace.slice.bin" in
-                let rr = Analysis.Runner.run_binary_file aerodrome slice in
+                let rr = Analysis.Runner.run_stream aerodrome slice in
                 (match rr.Analysis.Runner.outcome with
                 | Analysis.Runner.Verdict (Some rv) ->
                   check Alcotest.int (name ^ ": replay index") expect_at
@@ -247,7 +247,7 @@ let test_witness_skipped_chunk () =
         let json = read "trace.witness.json" in
         let slice = read "trace.slice.bin" in
         let rr =
-          Analysis.Runner.run_binary_file aerodrome
+          Analysis.Runner.run_stream aerodrome
             (Filename.concat dir "trace.slice.bin")
         in
         (json, slice, rr.Analysis.Runner.outcome))

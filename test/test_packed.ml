@@ -201,11 +201,71 @@ let test_run_arena_matches_run () =
         Workloads.Scenarios.all)
     Helpers.online_checkers
 
+(* [Runner.run_stream] against the boxed oracles.  [tr] is written as a
+   v1 binary, a v3 binary and a .std text file; each is checked under
+   each of [prefilters] and must report what [Checker.run] of Opt and of
+   the seed's Reference_opt report on [Binfmt.read_file] of the trace —
+   after [Prefilter.run_trace `Exact] on the legs that filter — with the
+   same verdict, violation index and [events_fed].  [Auto] filters
+   wherever statistics come for free: not on a v1 file. *)
+let check_stream_against_oracles label prefilters tr =
+  let with_file suffix write body =
+    let path = Filename.temp_file "aerodrome_oracle" suffix in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        write path tr;
+        body path)
+  in
+  with_file ".bin" (Binfmt.write_file ~last_use:false) @@ fun v1 ->
+  with_file ".bin" Binfmt.write_file @@ fun v3 ->
+  with_file ".std" Parser.to_file @@ fun std ->
+  let read = Binfmt.read_file v3 in
+  let oracle filtered =
+    let tr = if filtered then fst (Prefilter.run_trace `Exact read) else read in
+    ( Helpers.violation_index (module Aerodrome.Opt) tr,
+      Helpers.violation_index (module Reference.Reference_opt) tr,
+      Trace.length tr )
+  in
+  let unfiltered = oracle false and filtered = oracle true in
+  List.iter
+    (fun (format, path, has_stats) ->
+      List.iter
+        (fun (pfname, pf) ->
+          let where = Printf.sprintf "%s/%s/%s" label format pfname in
+          let r =
+            Analysis.Runner.run_stream ~prefilter:pf (module Aerodrome.Opt)
+              path
+          in
+          let index =
+            match r.Analysis.Runner.outcome with
+            | Analysis.Runner.Verdict v ->
+              Option.map (fun v -> v.Aerodrome.Violation.index) v
+            | Analysis.Runner.Timed_out -> Alcotest.failf "%s: timed out" where
+          in
+          let opt, reference, fed =
+            match pf with
+            | Analysis.Runner.Off -> unfiltered
+            | Analysis.Runner.Exact -> filtered
+            | Analysis.Runner.Auto -> if has_stats then filtered else unfiltered
+          in
+          Alcotest.(check (option int)) (where ^ ": Opt's index") opt index;
+          Alcotest.(check (option int))
+            (where ^ ": Reference_opt's index")
+            reference index;
+          Alcotest.(check int) (where ^ ": events_fed") fed
+            r.Analysis.Runner.events_fed)
+        prefilters)
+    [ ("v1", v1, false); ("v3", v3, true); ("std", std, true) ]
+
 let test_runner_packed_differential () =
-  (* end to end through the runner: the packed mmap path and the boxed
-     reference must agree on verdict, violation index and events_fed,
-     with the prefilter off and with the automatic exact filter *)
-  let traces =
+  (* end to end through the runner, against the boxed oracles, with the
+     prefilter off and with the automatic exact filter *)
+  List.iter
+    (fun (tname, tr) ->
+      check_stream_against_oracles tname
+        [ ("off", Analysis.Runner.Off); ("auto", Analysis.Runner.Auto) ]
+        tr)
     [
       ( "violating",
         Workloads.Generator.generate
@@ -220,35 +280,6 @@ let test_runner_packed_differential () =
           { Workloads.Generator.default with events = 30_000; vars = 1_500 }
       );
     ]
-  in
-  List.iter
-    (fun (tname, tr) ->
-      tmp (fun path ->
-          Binfmt.write_file path tr;
-          List.iter
-            (fun (pfname, pf) ->
-              let run packed =
-                Analysis.Runner.run_stream ~packed ~prefilter:pf
-                  (module Aerodrome.Opt) path
-              in
-              let b = run false and p = run true in
-              (match (b.Analysis.Runner.outcome, p.Analysis.Runner.outcome)
-               with
-              | Analysis.Runner.Verdict x, Analysis.Runner.Verdict y
-                when Option.map (fun v -> v.Aerodrome.Violation.index) x
-                     = Option.map (fun v -> v.Aerodrome.Violation.index) y
-                ->
-                ()
-              | _ ->
-                Alcotest.failf "%s/%s: packed verdict diverged" tname
-                  pfname);
-              check Alcotest.int
-                (Printf.sprintf "%s/%s events_fed" tname pfname)
-                b.Analysis.Runner.events_fed p.Analysis.Runner.events_fed)
-            [
-              ("off", Analysis.Runner.Off); ("auto", Analysis.Runner.Auto);
-            ]))
-    traces
 
 (* --- hostile binary inputs --- *)
 
@@ -364,6 +395,32 @@ let test_hostile_inputs () =
               ignore (Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1)))))
     hostile_cases
 
+(* A well-formed header whose declared thread domain is one past what a
+   packed word holds, and no event: no reader rejects it, but the runner
+   must refuse it with a message naming the file and the limit, rather
+   than fall back to another path. *)
+let test_oversized_domains () =
+  tmp (fun path ->
+      write_raw path
+        (crafted ~threads:(Packed.max_tid + 2) ~locks:0 ~vars:0 ~events:0
+           (fun _ -> ()));
+      match Analysis.Runner.run_file (module Aerodrome.Opt) path with
+      | Ok _ -> Alcotest.fail "oversized domains were checked"
+      | Error msg ->
+        check Alcotest.bool "message names the file" true
+          (Helpers.contains msg path);
+        check Alcotest.bool "message names the packed limit" true
+          (Helpers.contains msg
+             (Printf.sprintf "packed limit (%d threads" (Packed.max_tid + 1))))
+
+(* [run] packs a materialized trace, so a thread id past the packed
+   slice is refused before any checker runs. *)
+let test_run_refuses_oversized_trace () =
+  let tr = Trace.of_events [ Event.begin_ (Packed.max_tid + 1) ] in
+  match Analysis.Runner.run (module Aerodrome.Opt) tr with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an unpackable trace was checked"
+
 let test_packed_range_gate () =
   (* a v1 file with a thread id beyond the 21-bit packed slice: the
      boxed reader accepts it, the packed reader must refuse rather than
@@ -396,5 +453,8 @@ let suite =
       Alcotest.test_case "runner packed differential" `Quick
         test_runner_packed_differential;
       Alcotest.test_case "hostile inputs" `Quick test_hostile_inputs;
+      Alcotest.test_case "oversized domains" `Quick test_oversized_domains;
+      Alcotest.test_case "run refuses oversized traces" `Quick
+        test_run_refuses_oversized_trace;
       Alcotest.test_case "packed range gate" `Quick test_packed_range_gate;
     ] )

@@ -243,11 +243,11 @@ let test_lone_file_on_calling_domain () =
       Alcotest.(check int) "only the file tasks injected" 2
         pair_stats.Parallel.Deque.injected)
 
-(* Sharding needs a packed binary stream: boxed ingestion, an online
-   prefilter and text input all stay on the sequential path even with a
-   forced chunk count on a lent scheduler, submit no chunk task, and
+(* Sharding is exact only for the default checker without a deadline:
+   another checker and a timed run stay on the sequential path even with
+   a forced chunk count on a lent scheduler, submit no chunk task, and
    report what the plain run reports. *)
-let test_unpackable_runs_stay_sequential () =
+let test_unshardable_runs_stay_sequential () =
   let dir = corpus_dir () in
   let bin = Filename.concat dir "seq.bin" in
   let txt = Filename.concat dir "seq.std" in
@@ -270,14 +270,11 @@ let test_unpackable_runs_stay_sequential () =
       let report path r = normalized_report { Analysis.Runner.file = path; report = r } in
       (* the same run sequentially and on a lent scheduler with a forced
          3-chunk plan: the report, and the chunk tasks the scheduler ran *)
-      let lent_run (label, path, packed, prefilter) =
-        let sequential =
-          Analysis.Runner.run_file ?packed ?prefilter checker path
-        in
+      let lent_run (label, path, checker, timeout) =
+        let sequential = Analysis.Runner.run_file ?timeout checker path in
         let sched = Parallel.Deque.create 2 in
         let lent =
-          Analysis.Runner.run_file ?packed ?prefilter ~shards:3 ~sched checker
-            path
+          Analysis.Runner.run_file ?timeout ~shards:3 ~sched checker path
         in
         Parallel.Deque.shutdown sched;
         Alcotest.(check string) (label ^ ": sequential report")
@@ -290,13 +287,13 @@ let test_unpackable_runs_stay_sequential () =
         (fun ((label, _, _, _) as row) ->
           Alcotest.(check int) (label ^ ": no chunk task") 0 (lent_run row))
         [
-          ("boxed", bin, Some false, None);
-          ("online prefilter", bin, None, Some Analysis.Runner.Online);
+          ("aerodrome-basic", bin, (module Aerodrome.Basic : Aerodrome.Checker.S), None);
+          ("timed", bin, checker, Some 60.0);
         ];
       (* a text trace is scanned into a packed arena, so it shards like a
          binary one *)
       Alcotest.(check bool) "text: chunk tasks submitted" true
-        (lent_run ("text", txt, None, None) > 0))
+        (lent_run ("text", txt, checker, None) > 0))
 
 let suite =
   ( "parallel",
@@ -310,6 +307,6 @@ let suite =
         test_run_many_sequential;
       Alcotest.test_case "run_many: lone file stays on the calling domain"
         `Quick test_lone_file_on_calling_domain;
-      Alcotest.test_case "run_many: unpackable runs stay sequential" `Quick
-        test_unpackable_runs_stay_sequential;
+      Alcotest.test_case "run_many: unshardable runs stay sequential" `Quick
+        test_unshardable_runs_stay_sequential;
     ] )

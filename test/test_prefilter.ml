@@ -1,10 +1,8 @@
 (* The prefilter must be invisible to the checkers: on every trace the
    reduced stream has a conflict-serializability violation iff the
-   original does — for all three AeroDrome algorithms, in both filter
-   modes, composed with reclamation and file ingestion.  Structural
-   properties: filtering is idempotent, preserves well-formedness, and
-   never grows a trace; the online mode is at least as conservative as
-   the exact one (it keeps a superset of the events). *)
+   original does — for all three AeroDrome algorithms, composed with
+   reclamation and file ingestion.  Structural properties: filtering is
+   idempotent, preserves well-formedness, and never grows a trace. *)
 
 open Traces
 
@@ -26,19 +24,13 @@ let checkers : (string * Aerodrome.Checker.t) list =
   ]
 
 let corpus ?(traces = 170) () =
-  (* 170 traces x 3 checkers = 510 differential instances per mode pair *)
+  (* 170 traces x 3 checkers = 510 differential instances *)
   Workloads.Corpus.generate ~traces ~events_total:120_000 ()
 
 (* --- structural properties --- *)
 
-(* Exact mode is a pure per-event function of whole-trace statistics plus
-   retained-only counters, so a second pass changes nothing.  Online mode
-   is deliberately not idempotent: its flush unit is the per-thread
-   buffer, so an event on a still-qualifying variable is emitted unchecked
-   whenever a disqualified variable shares its buffer — a second pass may
-   elide it.  Each pass is independently sound (see test_differential), so
-   what must hold is that re-filtering only shrinks the trace and keeps
-   the verdict. *)
+(* The filter is a pure per-event function of whole-trace statistics
+   plus retained-only counters, so a second pass changes nothing. *)
 let test_idempotent () =
   List.iter
     (fun (name, tr) ->
@@ -52,87 +44,49 @@ let test_idempotent () =
         (Prefilter.elided c2))
     (corpus ~traces:60 ())
 
-let test_online_refilter_sound () =
-  List.iter
-    (fun (name, tr) ->
-      let once, c1 = Prefilter.run_trace `Online tr in
-      let twice, c2 = Prefilter.run_trace `Online once in
-      check Alcotest.bool
-        (name ^ ": online re-filter only shrinks")
-        true
-        (c2.Prefilter.kept <= c1.Prefilter.kept);
-      check Alcotest.bool
-        (name ^ ": online re-filter keeps verdict")
-        (violating_opt tr) (violating_opt twice))
-    (corpus ~traces:40 ())
-
 let test_wellformed_preserved () =
   List.iter
-    (fun mode ->
-      List.iter
-        (fun (name, tr) ->
-          let reduced, _ = Prefilter.run_trace mode tr in
-          check Alcotest.bool
-            (name ^ ": reduced trace well-formed")
-            true
-            (Wellformed.is_wellformed reduced))
-        (corpus ~traces:60 ()))
-    [ `Exact; `Online ]
+    (fun (name, tr) ->
+      let reduced, _ = Prefilter.run_trace `Exact tr in
+      check Alcotest.bool
+        (name ^ ": reduced trace well-formed")
+        true
+        (Wellformed.is_wellformed reduced))
+    (corpus ~traces:60 ())
 
 let test_counts_consistent () =
   List.iter
     (fun (name, tr) ->
-      List.iter
-        (fun mode ->
-          let reduced, c = Prefilter.run_trace mode tr in
-          check Alcotest.int
-            (name ^ ": events_in is the trace length")
-            (Trace.length tr) c.Prefilter.events_in;
-          check Alcotest.int
-            (name ^ ": kept is the reduced length")
-            (Trace.length reduced) c.Prefilter.kept;
-          check Alcotest.int
-            (name ^ ": kept + elided = events_in")
-            c.Prefilter.events_in
-            (c.Prefilter.kept + Prefilter.elided c))
-        [ `Exact; `Online ])
+      let reduced, c = Prefilter.run_trace `Exact tr in
+      check Alcotest.int
+        (name ^ ": events_in is the trace length")
+        (Trace.length tr) c.Prefilter.events_in;
+      check Alcotest.int
+        (name ^ ": kept is the reduced length")
+        (Trace.length reduced) c.Prefilter.kept;
+      check Alcotest.int
+        (name ^ ": kept + elided = events_in")
+        c.Prefilter.events_in
+        (c.Prefilter.kept + Prefilter.elided c))
     (corpus ~traces:40 ())
 
-let test_online_keeps_superset () =
-  (* the single-pass mode can only drop events the exact mode also drops:
-     every event it emits, the exact filter of the same trace either also
-     emits or classifies under a rule the online mode applies lazily;
-     cheap proxy — the online reduction never beats the exact one *)
-  List.iter
-    (fun (name, tr) ->
-      let _, ce = Prefilter.run_trace `Exact tr in
-      let _, co = Prefilter.run_trace `Online tr in
-      check Alcotest.bool
-        (name ^ ": online keeps at least as many events")
-        true
-        (co.Prefilter.kept >= ce.Prefilter.kept))
-    (corpus ~traces:40 ())
-
-(* --- verdict preservation: >= 500 instances per mode --- *)
+(* --- verdict preservation: >= 500 instances --- *)
 
 let test_differential () =
   List.iter
     (fun (tname, tr) ->
       let exact, _ = Prefilter.run_trace `Exact tr in
-      let online, _ = Prefilter.run_trace `Online tr in
       List.iter
         (fun (cname, checker) ->
           let where = tname ^ "/" ^ cname in
           let v = Aerodrome.Checker.run checker tr <> None in
           check Alcotest.bool (where ^ ": exact verdict") v
-            (Aerodrome.Checker.run checker exact <> None);
-          check Alcotest.bool (where ^ ": online verdict") v
-            (Aerodrome.Checker.run checker online <> None))
+            (Aerodrome.Checker.run checker exact <> None))
         checkers)
     (corpus ())
 
 (* the mixed bench workload: well-formed, substantially reducible, and
-   verdict-preserving under both modes *)
+   verdict-preserving *)
 let test_mixed_workload () =
   let tr = Workloads.Corpus.mixed ~events_total:60_000 () in
   check Alcotest.bool "mixed trace well-formed" true
@@ -165,17 +119,15 @@ let test_runner_composition () =
   List.iter
     (fun (tname, tr) ->
       let base = violating_opt tr in
-      (* materialized runs *)
-      List.iter
-        (fun (mname, pf) ->
-          let r =
-            Analysis.Runner.run ~prefilter:pf (module Aerodrome.Opt) tr
-          in
-          check Alcotest.bool
-            (tname ^ "/run " ^ mname ^ ": verdict")
-            base
-            (Analysis.Runner.violating r))
-        [ ("exact", Analysis.Runner.Exact); ("online", Analysis.Runner.Online) ];
+      (* materialized run *)
+      let r =
+        Analysis.Runner.run ~prefilter:Analysis.Runner.Exact
+          (module Aerodrome.Opt) tr
+      in
+      check Alcotest.bool
+        (tname ^ "/run exact: verdict")
+        base
+        (Analysis.Runner.violating r);
       (* file-based runs: text and binary (v3 footer), reclaim on and
          off *)
       let stream_cases path =
@@ -193,7 +145,7 @@ let test_runner_composition () =
           [
             (true, Analysis.Runner.Auto, "reclaim+auto");
             (false, Analysis.Runner.Auto, "noreclaim+auto");
-            (true, Analysis.Runner.Online, "reclaim+online");
+            (true, Analysis.Runner.Exact, "reclaim+exact");
             (false, Analysis.Runner.Exact, "noreclaim+exact");
           ]
       in
@@ -203,30 +155,27 @@ let test_runner_composition () =
       tmp ".bin" (fun path ->
           Binfmt.write_file path tr;
           stream_cases path);
-      (* v1 binary: no footer — Auto runs unfiltered, Exact pre-scans *)
+      (* v1 binary: no footer — Auto runs unfiltered, Exact pre-scans
+         and feeds what the materialized exact run feeds *)
       tmp ".bin" (fun path ->
           Binfmt.write_file ~last_use:false path tr;
           List.iter
-            (fun packed ->
-              List.iter
-                (fun pf ->
-                  let r =
-                    Analysis.Runner.run_stream ~packed ~prefilter:pf
-                      (module Aerodrome.Opt) path
-                  in
-                  check Alcotest.bool
-                    (Printf.sprintf "%s/v1 binary packed=%b: verdict" tname
-                       packed)
-                    base
-                    (Analysis.Runner.violating r);
-                  if pf = Analysis.Runner.Auto then
-                    check Alcotest.int
-                      (Printf.sprintf
-                         "%s/v1 binary packed=%b: Auto feeds every event"
-                         tname packed)
-                      (Trace.length tr) r.Analysis.Runner.events_fed)
-                [ Analysis.Runner.Auto; Analysis.Runner.Exact ])
-            [ true; false ]))
+            (fun (pf, label, fed) ->
+              let r =
+                Analysis.Runner.run_stream ~prefilter:pf
+                  (module Aerodrome.Opt) path
+              in
+              check Alcotest.bool
+                (Printf.sprintf "%s/v1 binary %s: verdict" tname label)
+                base
+                (Analysis.Runner.violating r);
+              check Alcotest.int
+                (Printf.sprintf "%s/v1 binary %s: events fed" tname label)
+                fed r.Analysis.Runner.events_fed)
+            [
+              (Analysis.Runner.Auto, "auto", Trace.length tr);
+              (Analysis.Runner.Exact, "exact", r.Analysis.Runner.events_fed);
+            ]))
     traces
 
 (* --- windowing composition ---
@@ -293,11 +242,8 @@ let test_corner_cases () =
        t1|end\n"
   in
   check Alcotest.bool "rho violating before" true (violating_opt rho);
-  List.iter
-    (fun mode ->
-      let reduced, _ = Prefilter.run_trace mode rho in
-      check Alcotest.bool "rho violating after" true (violating_opt reduced))
-    [ `Exact; `Online ];
+  let reduced, _ = Prefilter.run_trace `Exact rho in
+  check Alcotest.bool "rho violating after" true (violating_opt reduced);
   (* a lock held by two threads is never elided; one held by one thread is *)
   let locks =
     t
@@ -315,13 +261,9 @@ let suite =
   ( "prefilter",
     [
       Alcotest.test_case "exact idempotent" `Quick test_idempotent;
-      Alcotest.test_case "online re-filter sound" `Quick
-        test_online_refilter_sound;
       Alcotest.test_case "wellformed preserved" `Quick
         test_wellformed_preserved;
       Alcotest.test_case "counts consistent" `Quick test_counts_consistent;
-      Alcotest.test_case "online keeps superset" `Quick
-        test_online_keeps_superset;
       Alcotest.test_case "differential 500+" `Slow test_differential;
       Alcotest.test_case "mixed workload" `Quick test_mixed_workload;
       Alcotest.test_case "runner composition" `Slow test_runner_composition;

@@ -105,33 +105,12 @@ let test_run_stream_serializable () =
       check Alcotest.int "all events fed" (Trace.length tr) r.events_fed)
 
 (* A text trace is scanned into the packed arena and then takes the
-   binary file's path, so every ingestion configuration reports the same
-   verdict, violation index and [events_fed] for the two formats. *)
+   binary file's path, so both formats report what the boxed oracles
+   report on the trace, filtered or not. *)
 let test_run_stream_text_as_binary () =
-  let tr = gen_trace ~events:6_000 ~plan:(Workloads.Generator.Violate_at 0.6) () in
-  tmp ".std" (fun text ->
-      tmp ".bin" (fun bin ->
-          Parser.to_file text tr;
-          Binfmt.write_file bin tr;
-          List.iter
-            (fun (label, packed, prefilter) ->
-              let report path =
-                let r =
-                  Analysis.Runner.run_stream ~packed ~prefilter
-                    (module Aerodrome.Opt) path
-                in
-                (violation_index r, r.events_fed)
-              in
-              check
-                Alcotest.(pair (option int) int)
-                label (report bin) (report text))
-            [
-              ("packed", true, Analysis.Runner.Off);
-              ("boxed", false, Analysis.Runner.Off);
-              ("packed, exact prefilter", true, Analysis.Runner.Exact);
-              ("boxed, exact prefilter", false, Analysis.Runner.Exact);
-              ("online prefilter", true, Analysis.Runner.Online);
-            ]))
+  Test_packed.check_stream_against_oracles "violating"
+    [ ("off", Analysis.Runner.Off); ("exact", Analysis.Runner.Exact) ]
+    (gen_trace ~events:6_000 ~plan:(Workloads.Generator.Violate_at 0.6) ())
 
 (* The clock starts before the scan, and the scan honors the deadline:
    an exhausted budget stops it with no event fed. *)
