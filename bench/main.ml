@@ -1031,7 +1031,6 @@ let run_arena () =
       let file_bytes = (Unix.stat path).Unix.st_size in
       let boxed () =
         let module C = Aerodrome.Opt in
-        let started = Unix.gettimeofday () in
         let h = Binfmt.read_header path in
         let policy =
           match Binfmt.read_last_use path with
@@ -1044,16 +1043,30 @@ let run_arena () =
                 ~vars:h.Binfmt.vars)
         in
         let pf = Prefilter.create (Exact (Option.get (Binfmt.read_stats path))) in
+        (* the clock starts where [run_stream]'s does: after the header,
+           the footers and the checker's creation *)
+        let started = Unix.gettimeofday () in
+        let deadline = started +. opts.timeout in
+        let timed_out = ref false in
         let fed = ref 0 in
         let emit e =
+          ignore (C.feed st e);
           incr fed;
-          ignore (C.feed st e)
+          if !fed land 4095 = 0 && Unix.gettimeofday () > deadline then begin
+            timed_out := true;
+            raise Exit
+          end
         in
-        ignore (Binfmt.fold path ~init:() ~f:(fun () e -> Prefilter.feed pf e emit));
-        Prefilter.finish pf emit;
+        (try
+           ignore
+             (Binfmt.fold path ~init:() ~f:(fun () e -> Prefilter.feed pf e emit))
+         with Exit -> ());
+        Prefilter.finish pf ignore;
         {
           Analysis.Runner.checker = C.name;
-          outcome = Analysis.Runner.Verdict (C.violation st);
+          outcome =
+            (if !timed_out then Analysis.Runner.Timed_out
+             else Analysis.Runner.Verdict (C.violation st));
           seconds = Unix.gettimeofday () -. started;
           events_fed = !fed;
           metrics = Obs.Snapshot.empty;

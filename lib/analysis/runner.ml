@@ -392,7 +392,7 @@ let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
        with Exit -> ());
       (match pf with
       | None -> ()
-      | Some p -> ( try Prefilter.finish_packed p feed_one with Exit -> ()));
+      | Some p -> Prefilter.finish_packed p ignore);
       sample_heap ();
       let outcome =
         if !timed_out then Timed_out else Verdict (C.violation st)
@@ -434,7 +434,7 @@ let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
           | None -> fold_words words (fun () w -> push w)
           | Some p ->
             fold_words words (fun () w -> Prefilter.feed_packed p w push);
-            Prefilter.finish_packed p push);
+            Prefilter.finish_packed p ignore);
           arena
       in
       let o =

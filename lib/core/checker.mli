@@ -26,8 +26,10 @@ module type S = sig
   val feed_packed : t -> int -> Violation.t option
   (** {!feed} over a {!Traces.Packed} word — the zero-allocation entry
       the binary ingestion hot path uses.  Behaviorally identical to
-      packing the word's event through [feed]; the flagship checkers
-      dispatch natively on the bit slices, others unpack and delegate. *)
+      packing the word's event through [feed]; the shipped checkers
+      (AeroDrome and Velodrome alike) dispatch natively on the bit
+      slices, boxing the event only for a violation report, while a
+      checker may also unpack and delegate. *)
 
   val violation : t -> Violation.t option
   (** The stored first violation, if any. *)

@@ -291,8 +291,37 @@ let feed st (e : Event.t) =
       st.violation <- Some v;
       Some v)
 
-(* unpack-and-delegate: this checker is not on the packed hot path *)
-let feed_packed st w = feed st (Traces.Packed.to_event w)
+(* The packed-word twin of [feed]: same handlers, ids straight from the
+   bit slices, the boxed event materialized only at a violation. *)
+let feed_packed st w =
+  match st.violation with
+  | Some _ as v -> v
+  | None -> (
+    st.processed <- st.processed + 1;
+    if Obs.on () then Aerodrome.Cmetrics.count_op st.m (Packed.opcode w);
+    let t = Packed.tid w in
+    let d = Packed.target w in
+    match
+      (let op = Packed.opcode w in
+       if op = Packed.op_read then handle_read st t d
+       else if op = Packed.op_write then handle_write st t d
+       else if op = Packed.op_acquire then handle_acquire st t d
+       else if op = Packed.op_release then handle_release st t d
+       else if op = Packed.op_fork then handle_fork st t d
+       else if op = Packed.op_join then handle_join st t d
+       else if op = Packed.op_begin then handle_begin st t
+       else handle_end st t)
+    with
+    | () -> None
+    | exception Found cycle ->
+      let v =
+        Aerodrome.Violation.make ~index:(st.processed - 1)
+          ~event:(Packed.to_event w)
+          ~site:(Aerodrome.Violation.Graph_cycle cycle)
+      in
+      if Obs.on () then Aerodrome.Cmetrics.found_violation st.m (st.processed - 1);
+      st.violation <- Some v;
+      Some v)
 
 module No_gc : Aerodrome.Checker.S = struct
   type nonrec t = t

@@ -191,10 +191,7 @@ let test_run_arena_matches_run () =
           in
           match (boxed, packed) with
           | None, None -> ()
-          | Some a, Some b
-            when a.Aerodrome.Violation.index = b.Aerodrome.Violation.index
-            ->
-            ()
+          | Some (a : Aerodrome.Violation.t), Some b when a = b -> ()
           | _ ->
             Alcotest.failf "%s on %s: run_arena diverged from run" cname
               tname)
@@ -260,13 +257,26 @@ let check_stream_against_oracles label prefilters tr =
 
 let test_runner_packed_differential () =
   (* end to end through the runner, against the boxed oracles, with the
-     prefilter off and with the automatic exact filter *)
+     prefilter off, automatic and forced exact *)
   List.iter
     (fun (tname, tr) ->
       check_stream_against_oracles tname
-        [ ("off", Analysis.Runner.Off); ("auto", Analysis.Runner.Auto) ]
+        [
+          ("off", Analysis.Runner.Off);
+          ("auto", Analysis.Runner.Auto);
+          ("exact", Analysis.Runner.Exact);
+        ]
         tr)
     [
+      ( "violating-6k",
+        Workloads.Generator.generate
+          {
+            Workloads.Generator.default with
+            events = 6_000;
+            threads = 6;
+            vars = 400;
+            plan = Workloads.Generator.Violate_at 0.6;
+          } );
       ( "violating",
         Workloads.Generator.generate
           {

@@ -70,6 +70,31 @@ let test_counts_consistent () =
         (c.Prefilter.kept + Prefilter.elided c))
     (corpus ~traces:40 ())
 
+(* Every run filters packed words; the boxed [feed] is the oracle.  The
+   two keep the same events with the same counters, and [finish] emits
+   nothing, since nothing is buffered. *)
+let test_packed_matches_boxed () =
+  List.iter
+    (fun (name, tr) ->
+      let reduced, c = Prefilter.run_trace `Exact tr in
+      let pf = Prefilter.create (Exact (Varstats.of_trace tr)) in
+      let kept = ref [] in
+      Trace.iter
+        (fun e ->
+          Prefilter.feed_packed pf (Packed.of_event e) (fun w ->
+              kept := w :: !kept))
+        tr;
+      Prefilter.finish_packed pf (fun _ ->
+          Alcotest.failf "%s: finish emitted an event" name);
+      check
+        Alcotest.(list int)
+        (name ^ ": packed keeps the boxed events")
+        (List.map Packed.of_event (events_of reduced))
+        (List.rev !kept);
+      check Alcotest.bool (name ^ ": same counters") true
+        (Prefilter.counts pf = c))
+    (corpus ~traces:40 ())
+
 (* --- verdict preservation: >= 500 instances --- *)
 
 let test_differential () =
@@ -264,6 +289,8 @@ let suite =
       Alcotest.test_case "wellformed preserved" `Quick
         test_wellformed_preserved;
       Alcotest.test_case "counts consistent" `Quick test_counts_consistent;
+      Alcotest.test_case "packed matches boxed" `Quick
+        test_packed_matches_boxed;
       Alcotest.test_case "differential 500+" `Slow test_differential;
       Alcotest.test_case "mixed workload" `Quick test_mixed_workload;
       Alcotest.test_case "runner composition" `Slow test_runner_composition;

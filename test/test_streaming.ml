@@ -104,14 +104,6 @@ let test_run_stream_serializable () =
       check Alcotest.bool "serializable" false (Analysis.Runner.violating r);
       check Alcotest.int "all events fed" (Trace.length tr) r.events_fed)
 
-(* A text trace is scanned into the packed arena and then takes the
-   binary file's path, so both formats report what the boxed oracles
-   report on the trace, filtered or not. *)
-let test_run_stream_text_as_binary () =
-  Test_packed.check_stream_against_oracles "violating"
-    [ ("off", Analysis.Runner.Off); ("exact", Analysis.Runner.Exact) ]
-    (gen_trace ~events:6_000 ~plan:(Workloads.Generator.Violate_at 0.6) ())
-
 (* The clock starts before the scan, and the scan honors the deadline:
    an exhausted budget stops it with no event fed. *)
 let test_run_stream_text_timeout () =
@@ -188,8 +180,6 @@ let suite =
         test_run_stream_matches_run;
       Alcotest.test_case "run_stream on a serializable trace" `Quick
         test_run_stream_serializable;
-      Alcotest.test_case "run_stream: text reports as its binary" `Quick
-        test_run_stream_text_as_binary;
       Alcotest.test_case "run_stream: timeout during the text scan" `Quick
         test_run_stream_text_timeout;
       Alcotest.test_case "constant peak heap" `Quick test_constant_heap;
