@@ -1,33 +1,16 @@
 (* Benchmark harness: regenerates the paper's Table 1 and Table 2 (scaled),
-   plus two ablations (checker variants; linear-vs-superlinear scaling), a
-   micro-benchmark of per-event throughput on Table-1-style workloads at
-   high thread counts, and a multicore section (corpus fan-out across a
-   work-stealing scheduler).
-
-   With [--jobs N] trace generation and the corpus fan-out run on a
-   work-stealing scheduler of N domains.  Timed per-checker runs are
-   never co-tenant: table
-   rows serialize their timed regions, each on a dedicated domain, so
-   per-checker numbers stay honest while the untimed work overlaps.
+   plus two ablations (checker variants; linear-vs-superlinear scaling) and
+   a micro-benchmark of per-event throughput on Table-1-style workloads at
+   high thread counts.
 
    With [--json FILE] the harness also emits a machine-readable summary
-   (schema "aerodrome-bench/10": per-checker events/sec, Gc statistics,
-   parallel wall-clock + speedup, telemetry overhead + metric snapshot,
-   peak-memory with and without state reclamation, trace-reduction
-   throughput with the prefilter off/exact, the packed-arena axis —
-   the boxed reference vs zero-copy packed ingestion end to end, plus
-   the ingestion micro-benchmark rows in "micro" — the sharded axis:
-   sequential vs chunk-parallel single-trace checking with quiescent-cut
-   and repair accounting — and the observability axis: live OpenMetrics
-   scraping overhead plus flight-recorder overhead with witness-replay
-   verification) so committed BENCH_*.json files can track the
-   performance trajectory.
+   (schema "aerodrome-bench/11": per-checker events/sec, verdicts and Gc
+   statistics for every table row and micro-benchmark workload), which
+   [validate_json] checks.
 
    Usage: dune exec bench/main.exe -- [--table 1|2] [--no-tables] [--scale F]
-          [--jobs N] [--timeout S] [--only NAME] [--no-micro] [--micro-fast]
-          [--no-ablation] [--no-scaling] [--no-parallel] [--no-telemetry]
-          [--no-reclaim] [--no-prefilter] [--no-arena] [--no-shards]
-          [--no-scheduler] [--no-observability] [--json FILE] [--markdown] *)
+          [--timeout S] [--only NAME] [--no-micro] [--micro-fast]
+          [--no-ablation] [--no-scaling] [--json FILE] [--markdown] *)
 
 open Traces
 
@@ -41,18 +24,9 @@ type options = {
   mutable micro : bool;
   mutable ablation : bool;
   mutable scaling : bool;
-  mutable parallel : bool;
-  mutable telemetry : bool;
-  mutable reclaim : bool;
-  mutable prefilter : bool;
-  mutable arena : bool;
-  mutable shards : bool;
-  mutable scheduler : bool;
-  mutable observability : bool;
   mutable markdown : bool;
   mutable json : string option;
   mutable micro_fast : bool;
-  mutable jobs : int;
 }
 
 let opts =
@@ -64,18 +38,9 @@ let opts =
     micro = true;
     ablation = true;
     scaling = true;
-    parallel = true;
-    telemetry = true;
-    reclaim = true;
-    prefilter = true;
-    arena = true;
-    shards = true;
-    scheduler = true;
-    observability = true;
     markdown = false;
     json = None;
     micro_fast = false;
-    jobs = 1;
   }
 
 let parse_args () =
@@ -106,35 +71,8 @@ let parse_args () =
     | "--no-scaling" :: rest ->
       opts.scaling <- false;
       go rest
-    | "--no-parallel" :: rest ->
-      opts.parallel <- false;
-      go rest
-    | "--no-telemetry" :: rest ->
-      opts.telemetry <- false;
-      go rest
-    | "--no-reclaim" :: rest ->
-      opts.reclaim <- false;
-      go rest
-    | "--no-prefilter" :: rest ->
-      opts.prefilter <- false;
-      go rest
-    | "--no-arena" :: rest ->
-      opts.arena <- false;
-      go rest
-    | "--no-shards" :: rest ->
-      opts.shards <- false;
-      go rest
-    | "--no-scheduler" :: rest ->
-      opts.scheduler <- false;
-      go rest
-    | "--no-observability" :: rest ->
-      opts.observability <- false;
-      go rest
     | "--no-tables" :: rest ->
       opts.tables <- [];
-      go rest
-    | "--jobs" :: n :: rest ->
-      opts.jobs <- max 1 (int_of_string n);
       go rest
     | "--markdown" :: rest ->
       opts.markdown <- true;
@@ -234,28 +172,13 @@ let sample_pair ~reps c1 c2 tr =
     finish_sample ~alloc_words:((alloc2 -. alloc1) /. 8.) !best2 )
 
 (* One timed run with real allocation figures: [Gc.allocated_bytes]
-   deltas taken immediately around the run, in the domain that executes
-   it (the counters are domain-local in OCaml 5).  [dedicated] runs the
-   measurement on a fresh domain of its own — the parallel-mode table
-   path, where the calling domain's counters would mix in whatever else
-   it has been doing. *)
-let timed_sample ?(dedicated = false) checker tr =
-  let measure () =
-    let a0 = Gc.allocated_bytes () in
-    let r = Analysis.Runner.run ~timeout:opts.timeout checker tr in
-    let a1 = Gc.allocated_bytes () in
-    (r, finish_sample ~alloc_words:((a1 -. a0) /. 8.) r)
-  in
-  if dedicated then Domain.join (Domain.spawn measure) else measure ()
-
-(* [f] over [xs] as tasks on a work-stealing scheduler of [jobs]
-   domains, results in input order; one job maps sequentially. *)
-let sched_map ~jobs f xs =
-  if jobs <= 1 then List.map f xs
-  else
-    Parallel.Deque.with_scheduler jobs (fun sched ->
-        List.map (fun x -> Parallel.Deque.submit sched (fun () -> f x)) xs
-        |> List.map (Parallel.Deque.await sched))
+   deltas taken immediately around the run (the counters are
+   domain-local in OCaml 5, and the run executes in this domain). *)
+let timed_sample checker tr =
+  let a0 = Gc.allocated_bytes () in
+  let r = Analysis.Runner.run ~timeout:opts.timeout checker tr in
+  let a1 = Gc.allocated_bytes () in
+  (r, finish_sample ~alloc_words:((a1 -. a0) /. 8.) r)
 
 let row_of_trace name tr samples =
   {
@@ -269,17 +192,11 @@ let row_of_trace name tr samples =
 
 (* --- tables --- *)
 
-(* Untimed per-row work (trace generation, metainfo): this is what
-   [--jobs] overlaps across the scheduler.  The timed checker runs happen
-   afterwards, strictly one at a time, so they never share the machine
-   with another timed run. *)
-let prepare_profile (p : Workloads.Profile.t) =
+let bench_profile (p : Workloads.Profile.t) =
   let tr = Workloads.Profile.generate ~scale:opts.scale p in
-  (p, tr, Analysis.Metainfo.analyze tr)
-
-let bench_profile ~dedicated ((p : Workloads.Profile.t), tr, meta) =
-  let v, vs = timed_sample ~dedicated velodrome tr in
-  let a, as_ = timed_sample ~dedicated aerodrome tr in
+  let meta = Analysis.Metainfo.analyze tr in
+  let v, vs = timed_sample velodrome tr in
+  let a, as_ = timed_sample aerodrome tr in
   (* Sanity: the verdict must match the profile's plan whenever the run
      completed. *)
   (match (a.Analysis.Runner.outcome, Workloads.Profile.expected_violating p) with
@@ -304,8 +221,7 @@ let run_table n =
   in
   if profiles <> [] then begin
     let wall0 = Unix.gettimeofday () in
-    let prepared = sched_map ~jobs:opts.jobs prepare_profile profiles in
-    let pairs = List.map (bench_profile ~dedicated:(opts.jobs > 1)) prepared in
+    let pairs = List.map bench_profile profiles in
     let wall = Unix.gettimeofday () -. wall0 in
     let rows = List.map fst pairs in
     json_tables := !json_tables @ [ (n, wall, List.map snd pairs) ];
@@ -508,1204 +424,7 @@ let run_micro () =
         @ [ row_of_trace wname tr_fast (s_epoch :: s_base :: slow_samples) ])
     (micro_workloads ())
 
-(* --- Multicore: corpus fan-out ---
-
-   A deterministic corpus of independent traces (the service workload:
-   many users submit traces, the scheduler drains the queue) is written
-   to binary files and checked at --jobs 1 and at --jobs N, where
-   [Runner.run_many] fans the files out as tasks on a work-stealing
-   scheduler of N domains.  Each trace's checker is the unmodified
-   sequential one, so the per-trace verdicts cannot differ — the
-   harness asserts they do not — and the interesting number is
-   aggregate wall-clock events/sec. *)
-
-type parallel_run = {
-  pr_jobs : int;
-  pr_wall : float;
-  pr_eps : float;  (* aggregate events/sec over the whole corpus *)
-  pr_speedup : float;  (* vs the jobs=1 run of the same corpus *)
-  pr_match : bool;  (* verdicts identical to the jobs=1 run *)
-}
-
-type parallel_summary = {
-  corpus_traces : int;
-  corpus_events : int;
-  corpus_runs : parallel_run list;
-}
-
-let json_parallel : parallel_summary option ref = ref None
-
-let run_parallel () =
-  let traces = 16 in
-  let events_total = int_of_float (2_400_000. *. opts.scale) in
-  let corpus = Workloads.Corpus.generate ~traces ~events_total () in
-  let corpus_events =
-    List.fold_left (fun acc (_, tr) -> acc + Trace.length tr) 0 corpus
-  in
-  Format.fprintf fmt
-    "@.Multicore: corpus fan-out (%d traces, %d events total, aerodrome \
-     per trace)@."
-    traces corpus_events;
-  let fingerprint (fr : Analysis.Runner.file_report) =
-    match fr.Analysis.Runner.report with
-    | Error msg -> Error msg
-    | Ok r ->
-      Ok
-        ( r.Analysis.Runner.checker,
-          verdict_string r,
-          r.Analysis.Runner.events_fed,
-          match r.Analysis.Runner.outcome with
-          | Analysis.Runner.Verdict (Some v) -> Some v.Aerodrome.Violation.index
-          | _ -> None )
-  in
-  let paths =
-    List.map
-      (fun (_, tr) ->
-        let path = Filename.temp_file "aerodrome-bench" ".bin" in
-        Traces.Binfmt.write_file path tr;
-        path)
-      corpus
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths)
-    (fun () ->
-      let check_corpus jobs =
-        let t0 = Unix.gettimeofday () in
-        let run ?sched () =
-          Analysis.Runner.run_many ~timeout:opts.timeout ?sched aerodrome paths
-        in
-        let rs =
-          if jobs = 1 then run ()
-          else Parallel.Deque.with_scheduler jobs (fun sched -> run ~sched ())
-        in
-        (Unix.gettimeofday () -. t0, List.map fingerprint rs)
-      in
-      let baseline_wall, baseline = check_corpus 1 in
-      let runs =
-        List.map
-          (fun jobs ->
-            let wall, fps =
-              if jobs = 1 then (baseline_wall, baseline) else check_corpus jobs
-            in
-            let pr_match = fps = baseline in
-            if not pr_match then
-              Format.fprintf fmt
-                "!! corpus fan-out at --jobs %d: verdicts differ from --jobs 1@."
-                jobs;
-            {
-              pr_jobs = jobs;
-              pr_wall = wall;
-              pr_eps = float_of_int corpus_events /. max wall 1e-9;
-              pr_speedup = baseline_wall /. max wall 1e-9;
-              pr_match;
-            })
-          (List.sort_uniq compare [ 1; opts.jobs ])
-      in
-      List.iter
-        (fun r ->
-          Format.fprintf fmt
-            "  --jobs %-2d  %8.3fs wall  %10.1f Kev/s aggregate  %.2fx vs 1 job%s@."
-            r.pr_jobs r.pr_wall (r.pr_eps /. 1e3) r.pr_speedup
-            (if r.pr_match then "" else "  [MISMATCH]"))
-        runs;
-      json_parallel :=
-        Some { corpus_traces = traces; corpus_events; corpus_runs = runs })
-
-(* --- Telemetry overhead guard ---
-
-   The observability layer must be close to free when disabled: every
-   hot-path metric update hides behind one [Obs.on ()] branch.  This
-   section measures it directly — the same trace checked with telemetry
-   off and on, repetitions interleaved so machine drift hits both modes
-   equally, best repetition each — and embeds the enabled run's metric
-   snapshot in the JSON so committed BENCH files carry the counter shape
-   alongside the throughput trajectory.  The overhead lands in
-   [telemetry.overhead_pct]; the build treats > 5% as a regression to
-   investigate (the reported number is noisy on small --scale runs). *)
-
-type telemetry_summary = {
-  tel_events : int;
-  tel_disabled_eps : float;
-  tel_enabled_eps : float;
-  tel_overhead_pct : float;
-  tel_metrics : Obs.Snapshot.t;
-}
-
-let json_telemetry : telemetry_summary option ref = ref None
-
-let run_telemetry () =
-  let tr =
-    Workloads.Generator.generate
-      {
-        Workloads.Generator.default with
-        events = int_of_float (200_000. *. opts.scale);
-        threads = 8;
-        locks = 8;
-        vars = 80_000;
-      }
-  in
-  let was_on = Obs.on () in
-  let best_dis = ref infinity in
-  let best_en = ref infinity in
-  let metrics = ref Obs.Snapshot.empty in
-  for _ = 1 to 5 do
-    Obs.disable ();
-    let d = Analysis.Runner.run ~timeout:opts.timeout aerodrome tr in
-    if d.Analysis.Runner.seconds < !best_dis then
-      best_dis := d.Analysis.Runner.seconds;
-    Obs.enable ();
-    let e = Analysis.Runner.run ~timeout:opts.timeout aerodrome tr in
-    if e.Analysis.Runner.seconds < !best_en then begin
-      best_en := e.Analysis.Runner.seconds;
-      metrics := e.Analysis.Runner.metrics
-    end
-  done;
-  if was_on then Obs.enable () else Obs.disable ();
-  let n = Trace.length tr in
-  let eps s = float_of_int n /. Float.max s 1e-9 in
-  let dis_eps = eps !best_dis and en_eps = eps !best_en in
-  let overhead = (dis_eps -. en_eps) /. Float.max dis_eps 1e-9 *. 100. in
-  Format.fprintf fmt
-    "@.Telemetry overhead (aerodrome, %d events, best of 5 interleaved \
-     reps)@."
-    n;
-  Format.fprintf fmt
-    "  disabled %10.1f Kev/s   enabled %10.1f Kev/s   overhead %+.1f%%%s@."
-    (dis_eps /. 1e3) (en_eps /. 1e3) overhead
-    (if overhead > 5.0 then "  [> 5% — investigate]" else "");
-  json_telemetry :=
-    Some
-      {
-        tel_events = n;
-        tel_disabled_eps = dis_eps;
-        tel_enabled_eps = en_eps;
-        tel_overhead_pct = overhead;
-        tel_metrics = !metrics;
-      }
-
-(* --- Peak-memory axis: state reclamation on a phased trace ---
-
-   A phased trace confines each variable's lifetime to one of many
-   back-to-back phases, the shape where a last-use oracle shines: with
-   [--reclaim] (the default everywhere else in the repo) the checker
-   releases a phase's entire clock state before the next phase begins,
-   so peak live heap is one phase's state, not the whole trace's.  Both
-   sides stream the same binary file (whose footer carries the oracle),
-   [Gc.compact] settles the heap before each run, and peak live words =
-   the run's [heap.peak_words] high-water mark minus the settled
-   baseline.  Verdicts must be byte-identical; the interesting numbers
-   are the peak reduction and the unchanged events/sec. *)
-
-type reclaim_side = {
-  rm_seconds : float;
-  rm_eps : float;
-  rm_peak_live_words : float;
-}
-
-type reclaim_summary = {
-  rc_events : int;
-  rc_threads : int;
-  rc_vars : int;
-  rc_off : reclaim_side;
-  rc_on : reclaim_side;
-  rc_pool_hits : int;
-  rc_pool_misses : int;
-  rc_pool_hit_rate : float;
-  rc_reclaimed_states : int;
-  rc_peak_reduction_pct : float;
-  rc_match : bool;
-}
-
-let json_reclaim : reclaim_summary option ref = ref None
-
-let run_reclaim () =
-  let phases = 32 in
-  let events_total = int_of_float (1_200_000. *. opts.scale) in
-  let tr = Workloads.Corpus.phased ~phases ~events_total () in
-  let path = Filename.temp_file "aerodrome-bench" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Traces.Binfmt.write_file path tr;
-      let was_on = Obs.on () in
-      Obs.enable ();
-      let side reclaim =
-        Gc.compact ();
-        let settled = float_of_int (Gc.quick_stat ()).Gc.heap_words in
-        let r =
-          Analysis.Runner.run_stream ~timeout:opts.timeout ~reclaim aerodrome
-            path
-        in
-        let peak =
-          match
-            Obs.Snapshot.get_float r.Analysis.Runner.metrics "heap.peak_words"
-          with
-          | Some p -> p
-          | None -> float_of_int (Gc.quick_stat ()).Gc.heap_words
-        in
-        ( r,
-          {
-            rm_seconds = r.Analysis.Runner.seconds;
-            rm_eps =
-              float_of_int r.Analysis.Runner.events_fed
-              /. Float.max r.Analysis.Runner.seconds 1e-9;
-            rm_peak_live_words = Float.max 0. (peak -. settled);
-          } )
-      in
-      let r_off, off = side false in
-      let r_on, on_ = side true in
-      if was_on then Obs.enable () else Obs.disable ();
-      let fingerprint (r : Analysis.Runner.result) =
-        ( verdict_string r,
-          r.Analysis.Runner.events_fed,
-          match r.Analysis.Runner.outcome with
-          | Analysis.Runner.Verdict (Some v) -> Some v.Aerodrome.Violation.index
-          | _ -> None )
-      in
-      let rc_match = fingerprint r_off = fingerprint r_on in
-      if not rc_match then
-        Format.fprintf fmt "!! reclamation: verdict differs from --no-reclaim@.";
-      let geti name =
-        Option.value ~default:0
-          (Obs.Snapshot.get_int r_on.Analysis.Runner.metrics name)
-      in
-      let hits = geti "pool.hits" and misses = geti "pool.misses" in
-      let reduction =
-        (off.rm_peak_live_words -. on_.rm_peak_live_words)
-        /. Float.max off.rm_peak_live_words 1. *. 100.
-      in
-      Format.fprintf fmt
-        "@.Memory: state reclamation (phased trace, %d events, %d vars, \
-         streamed with last-use footer)@."
-        (Trace.length tr) (Trace.vars tr);
-      let line label (s : reclaim_side) extra =
-        Format.fprintf fmt
-          "  %-12s %8.3fs  %10.1f Kev/s   peak live %11.0f words%s@." label
-          s.rm_seconds (s.rm_eps /. 1e3) s.rm_peak_live_words extra
-      in
-      line "no-reclaim" off "";
-      line "reclaim" on_
-        (Printf.sprintf "   (%d states reclaimed, pool hit rate %.1f%%)"
-           (geti "reclaim.states")
-           (float_of_int hits /. float_of_int (max (hits + misses) 1) *. 100.));
-      Format.fprintf fmt "  peak reduction %.1f%%%s@." reduction
-        (if rc_match then "" else "  [MISMATCH]");
-      json_reclaim :=
-        Some
-          {
-            rc_events = Trace.length tr;
-            rc_threads = Trace.threads tr;
-            rc_vars = Trace.vars tr;
-            rc_off = off;
-            rc_on = on_;
-            rc_pool_hits = hits;
-            rc_pool_misses = misses;
-            rc_pool_hit_rate =
-              float_of_int hits /. float_of_int (max (hits + misses) 1);
-            rc_reclaimed_states = geti "reclaim.states";
-            rc_peak_reduction_pct = reduction;
-            rc_match;
-          })
-
-(* --- trace reduction: checking throughput with the prefilter off and
-   exact (v3 footer statistics) ---
-
-   The workload is the mixed corpus trace: ~55% shared traffic plus ~45%
-   traffic the filter can elide (thread-local variables, a read-only
-   pool, redundant re-accesses, private locks).  Throughput is measured
-   against the *input* event count on every side — the claim is that the
-   same logical trace checks faster, not that fewer events per second
-   are processed.  Verdicts must agree across both sides (event
-   indices are renumbered by the reduction, so only the verdict itself
-   is compared). *)
-
-type prefilter_side = {
-  pf_seconds : float;
-  pf_eps : float;  (* input events per second *)
-  pf_events_fed : int;  (* events that reached the checker *)
-}
-
-type prefilter_summary = {
-  pf_events_in : int;
-  pf_threads : int;
-  pf_vars : int;
-  pf_events_out : int;
-  pf_tl : int;
-  pf_ro : int;
-  pf_red : int;
-  pf_ll : int;
-  pf_off : prefilter_side;
-  pf_exact : prefilter_side;
-  pf_speedup_exact : float;
-  pf_match : bool;
-}
-
-let json_prefilter : prefilter_summary option ref = ref None
-
-let run_prefilter () =
-  let events_total = int_of_float (1_500_000. *. opts.scale) in
-  let tr = Workloads.Corpus.mixed ~events_total () in
-  let events_in = Trace.length tr in
-  let path = Filename.temp_file "aerodrome-bench" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Traces.Binfmt.write_file path tr;
-      (* untimed dry run for the per-rule breakdown *)
-      let _, c = Traces.Prefilter.run_trace `Exact tr in
-      let side prefilter =
-        let r =
-          Analysis.Runner.run_stream ~timeout:opts.timeout ~prefilter aerodrome
-            path
-        in
-        ( r,
-          {
-            pf_seconds = r.Analysis.Runner.seconds;
-            pf_eps =
-              float_of_int events_in /. Float.max r.Analysis.Runner.seconds 1e-9;
-            pf_events_fed = r.Analysis.Runner.events_fed;
-          } )
-      in
-      let r_off, off = side Analysis.Runner.Off in
-      let r_exact, exact = side Analysis.Runner.Exact in
-      let pf_match = verdict_string r_off = verdict_string r_exact in
-      if not pf_match then
-        Format.fprintf fmt "!! prefilter: verdict differs from --no-prefilter@.";
-      let speedup (s : prefilter_side) = off.pf_seconds /. Float.max s.pf_seconds 1e-9 in
-      Format.fprintf fmt
-        "@.Trace reduction: prefilter (mixed trace, %d events, %d vars; %d \
-         elidable = %.1f%%)@."
-        events_in (Trace.vars tr)
-        (Traces.Prefilter.elided c)
-        (float_of_int (Traces.Prefilter.elided c)
-        /. float_of_int (max events_in 1)
-        *. 100.);
-      Format.fprintf fmt
-        "  elided: %d thread-local, %d read-only, %d redundant, %d lock-local@."
-        c.Traces.Prefilter.thread_local c.Traces.Prefilter.read_only
-        c.Traces.Prefilter.redundant c.Traces.Prefilter.lock_local;
-      let line label (s : prefilter_side) sp =
-        Format.fprintf fmt
-          "  %-12s %8.3fs  %10.1f Kev/s   %8d events to checker%s@." label
-          s.pf_seconds (s.pf_eps /. 1e3) s.pf_events_fed sp
-      in
-      line "off" off "";
-      line "exact" exact (Printf.sprintf "   (%.2fx)" (speedup exact));
-      if not pf_match then Format.fprintf fmt "  [MISMATCH]@.";
-      json_prefilter :=
-        Some
-          {
-            pf_events_in = events_in;
-            pf_threads = Trace.threads tr;
-            pf_vars = Trace.vars tr;
-            pf_events_out = c.Traces.Prefilter.kept;
-            pf_tl = c.Traces.Prefilter.thread_local;
-            pf_ro = c.Traces.Prefilter.read_only;
-            pf_red = c.Traces.Prefilter.redundant;
-            pf_ll = c.Traces.Prefilter.lock_local;
-            pf_off = off;
-            pf_exact = exact;
-            pf_speedup_exact = speedup exact;
-            pf_match;
-          })
-
-(* --- Packed-arena axis: zero-copy ingestion vs the boxed reference ---
-
-   The same mixed-corpus binary trace (v3, so the exact prefilter is
-   free on both sides; [Auto] selects it) checked end to end by the
-   linear-time checker through the boxed reference — [Binfmt.fold] ->
-   boxed rule engine -> [feed], written out below since the runner has
-   no boxed path — and through the runner's packed path: mmap -> packed
-   words -> packed rule engine -> [feed_packed], no per-event heap
-   allocation between the file and the vector-clock work, and elided
-   events never materialized at all.
-   Repetitions are interleaved so machine drift hits both sides
-   equally; allocation figures are [Gc.allocated_bytes] deltas around
-   the first repetition of each side.  Verdicts and reports must be
-   byte-identical — the packed path is an optimization, never a
-   different checker.
-
-   The same file also feeds the ingestion micro-benchmark (decode-only,
-   no checker): boxed record decoding vs the packed mmap cursor,
-   reported as events/sec and words allocated per 100K events.  The
-   rows land in the JSON "micro" section with verdict "n/a". *)
-
-type arena_side = {
-  ar_seconds : float;
-  ar_eps : float;  (* input events per second *)
-  ar_events_fed : int;
-  ar_alloc_mwords : float;
-}
-
-type arena_summary = {
-  ar_events : int;
-  ar_threads : int;
-  ar_vars : int;
-  ar_file_bytes : int;
-  ar_boxed : arena_side;
-  ar_packed : arena_side;
-  ar_speedup : float;
-  ar_alloc_reduction : float;
-  ar_verdicts_match : bool;
-  ar_reports_match : bool;
-}
-
-let json_arena : arena_summary option ref = ref None
-
-let run_ingest_micro path events_in =
-  let boxed () =
-    let t0 = Unix.gettimeofday () in
-    let a0 = Gc.allocated_bytes () in
-    let _, n = Traces.Binfmt.fold path ~init:0 ~f:(fun n _ -> n + 1) in
-    let a1 = Gc.allocated_bytes () in
-    (Unix.gettimeofday () -. t0, (a1 -. a0) /. 8., n)
-  in
-  let packed () =
-    let t0 = Unix.gettimeofday () in
-    let a0 = Gc.allocated_bytes () in
-    let _, n = Traces.Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1) in
-    let a1 = Gc.allocated_bytes () in
-    (Unix.gettimeofday () -. t0, (a1 -. a0) /. 8., n)
-  in
-  (* interleaved, best time of 3; allocation from the first repetition *)
-  let best_b = ref (boxed ()) in
-  let best_p = ref (packed ()) in
-  let _, b_alloc, _ = !best_b in
-  let _, p_alloc, _ = !best_p in
-  for _ = 2 to 3 do
-    let ((bs, _, _) as b) = boxed () in
-    let bbs, _, _ = !best_b in
-    if bs < bbs then best_b := b;
-    let ((ps, _, _) as p) = packed () in
-    let bps, _, _ = !best_p in
-    if ps < bps then best_p := p
-  done;
-  let sample cname (seconds, _, n) alloc =
-    {
-      cname;
-      seconds;
-      events_fed = n;
-      events_per_sec = float_of_int n /. max seconds 1e-9;
-      verdict = "n/a";
-      allocated_mwords = alloc /. 1e6;
-      top_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
-    }
-  in
-  let sb = sample "ingest-boxed-decode" !best_b b_alloc in
-  let sp = sample "ingest-packed-mmap-cursor" !best_p p_alloc in
-  Format.fprintf fmt
-    "@.Ingestion micro (decode only, %d events, best of 3 interleaved \
-     reps)@."
-    events_in;
-  let line (s : checker_sample) alloc =
-    Format.fprintf fmt
-      "  %-26s %10.1f Kev/s   %12.0f words alloc / 100K events@." s.cname
-      (s.events_per_sec /. 1e3)
-      (alloc /. float_of_int (max events_in 1) *. 1e5)
-  in
-  line sb b_alloc;
-  line sp p_alloc;
-  json_micro :=
-    !json_micro
-    @ [
-        {
-          rname = "ingestion";
-          events = events_in;
-          threads = 0;
-          locks = 0;
-          vars = 0;
-          samples = [ sb; sp ];
-        };
-      ]
-
-let run_arena () =
-  let events_total = int_of_float (1_500_000. *. opts.scale) in
-  let tr = Workloads.Corpus.mixed ~events_total () in
-  let events_in = Trace.length tr in
-  let path = Filename.temp_file "aerodrome-bench" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Traces.Binfmt.write_file path tr;
-      let file_bytes = (Unix.stat path).Unix.st_size in
-      let boxed () =
-        let module C = Aerodrome.Opt in
-        let h = Binfmt.read_header path in
-        let policy =
-          match Binfmt.read_last_use path with
-          | Some lt -> Aerodrome.Reclaim.Oracle lt
-          | None -> Aerodrome.Reclaim.Off
-        in
-        let st =
-          Aerodrome.Reclaim.with_policy policy (fun () ->
-              C.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
-                ~vars:h.Binfmt.vars)
-        in
-        let pf = Prefilter.create (Exact (Option.get (Binfmt.read_stats path))) in
-        (* the clock starts where [run_stream]'s does: after the header,
-           the footers and the checker's creation *)
-        let started = Unix.gettimeofday () in
-        let deadline = started +. opts.timeout in
-        let timed_out = ref false in
-        let fed = ref 0 in
-        let emit e =
-          ignore (C.feed st e);
-          incr fed;
-          if !fed land 4095 = 0 && Unix.gettimeofday () > deadline then begin
-            timed_out := true;
-            raise Exit
-          end
-        in
-        (try
-           ignore
-             (Binfmt.fold path ~init:() ~f:(fun () e -> Prefilter.feed pf e emit))
-         with Exit -> ());
-        Prefilter.finish pf ignore;
-        {
-          Analysis.Runner.checker = C.name;
-          outcome =
-            (if !timed_out then Analysis.Runner.Timed_out
-             else Analysis.Runner.Verdict (C.violation st));
-          seconds = Unix.gettimeofday () -. started;
-          events_fed = !fed;
-          metrics = Obs.Snapshot.empty;
-        }
-      in
-      let run packed =
-        if packed then
-          Analysis.Runner.run_stream ~timeout:opts.timeout
-            ~prefilter:Analysis.Runner.Auto aerodrome path
-        else boxed ()
-      in
-      let measured packed =
-        let a0 = Gc.allocated_bytes () in
-        let r = run packed in
-        let a1 = Gc.allocated_bytes () in
-        (r, (a1 -. a0) /. 8e6)
-      in
-      let r_boxed0, alloc_boxed = measured false in
-      let r_packed0, alloc_packed = measured true in
-      let best_boxed = ref r_boxed0 in
-      let best_packed = ref r_packed0 in
-      for _ = 2 to 5 do
-        let b = run false in
-        if b.Analysis.Runner.seconds < !best_boxed.Analysis.Runner.seconds
-        then best_boxed := b;
-        let p = run true in
-        if p.Analysis.Runner.seconds < !best_packed.Analysis.Runner.seconds
-        then best_packed := p
-      done;
-      let verdicts_match =
-        verdict_string !best_boxed = verdict_string !best_packed
-      in
-      let reports_match =
-        !best_boxed.Analysis.Runner.outcome
-        = !best_packed.Analysis.Runner.outcome
-        && !best_boxed.Analysis.Runner.events_fed
-           = !best_packed.Analysis.Runner.events_fed
-      in
-      if not (verdicts_match && reports_match) then
-        Format.fprintf fmt "!! arena: packed report differs from boxed@.";
-      let side (r : Analysis.Runner.result) alloc =
-        {
-          ar_seconds = r.Analysis.Runner.seconds;
-          ar_eps =
-            float_of_int events_in /. Float.max r.Analysis.Runner.seconds 1e-9;
-          ar_events_fed = r.Analysis.Runner.events_fed;
-          ar_alloc_mwords = alloc;
-        }
-      in
-      let boxed = side !best_boxed alloc_boxed in
-      let packed = side !best_packed alloc_packed in
-      let speedup = boxed.ar_seconds /. Float.max packed.ar_seconds 1e-9 in
-      let alloc_reduction =
-        boxed.ar_alloc_mwords /. Float.max packed.ar_alloc_mwords 1e-3
-      in
-      Format.fprintf fmt
-        "@.Packed arena: ingestion path end to end (mixed trace, %d events, \
-         %d bytes on disk, best of 5)@."
-        events_in file_bytes;
-      let line label (s : arena_side) extra =
-        Format.fprintf fmt
-          "  %-12s %8.3fs  %10.1f Kev/s   %10.3f Mwords allocated%s@." label
-          s.ar_seconds (s.ar_eps /. 1e3) s.ar_alloc_mwords extra
-      in
-      line "boxed" boxed "";
-      line "packed" packed
-        (Printf.sprintf "   (%.2fx, %.0fx less allocation)" speedup
-           alloc_reduction);
-      if not (verdicts_match && reports_match) then
-        Format.fprintf fmt "  [MISMATCH]@.";
-      json_arena :=
-        Some
-          {
-            ar_events = events_in;
-            ar_threads = Trace.threads tr;
-            ar_vars = Trace.vars tr;
-            ar_file_bytes = file_bytes;
-            ar_boxed = boxed;
-            ar_packed = packed;
-            ar_speedup = speedup;
-            ar_alloc_reduction = alloc_reduction;
-            ar_verdicts_match = verdicts_match;
-            ar_reports_match = reports_match;
-          };
-      run_ingest_micro path events_in)
-
-(* --- sharded checking: single-trace chunk parallelism over the packed
-   arena (DESIGN.md §17).  Sequential vs sharded end-to-end streaming
-   runs on the same binary file; the sharded side must report the exact
-   same verdict and events_fed (validate_json refuses the file
-   otherwise).  Each shard count runs on a work-stealing scheduler of
-   that many domains.  A separate pass calls
-   [Parallel.Shard.check_stealing] directly on a pre-built arena to
-   expose the boundary plan (quiescent vs seamed cuts, repaired events)
-   and per-chunk utilization that the streaming path keeps internal.
-
-   Quiescent-cut density falls off exponentially with thread count
-   (roughly p^T), so the section runs a friendly case (threads=4, a
-   quiescent position every few hundred events that cuts snap to) and
-   an adversarial one (threads=8) where almost every cut lands inside
-   open transactions.  Under PR 7's quiescent-only planner the
-   adversarial case replayed the majority of the trace sequentially;
-   boundary-summary seeding repairs only each cut's window to the
-   two-phase retirement horizon — a couple of transaction lengths, not
-   the gap to the next globally quiescent position — so the repair
-   fraction must stay small (the regression gate holds it at <= 10%
-   on full-scale runs).  On a
-   single-core machine the speedup hovers around 1x either way — the
-   numbers to read for scaling come from multi-core CI runners. *)
-
-type shard_run = {
-  sr_shards : int;
-  sr_seconds : float;
-  sr_eps : float;  (* input events per second *)
-  sr_speedup : float;  (* vs the sequential side of the same case *)
-  sr_chunks : int;
-  sr_quiescent : int;  (* cuts taken at (or snapped to) quiescent positions *)
-  sr_seamed : int;  (* cuts through open transactions, seeded + repaired *)
-  sr_repaired : int;  (* events re-fed against the true frontier *)
-  sr_repair_fraction : float;  (* repaired events / trace events *)
-  sr_tainted : int;  (* pre-cut in-transaction accesses across all seams *)
-  sr_utilization : float array;
-      (* per-chunk checker busy seconds / chunk-phase wall-clock *)
-  sr_verdicts_match : bool;
-  sr_reports_match : bool;
-}
-
-type shard_case = {
-  sc_threads : int;
-  sc_events : int;
-  sc_seq_seconds : float;
-  sc_seq_eps : float;
-  sc_runs : shard_run list;
-}
-
-let json_shards : shard_case list ref = ref []
-
-let run_shards () =
-  Format.fprintf fmt
-    "@.Sharded checking: single-trace chunk parallelism (mixed traces, best \
-     of 3)@.";
-  let case ~threads ~shard_counts =
-    let events_total = int_of_float (1_500_000. *. opts.scale) in
-    let tr = Workloads.Corpus.mixed ~threads ~events_total () in
-    let events_in = Trace.length tr in
-    let path = Filename.temp_file "aerodrome-bench" ".bin" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Traces.Binfmt.write_file path tr;
-        (* No [~timeout]: the runner's shardable gate falls back to the
-           sequential path when a timeout is armed, so the sequential
-           side drops it too and both sides time the same code shape. *)
-        let best run =
-          let r = ref (run ()) in
-          for _ = 2 to 3 do
-            let s = run () in
-            if s.Analysis.Runner.seconds < !r.Analysis.Runner.seconds then
-              r := s
-          done;
-          !r
-        in
-        let seq = best (fun () -> Analysis.Runner.run_stream aerodrome path) in
-        let seq_eps =
-          float_of_int events_in /. Float.max seq.Analysis.Runner.seconds 1e-9
-        in
-        let arena = Packed.Arena.create () in
-        Trace.iteri (fun _ e -> Packed.Arena.push arena (Packed.of_event e)) tr;
-        let detail sched shards =
-          let t0 = Unix.gettimeofday () in
-          let o =
-            Parallel.Shard.check_stealing ~sched ~shards
-              ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
-              ~vars:(Trace.vars tr) arena
-          in
-          let wall = Unix.gettimeofday () -. t0 in
-          let chunk_wall =
-            Float.max
-              (wall -. o.Parallel.Shard.plan_seconds
-              -. o.Parallel.Shard.merge_seconds)
-              1e-9
-          in
-          let util =
-            Array.map
-              (fun (t : Parallel.Shard.task) ->
-                Float.min 1.0 (t.Parallel.Shard.seconds /. chunk_wall))
-              o.Parallel.Shard.tasks
-          in
-          (o.Parallel.Shard.plan, util, o.Parallel.Shard.repaired_events)
-        in
-        let runs =
-          List.map
-            (fun shards ->
-              let r, (plan, util, repaired) =
-                Parallel.Deque.with_scheduler shards (fun sched ->
-                    let r =
-                      best (fun () ->
-                          Analysis.Runner.run_stream ~shards ~sched aerodrome
-                            path)
-                    in
-                    (r, detail sched shards))
-              in
-              let verdicts_match = verdict_string seq = verdict_string r in
-              let reports_match =
-                seq.Analysis.Runner.outcome = r.Analysis.Runner.outcome
-                && seq.Analysis.Runner.events_fed
-                   = r.Analysis.Runner.events_fed
-              in
-              if not (verdicts_match && reports_match) then
-                Format.fprintf fmt
-                  "!! shards=%d: report diverged from sequential@." shards;
-              {
-                sr_shards = shards;
-                sr_seconds = r.Analysis.Runner.seconds;
-                sr_eps =
-                  float_of_int events_in
-                  /. Float.max r.Analysis.Runner.seconds 1e-9;
-                sr_speedup =
-                  seq.Analysis.Runner.seconds
-                  /. Float.max r.Analysis.Runner.seconds 1e-9;
-                sr_chunks = Array.length plan.Aerodrome.Merge.boundaries;
-                sr_quiescent = plan.Aerodrome.Merge.quiescent;
-                sr_seamed = plan.Aerodrome.Merge.seamed;
-                sr_repaired = repaired;
-                sr_repair_fraction =
-                  float_of_int repaired /. float_of_int (max events_in 1);
-                sr_tainted = plan.Aerodrome.Merge.tainted_events;
-                sr_utilization = util;
-                sr_verdicts_match = verdicts_match;
-                sr_reports_match = reports_match;
-              })
-            shard_counts
-        in
-        Format.fprintf fmt
-          "  threads=%d  %d events   sequential %8.3fs  %9.1f Kev/s@." threads
-          events_in seq.Analysis.Runner.seconds (seq_eps /. 1e3);
-        List.iter
-          (fun r ->
-            Format.fprintf fmt
-              "    shards=%d %8.3fs  %9.1f Kev/s  (%.2fx)  chunks=%d \
-               quiescent=%d seamed=%d repair=%.1f%%  util=[%s]%s@."
-              r.sr_shards r.sr_seconds (r.sr_eps /. 1e3) r.sr_speedup
-              r.sr_chunks r.sr_quiescent r.sr_seamed
-              (100. *. r.sr_repair_fraction)
-              (String.concat ";"
-                 (Array.to_list
-                    (Array.map (Printf.sprintf "%.2f") r.sr_utilization)))
-              (if r.sr_verdicts_match && r.sr_reports_match then ""
-               else "  [MISMATCH]"))
-          runs;
-        {
-          sc_threads = threads;
-          sc_events = events_in;
-          sc_seq_seconds = seq.Analysis.Runner.seconds;
-          sc_seq_eps = seq_eps;
-          sc_runs = runs;
-        })
-  in
-  let friendly = case ~threads:4 ~shard_counts:[ 2; 4 ] in
-  let adversarial = case ~threads:8 ~shard_counts:[ 4 ] in
-  json_shards := [ friendly; adversarial ]
-
-(* --- Scheduler axis: sequential vs work-stealing ---
-
-   The same adversarial 8-thread corpus as the shards section, checked
-   sequentially and with auto micro-chunking on the work-stealing
-   scheduler (DESIGN.md §18: oversubscribed micro-chunks on per-domain
-   deques, seam repairs performed out of order as chunks retire).  The
-   report must stay byte-identical to sequential.  On a single-core
-   machine the speedup hovers around 1x; the number to read comes from
-   multi-core CI runners. *)
-
-type sched_side = {
-  ss_seconds : float;
-  ss_eps : float;
-  ss_speedup : float;  (* vs the sequential run *)
-  ss_verdicts_match : bool;
-  ss_reports_match : bool;
-}
-
-type sched_result = {
-  sd_threads : int;
-  sd_events : int;
-  sd_domains : int;
-  sd_seq_seconds : float;
-  sd_seq_eps : float;
-  sd_steal : sched_side;
-  sd_chunks : int;  (* micro-chunk tasks the steal run completed *)
-  sd_steals : int;
-  sd_failed_steals : int;
-  sd_injected : int;
-  sd_utilization : float array;
-      (* per-domain busy fraction of the steal run's wall clock *)
-}
-
-let json_scheduler : sched_result option ref = ref None
-
-let run_scheduler () =
-  Format.fprintf fmt
-    "@.Work-stealing scheduler: micro-chunk stealing (adversarial corpus, \
-     best of 3)@.";
-  (* floor the workload above the runner's steal-viability threshold
-     (2 x min_shard_events): below it the steal side degenerates to a
-     sequential run with zero chunks, and the section would measure
-     nothing.  The cram-scale run still finishes in a couple seconds. *)
-  let events_total =
-    max 262_144 (int_of_float (1_500_000. *. opts.scale))
-  in
-  let threads = 8 in
-  let domains = max 4 (Domain.recommended_domain_count ()) in
-  let tr = Workloads.Corpus.mixed ~threads ~events_total () in
-  let events_in = Trace.length tr in
-  let path = Filename.temp_file "aerodrome-bench" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Traces.Binfmt.write_file path tr;
-      (* no [~timeout], as in the shards section: the shardable gate
-         must stay open so both sides time the same code shape *)
-      (* each attempt returns (seconds, payload); keep the fastest *)
-      let best_of_3 run =
-        let r = ref (run ()) in
-        for _ = 2 to 3 do
-          let s = run () in
-          if fst s < fst !r then r := s
-        done;
-        snd !r
-      in
-      let seq =
-        best_of_3 (fun () ->
-            let r = Analysis.Runner.run_stream aerodrome path in
-            (r.Analysis.Runner.seconds, r))
-      in
-      let seq_eps =
-        float_of_int events_in /. Float.max seq.Analysis.Runner.seconds 1e-9
-      in
-      let side (r : Analysis.Runner.result) =
-        {
-          ss_seconds = r.Analysis.Runner.seconds;
-          ss_eps =
-            float_of_int events_in
-            /. Float.max r.Analysis.Runner.seconds 1e-9;
-          ss_speedup =
-            seq.Analysis.Runner.seconds
-            /. Float.max r.Analysis.Runner.seconds 1e-9;
-          ss_verdicts_match = verdict_string seq = verdict_string r;
-          ss_reports_match =
-            seq.Analysis.Runner.outcome = r.Analysis.Runner.outcome
-            && seq.Analysis.Runner.events_fed = r.Analysis.Runner.events_fed;
-        }
-      in
-      let steal_r, st, wall =
-        best_of_3 (fun () ->
-            (* a fresh scheduler per attempt so the counters describe
-               exactly the run they are reported with *)
-            let sched = Parallel.Deque.create domains in
-            let t0 = Unix.gettimeofday () in
-            let r =
-              Analysis.Runner.run_stream ~sched ~shards:0 aerodrome path
-            in
-            let wall = Unix.gettimeofday () -. t0 in
-            Parallel.Deque.shutdown sched;
-            let st = Parallel.Deque.stats sched in
-            (r.Analysis.Runner.seconds, (r, st, wall)))
-      in
-      let steal = side steal_r in
-      if not (steal.ss_verdicts_match && steal.ss_reports_match) then
-        Format.fprintf fmt "!! scheduler: report diverged from sequential@.";
-      let util =
-        Array.map
-          (fun b -> Float.min 1.0 (b /. Float.max wall 1e-9))
-          st.Parallel.Deque.busy_seconds
-      in
-      Format.fprintf fmt
-        "  threads=%d  %d events  domains=%d   sequential %8.3fs  %9.1f \
-         Kev/s@."
-        threads events_in domains seq.Analysis.Runner.seconds (seq_eps /. 1e3);
-      Format.fprintf fmt
-        "    steal    %8.3fs  %9.1f Kev/s  (%.2fx)  chunks=%d steals=%d \
-         failed=%d util=[%s]%s@."
-        steal.ss_seconds (steal.ss_eps /. 1e3) steal.ss_speedup
-        st.Parallel.Deque.completed st.Parallel.Deque.steals
-        st.Parallel.Deque.failed_steals
-        (String.concat ";"
-           (Array.to_list (Array.map (Printf.sprintf "%.2f") util)))
-        (if steal.ss_verdicts_match && steal.ss_reports_match then ""
-         else "  [MISMATCH]");
-      json_scheduler :=
-        Some
-          {
-            sd_threads = threads;
-            sd_events = events_in;
-            sd_domains = domains;
-            sd_seq_seconds = seq.Analysis.Runner.seconds;
-            sd_seq_eps = seq_eps;
-            sd_steal = steal;
-            sd_chunks = st.Parallel.Deque.completed;
-            sd_steals = st.Parallel.Deque.steals;
-            sd_failed_steals = st.Parallel.Deque.failed_steals;
-            sd_injected = st.Parallel.Deque.injected;
-            sd_utilization = util;
-          })
-
-(* --- Observability axis: live exporter overhead + flight recorder ---
-
-   Two costs the observability layer adds to a production run.  (1) A
-   live metrics endpoint: the same trace checked with telemetry on and
-   no exporter vs. telemetry on, the OpenMetrics responder serving on a
-   unix socket and a scraper domain hammering it far harder than a real
-   Prometheus would (every ~5ms instead of every ~15s).  Scrapes read
-   immediate-int shared counters lock-free, so the overhead should be
-   noise; the acceptance bar is <= 3% on 1M+-event runs, and every
-   fetched exposition must be validator-clean.  (2) The violation
-   flight recorder: a violating trace checked bare vs. with per-thread
-   rings at the conventional and a 4x window, each on-run emitting a
-   witness bundle whose binfmt slice is replayed in-process — the
-   verdict must reproduce (flight.validated) and the recorder must not
-   change the run's own verdict. *)
-
-type flight_probe = {
-  fp_window : int;
-  fp_off_eps : float;
-  fp_on_eps : float;
-  fp_overhead_pct : float;
-  fp_slice_events : int;
-  fp_replayable : bool;
-      (* rings still covered a quiescent cut; a window too small for the
-         workload degrades the witness to context-only, which is not a
-         failure *)
-  fp_replay_matches : bool;  (* replayable => slice reproduced the verdict *)
-}
-
-type observability_summary = {
-  ob_events : int;
-  ob_base_eps : float;
-  ob_scraped_eps : float;
-  ob_overhead_pct : float;
-  ob_scrapes : int;
-  ob_scrapes_valid : bool;
-  ob_flight_events : int;
-  ob_flight_verdicts_match : bool;
-  ob_probes : flight_probe list;
-}
-
-let json_observability : observability_summary option ref = ref None
-
-let run_observability () =
-  let reps = 5 in
-  let was_on = Obs.on () in
-  Obs.enable ();
-  (* exporter half: telemetry on both sides, scraping is the variable *)
-  let tr =
-    Workloads.Generator.generate
-      {
-        Workloads.Generator.default with
-        events = int_of_float (1_200_000. *. opts.scale);
-        threads = 8;
-        locks = 8;
-        vars = 4_096;
-      }
-  in
-  let n = Trace.length tr in
-  let eps events s = float_of_int events /. Float.max s 1e-9 in
-  let best_base = ref infinity in
-  let best_scraped = ref infinity in
-  let scrapes = ref 0 in
-  let scrapes_valid = ref true in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aerodrome-bench-%d.sock" (Unix.getpid ()))
-  in
-  let addr = "unix:" ^ sock in
-  (match Obs.Exporter.serve addr with
-  | Error msg ->
-    Format.fprintf fmt "@.!! observability: exporter failed to start: %s@." msg;
-    scrapes_valid := false
-  | Ok srv ->
-    let stop_scraper = Atomic.make false in
-    let scraped = Atomic.make 0 in
-    let invalid = Atomic.make 0 in
-    let scraper =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop_scraper) do
-            (match Obs.Exporter.fetch addr with
-            | Ok body -> (
-              Atomic.incr scraped;
-              match Obs.Exporter.validate body with
-              | Ok () -> ()
-              | Error _ -> Atomic.incr invalid)
-            | Error _ -> ());
-            Unix.sleepf 0.005
-          done)
-    in
-    (* interleaved reps: machine drift hits both modes equally.  The
-       scraper keeps hammering during the baseline reps too; what it
-       serves then is the same registry, so only the enabled reps are
-       reported as "scraped" throughput — the pessimistic reading. *)
-    for _ = 1 to reps do
-      let b = Analysis.Runner.run ~timeout:opts.timeout aerodrome tr in
-      if b.Analysis.Runner.seconds < !best_base then
-        best_base := b.Analysis.Runner.seconds;
-      let s = Analysis.Runner.run ~timeout:opts.timeout aerodrome tr in
-      if s.Analysis.Runner.seconds < !best_scraped then
-        best_scraped := s.Analysis.Runner.seconds
-    done;
-    Atomic.set stop_scraper true;
-    Domain.join scraper;
-    (* at tiny --scale the reps finish in milliseconds and the scraper
-       domain gets a single fetch attempt racing the listener's
-       startup; the measurement is over, so top up with a few direct
-       fetches before declaring the exposition invalid *)
-    let tries = ref 0 in
-    while Atomic.get scraped = 0 && !tries < 20 do
-      incr tries;
-      (match Obs.Exporter.fetch addr with
-      | Ok body -> (
-        Atomic.incr scraped;
-        match Obs.Exporter.validate body with
-        | Ok () -> ()
-        | Error _ -> Atomic.incr invalid)
-      | Error _ -> Unix.sleepf 0.005)
-    done;
-    Obs.Exporter.stop srv;
-    scrapes := Atomic.get scraped;
-    scrapes_valid := Atomic.get scraped > 0 && Atomic.get invalid = 0);
-  let base_eps = eps n !best_base in
-  let scraped_eps = eps n !best_scraped in
-  let overhead =
-    (base_eps -. scraped_eps) /. Float.max base_eps 1e-9 *. 100.
-  in
-  (* flight half: a violating trace, recorder off vs. on *)
-  let vtr =
-    Workloads.Generator.generate
-      {
-        Workloads.Generator.default with
-        events = int_of_float (400_000. *. opts.scale);
-        (* 4 threads: enough contention to be representative while
-           leaving quiescent cuts dense enough that the larger ring
-           probe stays replayable at full scale — 6+ threads push the
-           nearest cut tens of thousands of events back and every probe
-           degrades to context-only *)
-        threads = 4;
-        locks = 4;
-        vars = 2_048;
-        plan = Workloads.Generator.Violate_at 0.7;
-      }
-  in
-  let vn = Trace.length vtr in
-  let flight_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "aerodrome-bench-flight-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir flight_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let verdicts_match = ref true in
-  let probe window =
-    let best_off = ref infinity in
-    let best_on = ref infinity in
-    let off_verdict = ref "" in
-    let on_verdict = ref "" in
-    let slice_events = ref 0 in
-    let replayable = ref false in
-    let replay_ok = ref true in
-    for _ = 1 to 3 do
-      let off = Analysis.Runner.run ~timeout:opts.timeout aerodrome vtr in
-      if off.Analysis.Runner.seconds < !best_off then
-        best_off := off.Analysis.Runner.seconds;
-      off_verdict := verdict_string off;
-      let on_ =
-        Analysis.Runner.run ~timeout:opts.timeout
-          ~flight:{ Analysis.Runner.flight_dir; flight_window = window }
-          aerodrome vtr
-      in
-      if on_.Analysis.Runner.seconds < !best_on then
-        best_on := on_.Analysis.Runner.seconds;
-      on_verdict := verdict_string on_;
-      let m = on_.Analysis.Runner.metrics in
-      slice_events :=
-        Option.value ~default:0 (Obs.Snapshot.get_int m "flight.slice_events");
-      let rep_replayable = Obs.Snapshot.get_int m "flight.replayable" = Some 1 in
-      replayable := !replayable || rep_replayable;
-      if rep_replayable then
-        replay_ok :=
-          !replay_ok && Obs.Snapshot.get_int m "flight.validated" = Some 1
-    done;
-    if !off_verdict <> !on_verdict then verdicts_match := false;
-    let off_eps = eps vn !best_off and on_eps = eps vn !best_on in
-    {
-      fp_window = window;
-      fp_off_eps = off_eps;
-      fp_on_eps = on_eps;
-      fp_overhead_pct = (off_eps -. on_eps) /. Float.max off_eps 1e-9 *. 100.;
-      fp_slice_events = !slice_events;
-      fp_replayable = !replayable;
-      fp_replay_matches = !replay_ok;
-    }
-  in
-  let probes = [ probe Flight.default_window; probe (4 * Flight.default_window) ] in
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat flight_dir f) with Sys_error _ -> ())
-       (Sys.readdir flight_dir);
-     Unix.rmdir flight_dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  if was_on then Obs.enable () else Obs.disable ();
-  Format.fprintf fmt
-    "@.Observability: live exporter + flight recorder (aerodrome, best of \
-     %d interleaved reps)@."
-    reps;
-  Format.fprintf fmt
-    "  exporter: %d events  bare %10.1f Kev/s   scraped %10.1f Kev/s   \
-     overhead %+.1f%%   scrapes %d%s@."
-    n (base_eps /. 1e3) (scraped_eps /. 1e3) overhead !scrapes
-    (if !scrapes_valid then "" else "  [INVALID EXPOSITION]");
-  List.iter
-    (fun p ->
-      Format.fprintf fmt
-        "  flight N=%-5d %d events  off %10.1f Kev/s   on %10.1f Kev/s   \
-         overhead %+.1f%%   slice %d events%s@."
-        p.fp_window vn (p.fp_off_eps /. 1e3) (p.fp_on_eps /. 1e3)
-        p.fp_overhead_pct p.fp_slice_events
-        (if not p.fp_replayable then "  (context-only)"
-         else if p.fp_replay_matches then ""
-         else "  [REPLAY MISMATCH]"))
-    probes;
-  json_observability :=
-    Some
-      {
-        ob_events = n;
-        ob_base_eps = base_eps;
-        ob_scraped_eps = scraped_eps;
-        ob_overhead_pct = overhead;
-        ob_scrapes = !scrapes;
-        ob_scrapes_valid = !scrapes_valid;
-        ob_flight_events = vn;
-        ob_flight_verdicts_match = !verdicts_match;
-        ob_probes = probes;
-      }
-
-(* --- JSON emitter (schema "aerodrome-bench/10") --- *)
+(* --- JSON emitter (schema "aerodrome-bench/11") --- *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -1746,9 +465,8 @@ let emit_json path =
     sep_list emit_sample r.samples;
     add "]}"
   in
-  add "{\"schema\":\"aerodrome-bench/10\",";
-  add "\"scale\":%g,\"timeout\":%g,\"jobs\":%d," opts.scale opts.timeout
-    opts.jobs;
+  add "{\"schema\":\"aerodrome-bench/11\",";
+  add "\"scale\":%g,\"timeout\":%g," opts.scale opts.timeout;
   add "\"tables\":[";
   sep_list
     (fun (n, wall, rows) ->
@@ -1758,137 +476,7 @@ let emit_json path =
     !json_tables;
   add "],\"micro\":[";
   sep_list emit_row !json_micro;
-  add "],\"parallel\":";
-  (match !json_parallel with
-  | None -> add "null"
-  | Some p ->
-    add "{\"corpus\":{\"traces\":%d,\"events_total\":%d,\"runs\":["
-      p.corpus_traces p.corpus_events;
-    sep_list
-      (fun r ->
-        add
-          "{\"jobs\":%d,\"wall_seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup_vs_jobs1\":%.3f,\"verdicts_match\":%b}"
-          r.pr_jobs r.pr_wall r.pr_eps r.pr_speedup r.pr_match)
-      p.corpus_runs;
-    add "]}}");
-  add ",\"telemetry\":";
-  (match !json_telemetry with
-  | None -> add "null"
-  | Some t ->
-    add
-      "{\"events\":%d,\"disabled_events_per_sec\":%.1f,\"enabled_events_per_sec\":%.1f,\"overhead_pct\":%.2f,\"metrics\":%s}"
-      t.tel_events t.tel_disabled_eps t.tel_enabled_eps t.tel_overhead_pct
-      (Obs.Json.to_string (Obs.Snapshot.to_json t.tel_metrics)));
-  add ",\"reclaim\":";
-  (match !json_reclaim with
-  | None -> add "null"
-  | Some rc ->
-    add "{\"events\":%d,\"threads\":%d,\"vars\":%d," rc.rc_events rc.rc_threads
-      rc.rc_vars;
-    add
-      "\"off\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"peak_live_words\":%.0f},"
-      rc.rc_off.rm_seconds rc.rc_off.rm_eps rc.rc_off.rm_peak_live_words;
-    add
-      "\"on\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"peak_live_words\":%.0f,\"pool_hits\":%d,\"pool_misses\":%d,\"pool_hit_rate\":%.4f,\"reclaimed_states\":%d},"
-      rc.rc_on.rm_seconds rc.rc_on.rm_eps rc.rc_on.rm_peak_live_words
-      rc.rc_pool_hits rc.rc_pool_misses rc.rc_pool_hit_rate
-      rc.rc_reclaimed_states;
-    add "\"peak_reduction_pct\":%.2f,\"verdicts_match\":%b}"
-      rc.rc_peak_reduction_pct rc.rc_match);
-  add ",\"prefilter\":";
-  (match !json_prefilter with
-  | None -> add "null"
-  | Some p ->
-    add "{\"events_in\":%d,\"events_out\":%d,\"threads\":%d,\"vars\":%d,"
-      p.pf_events_in p.pf_events_out p.pf_threads p.pf_vars;
-    add
-      "\"elided\":{\"thread_local\":%d,\"read_only\":%d,\"redundant\":%d,\"lock_local\":%d},"
-      p.pf_tl p.pf_ro p.pf_red p.pf_ll;
-    let side name (s : prefilter_side) =
-      add
-        "\"%s\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"events_fed\":%d}"
-        name s.pf_seconds s.pf_eps s.pf_events_fed
-    in
-    side "off" p.pf_off;
-    add ",";
-    side "exact" p.pf_exact;
-    add ",\"speedup_exact\":%.3f,\"verdicts_match\":%b}"
-      p.pf_speedup_exact p.pf_match);
-  add ",\"arena\":";
-  (match !json_arena with
-  | None -> add "null"
-  | Some a ->
-    add "{\"events\":%d,\"threads\":%d,\"vars\":%d,\"file_bytes\":%d,"
-      a.ar_events a.ar_threads a.ar_vars a.ar_file_bytes;
-    let side name (s : arena_side) =
-      add
-        "\"%s\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"events_fed\":%d,\"allocated_mwords\":%.3f}"
-        name s.ar_seconds s.ar_eps s.ar_events_fed s.ar_alloc_mwords
-    in
-    side "boxed" a.ar_boxed;
-    add ",";
-    side "packed" a.ar_packed;
-    add
-      ",\"speedup\":%.3f,\"alloc_reduction\":%.1f,\"verdicts_match\":%b,\"reports_match\":%b}"
-      a.ar_speedup a.ar_alloc_reduction a.ar_verdicts_match a.ar_reports_match);
-  add ",\"shards\":";
-  (match !json_shards with
-  | [] -> add "null"
-  | cases ->
-    add "{\"cases\":[";
-    sep_list
-      (fun (c : shard_case) ->
-        add
-          "{\"threads\":%d,\"events\":%d,\"sequential\":{\"seconds\":%.6f,\"events_per_sec\":%.1f},\"runs\":["
-          c.sc_threads c.sc_events c.sc_seq_seconds c.sc_seq_eps;
-        sep_list
-          (fun (r : shard_run) ->
-            add
-              "{\"shards\":%d,\"seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup\":%.3f,\"chunks\":%d,\"quiescent_cuts\":%d,\"seamed_cuts\":%d,\"repaired_events\":%d,\"repair_fraction\":%.4f,\"tainted_events\":%d,\"utilization\":["
-              r.sr_shards r.sr_seconds r.sr_eps r.sr_speedup r.sr_chunks
-              r.sr_quiescent r.sr_seamed r.sr_repaired r.sr_repair_fraction
-              r.sr_tainted;
-            sep_list (fun u -> add "%.3f" u) (Array.to_list r.sr_utilization);
-            add "],\"verdicts_match\":%b,\"reports_match\":%b}"
-              r.sr_verdicts_match r.sr_reports_match)
-          c.sc_runs;
-        add "]}")
-      cases;
-    add "]}");
-  add ",\"scheduler\":";
-  (match !json_scheduler with
-  | None -> add "null"
-  | Some s ->
-    add
-      "{\"threads\":%d,\"events\":%d,\"domains\":%d,\"sequential\":{\"seconds\":%.6f,\"events_per_sec\":%.1f},"
-      s.sd_threads s.sd_events s.sd_domains s.sd_seq_seconds s.sd_seq_eps;
-    let x = s.sd_steal in
-    add
-      "\"steal\":{\"seconds\":%.6f,\"events_per_sec\":%.1f,\"speedup\":%.3f,\"chunks\":%d,\"steals\":%d,\"failed_steals\":%d,\"injected\":%d,\"utilization\":["
-      x.ss_seconds x.ss_eps x.ss_speedup s.sd_chunks s.sd_steals
-      s.sd_failed_steals s.sd_injected;
-    sep_list (fun u -> add "%.3f" u) (Array.to_list s.sd_utilization);
-    add "],\"verdicts_match\":%b,\"reports_match\":%b}}" x.ss_verdicts_match
-      x.ss_reports_match);
-  add ",\"observability\":";
-  (match !json_observability with
-  | None -> add "null"
-  | Some o ->
-    add
-      "{\"exporter\":{\"events\":%d,\"baseline_events_per_sec\":%.1f,\"scraped_events_per_sec\":%.1f,\"overhead_pct\":%.2f,\"scrapes\":%d,\"scrapes_valid\":%b},"
-      o.ob_events o.ob_base_eps o.ob_scraped_eps o.ob_overhead_pct o.ob_scrapes
-      o.ob_scrapes_valid;
-    add "\"flight\":{\"events\":%d,\"verdicts_match\":%b,\"windows\":["
-      o.ob_flight_events o.ob_flight_verdicts_match;
-    sep_list
-      (fun p ->
-        add
-          "{\"window\":%d,\"off_events_per_sec\":%.1f,\"on_events_per_sec\":%.1f,\"overhead_pct\":%.2f,\"slice_events\":%d,\"replayable\":%b,\"replay_matches\":%b}"
-          p.fp_window p.fp_off_eps p.fp_on_eps p.fp_overhead_pct
-          p.fp_slice_events p.fp_replayable p.fp_replay_matches)
-      o.ob_probes;
-    add "]}}");
-  add "}";
+  add "]}";
   Buffer.add_char buf '\n';
   let oc = open_out path in
   Fun.protect
@@ -1899,19 +487,11 @@ let emit_json path =
 let () =
   parse_args ();
   Format.fprintf fmt
-    "AeroDrome reproduction benchmarks (scale %.2f, timeout %.1fs, jobs %d)@."
-    opts.scale opts.timeout opts.jobs;
+    "AeroDrome reproduction benchmarks (scale %.2f, timeout %.1fs)@."
+    opts.scale opts.timeout;
   List.iter run_table opts.tables;
   if opts.ablation && opts.only = None then run_ablation ();
   if opts.scaling && opts.only = None then run_scaling ();
   if opts.micro && opts.only = None then run_micro ();
-  if opts.parallel && opts.only = None then run_parallel ();
-  if opts.telemetry && opts.only = None then run_telemetry ();
-  if opts.reclaim && opts.only = None then run_reclaim ();
-  if opts.prefilter && opts.only = None then run_prefilter ();
-  if opts.arena && opts.only = None then run_arena ();
-  if opts.shards && opts.only = None then run_shards ();
-  if opts.scheduler && opts.only = None then run_scheduler ();
-  if opts.observability && opts.only = None then run_observability ();
   Option.iter emit_json opts.json;
   Format.pp_print_flush fmt ()

@@ -291,6 +291,43 @@ let test_runner_packed_differential () =
       );
     ]
 
+(* The packed path's reason to exist: from the file to the checker it
+   allocates no more than the boxed reference, [Binfmt.fold] -> [feed].
+   Each side feeds a fresh Opt from a v3 file of the mixed corpus (8
+   threads, ~200k events); minor-heap words count what the loop puts on
+   the heap per event. *)
+let test_packed_allocates_no_more () =
+  let tr = Workloads.Corpus.mixed ~threads:8 ~events_total:200_000 () in
+  tmp (fun path ->
+      Binfmt.write_file path tr;
+      let h = Binfmt.read_header path in
+      let minor_words feed_file =
+        let st =
+          Aerodrome.Opt.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
+            ~vars:h.Binfmt.vars
+        in
+        let w0 = Gc.minor_words () in
+        feed_file st;
+        Gc.minor_words () -. w0
+      in
+      let boxed =
+        minor_words (fun st ->
+            ignore
+              (Binfmt.fold path ~init:() ~f:(fun () e ->
+                   ignore (Aerodrome.Opt.feed st e))))
+      in
+      let packed =
+        minor_words (fun st ->
+            ignore
+              (Binfmt.fold_packed path ~init:() ~f:(fun () w ->
+                   ignore (Aerodrome.Opt.feed_packed st w))))
+      in
+      let per_event words = words /. float_of_int (Trace.length tr) in
+      if packed > boxed then
+        Alcotest.failf
+          "packed path allocated %.1f words/event, boxed reference %.1f"
+          (per_event packed) (per_event boxed))
+
 (* --- hostile binary inputs --- *)
 
 (* a local LEB128 encoder for hand-crafted files *)
@@ -462,6 +499,8 @@ let suite =
       Alcotest.test_case "run_arena vs run" `Quick test_run_arena_matches_run;
       Alcotest.test_case "runner packed differential" `Quick
         test_runner_packed_differential;
+      Alcotest.test_case "packed allocates no more than boxed" `Quick
+        test_packed_allocates_no_more;
       Alcotest.test_case "hostile inputs" `Quick test_hostile_inputs;
       Alcotest.test_case "oversized domains" `Quick test_oversized_domains;
       Alcotest.test_case "run refuses oversized traces" `Quick

@@ -165,6 +165,33 @@ let test_phased_reclaims_everything () =
         "every touched variable reclaimed" (Some !touched)
         (Obs.Snapshot.get_int m "reclaim.states"))
 
+(* Reclamation's reason to exist: on the phased workload the oracle
+   releases each phase's state before the next begins, so the checker's
+   peak footprint — its reachable heap, sampled every 1024 events and at
+   the end — stays strictly below the keep-everything run's. *)
+let test_phased_peak_shrinks () =
+  let tr = Workloads.Corpus.phased ~phases:8 ~events_total:40_000 () in
+  let peak_words policy =
+    let st =
+      Aerodrome.Reclaim.with_policy policy (fun () ->
+          Aerodrome.Opt.create ~threads:(Trace.threads tr)
+            ~locks:(Trace.locks tr) ~vars:(Trace.vars tr))
+    in
+    let peak = ref 0 in
+    let sample () = peak := max !peak (Obj.reachable_words (Obj.repr st)) in
+    Trace.iteri
+      (fun i e ->
+        ignore (Aerodrome.Opt.feed st e);
+        if (i + 1) land 1023 = 0 then sample ())
+      tr;
+    sample ();
+    !peak
+  in
+  let off = peak_words Aerodrome.Reclaim.Off in
+  let oracle = peak_words (Aerodrome.Reclaim.Oracle (Lifetime.of_trace tr)) in
+  if oracle >= off then
+    Alcotest.failf "peak state %d words with the oracle, %d without" oracle off
+
 let suite =
   ( "reclaim",
     [
@@ -172,4 +199,6 @@ let suite =
       Alcotest.test_case "runner paths" `Quick test_runner_paths;
       Alcotest.test_case "phased oracle reclaims all" `Quick
         test_phased_reclaims_everything;
+      Alcotest.test_case "phased peak shrinks under the oracle" `Quick
+        test_phased_peak_shrinks;
     ] )

@@ -920,6 +920,30 @@ let test_runner_sequential_fallbacks () =
     (normalized (Analysis.Runner.run opt tr))
     (normalized r)
 
+(* Repair stays cheap where cuts are hardest: on the 8-thread mixed
+   corpus almost no position is quiescent, so most cuts are seamed.  At
+   every shard count the reconciled verdict is sequential Opt's, the
+   events re-fed by window repair stay within 10% of the trace, and
+   repaired events only ever come from a seamed cut. *)
+let test_adversarial_repair_bound () =
+  let tr = Workloads.Corpus.mixed ~threads:8 ~events_total:300_000 () in
+  let events = Trace.length tr in
+  let expected = seq_violation tr in
+  Parallel.Deque.with_scheduler 1 (fun sched ->
+      List.iter
+        (fun shards ->
+          let o = steal_check ~sched ~shards tr in
+          let where = Printf.sprintf "shards=%d" shards in
+          Alcotest.(check violation) (where ^ ": verdict") expected
+            o.Parallel.Shard.violation;
+          let repaired = o.Parallel.Shard.repaired_events in
+          if 10 * repaired > events then
+            Alcotest.failf "%s: repaired %d of %d events (bound 10%%)" where
+              repaired events;
+          if repaired > 0 && o.Parallel.Shard.plan.Aerodrome.Merge.seamed = 0
+          then Alcotest.failf "%s: repaired events without a seamed cut" where)
+        [ 2; 4; 8; 16 ])
+
 let suite =
   ( "shard",
     [
@@ -953,4 +977,6 @@ let suite =
         `Quick test_auto_plan_sizing;
       Alcotest.test_case "runner: sequential fallbacks on a lent scheduler"
         `Quick test_runner_sequential_fallbacks;
+      Alcotest.test_case "repair: bounded on the adversarial corpus" `Quick
+        test_adversarial_repair_bound;
     ] )
