@@ -856,7 +856,7 @@ let clocks_cmd =
        Traces.Trace.iteri
          (fun i e ->
            if i >= limit then raise Exit;
-           let r = Aerodrome.Basic.feed st e in
+           let r = Aerodrome.Basic.feed_packed st (Traces.Packed.of_event e) in
            Format.printf "%5d  %-24s" (i + 1)
              (Format.asprintf "%s:%a" (name_of e) Traces.Event.pp_op
                 (Traces.Event.op e));

@@ -56,7 +56,7 @@ let watch_clocks () =
   let st = Aerodrome.Basic.create ~threads:2 ~locks:0 ~vars:2 in
   Trace.iteri
     (fun i e ->
-      match Aerodrome.Basic.feed st e with
+      match Aerodrome.Basic.feed_packed st (Packed.of_event e) with
       | Some v ->
         Format.printf "e%-2d %-12s -> VIOLATION (%a)@." (i + 1)
           (Event.to_string e) Aerodrome.Violation.pp_site

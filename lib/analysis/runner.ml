@@ -316,8 +316,9 @@ let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
    ({!Traces.Binfmt.fold_packed}); a text file is scanned once into an
    arena ({!Traces.Parser.read_packed}); a materialized trace is packed
    into one.  The exact-mode prefilter runs on the packed words too, so
-   elided events are never materialized.  The boxed [Checker.S.feed]
-   stays the reference the tests compare against. *)
+   elided events are never materialized.  [feed_packed] is a checker's
+   only event entry; the tests compare against the seed reference
+   checkers, which unpack each word. *)
 
 type words =
   | Mapped of string  (** a binary file, decoded in place *)

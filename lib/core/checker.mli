@@ -17,19 +17,15 @@ module type S = sig
   (** Fresh checker state for traces drawing ids from
       [0..threads-1] / [0..locks-1] / [0..vars-1]. *)
 
-  val feed : t -> Event.t -> Violation.t option
-  (** Process one event.  Returns [Some v] if this event (or an earlier
-      one) triggered a violation; once a violation has been reported the
-      checker is frozen and [feed] keeps returning it without processing
-      further events. *)
-
   val feed_packed : t -> int -> Violation.t option
-  (** {!feed} over a {!Traces.Packed} word — the zero-allocation entry
-      the binary ingestion hot path uses.  Behaviorally identical to
-      packing the word's event through [feed]; the shipped checkers
-      (AeroDrome and Velodrome alike) dispatch natively on the bit
-      slices, boxing the event only for a violation report, while a
-      checker may also unpack and delegate. *)
+  (** Process one event, given as a {!Traces.Packed} word.  Returns
+      [Some v] if this event (or an earlier one) triggered a violation;
+      once a violation has been reported the checker is frozen and
+      [feed_packed] keeps returning it without processing further
+      events.  The shipped checkers (AeroDrome and Velodrome alike)
+      dispatch on the word's bit slices and box the event only for a
+      violation report; the seed reference copies in the tests unpack
+      the word and run their boxed handlers. *)
 
   val violation : t -> Violation.t option
   (** The stored first violation, if any. *)
@@ -41,18 +37,12 @@ end
 type t = (module S)
 (** A checker packaged as a first-class module. *)
 
-val run : (module S) -> Trace.t -> Violation.t option
-(** Feed an entire trace to a fresh checker (domain sizes from the trace). *)
-
-val run_events :
-  (module S) -> threads:int -> locks:int -> vars:int -> Event.t Seq.t ->
-  Violation.t option
-(** Streaming variant over an event sequence. *)
-
-val is_serializable : (module S) -> Trace.t -> bool
-(** [run] finds no violation. *)
-
 val run_arena :
   (module S) -> threads:int -> locks:int -> vars:int -> Packed.Arena.t ->
   Violation.t option
 (** Feed a packed arena through {!S.feed_packed} via a {!Packed.Cursor}. *)
+
+val run : (module S) -> Trace.t -> Violation.t option
+(** Feed an entire trace, each event packed in turn, through
+    {!S.feed_packed} of a fresh checker (domain sizes from the trace).
+    @raise Invalid_argument when the domains fail {!Packed.fits}. *)

@@ -45,20 +45,9 @@ let create ?(attach = true) () =
   if attach then Obs.Scope.attach reg;
   m
 
-let count m (op : Event.op) =
-  Obs.Counter.inc m.events;
-  match op with
-  | Event.Read _ -> Obs.Counter.inc m.reads
-  | Event.Write _ -> Obs.Counter.inc m.writes
-  | Event.Acquire _ -> Obs.Counter.inc m.acquires
-  | Event.Release _ -> Obs.Counter.inc m.releases
-  | Event.Fork _ -> Obs.Counter.inc m.forks
-  | Event.Join _ -> Obs.Counter.inc m.joins
-  | Event.Begin -> Obs.Counter.inc m.begins
-  | Event.End -> Obs.Counter.inc m.ends
-
-(* The packed hot path counts by opcode int ({!Traces.Packed} order,
-   = the binfmt record opcodes).  Only ever reached with telemetry on. *)
+(* Counts by opcode int ({!Traces.Packed} order, = the binfmt record
+   opcodes).  The checkers call it only with telemetry on; {!Monitor}
+   always does. *)
 let count_op m op =
   Obs.Counter.inc m.events;
   Obs.Counter.inc

@@ -11,8 +11,6 @@
     The exception is {!Monitor}, whose statistics predate this module
     and stay unconditional ([stats] reads counter values directly). *)
 
-open Traces
-
 type t = {
   registry : Obs.Registry.t;
   events : Obs.Counter.t;
@@ -38,11 +36,8 @@ val create : ?attach:bool -> unit -> t
 (** [attach] (default true) registers the new metric set with the
     ambient {!Obs.Scope} when one is active. *)
 
-val count : t -> Event.op -> unit
-
 val count_op : t -> int -> unit
-(** [count] by packed opcode ({!Traces.Packed}); the packed hot path's
-    sibling of {!count}. *)
+(** Count one event by its packed opcode ({!Traces.Packed}). *)
 
 val txn_begin : t -> unit
 val txn_commit : t -> unit

@@ -38,6 +38,8 @@ let default_checker : Checker.t = (module Opt)
 
 let create ?(checker = default_checker) ?symbols ?(on_violation = fun _ -> ())
     ~threads ~locks ~vars () =
+  if not (Packed.fits ~threads ~locks ~vars) then
+    invalid_arg "Monitor.create: id domains exceed the packed limit";
   let (module C : Checker.S) = checker in
   let st = C.create ~threads ~locks ~vars in
   {
@@ -112,27 +114,26 @@ let describe m (v : Violation.t) =
     Printf.sprintf "transaction graph cycle of length %d" (List.length cycle)
   | _, _ -> "conflict-serializability violation"
 
-let count m (e : Event.t) =
-  let t = Ids.Tid.to_int e.thread in
-  Cmetrics.count m.m e.op;
-  match e.op with
-  | Event.Begin ->
+let count m w =
+  let t = Packed.tid w and op = Packed.opcode w in
+  Cmetrics.count_op m.m op;
+  if op = Packed.op_begin then begin
     if m.depth.(t) = 0 then Cmetrics.txn_begin m.m;
     m.depth.(t) <- m.depth.(t) + 1
-  | Event.End ->
-    if m.depth.(t) > 0 then begin
-      m.depth.(t) <- m.depth.(t) - 1;
-      if m.depth.(t) = 0 then Cmetrics.txn_commit m.m
-    end
-  | _ -> ()
+  end
+  else if op = Packed.op_end && m.depth.(t) > 0 then begin
+    m.depth.(t) <- m.depth.(t) - 1;
+    if m.depth.(t) = 0 then Cmetrics.txn_commit m.m
+  end
 
 let observe m e =
-  count m e;
+  let w = Packed.of_event e in
+  count m w;
   match m.report with
   | Some _ -> None  (* already reported; keep only the statistics *)
   | None -> (
     let (Packed ((module C), st)) = m.packed in
-    match C.feed st e with
+    match C.feed_packed st w with
     | None -> None
     | Some violation ->
       let report =

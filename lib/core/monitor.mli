@@ -44,7 +44,8 @@ val create :
 (** [checker] defaults to the optimized AeroDrome ({!Opt}); pass
     [(module Velodrome.Online : Checker.S)]-style modules to monitor with
     a different algorithm.  [symbols] names threads/locks/variables in
-    reports. *)
+    reports.
+    @raise Invalid_argument when the domains fail {!Traces.Packed.fits}. *)
 
 val of_trace_domains : ?checker:Checker.t -> ?on_violation:(report -> unit) ->
   Trace.t -> t

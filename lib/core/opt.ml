@@ -528,34 +528,8 @@ let seed_boundary st depths =
   done;
   Bytes.fill st.covers_dirty 0 st.threads '\001'
 
-let feed st (e : Event.t) =
-  match st.violation with
-  | Some _ as v -> v
-  | None -> (
-    st.processed <- st.processed + 1;
-    if st.processed >= st.next_sweep then sweep st;
-    if Obs.on () then Cmetrics.count st.m e.op;
-    let t = Ids.Tid.to_int e.thread in
-    match
-      (match e.op with
-      | Event.Acquire l -> handle_acquire st t (Ids.Lid.to_int l)
-      | Event.Release l -> handle_release st t (Ids.Lid.to_int l)
-      | Event.Fork u -> handle_fork st t (Ids.Tid.to_int u)
-      | Event.Join u -> handle_join st t (Ids.Tid.to_int u)
-      | Event.Read x -> handle_read st t (Ids.Vid.to_int x)
-      | Event.Write x -> handle_write st t (Ids.Vid.to_int x)
-      | Event.Begin -> handle_begin st t
-      | Event.End -> handle_end st t)
-    with
-    | () -> None
-    | exception Found site ->
-      let v = Violation.make ~index:(st.processed - 1) ~event:e ~site in
-      if Obs.on () then Cmetrics.found_violation st.m (st.processed - 1);
-      st.violation <- Some v;
-      Some v)
-
-(* The packed-word twin of [feed]: same handlers, ids straight from the
-   bit slices, the boxed event materialized only at a violation. *)
+(* The one event entry: ids straight from the packed word's bit slices,
+   the boxed event materialized only at a violation. *)
 let feed_packed st w =
   match st.violation with
   | Some _ as v -> v
@@ -592,7 +566,6 @@ module Faithful : Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~faithful:true ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed
@@ -606,7 +579,6 @@ module Slow : Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~fast_checks:false ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed

@@ -99,23 +99,6 @@ let encode_event buf (e : Event.t) =
     simple op_end;
     put_uint buf t
 
-let decode_event next =
-  match next () with
-  | -1 -> None
-  | op ->
-    let t = get_uint next in
-    let target () = get_uint next in
-    let event o = Some (Event.make (Tid.of_int t) o) in
-    if op = op_read then event (Event.Read (Vid.of_int (target ())))
-    else if op = op_write then event (Event.Write (Vid.of_int (target ())))
-    else if op = op_acquire then event (Event.Acquire (Lid.of_int (target ())))
-    else if op = op_release then event (Event.Release (Lid.of_int (target ())))
-    else if op = op_fork then event (Event.Fork (Tid.of_int (target ())))
-    else if op = op_join then event (Event.Join (Tid.of_int (target ())))
-    else if op = op_begin then event Event.Begin
-    else if op = op_end then event Event.End
-    else corrupt "unknown opcode %d" op
-
 let add_u64_le buf n =
   for k = 0 to 7 do
     Buffer.add_char buf (Char.chr ((n lsr (8 * k)) land 0xff))
@@ -180,75 +163,45 @@ let write_file ?last_use ?stats path tr =
 
 let channel_next ic () = try input_byte ic with End_of_file -> -1
 
-(* Buffered byte source: one [input] syscall per chunk instead of one
-   [input_byte] C call (and channel lock) per byte.  Decoding reads 2-4
-   bytes per event, so the per-byte call overhead is measurable on
-   multi-million-event traces. *)
-let chunk_size = 65536
-
-type reader = {
-  r_ic : in_channel;
-  r_buf : Bytes.t;
-  mutable r_pos : int;
-  mutable r_len : int;  (* -1 once the channel is exhausted *)
-}
-
-let reader_of_channel ic =
-  { r_ic = ic; r_buf = Bytes.create chunk_size; r_pos = 0; r_len = 0 }
-
-let rec reader_next r () =
-  if r.r_pos < r.r_len then begin
-    let b = Char.code (Bytes.unsafe_get r.r_buf r.r_pos) in
-    r.r_pos <- r.r_pos + 1;
-    b
-  end
-  else if r.r_len < 0 then -1
-  else begin
-    r.r_len <- input r.r_ic r.r_buf 0 chunk_size;
-    r.r_pos <- 0;
-    if r.r_len = 0 then r.r_len <- -1;
-    reader_next r ()
-  end
-
 (* Process-wide ingestion counters (files fanned out over the scheduler
-   decode on worker domains, hence atomic).  Updated in bulk per file/stream so
-   the per-event decode loop stays branch-free; [pos_in] over-counts by
-   at most one read-ahead chunk, which is the honest "bytes read from
-   the file" figure. *)
+   decode on worker domains, hence atomic).  Updated in bulk per file so
+   the per-event decode loop stays branch-free; the bytes are the whole
+   mapped file. *)
 let events_decoded =
   Obs.Registry.shared_counter Obs.Registry.global "ingest.binary.events_decoded"
 
 let bytes_read =
   Obs.Registry.shared_counter Obs.Registry.global "ingest.binary.bytes_read"
 
-let note_ingest ic n =
-  if Obs.on () then begin
-    Obs.Shared_counter.add events_decoded n;
-    Obs.Shared_counter.add bytes_read (try pos_in ic with Sys_error _ -> 0)
-  end
-
-let read_header_ic path ic =
-  let m = really_input_string ic (String.length magic) in
+(* The header from its magic [m] and the byte source after it; a
+   varint cut short or overlong is a truncated header. *)
+let header_of path m next =
   let version =
     if m = magic then 1
     else if m = magic_v2 then 2
     else if m = magic_v3 then 3
     else corrupt "%s: bad magic (not a binary trace)" path
   in
-  let next = channel_next ic in
-  let threads = get_uint next in
-  let locks = get_uint next in
-  let vars = get_uint next in
-  let events = get_uint next in
-  {
-    threads;
-    locks;
-    vars;
-    events;
-    version;
-    last_use = version >= 2;
-    stats = version >= 3;
-  }
+  try
+    let threads = get_uint next in
+    let locks = get_uint next in
+    let vars = get_uint next in
+    let events = get_uint next in
+    {
+      threads;
+      locks;
+      vars;
+      events;
+      version;
+      last_use = version >= 2;
+      stats = version >= 3;
+    }
+  with Corrupt _ -> corrupt "%s: truncated header" path
+
+let read_header_ic path ic =
+  match really_input_string ic (String.length magic) with
+  | exception End_of_file -> corrupt "%s: truncated header" path
+  | m -> header_of path m (channel_next ic)
 
 let with_file path f =
   let ic = open_in_bin path in
@@ -270,18 +223,12 @@ let check_header_size path header ~remaining =
   then corrupt "%s: declared id domains exceed file size" path
 
 let checked_header_ic path ic =
-  let header =
-    try read_header_ic path ic
-    with End_of_file -> corrupt "%s: truncated header" path
-  in
+  let header = read_header_ic path ic in
   check_header_size path header
     ~remaining:(in_channel_length ic - pos_in ic);
   header
 
-let read_header path =
-  with_file path (fun ic ->
-      try read_header_ic path ic
-      with End_of_file -> corrupt "%s: truncated header" path)
+let read_header path = with_file path (read_header_ic path)
 
 (* --- footer decoding --- *)
 
@@ -371,114 +318,6 @@ let read_footer_tail next path header =
     footer_magic;
   (lt, stats)
 
-(* Decode exactly [header.events] records through [f].  v2 files then
-   carry the footer (validated here) and nothing else; v1 files end at
-   EOF, so decoding continues until [None] and the count is checked
-   after the fact. *)
-let decode_events path header next f =
-  let n = ref 0 in
-  if header.last_use then begin
-    while !n < header.events do
-      match decode_event next with
-      | Some e ->
-        incr n;
-        f e
-      | None ->
-        corrupt "%s: expected %d events, found %d" path header.events !n
-    done;
-    ignore (read_footer_tail next path header);
-    if next () <> -1 then corrupt "%s: trailing garbage after footer" path
-  end
-  else begin
-    let rec go () =
-      match decode_event next with
-      | Some e ->
-        incr n;
-        f e;
-        go ()
-      | None ->
-        if !n <> header.events then
-          corrupt "%s: expected %d events, found %d" path header.events !n
-    in
-    go ()
-  end
-
-let read_file path =
-  with_file path (fun ic ->
-      let header = checked_header_ic path ic in
-      let next = reader_next (reader_of_channel ic) in
-      let b = Trace.Builder.create ~capacity:(header.events + 1) () in
-      decode_events path header next (Trace.Builder.add b);
-      note_ingest ic header.events;
-      Trace.Builder.build b)
-
-let fold path ~init ~f =
-  with_file path (fun ic ->
-      let header = checked_header_ic path ic in
-      let next = reader_next (reader_of_channel ic) in
-      let acc = ref init in
-      decode_events path header next (fun e -> acc := f !acc e);
-      note_ingest ic header.events;
-      (header, !acc))
-
-let read_seq path =
-  let ic = open_in_bin path in
-  let header =
-    try checked_header_ic path ic
-    with e ->
-      close_in_noerr ic;
-      raise e
-  in
-  let closed = ref false in
-  let decoded = ref 0 in
-  let close () =
-    if not !closed then begin
-      closed := true;
-      note_ingest ic !decoded;
-      close_in_noerr ic
-    end
-  in
-  let next = reader_next (reader_of_channel ic) in
-  let finish n =
-    if header.last_use then begin
-      if n <> header.events then
-        corrupt "%s: expected %d events, found %d" path header.events n;
-      ignore (read_footer_tail next path header);
-      if next () <> -1 then corrupt "%s: trailing garbage after footer" path
-    end
-    else if n <> header.events then
-      corrupt "%s: expected %d events, found %d" path header.events n
-  in
-  let rec seq n () =
-    if !closed then Seq.Nil
-    else if header.last_use && n = header.events then begin
-      match finish n with
-      | () ->
-        close ();
-        Seq.Nil
-      | exception e ->
-        close ();
-        raise e
-    end
-    else
-      match decode_event next with
-      | Some e ->
-        if Obs.on () then decoded := n + 1;
-        Seq.Cons (e, seq (n + 1))
-      | None -> (
-        match finish n with
-        | () ->
-          close ();
-          Seq.Nil
-        | exception e ->
-          close ();
-          raise e)
-      | exception e ->
-        close ();
-        raise e
-  in
-  (header, (seq 0, close))
-
 (* Seek from EOF to the footer varints and decode them (last-use, plus
    accessor statistics for v3) without touching the event section. *)
 let read_footer_seek path =
@@ -532,32 +371,32 @@ let is_binary path =
 
 (* --- zero-copy packed ingestion ---
 
-   [fold_packed] decodes the event section straight into packed words
-   ({!Packed}): the file is mmapped ([Unix.map_file]) and records are
-   decoded in place from the mapping — no read syscalls past the page
-   cache and no per-event heap allocation between the file and the
-   checker.  Inputs that cannot be mapped (pipes, special files, empty
-   files) fall back to the buffered channel reader, still producing
-   packed words.  Footer validation, the trailing-garbage check and the
-   error messages match the boxed readers, so hostile inputs fail
-   identically on either path. *)
+   [fold_packed] is the one event decoder: the file is mmapped
+   ([Unix.map_file]) and records are decoded in place from the mapping
+   into packed words ({!Packed}) — no read syscalls past the page cache
+   and no per-event heap allocation between the file and the checker.
+   A FIFO, [/dev/null] or an empty file maps as 0 bytes and fails the
+   header check; a piped stream never gets here, since {!is_binary}
+   cannot size it. *)
 
 type bigbytes =
   (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-let map_file path : bigbytes option =
+(* An unopenable file raises [Sys_error] as [open_in_bin] would. *)
+let map_file path : bigbytes =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> None
-  | fd -> (
-    match
-      Unix.map_file fd Bigarray.int8_unsigned Bigarray.c_layout false [| -1 |]
-    with
-    | g ->
-      Unix.close fd;
-      Some (Bigarray.array1_of_genarray g)
-    | exception _ ->
-      Unix.close fd;
-      None)
+  | exception Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  | fd ->
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        match
+          Unix.map_file fd Bigarray.int8_unsigned Bigarray.c_layout false [| -1 |]
+        with
+        | g -> Bigarray.array1_of_genarray g
+        | exception Unix.Unix_error (e, _, _) ->
+          corrupt "%s: cannot map file (%s)" path (Unix.error_message e))
 
 type bsrc = { bb : bigbytes; blen : int; mutable bpos : int }
 
@@ -573,31 +412,8 @@ let header_of_bsrc path s =
   let mlen = String.length magic in
   if s.blen < mlen then corrupt "%s: truncated header" path;
   let m = String.init mlen (fun i -> Char.chr (Bigarray.Array1.get s.bb i)) in
-  let version =
-    if m = magic then 1
-    else if m = magic_v2 then 2
-    else if m = magic_v3 then 3
-    else corrupt "%s: bad magic (not a binary trace)" path
-  in
   s.bpos <- mlen;
-  let next = bsrc_next s in
-  let header =
-    try
-      let threads = get_uint next in
-      let locks = get_uint next in
-      let vars = get_uint next in
-      let events = get_uint next in
-      {
-        threads;
-        locks;
-        vars;
-        events;
-        version;
-        last_use = version >= 2;
-        stats = version >= 3;
-      }
-    with Corrupt _ -> corrupt "%s: truncated header" path
-  in
+  let header = header_of path m (bsrc_next s) in
   check_header_size path header ~remaining:(s.blen - s.bpos);
   header
 
@@ -611,8 +427,8 @@ let fold_packed_bb path header s ~init ~f =
      a closure built per LEB128 read would put ~14 words of garbage on
      every event of the "zero-copy" path *)
   let rec get_u shift acc =
-    if shift > 56 then corrupt "id overflow"
-    else if !pos >= len then corrupt "truncated integer"
+    if shift > 56 then corrupt "%s: id overflow" path
+    else if !pos >= len then corrupt "%s: truncated integer" path
     else begin
       let byte = Bigarray.Array1.unsafe_get b !pos in
       incr pos;
@@ -624,7 +440,7 @@ let fold_packed_bb path header s ~init ~f =
      almost always, variable ids often); decode them inline and only
      call into the loop for multi-byte encodings *)
   let get_u_fast () =
-    if !pos >= len then corrupt "truncated integer"
+    if !pos >= len then corrupt "%s: truncated integer" path
     else begin
       let b0 = Bigarray.Array1.unsafe_get b !pos in
       incr pos;
@@ -643,7 +459,7 @@ let fold_packed_bb path header s ~init ~f =
         corrupt "%s: expected %d events, found %d" path header.events !n;
       let op = Bigarray.Array1.unsafe_get b !pos in
       incr pos;
-      if op > op_end then corrupt "unknown opcode %d" op;
+      if op > op_end then corrupt "%s: unknown opcode %d" path op;
       let t = get_u_fast () in
       let d = if op < op_begin then get_u_fast () else 0 in
       if t > Packed.max_tid || d > Packed.max_target then
@@ -660,51 +476,13 @@ let fold_packed_bb path header s ~init ~f =
     while !pos < len do
       let op = Bigarray.Array1.unsafe_get b !pos in
       incr pos;
-      if op > op_end then corrupt "unknown opcode %d" op;
+      if op > op_end then corrupt "%s: unknown opcode %d" path op;
       let t = get_u_fast () in
       let d = if op < op_begin then get_u_fast () else 0 in
       if t > Packed.max_tid || d > Packed.max_target then
         corrupt "%s: id exceeds packed range" path;
       acc := f !acc (op lor (t lsl 3) lor (d lsl Packed.target_shift));
       incr n
-    done;
-    if !n <> header.events then
-      corrupt "%s: expected %d events, found %d" path header.events !n
-  end;
-  !acc
-
-(* Channel fallback: same records, same errors, buffered byte source. *)
-let fold_packed_channel path header next ~init ~f =
-  let acc = ref init in
-  let decode_one op =
-    let t = get_uint next in
-    let d = if op < op_begin then get_uint next else 0 in
-    if t > Packed.max_tid || d > Packed.max_target then
-      corrupt "%s: id exceeds packed range" path;
-    acc := f !acc (Packed.pack ~op ~tid:t ~target:d)
-  in
-  let n = ref 0 in
-  if header.last_use then begin
-    while !n < header.events do
-      match next () with
-      | -1 -> corrupt "%s: expected %d events, found %d" path header.events !n
-      | op ->
-        if op > op_end then corrupt "unknown opcode %d" op;
-        decode_one op;
-        incr n
-    done;
-    ignore (read_footer_tail next path header);
-    if next () <> -1 then corrupt "%s: trailing garbage after footer" path
-  end
-  else begin
-    let continue = ref true in
-    while !continue do
-      match next () with
-      | -1 -> continue := false
-      | op ->
-        if op > op_end then corrupt "unknown opcode %d" op;
-        decode_one op;
-        incr n
     done;
     if !n <> header.events then
       corrupt "%s: expected %d events, found %d" path header.events !n
@@ -718,20 +496,12 @@ let note_ingest_bytes n bytes =
   end
 
 let fold_packed path ~init ~f =
-  match map_file path with
-  | Some bb ->
-    let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0 } in
-    let header = header_of_bsrc path s in
-    let acc = fold_packed_bb path header s ~init ~f in
-    note_ingest_bytes header.events s.blen;
-    (header, acc)
-  | None ->
-    with_file path (fun ic ->
-        let header = checked_header_ic path ic in
-        let next = reader_next (reader_of_channel ic) in
-        let acc = fold_packed_channel path header next ~init ~f in
-        note_ingest ic header.events;
-        (header, acc))
+  let bb = map_file path in
+  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0 } in
+  let header = header_of_bsrc path s in
+  let acc = fold_packed_bb path header s ~init ~f in
+  note_ingest_bytes header.events s.blen;
+  (header, acc)
 
 let read_packed path =
   let a = Packed.Arena.create () in
@@ -739,6 +509,14 @@ let read_packed path =
     fold_packed path ~init:() ~f:(fun () w -> Packed.Arena.push a w)
   in
   (header, a)
+
+let read_file path =
+  let b = Trace.Builder.create () in
+  let _, () =
+    fold_packed path ~init:() ~f:(fun () w ->
+        Trace.Builder.add b (Packed.to_event w))
+  in
+  Trace.Builder.build b
 
 (* ---- packed-window re-encoding (violation flight recorder) ---- *)
 

@@ -19,10 +19,10 @@
     {!Prefilter} its exact-mode oracle without a pre-scan.  Version 1
     and 2 files (no or shorter footer) remain fully readable.
 
-    Reading is streaming: {!read_seq} exposes the events as a [Seq.t]
-    backed by a buffered channel, so a checker can analyze a file without
-    materializing the trace ({!Analysis.Runner.run_events} composes with
-    it directly). *)
+    Reading is streaming: {!fold_packed} decodes the memory-mapped file
+    one record at a time, so a checker can analyze a file without
+    materializing the trace ([Analysis.Runner.run_file] does).  Every
+    reader of the event records decodes through it. *)
 
 
 exception Corrupt of string
@@ -65,7 +65,8 @@ val read_header : string -> header
 (** Header of a binary trace file.  @raise Corrupt *)
 
 val read_file : string -> Trace.t
-(** Materialize the whole trace.  @raise Corrupt *)
+(** Materialize the whole trace: {!fold_packed} with each word boxed.
+    @raise Corrupt, also on ids beyond the packed ranges *)
 
 val read_last_use : string -> Lifetime.t option
 (** The last-use index of a version-2/3 file, read by seeking to the
@@ -78,20 +79,6 @@ val read_stats : string -> Varstats.t option
     footer.  [None] for version-1/2 files.  @raise Corrupt if the footer
     is truncated or inconsistent. *)
 
-val fold : string -> init:'a -> f:('a -> Event.t -> 'a) -> header * 'a
-(** [fold path ~init ~f] folds [f] over the file's events in order without
-    materializing a {!Trace.t}: the file is read in 64 KiB chunks and
-    events are decoded one at a time, so memory use is constant in the
-    trace length.  Returns the header alongside the final accumulator.
-    @raise Corrupt *)
-
-val read_seq : string -> header * (Event.t Seq.t * (unit -> unit))
-(** [read_seq path] is the header, a lazily-read event sequence, and a
-    [close] function releasing the file descriptor (also called
-    automatically when the sequence is fully consumed).  The sequence may
-    be traversed once.  @raise Corrupt on a bad header; corruption later
-    in the stream raises during traversal. *)
-
 val is_binary : string -> bool
 (** Does the file start with {!magic}, {!magic_v2} or {!magic_v3}?
     (Used by the CLI to auto-detect the format.) *)
@@ -102,33 +89,24 @@ val is_binary : string -> bool
     words: the file is memory-mapped ([Unix.map_file]) and records are
     decoded in place — no read syscalls past the page cache and no
     per-event heap allocation between the file and a checker's
-    [feed_packed] entry.  Inputs that cannot be mapped (pipes, special
-    files, empty files) transparently fall back to the buffered channel
-    reader, still producing packed words.  Footer validation and error
-    behavior match the boxed readers, so hostile inputs fail identically
-    on either path. *)
+    [feed_packed] entry.  The input must be a regular file: a FIFO or
+    special file maps as 0 bytes and fails as a truncated header, and a
+    file that cannot be mapped raises [Corrupt]. *)
 
 val fold_packed : string -> init:'a -> f:('a -> int -> 'a) -> header * 'a
 (** [fold_packed path ~init ~f] folds [f] over the file's events as
-    packed words, in order, memory-mapping the file when possible.
+    packed words, in order, from the memory-mapped file.
     Ids beyond the packed ranges ({!Packed.max_tid}/{!Packed.max_target})
     raise [Corrupt]; callers gate on {!Packed.fits} against the header
-    before choosing this path.  @raise Corrupt *)
+    before choosing this path.  Every [Corrupt] message starts with
+    [path].  @raise Corrupt
+    @raise Sys_error when the file cannot be opened *)
 
 val read_packed : string -> header * Packed.Arena.t
 (** Materialize the whole event section as a packed arena.
     @raise Corrupt *)
 
 (**/**)
-
-(* exposed for the round-trip property tests *)
-
-val encode_event : Buffer.t -> Event.t -> unit
-
-val decode_event : (unit -> int) -> Event.t option
-(** [decode_event next_byte] with [next_byte () = -1] at end of input;
-    [None] at a clean end, @raise Corrupt on a truncated or invalid
-    record. *)
 
 val write_packed_window :
   string -> threads:int -> locks:int -> vars:int -> int array -> unit

@@ -13,15 +13,16 @@
     sentinel.
 
     Decoding binfmt straight into packed words ({!Binfmt.fold_packed})
-    and feeding them to a checker's [feed_packed] entry removes every
-    per-event heap allocation between the file and the vector-clock
-    work.  The boxed {!Event.t} path remains the reference
-    implementation; packed and boxed are differential-tested for
-    identical verdicts and reports.
+    and feeding them to a checker's [feed_packed] entry — the only event
+    entry a checker has — removes every per-event heap allocation
+    between the file and the vector-clock work.  The seed reference
+    checkers in the tests unpack each word to a boxed {!Event.t}, so
+    the verdicts and reports are differential-tested against them.
 
     Packed words are nonnegative, so [-1] serves as the end-of-stream
     sentinel ({!Cursor.next}).  Traces whose id domains exceed the slice
-    widths use the boxed path — {!fits} is the guard. *)
+    widths cannot be checked — {!fits} is the guard the readers and
+    runners apply. *)
 
 (** {1 Opcodes}
 

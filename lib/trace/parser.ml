@@ -279,6 +279,16 @@ let scan_lines ?checkpoint ic line =
   next_line 0;
   !lineno
 
+(* A binary trace reaches the text reader only through a stream that
+   {!Binfmt.is_binary} cannot size (a pipe); refused by name rather than
+   echoed back as a malformed line. *)
+let refuse_binary b s stop =
+  let n = String.length Binfmt.magic in
+  if stop - s >= n then
+    let m = Bytes.sub_string b s n in
+    if m = Binfmt.magic || m = Binfmt.magic_v2 || m = Binfmt.magic_v3 then
+      fail 1 "binary trace on a pipe: pass it as a regular file"
+
 let read_packed ?(stats = false) ?checkpoint path =
   let threads = Interner.create ()
   and locks = Interner.create ()
@@ -290,6 +300,7 @@ let read_packed ?(stats = false) ?checkpoint path =
       if stop > s && Bytes.unsafe_get b (stop - 1) = '\r' then stop - 1 else stop
     in
     if not (fast_line ~threads ~locks ~vars arena lineno b s content) then begin
+      if lineno = 1 then refuse_binary b s stop;
       incr slow;
       slow_line ~threads ~locks ~vars arena lineno (Bytes.sub_string b s (stop - s))
     end

@@ -67,8 +67,10 @@ val read_packed : ?stats:bool -> ?checkpoint:(unit -> unit) -> string -> packed
     {!Varstats} accessor statistics are too.  [checkpoint] runs every
     4096 lines; an exception it raises aborts the scan and propagates.
     I/O exceptions propagate.
-    @raise Parse_error on a malformed line, and on a line whose new name
-    would overflow the packed id ranges ({!Packed.fits}). *)
+    @raise Parse_error on a malformed line, on a line whose new name
+    would overflow the packed id ranges ({!Packed.fits}), and on a first
+    line that starts with a binary trace's magic (a binary trace piped
+    in, which only {!Binfmt} can read, from a regular file). *)
 
 val fold_file :
   ?last_use:(Lifetime.t -> unit) ->

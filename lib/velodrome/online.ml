@@ -263,36 +263,8 @@ let handle_end st t =
     end
   end
 
-let feed st (e : Event.t) =
-  match st.violation with
-  | Some _ as v -> v
-  | None -> (
-    st.processed <- st.processed + 1;
-    if Obs.on () then Aerodrome.Cmetrics.count st.m e.op;
-    let t = Ids.Tid.to_int e.thread in
-    match
-      (match e.op with
-      | Event.Read x -> handle_read st t (Ids.Vid.to_int x)
-      | Event.Write x -> handle_write st t (Ids.Vid.to_int x)
-      | Event.Acquire l -> handle_acquire st t (Ids.Lid.to_int l)
-      | Event.Release l -> handle_release st t (Ids.Lid.to_int l)
-      | Event.Fork u -> handle_fork st t (Ids.Tid.to_int u)
-      | Event.Join u -> handle_join st t (Ids.Tid.to_int u)
-      | Event.Begin -> handle_begin st t
-      | Event.End -> handle_end st t)
-    with
-    | () -> None
-    | exception Found cycle ->
-      let v =
-        Aerodrome.Violation.make ~index:(st.processed - 1) ~event:e
-          ~site:(Aerodrome.Violation.Graph_cycle cycle)
-      in
-      if Obs.on () then Aerodrome.Cmetrics.found_violation st.m (st.processed - 1);
-      st.violation <- Some v;
-      Some v)
-
-(* The packed-word twin of [feed]: same handlers, ids straight from the
-   bit slices, the boxed event materialized only at a violation. *)
+(* The one event entry: ids straight from the packed word's bit slices,
+   the boxed event materialized only at a violation. *)
 let feed_packed st w =
   match st.violation with
   | Some _ as v -> v
@@ -331,7 +303,6 @@ module No_gc : Aerodrome.Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~garbage_collect:false ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed
@@ -347,7 +318,6 @@ module Pk_engine : Aerodrome.Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~engine:Incremental ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed

@@ -322,7 +322,6 @@ module Faithful : Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~faithful:true ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed
@@ -336,7 +335,6 @@ module Slow : Checker.S = struct
   let create ~threads ~locks ~vars =
     create_with ~fast_checks:false ~threads ~locks ~vars ()
 
-  let feed = feed
   let feed_packed = feed_packed
   let violation = violation
   let processed = processed

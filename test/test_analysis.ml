@@ -53,10 +53,6 @@ let slow_checker : Aerodrome.Checker.t =
     let name = "sleeper"
     let create ~threads:_ ~locks:_ ~vars:_ = ()
 
-    let feed () _ =
-      ignore (Unix.select [] [] [] 0.002);
-      None
-
     let feed_packed () _ =
       ignore (Unix.select [] [] [] 0.002);
       None

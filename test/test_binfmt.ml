@@ -34,23 +34,10 @@ let test_streaming_matches_materialized () =
   in
   tmp (fun path ->
       Binfmt.write_file path tr;
-      let h, (events, close) = Binfmt.read_seq path in
+      let h, rev = Binfmt.fold_packed path ~init:[] ~f:(fun acc w -> w :: acc) in
       check Alcotest.int "header events" (Trace.length tr) h.Binfmt.events;
-      let streamed = List.of_seq events in
-      close ();
-      check Alcotest.bool "same events" true (streamed = Trace.to_list tr))
-
-let test_streaming_early_close () =
-  tmp (fun path ->
-      Binfmt.write_file path Workloads.Scenarios.rho1;
-      let _, (events, close) = Binfmt.read_seq path in
-      (* take two events, then stop *)
-      (match Seq.uncons events with
-      | Some (_, rest) -> ignore (Seq.uncons rest)
-      | None -> Alcotest.fail "empty");
-      close ();
-      check Alcotest.bool "closed stream yields nothing" true
-        (Seq.is_empty events || true))
+      check Alcotest.bool "the written events" true
+        (List.rev rev = List.map Packed.of_event (Trace.to_list tr)))
 
 let test_compactness () =
   let tr =
@@ -174,8 +161,8 @@ let test_runner_streaming () =
       | _ -> Alcotest.fail "expected verdicts")
 
 let test_large_roundtrip () =
-  (* >=100k events: exercises many buffered-reader refills (64 KiB chunks)
-     and the chunk boundaries falling inside multi-byte records *)
+  (* >=100k events over 5,000 variables: most records carry multi-byte
+     varints, through both the boxing and the packed reader *)
   let tr =
     Workloads.Generator.generate
       { Workloads.Generator.default with events = 120_000; vars = 5_000 }
@@ -185,33 +172,22 @@ let test_large_roundtrip () =
       let tr' = Binfmt.read_file path in
       check Alcotest.bool "120k-event roundtrip" true
         (Trace.to_list tr = Trace.to_list tr');
-      let h, rev = Binfmt.fold path ~init:[] ~f:(fun acc e -> e :: acc) in
+      let h, rev = Binfmt.fold_packed path ~init:[] ~f:(fun acc w -> w :: acc) in
       check Alcotest.int "header count" (Trace.length tr) h.Binfmt.events;
-      check Alcotest.bool "fold sees the same events" true
-        (List.rev rev = Trace.to_list tr))
+      check Alcotest.bool "fold_packed sees the written events" true
+        (List.rev rev = List.map Packed.of_event (Trace.to_list tr)))
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"binary roundtrip" ~count:100
     (Helpers.arb_trace ~threads:4 ~locks:2 ~vars:4 ~max_len:100 ~complete:false ())
     (fun tr ->
-      let buf = Buffer.create 256 in
-      Trace.iter (fun e -> Binfmt.encode_event buf e) tr;
-      let s = Buffer.contents buf in
-      let pos = ref 0 in
-      let next () =
-        if !pos >= String.length s then -1
-        else begin
-          let b = Char.code s.[!pos] in
-          incr pos;
-          b
-        end
-      in
-      let rec decode acc =
-        match Binfmt.decode_event next with
-        | Some e -> decode (e :: acc)
-        | None -> List.rev acc
-      in
-      decode [] = Trace.to_list tr)
+      (* v1 (no footer) and v3 (last-use + statistics footer) *)
+      List.for_all
+        (fun last_use ->
+          tmp (fun path ->
+              Binfmt.write_file ~last_use path tr;
+              Trace.to_list (Binfmt.read_file path) = Trace.to_list tr))
+        [ false; true ])
 
 let suite =
   ( "binfmt",
@@ -219,7 +195,6 @@ let suite =
       Alcotest.test_case "scenario roundtrips" `Quick test_roundtrip_scenarios;
       Alcotest.test_case "header" `Quick test_header;
       Alcotest.test_case "streaming" `Quick test_streaming_matches_materialized;
-      Alcotest.test_case "early close" `Quick test_streaming_early_close;
       Alcotest.test_case "compactness" `Quick test_compactness;
       Alcotest.test_case "text detection" `Quick test_not_binary;
       Alcotest.test_case "corruption" `Quick test_corruption;

@@ -63,7 +63,7 @@ let test_freeze () =
       let first = ref None in
       Trace.iter
         (fun e ->
-          match (C.feed st e, !first) with
+          match (C.feed_packed st (Packed.of_event e), !first) with
           | Some v, None -> first := Some v
           | Some v, Some v0 ->
             check Alcotest.bool (name ^ ": same violation") true
@@ -79,11 +79,11 @@ let test_processed_counts () =
   let tr = Workloads.Scenarios.rho1 in
   let (module C : Aerodrome.Checker.S) = (module Aerodrome.Opt) in
   let st = C.create ~threads:3 ~locks:0 ~vars:3 in
-  Trace.iter (fun e -> ignore (C.feed st e)) tr;
+  Trace.iter (fun e -> ignore (C.feed_packed st (Packed.of_event e))) tr;
   check Alcotest.int "all processed" (Trace.length tr) (C.processed st);
   (* frozen checkers stop counting *)
   let st2 = C.create ~threads:2 ~locks:0 ~vars:2 in
-  Trace.iter (fun e -> ignore (C.feed st2 e)) Workloads.Scenarios.rho2;
+  Trace.iter (fun e -> ignore (C.feed_packed st2 (Packed.of_event e))) Workloads.Scenarios.rho2;
   check Alcotest.int "frozen at violation" 6 (C.processed st2)
 
 (* --- differential properties on random complete traces --- *)

@@ -124,17 +124,17 @@ let test_opt_lazy_state_introspection () =
   (* thread 1 opens a transaction and writes y; thread 0's transaction
      reads y (so it knows thread 1's active begin and will be kept) and
      writes x lazily *)
-  ignore (Aerodrome.Opt.feed st (Event.begin_ 1));
-  ignore (Aerodrome.Opt.feed st (Event.write 1 1));
-  ignore (Aerodrome.Opt.feed st (Event.begin_ 0));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.begin_ 1)));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.write 1 1)));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.begin_ 0)));
   check Alcotest.bool "in txn" true (Aerodrome.Opt.in_transaction st 0);
-  ignore (Aerodrome.Opt.feed st (Event.read 0 1));
-  ignore (Aerodrome.Opt.feed st (Event.write 0 0));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.read 0 1)));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.write 0 0)));
   check Alcotest.bool "stale after write in txn" true
     (Aerodrome.Opt.write_is_stale st 0);
   check (Alcotest.option Alcotest.int) "last writer" (Some 0)
     (Aerodrome.Opt.last_writer st 0);
-  ignore (Aerodrome.Opt.feed st (Event.end_ 0));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.end_ 0)));
   check Alcotest.bool "materialized at end" false
     (Aerodrome.Opt.write_is_stale st 0);
   check Alcotest.bool "W_x now carries the txn" true
@@ -145,9 +145,9 @@ let test_opt_gc_skips_materialization () =
      collected: the lazy W_x is dropped, soundly, rather than
      materialized *)
   let st = Aerodrome.Opt.create ~threads:2 ~locks:0 ~vars:1 in
-  ignore (Aerodrome.Opt.feed st (Event.begin_ 0));
-  ignore (Aerodrome.Opt.feed st (Event.write 0 0));
-  ignore (Aerodrome.Opt.feed st (Event.end_ 0));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.begin_ 0)));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.write 0 0)));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.end_ 0)));
   check Alcotest.bool "not stale" false (Aerodrome.Opt.write_is_stale st 0);
   check (Alcotest.option Alcotest.int) "writer forgotten" None
     (Aerodrome.Opt.last_writer st 0);
@@ -158,7 +158,7 @@ let test_opt_gc_skips_materialization () =
 
 let test_unary_write_not_stale () =
   let st = Aerodrome.Opt.create ~threads:2 ~locks:0 ~vars:1 in
-  ignore (Aerodrome.Opt.feed st (Event.write 0 0));
+  ignore (Aerodrome.Opt.feed_packed st (Packed.of_event (Event.write 0 0)));
   check Alcotest.bool "eager for unary" false
     (Aerodrome.Opt.write_is_stale st 0)
 

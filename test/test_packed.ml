@@ -1,8 +1,9 @@
 (* Packed event words and zero-copy ingestion: codec roundtrips at the
    slice boundaries, arena/cursor semantics across chunk boundaries,
-   packed-vs-boxed reader and checker equivalence, and a table of
-   hostile binary inputs that must fail identically (clean [Corrupt],
-   no crash) through every reader. *)
+   the packed readers against the trace that was written (the encoder
+   is the oracle), the runner against the seed checkers, and a table of
+   hostile binary inputs that must fail identically (clean [Corrupt]
+   naming the file, no crash) through every reader. *)
 
 open Traces
 
@@ -12,9 +13,12 @@ let tmp body =
   let path = Filename.temp_file "aerodrome_packed" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> body path)
 
-let expect_corrupt name body =
+(* The [Corrupt] message, which must name [path]. *)
+let expect_corrupt ~path name body =
   match body () with
-  | exception Binfmt.Corrupt _ -> ()
+  | exception Binfmt.Corrupt msg ->
+    if not (Helpers.contains msg path) then
+      Alcotest.failf "%s: message %S does not name the file" name msg
   | _ -> Alcotest.failf "%s: expected Binfmt.Corrupt" name
 
 (* --- word codec --- *)
@@ -126,7 +130,7 @@ let test_empty_arena () =
   check Alcotest.int "empty cursor" (-1)
     (Packed.Cursor.next (Packed.Cursor.of_arena a))
 
-(* --- packed readers vs boxed readers --- *)
+(* --- packed readers vs the written trace --- *)
 
 let test_read_packed_matches_boxed () =
   let tr =
@@ -153,17 +157,17 @@ let test_read_packed_matches_boxed () =
         (List.length words);
       List.iteri
         (fun j w ->
-          if w <> Packed.Arena.get arena j then
+          if w <> Packed.of_event (Trace.get tr j) then
             Alcotest.failf "fold_packed word %d diverged" j)
         words)
 
 let test_read_packed_v1 () =
   (* the until-EOF (no footer) decode loop is a separate code path *)
+  let written = Workloads.Scenarios.rho4 in
   tmp (fun path ->
-      Binfmt.write_file ~last_use:false path Workloads.Scenarios.rho4;
+      Binfmt.write_file ~last_use:false path written;
       let _, arena = Binfmt.read_packed path in
-      let boxed = Binfmt.read_file path in
-      check Alcotest.int "v1 arena length" (Trace.length boxed)
+      check Alcotest.int "v1 arena length" (Trace.length written)
         (Packed.Arena.length arena);
       let i = ref 0 in
       Trace.iter
@@ -171,39 +175,16 @@ let test_read_packed_v1 () =
           if Packed.to_event (Packed.Arena.get arena !i) <> e then
             Alcotest.failf "v1 event %d diverged" !i;
           incr i)
-        boxed)
+        written)
 
-(* --- checkers: run_arena and the runner's packed path --- *)
+(* --- the runner's packed path --- *)
 
-let test_run_arena_matches_run () =
-  List.iter
-    (fun (cname, c) ->
-      List.iter
-        (fun (tname, tr, _) ->
-          let boxed = Aerodrome.Checker.run c tr in
-          let arena = Packed.Arena.create ~chunk_words:64 () in
-          Trace.iter
-            (fun e -> Packed.Arena.push arena (Packed.of_event e))
-            tr;
-          let packed =
-            Aerodrome.Checker.run_arena c ~threads:(Trace.threads tr)
-              ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) arena
-          in
-          match (boxed, packed) with
-          | None, None -> ()
-          | Some (a : Aerodrome.Violation.t), Some b when a = b -> ()
-          | _ ->
-            Alcotest.failf "%s on %s: run_arena diverged from run" cname
-              tname)
-        Workloads.Scenarios.all)
-    Helpers.online_checkers
-
-(* [Runner.run_stream] against the boxed oracles.  [tr] is written as a
-   v1 binary, a v3 binary and a .std text file; each is checked under
-   each of [prefilters] and must report what [Checker.run] of Opt and of
-   the seed's Reference_opt report on [Binfmt.read_file] of the trace —
-   after [Prefilter.run_trace `Exact] on the legs that filter — with the
-   same verdict, violation index and [events_fed].  [Auto] filters
+(* [Runner.run_stream] against the oracles.  [tr] is written as a v1
+   binary, a v3 binary and a .std text file; each is checked under each
+   of [prefilters] and must report what [Checker.run] of Opt and of the
+   seed's Reference_opt report on [tr] itself — after
+   [Prefilter.run_trace `Exact] on the legs that filter — with the same
+   verdict, violation index and [events_fed].  [Auto] filters
    wherever statistics come for free: not on a v1 file. *)
 let check_stream_against_oracles label prefilters tr =
   let with_file suffix write body =
@@ -217,9 +198,8 @@ let check_stream_against_oracles label prefilters tr =
   with_file ".bin" (Binfmt.write_file ~last_use:false) @@ fun v1 ->
   with_file ".bin" Binfmt.write_file @@ fun v3 ->
   with_file ".std" Parser.to_file @@ fun std ->
-  let read = Binfmt.read_file v3 in
   let oracle filtered =
-    let tr = if filtered then fst (Prefilter.run_trace `Exact read) else read in
+    let tr = if filtered then fst (Prefilter.run_trace `Exact tr) else tr in
     ( Helpers.violation_index (module Aerodrome.Opt) tr,
       Helpers.violation_index (module Reference.Reference_opt) tr,
       Trace.length tr )
@@ -256,7 +236,7 @@ let check_stream_against_oracles label prefilters tr =
     [ ("v1", v1, false); ("v3", v3, true); ("std", std, true) ]
 
 let test_runner_packed_differential () =
-  (* end to end through the runner, against the boxed oracles, with the
+  (* end to end through the runner, against the oracles, with the
      prefilter off, automatic and forced exact *)
   List.iter
     (fun (tname, tr) ->
@@ -291,42 +271,34 @@ let test_runner_packed_differential () =
       );
     ]
 
-(* The packed path's reason to exist: from the file to the checker it
-   allocates no more than the boxed reference, [Binfmt.fold] -> [feed].
-   Each side feeds a fresh Opt from a v3 file of the mixed corpus (8
+(* The packed path's reason to exist: from the file to the checker,
+   [Binfmt.fold_packed] -> [Opt.feed_packed], nothing is boxed per
+   event.  A fresh Opt is fed from a v3 file of the mixed corpus (8
    threads, ~200k events); minor-heap words count what the loop puts on
-   the heap per event. *)
-let test_packed_allocates_no_more () =
+   the heap per event, which is Opt's own clock and set growth (about
+   2.2 words/event).  Boxing each record on the way (3 to 5 words per
+   [Event.t]) exceeds the bound. *)
+let max_words_per_event = 4.0
+
+let test_packed_allocation_bound () =
   let tr = Workloads.Corpus.mixed ~threads:8 ~events_total:200_000 () in
   tmp (fun path ->
       Binfmt.write_file path tr;
       let h = Binfmt.read_header path in
-      let minor_words feed_file =
-        let st =
-          Aerodrome.Opt.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
-            ~vars:h.Binfmt.vars
-        in
-        let w0 = Gc.minor_words () in
-        feed_file st;
-        Gc.minor_words () -. w0
+      let st =
+        Aerodrome.Opt.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
+          ~vars:h.Binfmt.vars
       in
-      let boxed =
-        minor_words (fun st ->
-            ignore
-              (Binfmt.fold path ~init:() ~f:(fun () e ->
-                   ignore (Aerodrome.Opt.feed st e))))
+      let w0 = Gc.minor_words () in
+      ignore
+        (Binfmt.fold_packed path ~init:() ~f:(fun () w ->
+             ignore (Aerodrome.Opt.feed_packed st w)));
+      let per_event =
+        (Gc.minor_words () -. w0) /. float_of_int (Trace.length tr)
       in
-      let packed =
-        minor_words (fun st ->
-            ignore
-              (Binfmt.fold_packed path ~init:() ~f:(fun () w ->
-                   ignore (Aerodrome.Opt.feed_packed st w))))
-      in
-      let per_event words = words /. float_of_int (Trace.length tr) in
-      if packed > boxed then
-        Alcotest.failf
-          "packed path allocated %.1f words/event, boxed reference %.1f"
-          (per_event packed) (per_event boxed))
+      if per_event > max_words_per_event then
+        Alcotest.failf "packed path allocated %.1f words/event (bound %.1f)"
+          per_event max_words_per_event)
 
 (* --- hostile binary inputs --- *)
 
@@ -371,8 +343,8 @@ let crafted ?(magic = Binfmt.magic) ~threads ~locks ~vars ~events body =
 
 let base = Workloads.Scenarios.rho4
 
-(* each case prepares a malformed file; every reader — boxed and
-   packed, materializing and folding — must raise [Corrupt] *)
+(* each case prepares a malformed file; every reader — materializing
+   and folding — must raise [Corrupt] naming the file *)
 let hostile_cases =
   [
     ("empty file", fun _ -> ());
@@ -432,13 +404,11 @@ let test_hostile_inputs () =
     (fun (name, prepare) ->
       tmp (fun path ->
           prepare path;
-          expect_corrupt (name ^ ": read_file") (fun () ->
+          expect_corrupt ~path (name ^ ": read_file") (fun () ->
               ignore (Binfmt.read_file path));
-          expect_corrupt (name ^ ": fold") (fun () ->
-              ignore (Binfmt.fold path ~init:0 ~f:(fun n _ -> n + 1)));
-          expect_corrupt (name ^ ": read_packed") (fun () ->
+          expect_corrupt ~path (name ^ ": read_packed") (fun () ->
               ignore (Binfmt.read_packed path));
-          expect_corrupt (name ^ ": fold_packed") (fun () ->
+          expect_corrupt ~path (name ^ ": fold_packed") (fun () ->
               ignore (Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1)))))
     hostile_cases
 
@@ -468,19 +438,29 @@ let test_run_refuses_oversized_trace () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "an unpackable trace was checked"
 
+(* The library entry points pack too: [Checker.run] through an arena,
+   [Monitor] per observed event. *)
+let test_library_refuses_oversized_trace () =
+  let tr = Trace.of_events [ Event.begin_ (Packed.max_tid + 1) ] in
+  (match Aerodrome.Checker.run (module Aerodrome.Opt) tr with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Checker.run checked an unpackable trace");
+  match Aerodrome.Monitor.of_trace_domains tr with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Monitor.create accepted unpackable domains"
+
 let test_packed_range_gate () =
-  (* a v1 file with a thread id beyond the 21-bit packed slice: the
-     boxed reader accepts it, the packed reader must refuse rather than
-     silently corrupt the word — this is the [Packed.fits] gate the
-     runner applies from the header *)
+  (* a v1 file with a thread id beyond the 21-bit packed slice: every
+     reader must refuse rather than silently corrupt the word — this is
+     the [Packed.fits] gate the runner applies from the header *)
   tmp (fun path ->
       write_raw path
         (crafted ~threads:(1 lsl 30) ~locks:0 ~vars:1 ~events:1 (fun buf ->
              Buffer.add_char buf (Char.chr Packed.op_begin);
              add_uint buf (1 lsl 29)));
-      let tr = Binfmt.read_file path in
-      check Alcotest.int "boxed reader accepts" 1 (Trace.length tr);
-      expect_corrupt "packed reader refuses" (fun () ->
+      expect_corrupt ~path "read_file refuses" (fun () ->
+          ignore (Binfmt.read_file path));
+      expect_corrupt ~path "fold_packed refuses" (fun () ->
           ignore (Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1)));
       check Alcotest.bool "fits gate says no" false
         (Packed.fits ~threads:(1 lsl 30) ~locks:0 ~vars:1))
@@ -496,14 +476,15 @@ let suite =
       Alcotest.test_case "read_packed vs boxed" `Quick
         test_read_packed_matches_boxed;
       Alcotest.test_case "read_packed v1" `Quick test_read_packed_v1;
-      Alcotest.test_case "run_arena vs run" `Quick test_run_arena_matches_run;
       Alcotest.test_case "runner packed differential" `Quick
         test_runner_packed_differential;
-      Alcotest.test_case "packed allocates no more than boxed" `Quick
-        test_packed_allocates_no_more;
+      Alcotest.test_case "packed allocates at most 4 words/event" `Quick
+        test_packed_allocation_bound;
       Alcotest.test_case "hostile inputs" `Quick test_hostile_inputs;
       Alcotest.test_case "oversized domains" `Quick test_oversized_domains;
       Alcotest.test_case "run refuses oversized traces" `Quick
         test_run_refuses_oversized_trace;
+      Alcotest.test_case "Checker.run and Monitor refuse oversized traces"
+        `Quick test_library_refuses_oversized_trace;
       Alcotest.test_case "packed range gate" `Quick test_packed_range_gate;
     ] )

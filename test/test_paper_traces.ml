@@ -60,7 +60,7 @@ let test_rho1_transactions () =
 let test_figure5_clocks () =
   let tr = Workloads.Scenarios.rho2 in
   let st = Aerodrome.Basic.create ~threads:2 ~locks:0 ~vars:2 in
-  let feed i = Aerodrome.Basic.feed st (Trace.get tr (i - 1)) in
+  let feed i = Aerodrome.Basic.feed_packed st (Packed.of_event (Trace.get tr (i - 1))) in
   let t1 = 0 and t2 = 1 and x = 0 and y = 1 in
   ignore (feed 1);
   check vt "C_t1 after e1" (VT.of_list [ 2; 0 ]) (Aerodrome.Basic.thread_clock st t1);
@@ -84,7 +84,7 @@ let test_figure5_clocks () =
 let test_figure6_clocks () =
   let tr = Workloads.Scenarios.rho3 in
   let st = Aerodrome.Basic.create ~threads:2 ~locks:0 ~vars:2 in
-  let feed i = Aerodrome.Basic.feed st (Trace.get tr (i - 1)) in
+  let feed i = Aerodrome.Basic.feed_packed st (Packed.of_event (Trace.get tr (i - 1))) in
   let t1 = 0 and t2 = 1 and x = 0 and y = 1 in
   for i = 1 to 4 do
     check Alcotest.bool "no early violation" true (feed i = None)
@@ -106,7 +106,7 @@ let test_figure6_clocks () =
 let test_figure7_clocks () =
   let tr = Workloads.Scenarios.rho4 in
   let st = Aerodrome.Basic.create ~threads:3 ~locks:0 ~vars:3 in
-  let feed i = Aerodrome.Basic.feed st (Trace.get tr (i - 1)) in
+  let feed i = Aerodrome.Basic.feed_packed st (Packed.of_event (Trace.get tr (i - 1))) in
   let t2 = 1 and t3 = 2 and y = 1 and z = 2 in
   for i = 1 to 5 do
     ignore (feed i)

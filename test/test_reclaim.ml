@@ -15,7 +15,7 @@ module type CHECKER = sig
   type t
 
   val create : threads:int -> locks:int -> vars:int -> t
-  val feed : t -> Event.t -> Aerodrome.Violation.t option
+  val feed_packed : t -> int -> Aerodrome.Violation.t option
   val violation : t -> Aerodrome.Violation.t option
   val metrics : t -> Obs.Snapshot.t
 end
@@ -50,7 +50,7 @@ let run_with policy (module C : CHECKER) (tr : Trace.t) =
         C.create ~threads:(Trace.threads tr) ~locks:(Trace.locks tr)
           ~vars:(Trace.vars tr))
   in
-  Trace.iter (fun e -> ignore (C.feed st e)) tr;
+  Trace.iter (fun e -> ignore (C.feed_packed st (Packed.of_event e))) tr;
   ( Option.map
       (fun v -> v.Aerodrome.Violation.index)
       (C.violation st),
@@ -181,7 +181,7 @@ let test_phased_peak_shrinks () =
     let sample () = peak := max !peak (Obj.reachable_words (Obj.repr st)) in
     Trace.iteri
       (fun i e ->
-        ignore (Aerodrome.Opt.feed st e);
+        ignore (Aerodrome.Opt.feed_packed st (Packed.of_event e));
         if (i + 1) land 1023 = 0 then sample ())
       tr;
     sample ();

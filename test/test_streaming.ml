@@ -1,4 +1,4 @@
-(* Streaming ingestion: Parser.fold_file / Binfmt.fold / Runner.run_stream
+(* Streaming ingestion: Parser.fold_file / Binfmt.fold_packed / Runner.run_stream
    must see exactly the events the materializing readers see, and must do
    so in constant memory — the point of the streaming path is analyzing
    traces larger than RAM. *)
@@ -119,9 +119,9 @@ let test_run_stream_text_timeout () =
 
 (* --- constant peak heap --- *)
 
-(* Feed a binary file through Binfmt.fold, sampling live words every 16k
-   events.  Nothing but the checker state and the 64 KiB I/O chunk may
-   accumulate, so a 12x longer trace must not show a materially larger
+(* Feed a binary file through Binfmt.fold_packed -> Opt.feed_packed,
+   sampling live words every 16k events.  Nothing but the checker state
+   may accumulate on the heap (the mapping lives outside it), so a 12x longer trace must not show a materially larger
    peak (materializing it would add >200k words on its own). *)
 let stream_peak_live_words path ~threads ~locks ~vars =
   let st = Aerodrome.Opt.create ~threads ~locks ~vars in
@@ -132,8 +132,8 @@ let stream_peak_live_words path ~threads ~locks ~vars =
     peak := max !peak (Gc.stat ()).Gc.live_words
   in
   let _header, () =
-    Binfmt.fold path ~init:() ~f:(fun () e ->
-        ignore (Aerodrome.Opt.feed st e);
+    Binfmt.fold_packed path ~init:() ~f:(fun () w ->
+        ignore (Aerodrome.Opt.feed_packed st w);
         incr n;
         if !n land 16383 = 0 then sample ())
   in

@@ -26,7 +26,7 @@ let test_gc_vs_nogc_agree () =
 let run_introspect tr =
   let st = Velodrome.Online.create ~threads:(Trace.threads tr)
       ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) in
-  Trace.iter (fun e -> ignore (Velodrome.Online.feed st e)) tr;
+  Trace.iter (fun e -> ignore (Velodrome.Online.feed_packed st (Packed.of_event e))) tr;
   st
 
 let test_unary_chains_collapse () =
@@ -49,7 +49,7 @@ let test_gc_disabled_retains () =
     Velodrome.Online.create_with ~garbage_collect:false ~threads:1 ~locks:0
       ~vars:3 ()
   in
-  Trace.iter (fun e -> ignore (Velodrome.Online.feed st e)) tr;
+  Trace.iter (fun e -> ignore (Velodrome.Online.feed_packed st (Packed.of_event e))) tr;
   check Alcotest.int "all nodes retained" 100 (Velodrome.Online.live_nodes st)
 
 let test_anchored_shape_defeats_gc () =
@@ -97,7 +97,7 @@ let test_edge_counter () =
       ~vars:3 ()
   in
   Trace.iter
-    (fun e -> ignore (Velodrome.Online.feed st' e))
+    (fun e -> ignore (Velodrome.Online.feed_packed st' (Packed.of_event e)))
     Workloads.Scenarios.rho1;
   check Alcotest.int "edges without gc" 2 (Velodrome.Online.edges_added st')
 
