@@ -39,6 +39,36 @@ let test_streaming_matches_materialized () =
       check Alcotest.bool "the written events" true
         (List.rev rev = List.map Packed.of_event (Trace.to_list tr)))
 
+(* A consumer stops [fold_packed] early by raising from [f].  The
+   exception must reach it unchanged (not as [Corrupt]), the file must
+   not stay open, and a fresh fold must still see every event. *)
+let test_streaming_early_close () =
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then
+      Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  tmp (fun path ->
+      Binfmt.write_file path Workloads.Scenarios.rho1;
+      let before = open_fds () in
+      let seen = ref 0 in
+      (match
+         Binfmt.fold_packed path ~init:() ~f:(fun () _ ->
+             incr seen;
+             if !seen = 2 then raise Exit)
+       with
+      | exception Exit -> ()
+      | exception e ->
+        Alcotest.failf "early stop surfaced as %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "the fold ran past the stop");
+      check Alcotest.int "stopped after two events" 2 !seen;
+      (match (before, open_fds ()) with
+      | Some b, Some a -> check Alcotest.int "no descriptor left open" b a
+      | _ -> ());
+      let _, n = Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1) in
+      check Alcotest.int "a fresh fold sees every event"
+        (Trace.length Workloads.Scenarios.rho1) n)
+
 let test_compactness () =
   let tr =
     Workloads.Generator.generate
@@ -195,6 +225,7 @@ let suite =
       Alcotest.test_case "scenario roundtrips" `Quick test_roundtrip_scenarios;
       Alcotest.test_case "header" `Quick test_header;
       Alcotest.test_case "streaming" `Quick test_streaming_matches_materialized;
+      Alcotest.test_case "early close" `Quick test_streaming_early_close;
       Alcotest.test_case "compactness" `Quick test_compactness;
       Alcotest.test_case "text detection" `Quick test_not_binary;
       Alcotest.test_case "corruption" `Quick test_corruption;

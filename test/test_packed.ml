@@ -177,6 +177,33 @@ let test_read_packed_v1 () =
           incr i)
         written)
 
+(* [Checker.run] packs one event at a time from the [Trace.t];
+   [run_arena] walks a [Cursor] over an arena whose 64-word chunks put
+   chunk boundaries inside every longer scenario.  The two loops must
+   stop at the same event with the same report. *)
+let test_run_arena_matches_run () =
+  List.iter
+    (fun (cname, c) ->
+      List.iter
+        (fun (tname, tr, _) ->
+          let direct = Aerodrome.Checker.run c tr in
+          let arena = Packed.Arena.create ~chunk_words:64 () in
+          Trace.iter
+            (fun e -> Packed.Arena.push arena (Packed.of_event e))
+            tr;
+          let packed =
+            Aerodrome.Checker.run_arena c ~threads:(Trace.threads tr)
+              ~locks:(Trace.locks tr) ~vars:(Trace.vars tr) arena
+          in
+          match (direct, packed) with
+          | None, None -> ()
+          | Some (a : Aerodrome.Violation.t), Some b when a = b -> ()
+          | _ ->
+            Alcotest.failf "%s on %s: run_arena diverged from run" cname
+              tname)
+        Workloads.Scenarios.all)
+    Helpers.online_checkers
+
 (* --- the runner's packed path --- *)
 
 (* [Runner.run_stream] against the oracles.  [tr] is written as a v1
@@ -476,6 +503,7 @@ let suite =
       Alcotest.test_case "read_packed vs boxed" `Quick
         test_read_packed_matches_boxed;
       Alcotest.test_case "read_packed v1" `Quick test_read_packed_v1;
+      Alcotest.test_case "run_arena vs run" `Quick test_run_arena_matches_run;
       Alcotest.test_case "runner packed differential" `Quick
         test_runner_packed_differential;
       Alcotest.test_case "packed allocates at most 4 words/event" `Quick
