@@ -59,10 +59,11 @@ let remove s i =
   end
 
 (* Iterate the members and leave the set empty; entries invalidated by
-   [remove] (and duplicates they enable) are skipped.  [f] must not add
-   to the set being drained (the checkers only ever add to *other*
-   threads' sets from inside a drain). *)
-let drain f s =
+   [remove] (and duplicates they enable) are skipped.  [f] gets [a] and
+   [b] passed through, so a closed function needs no closure per call.
+   [f] must not add to the set being drained (the checkers only ever add
+   to *other* threads' sets from inside a drain). *)
+let drain f a b s =
   let n = s.n in
   s.n <- 0;
   for k = 0 to n - 1 do
@@ -70,10 +71,10 @@ let drain f s =
     if mem s i then begin
       Bytes.unsafe_set s.mem i '\000';
       s.live <- s.live - 1;
-      f i
+      f a b i
     end
   done
 
-let clear s = drain (fun _ -> ()) s
+let clear s = drain (fun () () _ -> ()) () () s
 
 let raw_length s = s.n

@@ -23,10 +23,11 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 (** No-op if not a member. *)
 
-val drain : (int -> unit) -> t -> unit
-(** [drain f s] calls [f] on every member in insertion order and leaves
-    [s] empty.  [f] must not add to [s] itself (adding to other sets is
-    fine). *)
+val drain : ('a -> 'b -> int -> unit) -> 'a -> 'b -> t -> unit
+(** [drain f a b s] calls [f a b i] on every member [i] in insertion
+    order and leaves [s] empty; passing [a] and [b] through lets a closed
+    [f] run without allocating a closure.  [f] must not add to [s] itself
+    (adding to other sets is fine). *)
 
 val clear : t -> unit
 (** Empty the set. *)

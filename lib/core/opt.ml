@@ -36,11 +36,11 @@ type t = {
   rel_locks : Iset.t array;  (* locks t last released (may be stale) *)
   depth : int array;
   (* Bitmask acceleration of [propagate_update_sets] (threads <= 62 only):
-     [covers.(t)] caches {u | C⊲_u ⊑ C_t} as a bitmask, recomputed lazily
-     when [covers_dirty] says C_t grew (C_t is monotone, so the cached
-     mask stays exact in between) or some thread began a transaction
-     (fresh C⊲_u).  [active_mask] has bit u set while u is inside an
-     outermost transaction. *)
+     [covers.(t)] caches {u | C⊲_u ⊑ C_t} as a bitmask, exact on the bits
+     of [active_mask] (bit u set while u is inside an outermost
+     transaction), the only bits ever read.  Begins and joins from flat
+     clocks update single bits; other joins set [covers_dirty] and the
+     mask is rebuilt on its next read (DESIGN.md §9). *)
   masked : bool;
   covers : int array;
   covers_dirty : Bytes.t;
@@ -196,28 +196,32 @@ let begin_leq st t clk =
   if st.fast_checks then Array.unsafe_get st.cb_own t <= AC.unsafe_get clk t
   else AC.leq st.cb.(t) clk
 
-(* C_t grew (or C⊲_t changed): the cached covers mask is stale. *)
+(* C_t grew: the cached covers mask is stale. *)
 let note_c_grew st t = Bytes.unsafe_set st.covers_dirty t '\001'
 
+(* When the source is flat, C_t grew at the owner's component only, and
+   under [fast_checks] bit u of covers(t) reads C_t at component u only:
+   just the owner's bit can flip.  The full order can flip any bit. *)
 let join_c st t src =
   if Obs.on () then Cmetrics.vc_join st.m;
-  if AC.join_into_grew ~into:st.c.(t) src then note_c_grew st t
+  let c_t = st.c.(t) in
+  if AC.join_into_grew ~into:c_t src then begin
+    let u = AC.flat_owner src in
+    if u < 0 || not st.fast_checks then note_c_grew st t
+    else if st.masked && Array.unsafe_get st.cb_own u <= AC.unsafe_get c_t u
+    then st.covers.(t) <- st.covers.(t) lor (1 lsl u)
+  end
 
-(* {u | C⊲_u ⊑ C_t} as a bitmask, from cache when C_t has not grown since
-   the last recomputation. *)
+(* {u | C⊲_u ⊑ C_t} on the active bits, from cache unless C_t grew in a
+   way no single-bit update covered. *)
 let covers_of st t =
   if Bytes.unsafe_get st.covers_dirty t <> '\000' then begin
     let m = ref 0 in
-    let c_t = st.c.(t) in
-    if st.fast_checks then
-      for u = 0 to st.threads - 1 do
-        if Array.unsafe_get st.cb_own u <= AC.unsafe_get c_t u then
-          m := !m lor (1 lsl u)
-      done
-    else
-      for u = 0 to st.threads - 1 do
-        if begin_leq st u c_t then m := !m lor (1 lsl u)
-      done;
+    let c_t = st.c.(t) and active = st.active_mask in
+    for u = 0 to st.threads - 1 do
+      if active land (1 lsl u) <> 0 && begin_leq st u c_t then
+        m := !m lor (1 lsl u)
+    done;
     st.covers.(t) <- !m;
     Bytes.unsafe_set st.covers_dirty t '\000'
   end;
@@ -337,13 +341,15 @@ let handle_read st t x =
   end;
   reclaim_after_access st x vs
 
-let flush_stale_readers st vs =
-  Iset.drain
-    (fun u ->
-      if Obs.on () then Cmetrics.vc_joins_add st.m 2;
-      AC.join_into ~into:vs.vr st.c.(u);
-      AC.join_into_zeroed ~into:vs.vhr st.c.(u) u)
-    vs.vstale_r
+(* The drain bodies below are closed top-level functions taking their
+   environment through [Iset.drain]'s two pass-through arguments, so no
+   event allocates a closure. *)
+let flush_reader st vs u =
+  if Obs.on () then Cmetrics.vc_joins_add st.m 2;
+  AC.join_into ~into:vs.vr st.c.(u);
+  AC.join_into_zeroed ~into:vs.vhr st.c.(u) u
+
+let flush_stale_readers st vs = Iset.drain flush_reader st vs vs.vstale_r
 
 let handle_write st t x =
   let vs = vget st x in
@@ -370,10 +376,17 @@ let handle_begin st t =
     AC.assign ~into:st.cb.(t) st.c.(t);
     st.cb_own.(t) <- AC.unsafe_get st.cb.(t) t;
     if st.masked then begin
-      st.active_mask <- st.active_mask lor (1 lsl t);
-      (* a fresh C⊲_t invalidates bit t of every cached covers mask (and
-         C_t grew, invalidating t's own) *)
-      Bytes.fill st.covers_dirty 0 st.threads '\001'
+      let bit = 1 lsl t in
+      st.active_mask <- st.active_mask lor bit;
+      (* The bump put C_t(t) = C⊲_t(t) above the t-component of every
+         other clock, so no other thread's clock covers the fresh C⊲_t:
+         clear bit t everywhere.  C_t itself grew at t only, so under
+         [fast_checks] its own mask just gains bit t. *)
+      for u = 0 to st.threads - 1 do
+        Array.unsafe_set st.covers u (Array.unsafe_get st.covers u land lnot bit)
+      done;
+      if st.fast_checks then st.covers.(t) <- st.covers.(t) lor bit
+      else note_c_grew st t
     end
   end
 
@@ -405,14 +418,18 @@ let has_incoming_edge st t =
   if st.faithful then
     parent_alive st t || not (AC.equal_except st.cb.(t) st.c.(t) t)
   else begin
+    (* does C_t know the begin of some other active transaction? *)
     let c_t = st.c.(t) in
-    let rec knows_active_foreign u =
-      u < st.threads
-      && ((u <> t && st.depth.(u) > 0
-           && AC.get c_t u >= AC.get st.cb.(u) u)
-         || knows_active_foreign (u + 1))
-    in
-    knows_active_foreign 0
+    let u = ref 0 in
+    while
+      !u < st.threads
+      && not
+           (!u <> t && st.depth.(!u) > 0
+           && AC.unsafe_get c_t !u >= st.cb_own.(!u))
+    do
+      incr u
+    done;
+    !u < st.threads
   end
 
 (* The end-of-transaction drains skip variables whose state was released
@@ -420,6 +437,34 @@ let has_incoming_edge st t =
    feed a check at a later access of that variable, and there are none.
    (These joins are uncounted in the seed code too, so the skip leaves
    every metric counter unchanged.) *)
+let refresh_lock st t l =
+  if begin_leq st t st.l.(l) then begin
+    if Obs.on () then Cmetrics.vc_join st.m;
+    AC.join_into ~into:st.l.(l) st.c.(t);
+    propagate_lock_update st l ~of_:t ~skip:t st.c.(t)
+  end
+
+let refresh_write st t x =
+  match Array.unsafe_get st.v x with
+  | None -> ()
+  | Some vs ->
+    if (not vs.vstale_w) || vs.vlast_w = t then begin
+      AC.join_into ~into:vs.vw st.c.(t);
+      if not st.faithful then
+        propagate_update_sets st st.upd_w x ~of_:t ~skip:t st.c.(t)
+    end;
+    if vs.vlast_w = t then vs.vstale_w <- false
+
+let refresh_read st t x =
+  match Array.unsafe_get st.v x with
+  | None -> ()
+  | Some vs ->
+    AC.join_into ~into:vs.vr st.c.(t);
+    AC.join_into_zeroed ~into:vs.vhr st.c.(t) t;
+    Iset.remove vs.vstale_r t;
+    if not st.faithful then
+      propagate_update_sets st st.upd_r x ~of_:t ~skip:t st.c.(t)
+
 let end_with_incoming_edge st t =
   let c_t = st.c.(t) in
   for u = 0 to st.threads - 1 do
@@ -432,64 +477,35 @@ let end_with_incoming_edge st t =
      scans the whole table, see [propagate_lock_update]. *)
   if st.fast_checks then begin
     if Obs.on () then Cmetrics.observe_lock_updates st.m (Iset.size st.upd_l.(t));
-    Iset.drain
-      (fun l ->
-        if begin_leq st t st.l.(l) then begin
-          if Obs.on () then Cmetrics.vc_join st.m;
-          AC.join_into ~into:st.l.(l) c_t;
-          propagate_lock_update st l ~of_:t ~skip:t c_t
-        end)
-      st.upd_l.(t)
+    Iset.drain refresh_lock st t st.upd_l.(t)
   end
   else
     for l = 0 to st.locks - 1 do
       if begin_leq st t st.l.(l) then AC.join_into ~into:st.l.(l) c_t
     done;
-  Iset.drain
-    (fun x ->
-      match Array.unsafe_get st.v x with
-      | None -> ()
-      | Some vs ->
-        if (not vs.vstale_w) || vs.vlast_w = t then begin
-          AC.join_into ~into:vs.vw c_t;
-          if not st.faithful then
-            propagate_update_sets st st.upd_w x ~of_:t ~skip:t c_t
-        end;
-        if vs.vlast_w = t then vs.vstale_w <- false)
-    st.upd_w.(t);
-  Iset.drain
-    (fun x ->
-      match Array.unsafe_get st.v x with
-      | None -> ()
-      | Some vs ->
-        AC.join_into ~into:vs.vr c_t;
-        AC.join_into_zeroed ~into:vs.vhr c_t t;
-        Iset.remove vs.vstale_r t;
-        if not st.faithful then
-          propagate_update_sets st st.upd_r x ~of_:t ~skip:t c_t)
-    st.upd_r.(t)
+  Iset.drain refresh_write st t st.upd_w.(t);
+  Iset.drain refresh_read st t st.upd_r.(t)
+
+let forget_read st t x =
+  match Array.unsafe_get st.v x with
+  | None -> ()
+  | Some vs -> Iset.remove vs.vstale_r t
+
+let forget_write st t x =
+  match Array.unsafe_get st.v x with
+  | Some vs when vs.vlast_w = t ->
+    vs.vstale_w <- false;
+    vs.vlast_w <- nil
+  | Some _ | None -> ()
+
+let forget_release st t l =
+  if st.last_rel_thr.(l) = t then st.last_rel_thr.(l) <- nil
 
 let end_garbage_collect st t =
-  Iset.drain
-    (fun x ->
-      match Array.unsafe_get st.v x with
-      | None -> ()
-      | Some vs -> Iset.remove vs.vstale_r t)
-    st.upd_r.(t);
-  Iset.drain
-    (fun x ->
-      match Array.unsafe_get st.v x with
-      | None -> ()
-      | Some vs ->
-        if vs.vlast_w = t then begin
-          vs.vstale_w <- false;
-          vs.vlast_w <- nil
-        end)
-    st.upd_w.(t);
-  Iset.drain (fun _ -> ()) st.upd_l.(t);
-  Iset.drain
-    (fun l -> if st.last_rel_thr.(l) = t then st.last_rel_thr.(l) <- nil)
-    st.rel_locks.(t)
+  Iset.drain forget_read st t st.upd_r.(t);
+  Iset.drain forget_write st t st.upd_w.(t);
+  Iset.clear st.upd_l.(t);
+  Iset.drain forget_release st t st.rel_locks.(t)
 
 let handle_end st t =
   if st.depth.(t) > 0 then begin

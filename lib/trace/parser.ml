@@ -63,6 +63,16 @@ let parse_event_line ~threads ~locks ~vars lineno raw =
       Some (Event.make tid op)
     | _ -> fail lineno "expected thread|operation, got %S" line
 
+(* A binary trace reaches the text readers only through a stream that
+   {!Binfmt.is_binary} cannot size (a pipe); refused by name rather than
+   echoed back as a malformed line. *)
+let refuse_binary first_line =
+  let n = String.length Binfmt.magic in
+  if String.length first_line >= n then
+    let m = String.sub first_line 0 n in
+    if m = Binfmt.magic || m = Binfmt.magic_v2 || m = Binfmt.magic_v3 then
+      fail 1 "binary trace on a pipe: pass it as a regular file"
+
 let parse_lines_exn lines =
   let threads = Interner.create ()
   and locks = Interner.create ()
@@ -72,6 +82,7 @@ let parse_lines_exn lines =
   Seq.iter
     (fun raw ->
       incr lineno;
+      if !lineno = 1 then refuse_binary raw;
       match parse_event_line ~threads ~locks ~vars !lineno raw with
       | Some e -> events := e :: !events
       | None -> ())
@@ -95,11 +106,8 @@ let seq_of_string s = String.split_on_char '\n' s |> List.to_seq
 let parse_string s = parse_lines (seq_of_string s)
 let parse_string_exn s = parse_lines_exn (seq_of_string s)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Read to EOF rather than sizing the channel: a pipe has no length. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let parse_file path = parse_string (read_file path)
 let parse_file_exn path = parse_string_exn (read_file path)
@@ -279,16 +287,6 @@ let scan_lines ?checkpoint ic line =
   next_line 0;
   !lineno
 
-(* A binary trace reaches the text reader only through a stream that
-   {!Binfmt.is_binary} cannot size (a pipe); refused by name rather than
-   echoed back as a malformed line. *)
-let refuse_binary b s stop =
-  let n = String.length Binfmt.magic in
-  if stop - s >= n then
-    let m = Bytes.sub_string b s n in
-    if m = Binfmt.magic || m = Binfmt.magic_v2 || m = Binfmt.magic_v3 then
-      fail 1 "binary trace on a pipe: pass it as a regular file"
-
 let read_packed ?(stats = false) ?checkpoint path =
   let threads = Interner.create ()
   and locks = Interner.create ()
@@ -300,9 +298,10 @@ let read_packed ?(stats = false) ?checkpoint path =
       if stop > s && Bytes.unsafe_get b (stop - 1) = '\r' then stop - 1 else stop
     in
     if not (fast_line ~threads ~locks ~vars arena lineno b s content) then begin
-      if lineno = 1 then refuse_binary b s stop;
+      let raw = Bytes.sub_string b s (stop - s) in
+      if lineno = 1 then refuse_binary raw;
       incr slow;
-      slow_line ~threads ~locks ~vars arena lineno (Bytes.sub_string b s (stop - s))
+      slow_line ~threads ~locks ~vars arena lineno raw
     end
   in
   let lines =

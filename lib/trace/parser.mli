@@ -30,7 +30,9 @@ val parse_string : string -> (Trace.t, error) result
 val parse_lines : string Seq.t -> (Trace.t, error) result
 
 val parse_file : string -> (Trace.t, error) result
-(** Reads the whole file; I/O exceptions propagate. *)
+(** Reads the whole file to EOF, so a pipe works too; I/O exceptions
+    propagate.  Like {!read_packed}, refuses a first line that starts with
+    a binary trace's magic. *)
 
 val parse_string_exn : string -> Trace.t
 (** @raise Parse_error *)

@@ -4,8 +4,27 @@
    operation computes exactly the same vector value the eager
    Vector_clock code would. *)
 
+(* The epoch c@t, FastTrack style: one immediate int, the clock above the
+   low [tid_bits] bits and the thread id in them.  The negative [none]
+   marks an inflated clock.  The encoding stays local to this module so
+   the compiler inlines it even where libraries are compiled [-opaque]. *)
+let tid_bits = 20
+let max_tid = (1 lsl tid_bits) - 1
+let max_clock = max_int lsr tid_bits
+let none = -1
+let ep_bottom = 0 (* 0@T0: the ⊥ value, owner irrelevant *)
+let is_none e = e < 0
+let ep_tid e = e land max_tid
+let ep_clock e = e lsr tid_bits
+let ep_bump e = e + (1 lsl tid_bits)
+
+let ep_make ~tid ~clock =
+  if tid < 0 || tid > max_tid then invalid_arg "Aclock: epoch thread out of range";
+  if clock < 0 || clock > max_clock then invalid_arg "Aclock: epoch clock out of range";
+  (clock lsl tid_bits) lor tid
+
 type t = {
-  mutable ep : Epoch.t;
+  mutable ep : int;
       (* when [is_none ep] is false the represented value is ⊥[clock/tid]
          and [vec] is stale; otherwise [vec] is authoritative *)
   mutable vec : int array;  (* [||] until the first inflation *)
@@ -16,17 +35,17 @@ let dim a = a.dim
 
 let create dim =
   if dim < 0 then invalid_arg "Aclock.create: negative dimension";
-  { ep = Epoch.bottom; vec = [||]; dim }
+  { ep = ep_bottom; vec = [||]; dim }
 
 let bottom = create
 
 let unit dim t =
   if t < 0 || t >= dim then invalid_arg "Aclock.unit: thread out of range";
-  { ep = Epoch.make ~tid:t ~clock:1; vec = [||]; dim }
+  { ep = ep_make ~tid:t ~clock:1; vec = [||]; dim }
 
-let is_flat a = not (Epoch.is_none a.ep)
+let is_flat a = not (is_none a.ep)
 
-let flat_owner a = if Epoch.is_none a.ep then -1 else Epoch.tid a.ep
+let flat_owner a = if is_none a.ep then -1 else ep_tid a.ep
 
 let check_dim name a b =
   if a.dim <> b.dim then invalid_arg (name ^ ": dimension mismatch")
@@ -43,37 +62,37 @@ let demotions = Obs.Registry.shared_counter Obs.Registry.global "vclock.epoch_de
 (* A clock that was inflated takes a flat value again: representation
    returns to epoch form. *)
 let note_demotion a =
-  if Obs.on () && Epoch.is_none a.ep then Obs.Shared_counter.inc demotions
+  if Obs.on () && is_none a.ep then Obs.Shared_counter.inc demotions
 
 (* Materialize the current (flat) value into [vec] and switch
    representation.  No-op when already inflated. *)
 let inflate a =
-  if not (Epoch.is_none a.ep) then begin
+  if not (is_none a.ep) then begin
     if Obs.on () then Obs.Shared_counter.inc promotions;
     if Array.length a.vec <> a.dim then a.vec <- Array.make a.dim 0
     else Array.fill a.vec 0 a.dim 0;
-    let c = Epoch.clock a.ep in
-    if c > 0 then a.vec.(Epoch.tid a.ep) <- c;
-    a.ep <- Epoch.none
+    let c = ep_clock a.ep in
+    if c > 0 then a.vec.(ep_tid a.ep) <- c;
+    a.ep <- none
   end
 
 let get a t =
   check_index "Aclock.get" a t;
-  if Epoch.is_none a.ep then Array.unsafe_get a.vec t
-  else if Epoch.tid a.ep = t then Epoch.clock a.ep
+  if is_none a.ep then Array.unsafe_get a.vec t
+  else if ep_tid a.ep = t then ep_clock a.ep
   else 0
 
 let unsafe_get a t =
-  if Epoch.is_none a.ep then Array.unsafe_get a.vec t
-  else if Epoch.tid a.ep = t then Epoch.clock a.ep
+  if is_none a.ep then Array.unsafe_get a.vec t
+  else if ep_tid a.ep = t then ep_clock a.ep
   else 0
 
 let set a t c =
   if c < 0 then invalid_arg "Aclock.set: negative component";
   check_index "Aclock.set" a t;
-  if Epoch.is_none a.ep then a.vec.(t) <- c
-  else if Epoch.tid a.ep = t then a.ep <- Epoch.make ~tid:t ~clock:c
-  else if Epoch.clock a.ep = 0 then a.ep <- Epoch.make ~tid:t ~clock:c
+  if is_none a.ep then a.vec.(t) <- c
+  else if ep_tid a.ep = t then a.ep <- ep_make ~tid:t ~clock:c
+  else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:c
   else begin
     inflate a;
     a.vec.(t) <- c
@@ -81,9 +100,9 @@ let set a t c =
 
 let bump a t =
   check_index "Aclock.bump" a t;
-  if Epoch.is_none a.ep then a.vec.(t) <- a.vec.(t) + 1
-  else if Epoch.tid a.ep = t then a.ep <- Epoch.bump a.ep
-  else if Epoch.clock a.ep = 0 then a.ep <- Epoch.make ~tid:t ~clock:1
+  if is_none a.ep then a.vec.(t) <- a.vec.(t) + 1
+  else if ep_tid a.ep = t then a.ep <- ep_bump a.ep
+  else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:1
   else begin
     inflate a;
     a.vec.(t) <- a.vec.(t) + 1
@@ -93,7 +112,7 @@ let bump a t =
    is flat. *)
 let join_into_grew ~into v =
   check_dim "Aclock.join_into_grew" into v;
-  if Epoch.is_none v.ep then begin
+  if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
     let grew = ref false in
@@ -107,22 +126,22 @@ let join_into_grew ~into v =
     !grew
   end
   else begin
-    let c = Epoch.clock v.ep in
+    let c = ep_clock v.ep in
     c > 0
     &&
-    let u = Epoch.tid v.ep in
-    if Epoch.is_none into.ep then
+    let u = ep_tid v.ep in
+    if is_none into.ep then
       c > Array.unsafe_get into.vec u
       && begin
            Array.unsafe_set into.vec u c;
            true
          end
-    else if Epoch.clock into.ep = 0 then begin
+    else if ep_clock into.ep = 0 then begin
       into.ep <- v.ep;
       true
     end
-    else if Epoch.tid into.ep = u then
-      c > Epoch.clock into.ep
+    else if ep_tid into.ep = u then
+      c > ep_clock into.ep
       && begin
            into.ep <- v.ep;
            true
@@ -141,7 +160,7 @@ let join_into ~into v = ignore (join_into_grew ~into v)
 let join_into_zeroed ~into v z =
   check_dim "Aclock.join_into_zeroed" into v;
   check_index "Aclock.join_into_zeroed" v z;
-  if Epoch.is_none v.ep then begin
+  if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
     for t = 0 to into.dim - 1 do
@@ -152,14 +171,14 @@ let join_into_zeroed ~into v z =
     done
   end
   else begin
-    let u = Epoch.tid v.ep and c = Epoch.clock v.ep in
+    let u = ep_tid v.ep and c = ep_clock v.ep in
     if u <> z && c > 0 then begin
-      if Epoch.is_none into.ep then begin
+      if is_none into.ep then begin
         if c > Array.unsafe_get into.vec u then Array.unsafe_set into.vec u c
       end
-      else if Epoch.clock into.ep = 0 then into.ep <- v.ep
-      else if Epoch.tid into.ep = u then begin
-        if c > Epoch.clock into.ep then into.ep <- v.ep
+      else if ep_clock into.ep = 0 then into.ep <- v.ep
+      else if ep_tid into.ep = u then begin
+        if c > ep_clock into.ep then into.ep <- v.ep
       end
       else begin
         inflate into;
@@ -170,10 +189,10 @@ let join_into_zeroed ~into v z =
 
 let assign ~into v =
   check_dim "Aclock.assign" into v;
-  if Epoch.is_none v.ep then begin
+  if is_none v.ep then begin
     if Array.length into.vec <> into.dim then into.vec <- Array.copy v.vec
     else Array.blit v.vec 0 into.vec 0 into.dim;
-    into.ep <- Epoch.none
+    into.ep <- none
   end
   else begin
     note_demotion into;
@@ -183,23 +202,23 @@ let assign ~into v =
 let assign_zeroed ~into v z =
   check_index "Aclock.assign_zeroed" v z;
   assign ~into v;
-  if Epoch.is_none into.ep then into.vec.(z) <- 0
-  else if Epoch.tid into.ep = z then into.ep <- Epoch.bottom
+  if is_none into.ep then into.vec.(z) <- 0
+  else if ep_tid into.ep = z then into.ep <- ep_bottom
 
 let copy a =
-  if Epoch.is_none a.ep then { ep = Epoch.none; vec = Array.copy a.vec; dim = a.dim }
+  if is_none a.ep then { ep = none; vec = Array.copy a.vec; dim = a.dim }
   else { ep = a.ep; vec = [||]; dim = a.dim }
 
 (* v1 ⊑ v2, O(1) whenever [v1] is flat. *)
 let leq v1 v2 =
   check_dim "Aclock.leq" v1 v2;
-  if not (Epoch.is_none v1.ep) then begin
-    let c = Epoch.clock v1.ep in
-    c = 0 || c <= get v2 (Epoch.tid v1.ep)
+  if not (is_none v1.ep) then begin
+    let c = ep_clock v1.ep in
+    c = 0 || c <= get v2 (ep_tid v1.ep)
   end
-  else if not (Epoch.is_none v2.ep) then begin
+  else if not (is_none v2.ep) then begin
     (* full vector ⊑ ⊥[c/u]: v1 must be zero outside u and ≤ c at u *)
-    let u = Epoch.tid v2.ep and c = Epoch.clock v2.ep in
+    let u = ep_tid v2.ep and c = ep_clock v2.ep in
     let a = v1.vec in
     let rec go t =
       t >= v1.dim
@@ -218,10 +237,10 @@ let leq v1 v2 =
 
 let equal v1 v2 =
   check_dim "Aclock.equal" v1 v2;
-  match (Epoch.is_none v1.ep, Epoch.is_none v2.ep) with
+  match (is_none v1.ep, is_none v2.ep) with
   | false, false ->
-    let c1 = Epoch.clock v1.ep and c2 = Epoch.clock v2.ep in
-    c1 = c2 && (c1 = 0 || Epoch.tid v1.ep = Epoch.tid v2.ep)
+    let c1 = ep_clock v1.ep and c2 = ep_clock v2.ep in
+    c1 = c2 && (c1 = 0 || ep_tid v1.ep = ep_tid v2.ep)
   | _ ->
     let rec go t = t >= v1.dim || (get v1 t = get v2 t && go (t + 1)) in
     go 0
@@ -234,11 +253,11 @@ let equal_except v1 v2 z =
   go 0
 
 let is_bottom a =
-  if Epoch.is_none a.ep then Array.for_all (fun c -> c = 0) a.vec
-  else Epoch.clock a.ep = 0
+  if is_none a.ep then Array.for_all (fun c -> c = 0) a.vec
+  else ep_clock a.ep = 0
 
 let reset a =
-  a.ep <- Epoch.bottom (* vec (if any) becomes stale; kept for reuse *)
+  a.ep <- ep_bottom (* vec (if any) becomes stale; kept for reuse *)
 
 let to_list a = List.init a.dim (fun t -> get a t)
 
@@ -246,7 +265,7 @@ let of_list cs =
   if List.exists (fun c -> c < 0) cs then
     invalid_arg "Aclock.of_list: negative component";
   let vec = Array.of_list cs in
-  { ep = Epoch.none; vec; dim = Array.length vec }
+  { ep = none; vec; dim = Array.length vec }
 
 module Pool = struct
   type clock = t
@@ -309,11 +328,11 @@ module Pool = struct
       in
       (* the spare vector is stale under epoch form; [inflate] zero-fills
          it before first use, exactly as after [reset] *)
-      { ep = Epoch.bottom; vec; dim = p.dim }
+      { ep = ep_bottom; vec; dim = p.dim }
 
   let release p (c : clock) =
     if c.dim <> p.dim then invalid_arg "Aclock.Pool.release: dimension mismatch";
-    c.ep <- Epoch.bottom;
+    c.ep <- ep_bottom;
     (* vec stays in the record: a recycled clock re-inflates without
        allocating *)
     p.free <- c :: p.free;
@@ -322,7 +341,7 @@ module Pool = struct
 
   let collapse p (c : clock) =
     if c.dim <> p.dim then invalid_arg "Aclock.Pool.collapse: dimension mismatch";
-    if Epoch.is_none c.ep then begin
+    if is_none c.ep then begin
       (* inflated: the value is epoch-shaped iff ≤ 1 nonzero component *)
       let v = c.vec in
       let owner = ref (-1) and shaped = ref true in
@@ -339,8 +358,8 @@ module Pool = struct
       !shaped
       && begin
            c.ep <-
-             (if !owner < 0 then Epoch.bottom
-              else Epoch.make ~tid:!owner ~clock:v.(!owner));
+             (if !owner < 0 then ep_bottom
+              else ep_make ~tid:!owner ~clock:v.(!owner));
            stash p v;
            c.vec <- [||];
            p.collapsed <- p.collapsed + 1;

@@ -1,15 +1,16 @@
-(** Adaptive vector clocks: {!Epoch} scalar while single-writer, full
+(** Adaptive vector clocks: an epoch scalar while single-writer, a full
     vector after a cross-thread join.
 
     An [Aclock.t] denotes exactly the same mathematical vector time as a
     {!Vector_clock.t}; only the representation adapts.  A clock whose
     value is [⊥\[c/t\]] — zero everywhere except component [t] — is kept
-    as the packed epoch [c@@t], so the overwhelmingly common single-writer
-    operations (thread-local reads and writes, re-acquires, own-transaction
-    updates) cost O(1) and allocate nothing.  The first operation whose
-    result is not epoch-shaped {e inflates} the clock to a plain [int
-    array] of dimension [dim]; inflation is permanent and the array is
-    reused thereafter.
+    as the epoch [c@@t], one immediate [int] with the clock above the low
+    20 bits and the thread id in them, so the overwhelmingly common
+    single-writer operations (thread-local reads and writes, re-acquires,
+    own-transaction updates) cost O(1) and allocate nothing.  The first
+    operation whose result is not epoch-shaped {e inflates} the clock to a
+    plain [int array] of dimension [dim]; inflation is permanent and the
+    array is reused thereafter.
 
     Every operation computes the same value the eager {!Vector_clock}
     code would; [test/test_vclock.ml] checks this by differential
@@ -26,7 +27,8 @@ val bottom : int -> t
 (** Alias for {!create}. *)
 
 val unit : int -> int -> t
-(** [unit dim t] is [⊥\[1/t\]] in epoch form: the initial thread clock. *)
+(** [unit dim t] is [⊥\[1/t\]] in epoch form: the initial thread clock.
+    @raise Invalid_argument unless [0 <= t < dim] and [t < 2{^20}]. *)
 
 val dim : t -> int
 

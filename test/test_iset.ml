@@ -19,7 +19,7 @@ let test_basic () =
   (* re-adding a removed member revives its original array slot, so it
      drains at its first-insertion position *)
   let order = ref [] in
-  Iset.drain (fun i -> order := i :: !order) s;
+  Iset.drain (fun () () i -> order := i :: !order) () () s;
   check
     Alcotest.(list int)
     "drain order skips dead entries" [ 3; 1 ] (List.rev !order);
@@ -42,7 +42,7 @@ let test_compaction_threshold () =
   check Alcotest.int "compacted to the live members" 15 (Iset.raw_length s);
   check Alcotest.int "size unaffected" 15 (Iset.size s);
   let order = ref [] in
-  Iset.drain (fun i -> order := i :: !order) s;
+  Iset.drain (fun () () i -> order := i :: !order) () () s;
   check
     Alcotest.(list int)
     "insertion order preserved across compaction"

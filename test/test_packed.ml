@@ -298,34 +298,73 @@ let test_runner_packed_differential () =
       );
     ]
 
-(* The packed path's reason to exist: from the file to the checker,
-   [Binfmt.fold_packed] -> [Opt.feed_packed], nothing is boxed per
-   event.  A fresh Opt is fed from a v3 file of the mixed corpus (8
-   threads, ~200k events); minor-heap words count what the loop puts on
-   the heap per event, which is Opt's own clock and set growth (about
-   2.2 words/event).  Boxing each record on the way (3 to 5 words per
-   [Event.t]) exceeds the bound. *)
-let max_words_per_event = 4.0
-
-let test_packed_allocation_bound () =
-  let tr = Workloads.Corpus.mixed ~threads:8 ~events_total:200_000 () in
+(* Minor-heap words per event that [Binfmt.fold_packed] ->
+   [Opt.feed_packed] allocates on a fresh Opt fed from a v3 file of [tr],
+   under the ambient reclaim policy or, with [~oracle], the file's
+   last-use oracle.  [~steady] counts only the middle half of the events:
+   no start-up growth of Opt's sets and pools, no releases at the last
+   uses, no decoder set-up or tear-down. *)
+let packed_words_per_event ?(oracle = false) ?(steady = false) tr =
   tmp (fun path ->
       Binfmt.write_file path tr;
       let h = Binfmt.read_header path in
+      let policy =
+        if oracle then Aerodrome.Reclaim.Oracle (Option.get (Binfmt.read_last_use path))
+        else Aerodrome.Reclaim.ambient ()
+      in
       let st =
-        Aerodrome.Opt.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
-          ~vars:h.Binfmt.vars
+        Aerodrome.Reclaim.with_policy policy (fun () ->
+            Aerodrome.Opt.create ~threads:h.Binfmt.threads ~locks:h.Binfmt.locks
+              ~vars:h.Binfmt.vars)
       in
-      let w0 = Gc.minor_words () in
+      let n = Trace.length tr in
+      let lo, hi = if steady then (n / 4, 3 * n / 4) else (0, n) in
+      let w0 = ref (Gc.minor_words ()) and w1 = ref nan in
       ignore
-        (Binfmt.fold_packed path ~init:() ~f:(fun () w ->
-             ignore (Aerodrome.Opt.feed_packed st w)));
-      let per_event =
-        (Gc.minor_words () -. w0) /. float_of_int (Trace.length tr)
-      in
-      if per_event > max_words_per_event then
-        Alcotest.failf "packed path allocated %.1f words/event (bound %.1f)"
-          per_event max_words_per_event)
+        (Binfmt.fold_packed path ~init:0 ~f:(fun i w ->
+             if i = lo then w0 := Gc.minor_words ();
+             if i = hi then w1 := Gc.minor_words ();
+             ignore (Aerodrome.Opt.feed_packed st w);
+             i + 1));
+      if hi = n then w1 := Gc.minor_words ();
+      (!w1 -. !w0) /. float_of_int (hi - lo))
+
+(* The packed path's reason to exist: from the file to the checker,
+   nothing is boxed per event.  On the mixed corpus (8 threads, ~200k
+   events) what the loop puts on the heap is Opt's per-variable state as
+   variables first appear (about 0.06 words/event).  Boxing each record on
+   the way (3 to 5 words per [Event.t]) exceeds the bound. *)
+let max_words_per_event = 4.0
+
+let test_packed_allocation_bound () =
+  let per_event =
+    packed_words_per_event (Workloads.Corpus.mixed ~threads:8 ~events_total:200_000 ())
+  in
+  if per_event > max_words_per_event then
+    Alcotest.failf "packed path allocated %.1f words/event (bound %.1f)"
+      per_event max_words_per_event
+
+(* Opt's per-event loop itself allocates nothing: no closure per drain
+   or write, no boxed clock.  On the shape of the benchmark's shared-seq
+   workload (16 threads, 16 locks, 90% of accesses locked, ~200k events,
+   last-use oracle) the middle half allocates about 0.004 words/event. *)
+let test_opt_steady_state_allocation () =
+  let tr =
+    Workloads.Generator.generate
+      {
+        Workloads.Generator.default with
+        threads = 16;
+        locks = 16;
+        vars = 200_000 / 3;
+        events = 200_000;
+        shape = Workloads.Generator.Independent;
+        locked_fraction = 0.9;
+      }
+  in
+  let per_event = packed_words_per_event ~oracle:true ~steady:true tr in
+  if per_event > 0.05 then
+    Alcotest.failf "Opt allocated %.3f words/event in steady state (bound 0.05)"
+      per_event
 
 (* --- hostile binary inputs --- *)
 
@@ -508,6 +547,8 @@ let suite =
         test_runner_packed_differential;
       Alcotest.test_case "packed allocates at most 4 words/event" `Quick
         test_packed_allocation_bound;
+      Alcotest.test_case "Opt allocates nothing in steady state" `Quick
+        test_opt_steady_state_allocation;
       Alcotest.test_case "hostile inputs" `Quick test_hostile_inputs;
       Alcotest.test_case "oversized domains" `Quick test_oversized_domains;
       Alcotest.test_case "run refuses oversized traces" `Quick
