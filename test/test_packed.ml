@@ -322,7 +322,7 @@ let packed_words_per_event ?(oracle = false) ?(steady = false) tr =
       let w0 = ref (Gc.minor_words ()) and w1 = ref nan in
       ignore
         (Binfmt.fold_packed path ~init:0 ~f:(fun i w ->
-             if i = lo then w0 := Gc.minor_words ();
+             if steady && i = lo then w0 := Gc.minor_words ();
              if i = hi then w1 := Gc.minor_words ();
              ignore (Aerodrome.Opt.feed_packed st w);
              i + 1));
