@@ -52,6 +52,60 @@ let metric_value ~where metrics key =
   | Some _ -> bad "%s[%S]: expected a number" where key
   | None -> bad "%s: missing metric %S" where key
 
+(* Which path a run took, and why.  [decision.exec] is [stealing] or
+   [sequential] and [decision.exec_reason] one of [exec_reasons].  A
+   planned run — auto ([critical-path]) or a forced count ([forced]) —
+   also reports the plan's critical path and the arena length it was
+   weighed against, which is what the checker was fed; a run that never
+   planned reports neither.  A stealing run has [shard.chunks]; a
+   sequential one has no [shard.*] entry at all. *)
+let exec_reasons =
+  [
+    "no-scheduler"; "shards-1"; "timeout"; "checker"; "small-trace";
+    "critical-path"; "forced";
+  ]
+
+let check_decision ~where ~fed metrics =
+  let label key =
+    match List.assoc_opt key metrics with
+    | Some (Str s) -> s
+    | Some _ -> bad "%s[%S]: expected a string" where key
+    | None -> bad "%s: missing metric %S" where key
+  in
+  let exec = label "decision.exec" and reason = label "decision.exec_reason" in
+  if not (List.mem reason exec_reasons) then
+    bad "%s: unknown decision.exec_reason %S" where reason;
+  let planned = reason = "critical-path" || reason = "forced" in
+  (match exec with
+  | "stealing" ->
+    if not planned then bad "%s: stealing without a plan (%s)" where reason;
+    ignore (metric_value ~where metrics "shard.chunks")
+  | "sequential" ->
+    if reason = "forced" then bad "%s: a forced plan ran sequentially" where;
+    List.iter
+      (fun (k, _) ->
+        if String.starts_with ~prefix:"shard." k then
+          bad "%s: sequential run with %S" where k)
+      metrics
+  | e -> bad "%s: unknown decision.exec %S" where e);
+  let plan_keys = [ "decision.critical_path_events"; "decision.events" ] in
+  if planned then begin
+    let cp = metric_value ~where metrics "decision.critical_path_events" in
+    let events = metric_value ~where metrics "decision.events" in
+    if events <> fed then
+      bad "%s: decision.events (%.0f) <> events_fed (%.0f)" where events fed;
+    (* survivors' ranges plus repair segments cover the arena at most
+       twice over *)
+    if cp < 0. || cp > 2. *. events then
+      bad "%s: decision.critical_path_events (%.0f) outside [0, 2 * %.0f]"
+        where cp events
+  end
+  else
+    List.iter
+      (fun k ->
+        if List.mem_assoc k metrics then bad "%s: %S without a plan" where k)
+      plan_keys
+
 let check_stats_file ~where f =
   ignore (as_str (where ^ ".file") (field f "file"));
   match List.assoc_opt "error" (as_obj where f) with
@@ -81,6 +135,7 @@ let check_stats_file ~where f =
         bad "%s: shard.skipped_chunks (%.0f) outside [0, shard.chunks)" where
           skipped
     end;
+    check_decision ~where:mwhere ~fed metrics;
     let total = metric_value ~where:mwhere metrics "events.total" in
     (* The runner feeds the whole trace even after a violation, but the
        checker's own counters freeze at the violating event — so strict

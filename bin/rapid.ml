@@ -23,6 +23,23 @@ let read_trace path =
       Format.eprintf "%s: %a@." path Traces.Parser.pp_error e;
       exit 2
 
+(* Write an output file through [write] into a temporary sibling that
+   is renamed over [out] once complete, so a failed write never leaves a
+   partial output.  An existing target that is not a regular file (a
+   device such as /dev/stdout, a pipe, a symbolic link) is written in
+   place. *)
+let write_output out write =
+  match (Unix.lstat out).Unix.st_kind with
+  | Unix.S_REG | (exception Unix.Unix_error _) -> (
+    let tmp = Printf.sprintf "%s.%d.tmp" out (Unix.getpid ()) in
+    match write tmp with
+    | () -> Sys.rename tmp out
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Printexc.raise_with_backtrace e bt)
+  | _ -> write out
+
 let checker_of_name = function
   | "aerodrome" -> Ok (module Aerodrome.Opt : Aerodrome.Checker.S)
   | "aerodrome-basic" -> Ok (module Aerodrome.Basic : Aerodrome.Checker.S)
@@ -130,9 +147,13 @@ let check_cmd =
              summary, and only the short window until the transactions \
              straddling the cut (and those open at their close) have \
              retired is repaired, so the report is byte-identical to the \
-             sequential run.  $(b,auto) (the default) cuts a trace large \
-             enough to pay for it into fine-grained micro-chunks whenever \
-             $(b,--jobs) exceeds 1.  An integer N > 1 forces an N-chunk \
+             sequential run.  $(b,auto) (the default) plans fine-grained \
+             micro-chunks for a trace large enough to pay for it when \
+             $(b,--jobs) exceeds 1, and checks them concurrently when the \
+             plan's critical path beats a sequential feed; otherwise the \
+             trace is fed sequentially and no worker domain starts.  \
+             $(b,--stats) reports the choice as $(b,decision.exec).  An \
+             integer N > 1 forces an N-chunk \
              plan, even at $(b,--jobs) 1; $(b,--shards) 1 disables \
              sharding.  Only the default $(b,aerodrome) checker shards; \
              other algorithms and timed-out runs stay sequential.")
@@ -307,50 +328,32 @@ let check_cmd =
             ~label:"check" ())
         progress
     in
-    (* The work-stealing scheduler: created once, with --jobs domains,
-       when the batch has parallel work for it — any multi-file run (the
-       file fan-out itself executes on the scheduler), or a lone trace
-       that shards.  Auto sharding needs more than one domain; a
-       forced --shards N creates the scheduler even at --jobs 1 so the
-       forced plan really runs. *)
+    (* The work-stealing scheduler, with --jobs domains.  Its workers
+       spawn at the first task: at once for a multi-file batch (the file
+       fan-out itself executes on the scheduler), and for a lone trace
+       only when the runner's plan chooses stealing.  Auto sharding
+       needs more than one domain; a forced --shards N lends the
+       scheduler even at --jobs 1 so the forced plan really runs.  The
+       sched.* probes (live scheduler telemetry for the OpenMetrics
+       endpoint and the process snapshot, sampled at scrape time) exist
+       only once the workers do. *)
     let sched =
-      let useful =
-        match paths with
-        | [ p ] -> (
-          shards <> 1
-          &&
-          (* too-small traces run sequentially (the runner's own gate);
-             don't spawn idle domains for them.  A text trace's event
-             count is only known once scanned: its size bounds it, a
-             canonical line taking at least four bytes *)
-          match
-            if Traces.Binfmt.is_binary p then
-              (Traces.Binfmt.read_header p).Traces.Binfmt.events
-            else (Unix.stat p).Unix.st_size / 4
-          with
-          | events -> Analysis.Runner.steal_worthwhile ~shards ~events
-          | exception _ -> false)
-        | _ -> true
-      in
-      if useful && (jobs > 1 || shards > 1) then
-        Some (Parallel.Deque.create jobs)
+      if jobs > 1 || shards > 1 then
+        let probes sc =
+          let stat name f =
+            Obs.Registry.probe Obs.Registry.global name (fun () ->
+                Obs.Snapshot.Int (f (Parallel.Deque.stats sc)))
+          in
+          stat "sched.domains" (fun s -> s.Parallel.Deque.domains);
+          stat "sched.steals" (fun (s : Parallel.Deque.stats) -> s.steals);
+          stat "sched.failed_steals" (fun (s : Parallel.Deque.stats) ->
+              s.failed_steals);
+          stat "sched.injected" (fun (s : Parallel.Deque.stats) -> s.injected);
+          stat "sched.completed" (fun (s : Parallel.Deque.stats) -> s.completed)
+        in
+        Some (Parallel.Deque.create ~on_start:probes jobs)
       else None
     in
-    (* live scheduler telemetry for the OpenMetrics endpoint (and the
-       process snapshot): lazy probes, sampled at scrape time *)
-    (match sched with
-    | None -> ()
-    | Some sc ->
-      let stat name f =
-        Obs.Registry.probe Obs.Registry.global name (fun () ->
-            Obs.Snapshot.Int (f (Parallel.Deque.stats sc)))
-      in
-      stat "sched.domains" (fun s -> s.Parallel.Deque.domains);
-      stat "sched.steals" (fun (s : Parallel.Deque.stats) -> s.steals);
-      stat "sched.failed_steals" (fun (s : Parallel.Deque.stats) ->
-          s.failed_steals);
-      stat "sched.injected" (fun (s : Parallel.Deque.stats) -> s.injected);
-      stat "sched.completed" (fun (s : Parallel.Deque.stats) -> s.completed));
     let run_started = Unix.gettimeofday () in
     let reports =
       Analysis.Runner.run_many ?timeout ?heartbeat ~reclaim ~prefilter ~shards
@@ -359,13 +362,14 @@ let check_cmd =
     Option.iter Obs.Exporter.stop exporter;
     let run_wall = Unix.gettimeofday () -. run_started in
     (* final scheduler reading, after the joined workers' counters are
-       all published *)
+       all published; a scheduler whose workers never spawned has
+       nothing to shut down or report *)
     let sched_stats =
       match sched with
-      | None -> None
-      | Some sc ->
+      | Some sc when Parallel.Deque.started sc ->
         Parallel.Deque.shutdown sc;
         Some (Parallel.Deque.stats sc)
+      | _ -> None
     in
     let single = match paths with [ _ ] -> true | _ -> false in
     List.iter
@@ -670,7 +674,7 @@ let generate_cmd =
     let tr = Workloads.Generator.generate config in
     match out with
     | Some path ->
-      Traces.Parser.to_file path tr;
+      write_output path (fun f -> Traces.Parser.to_file f tr);
       Format.printf "wrote %d events to %s@." (Traces.Trace.length tr) path
     | None -> print_string (Traces.Parser.to_string tr)
   in
@@ -696,8 +700,9 @@ let convert_cmd =
   in
   let run to_text path out =
     let tr = read_trace path in
-    if to_text then Traces.Parser.to_file out tr
-    else Traces.Binfmt.write_file out tr;
+    write_output out (fun f ->
+        if to_text then Traces.Parser.to_file f tr
+        else Traces.Binfmt.write_file f tr);
     let size f =
       let ic = open_in_bin f in
       Fun.protect
@@ -757,8 +762,9 @@ let filter_cmd =
       | Some (start, len) -> Traces.Transform.limit_window start len tr
     in
     let reduced, c = Traces.Prefilter.run_trace `Exact tr in
-    if to_text then Traces.Parser.to_file out reduced
-    else Traces.Binfmt.write_file out reduced;
+    write_output out (fun f ->
+        if to_text then Traces.Parser.to_file f reduced
+        else Traces.Binfmt.write_file f reduced);
     Format.printf
       "%s: %d -> %d events (-%d: %d thread-local, %d read-only, %d \
        redundant, %d lock-local)@."

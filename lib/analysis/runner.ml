@@ -214,19 +214,23 @@ let heap_sampler () =
 
    With a work-stealing scheduler lent ([?sched]) and [shards] other
    than [1], the (filtered) packed event stream is materialized into an
-   arena, cut into chunks at boundary-summary cuts, and the chunks run
-   as scheduler tasks, each owner repairing its seam windows
-   ({!Parallel.Shard.check_stealing}, {!Aerodrome.Merge}).  [shards = 0]
-   lets the shard layer micro-chunk (oversubscribed, scheduler-sized);
-   an explicit count forces that exact plan.  Reports are
-   byte-identical to the sequential path: a chunk checker seeded from
-   its cut's boundary summary is contained in the sequential checker
-   and exact past the cut's repair window, and repair re-runs only the
-   window events against the true frontier (DESIGN.md §17, §18).  The
-   seed argument is specific to the default Opt configuration, so
-   other checkers run sequentially, as do timed-out runs (a per-chunk
-   deadline would make [events_fed] racy).  Without a scheduler every
-   run is sequential.
+   arena and planned: cut into chunks at boundary-summary cuts, with
+   each cut's repair window and owner precomputed
+   ({!Parallel.Shard.plan}, {!Aerodrome.Merge}).  [shards = 0] lets the
+   shard layer micro-chunk (oversubscribed, scheduler-sized) and then
+   weighs the plan: only when its critical path is clearly shorter than
+   the arena do the chunks run as scheduler tasks, each owner repairing
+   its seam windows ({!Parallel.Shard.execute}); otherwise the arena is
+   fed sequentially, with the last-use oracle, and no worker domain is
+   ever spawned.  An explicit count forces that exact plan onto the
+   scheduler.  Reports are byte-identical to the sequential path: a
+   chunk checker seeded from its cut's boundary summary is contained in
+   the sequential checker and exact past the cut's repair window, and
+   repair re-runs only the window events against the true frontier
+   (DESIGN.md §17, §18).  The seed argument is specific to the default
+   Opt configuration, so other checkers run sequentially, as do
+   timed-out runs (a per-chunk deadline would make [events_fed] racy).
+   Without a scheduler every run is sequential.
 
    Chunk checkers run with reclamation off: per-variable lifetimes are
    chunk-local here, and reclamation is verdict-neutral either way. *)
@@ -239,14 +243,47 @@ let min_shard_events = 65536
 let steal_worthwhile ~shards ~events =
   shards > 1 || events >= 2 * min_shard_events
 
-(* The scheduler a run shards on, or [None] for the sequential path. *)
+(* An auto plan runs on the scheduler only when its critical path is at
+   most this fraction of the arena.  Stealing pays a plan, boundary
+   seeding, repairs and a run without the last-use oracle; on the
+   suite's shared-par input (critical path 0.50 of the arena on two
+   domains) it ran 1.37x faster than one sequential feed on a 2-core
+   host, so the two break even near 0.69.  Measured plans sit far from
+   the cut: 0.50 where cuts are cheap, 1.00 where anchor transactions
+   straddle every cut (DESIGN.md §18). *)
+let max_critical_fraction = 0.7
+
+let stealing_pays ~critical_path ~events =
+  float_of_int critical_path <= max_critical_fraction *. float_of_int events
+
+(* The scheduler a run may shard on, or why it stays sequential. *)
 let sharding ?sched ~shards ~timeout ~events (module C : Aerodrome.Checker.S) =
   match sched with
-  | Some _
-    when shards <> 1 && timeout = None && C.name = Aerodrome.Opt.name
-         && steal_worthwhile ~shards ~events ->
-    sched
-  | _ -> None
+  | None -> Error "no-scheduler"
+  | Some _ when shards = 1 -> Error "shards-1"
+  | Some _ when timeout <> None -> Error "timeout"
+  | Some _ when C.name <> Aerodrome.Opt.name -> Error "checker"
+  | Some _ when not (steal_worthwhile ~shards ~events) -> Error "small-trace"
+  | Some sched -> Ok sched
+
+(* Which path the run took and why, as [decision.*] entries: a
+   scope-attached registry, so they also reach a live exposition.  A
+   planned run adds the plan's critical path and the arena length it
+   was weighed against. *)
+let note_decision ?plan ~stealing reason =
+  if Obs.on () then begin
+    let reg = Obs.Registry.create () in
+    let probe name v = Obs.Registry.probe reg name (fun () -> v) in
+    probe "decision.exec"
+      (Obs.Snapshot.Label (if stealing then "stealing" else "sequential"));
+    probe "decision.exec_reason" (Obs.Snapshot.Label reason);
+    Option.iter
+      (fun (critical_path, events) ->
+        probe "decision.critical_path_events" (Obs.Snapshot.Int critical_path);
+        probe "decision.events" (Obs.Snapshot.Int events))
+      plan;
+    Obs.Scope.attach reg
+  end
 
 let shard_entries ~events (o : Parallel.Shard.outcome) =
   if not (Obs.on ()) then []
@@ -330,7 +367,8 @@ type source = {
   locks : int;
   vars : int;
   events : int;
-  last_use : Lifetime.t option;
+  last_use : Lifetime.t option Lazy.t;
+      (** forced only by a sequential feed; chunk checkers run without *)
   stats : Varstats.t option;
   words : words;
 }
@@ -345,78 +383,88 @@ let fold_words words f =
   | Mapped path -> ignore (Traces.Binfmt.fold_packed path ~init:() ~f)
   | Arena a -> Packed.Arena.iter a (f ())
 
-(* The sequential feed loop.  [started] defaults to now; a text run
-   passes the time before its scan, so [seconds] covers ingestion. *)
-let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
+(* The sequential feed loop, inside the caller's scope.  [started]
+   defaults to now; a text run passes the time before its scan, and a
+   sharded run that chose this loop the time before its arena, so
+   [seconds] covers ingestion. *)
+let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
     (module C : Aerodrome.Checker.S) src =
-  collected ?file:src.file (fun () ->
-      let st =
-        Aerodrome.Reclaim.with_policy (policy ~reclaim src.last_use) (fun () ->
-            C.create ~threads:src.threads ~locks:src.locks ~vars:src.vars)
-      in
-      let pf =
-        Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
-      in
-      let sample_heap = heap_sampler () in
-      let fl = flight_recorder flight ~threads:src.threads in
-      arm_heartbeat heartbeat ~total:(Some src.events);
-      let started =
-        match started with Some t -> t | None -> Unix.gettimeofday ()
-      in
-      let deadline = Option.map (fun b -> started +. b) timeout in
-      let timed_out = ref false in
-      let viol_at = ref (-1.0) in
-      let fed = ref 0 in
-      let feed_one w =
-        (match fl with
-        | Some f when !viol_at < 0.0 -> Flight.note f !fed w
-        | _ -> ());
-        (match C.feed_packed st w with
-        | Some _ -> note_violation viol_at ~started
-        | None -> ());
-        incr fed;
-        if !fed land (check_interval - 1) = 0 then begin
-          tick heartbeat !fed;
-          sample_heap ();
-          match deadline with
-          | Some d when Unix.gettimeofday () > d ->
-            timed_out := true;
-            raise Exit
-          | _ -> ()
-        end
-      in
-      (try
-         fold_words src.words
-           (match pf with
-           | None -> fun () w -> feed_one w
-           | Some p -> fun () w -> Prefilter.feed_packed p w feed_one)
-       with Exit -> ());
-      (match pf with
-      | None -> ()
-      | Some p -> Prefilter.finish_packed p ignore);
+  let st =
+    Aerodrome.Reclaim.with_policy
+      (policy ~reclaim (Lazy.force src.last_use))
+      (fun () -> C.create ~threads:src.threads ~locks:src.locks ~vars:src.vars)
+  in
+  let pf =
+    Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
+  in
+  let sample_heap = heap_sampler () in
+  let fl = flight_recorder flight ~threads:src.threads in
+  arm_heartbeat heartbeat ~total:(Some src.events);
+  let started =
+    match started with Some t -> t | None -> Unix.gettimeofday ()
+  in
+  let deadline = Option.map (fun b -> started +. b) timeout in
+  let timed_out = ref false in
+  let viol_at = ref (-1.0) in
+  let fed = ref 0 in
+  let feed_one w =
+    (match fl with
+    | Some f when !viol_at < 0.0 -> Flight.note f !fed w
+    | _ -> ());
+    (match C.feed_packed st w with
+    | Some _ -> note_violation viol_at ~started
+    | None -> ());
+    incr fed;
+    if !fed land (check_interval - 1) = 0 then begin
+      tick heartbeat !fed;
       sample_heap ();
-      let outcome =
-        if !timed_out then Timed_out else Verdict (C.violation st)
-      in
-      {
-        checker = C.name;
-        outcome;
-        seconds = Unix.gettimeofday () -. started;
-        events_fed = !fed;
-        metrics =
-          runner_entries ?file_bytes:(Option.bind src.file file_size) viol_at
-          @ flight_finish flight fl
-              (module C : Aerodrome.Checker.S)
-              ~source:(source_name src) ~threads:src.threads ~locks:src.locks
-              ~vars:src.vars outcome;
-      })
+      match deadline with
+      | Some d when Unix.gettimeofday () > d ->
+        timed_out := true;
+        raise Exit
+      | _ -> ()
+    end
+  in
+  (try
+     fold_words src.words
+       (match pf with
+       | None -> fun () w -> feed_one w
+       | Some p -> fun () w -> Prefilter.feed_packed p w feed_one)
+   with Exit -> ());
+  (match pf with
+  | None -> ()
+  | Some p -> Prefilter.finish_packed p ignore);
+  sample_heap ();
+  let outcome =
+    if !timed_out then Timed_out else Verdict (C.violation st)
+  in
+  {
+    checker = C.name;
+    outcome;
+    seconds = Unix.gettimeofday () -. started;
+    events_fed = !fed;
+    metrics =
+      runner_entries ?file_bytes:(Option.bind src.file file_size) viol_at
+      @ flight_finish flight fl
+          (module C : Aerodrome.Checker.S)
+          ~source:(source_name src) ~threads:src.threads ~locks:src.locks
+          ~vars:src.vars outcome;
+  }
+
+let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started ~reason
+    checker src =
+  collected ?file:src.file (fun () ->
+      note_decision ~stealing:false reason;
+      feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
+        checker src)
 
 (* Sharded counterpart of [run_packed]: filter into an arena first (an
-   arena is used as is when nothing is filtered), then fan chunk
-   checkers out over it.  The timer covers the ingestion, mirroring
-   the sequential path's decode. *)
-let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
-    (module C : Aerodrome.Checker.S) src =
+   arena is used as is when nothing is filtered) and plan it; then fan
+   chunk checkers out over it, or, when an auto plan would not beat one
+   feed, run the sequential loop over the arena.  The timer covers the
+   ingestion, mirroring the sequential path's decode. *)
+let run_packed_sharded ?heartbeat ~reclaim ~prefilter ~shards ~sched ?flight
+    ?started (module C : Aerodrome.Checker.S) src =
   collected ?file:src.file (fun () ->
       let pf =
         Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
@@ -438,28 +486,42 @@ let run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
             Prefilter.finish_packed p ignore);
           arena
       in
-      let o =
-        Parallel.Shard.check_stealing ~sched
-          ?flight:(Option.map (fun f -> f.flight_window) flight)
-          ~shards ~threads:src.threads ~locks:src.locks ~vars:src.vars arena
+      let events = Packed.Arena.length arena in
+      let domains = Parallel.Deque.size sched in
+      let plan =
+        Parallel.Shard.plan ~domains ~shards ~threads:src.threads arena
       in
-      tick heartbeat (Packed.Arena.length arena);
-      finish_sharded (module C) ~started
-        ?file_bytes:(Option.bind src.file file_size)
-        ?flight ~source:(source_name src) ~threads:src.threads
-        ~locks:src.locks ~vars:src.vars o
-        ~events_fed:(Packed.Arena.length arena))
+      let critical_path = Parallel.Shard.critical_path ~domains plan in
+      let stealing = shards <> 0 || stealing_pays ~critical_path ~events in
+      note_decision ~plan:(critical_path, events) ~stealing
+        (if shards = 0 then "critical-path" else "forced");
+      if not stealing then
+        feed_source ?heartbeat ~reclaim ~prefilter:Off ?flight ~started
+          (module C)
+          { src with events; words = Arena arena }
+      else begin
+        let o =
+          Parallel.Shard.execute ~sched
+            ?flight:(Option.map (fun f -> f.flight_window) flight)
+            ~threads:src.threads ~locks:src.locks ~vars:src.vars arena plan
+        in
+        tick heartbeat events;
+        finish_sharded (module C) ~started
+          ?file_bytes:(Option.bind src.file file_size)
+          ?flight ~source:(source_name src) ~threads:src.threads
+          ~locks:src.locks ~vars:src.vars o ~events_fed:events
+      end)
 
-(* Run [src] on the scheduler {!sharding} chose, or sequentially. *)
+(* Run [src] on the scheduler {!sharding} lent, or sequentially. *)
 let run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight
-    ?started checker sched src =
-  match sched with
-  | Some sched ->
-    run_packed_sharded ?heartbeat ~prefilter ~shards ~sched ?flight ?started
+    ?started checker sharding src =
+  match sharding with
+  | Ok sched ->
+    run_packed_sharded ?heartbeat ~reclaim ~prefilter ~shards ~sched ?flight
+      ?started checker src
+  | Error reason ->
+    run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started ~reason
       checker src
-  | None ->
-    run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started checker
-      src
 
 (* A materialized trace is filtered, and its oracle computed, before the
    timer starts, like trace I/O; the oracle is computed on the filtered
@@ -467,7 +529,7 @@ let run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight
    packed into an arena and runs like a scanned text file. *)
 let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
     ?sched ?flight checker tr =
-  let sched =
+  let sharding =
     sharding ?sched ~shards ~timeout ~events:(Trace.length tr) checker
   in
   collected (fun () ->
@@ -482,10 +544,10 @@ let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
       let arena = Packed.Arena.create () in
       Trace.iter (fun e -> Packed.Arena.push arena (Packed.of_event e)) tr;
       let last_use =
-        if reclaim && sched = None then Some (Lifetime.of_trace tr) else None
+        if reclaim then lazy (Some (Lifetime.of_trace tr)) else lazy None
       in
       run_source ?timeout ?heartbeat ~reclaim ~prefilter:Off ~shards ?flight
-        checker sched
+        checker sharding
         {
           file = None;
           threads;
@@ -530,14 +592,13 @@ let run_binary ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
              packed limit (%d threads, %d locks or vars)"
             path threads locks vars (Packed.max_tid + 1)
             (Packed.max_target + 1)));
-  let sched = sharding ?sched ~shards ~timeout ~events:h.Binfmt.events checker in
   (* v2 files carry the oracle in their footer, one seek away; chunk
      checkers run without it *)
   let last_use =
-    if reclaim && sched = None then Binfmt.read_last_use path else None
+    if reclaim then lazy (Binfmt.read_last_use path) else lazy None
   in
   run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight checker
-    sched
+    (sharding ?sched ~shards ~timeout ~events:h.Binfmt.events checker)
     {
       file = Some path;
       threads;
@@ -567,6 +628,7 @@ let run_text ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
     (* timed out mid-scan: no event reached a checker.  One is still
        created (on empty domains) so the run reports its counters *)
     collected ~file:path (fun () ->
+        note_decision ~stealing:false "timeout";
         ignore (C.create ~threads:0 ~locks:0 ~vars:0);
         {
           checker = C.name;
@@ -587,7 +649,8 @@ let run_text ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
         locks = Array.length sy.Trace.Symbols.locks;
         vars = Array.length sy.Trace.Symbols.vars;
         events;
-        last_use = (if reclaim then Some p.Traces.Parser.lifetime else None);
+        last_use =
+          Lazy.from_val (if reclaim then Some p.Traces.Parser.lifetime else None);
         stats = p.Traces.Parser.stats;
         words = Arena arena;
       }

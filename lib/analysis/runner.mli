@@ -13,9 +13,20 @@
     with runner-level entries —
 
     - ["violation.seconds"]: elapsed seconds to the first violation;
-    - ["ingest.file_bytes"]: size of the trace file (file-based runs).
+    - ["ingest.file_bytes"]: size of the trace file (file-based runs);
+    - ["decision.exec"]: the path the run took, [sequential] or
+      [stealing], and ["decision.exec_reason"] why: [no-scheduler],
+      [shards-1], [timeout], [checker] (a non-default checker),
+      [small-trace] (see {!steal_worthwhile}), [critical-path] (an auto
+      plan weighed, see {e Sharded checking}) or [forced] (an explicit
+      chunk count).  A planned run adds ["decision.critical_path_events"]
+      ({!Parallel.Shard.critical_path}) and ["decision.events"], the
+      arena length it was weighed against.  These are categorical
+      ({!Obs.Snapshot.Label}) readings: text in [--stats] and
+      [--stats-json], a labelled gauge in the OpenMetrics exposition.
 
-    Sharded runs report ["shard.chunks"], ["shard.skipped_chunks"]
+    Runs that execute a plan on the scheduler report ["shard.chunks"],
+    ["shard.skipped_chunks"]
     (chunks that ran no checker because a repair re-feeds them),
     ["shard.quiescent_cuts"], ["shard.seamed_cuts"],
     ["shard.tainted_events"], ["shard.repaired_events"],
@@ -115,30 +126,42 @@ type prefilter =
     [1], which turns sharding off; [0] means {e auto}).  Sharding
     happens only on a lent scheduler: without one every run is
     sequential.  With one and [shards <> 1] the (filtered) event stream
-    is materialized into a packed arena, partitioned into contiguous
-    chunks at boundary-summary cuts — arbitrary positions annotated
-    with each thread's open-transaction depth, snapped to a nearby
-    globally quiescent position when one exists — and each chunk runs
-    as a scheduler task, from a checker seeded with its boundary
-    summary ({!Parallel.Shard.check_stealing}).  Auto cuts
-    fine-grained micro-chunks (oversubscribed ~8x per scheduler
-    domain) and keeps traces too small to amortize the planner on the
-    sequential path ({!steal_worthwhile}); an explicit [shards] forces
-    that exact plan.  Each chunk performs the seam repairs it owns as
-    soon as it retires: only the events between a non-quiescent cut
+    is materialized into a packed arena and planned
+    ({!Parallel.Shard.plan}): partitioned into contiguous chunks at
+    boundary-summary cuts — arbitrary positions annotated with each
+    thread's open-transaction depth, snapped to a nearby globally
+    quiescent position when one exists — each with the repair window
+    it owes.  Auto cuts fine-grained micro-chunks (oversubscribed ~8x
+    per scheduler domain), keeps traces too small to amortize the
+    planner on the sequential path ({!steal_worthwhile}), and then
+    weighs the plan: its critical path
+    ({!Parallel.Shard.critical_path}) must be at most 0.7 of the arena
+    for the chunks to run on the scheduler.  Otherwise — long
+    transactions straddling every cut, so one chunk's repair re-feeds
+    the rest — the arena is fed sequentially with the last-use oracle,
+    and nothing is submitted: the scheduler's worker domains, which
+    spawn at the first submit, never start.  An explicit [shards]
+    forces that exact plan onto the scheduler.  Each chunk runs as a
+    scheduler task from a checker seeded with its boundary summary
+    ({!Parallel.Shard.execute}) and performs the seam repairs it owns
+    as soon as it retires: only the events between a non-quiescent cut
     and the retirement of the transactions it straddles (and of those
     open at their close) are re-fed against the true frontier, instead
     of replaying whole chunks ({!Aerodrome.Merge}, DESIGN.md §17,
     §18).  Verdicts, violation indices and [events_fed] are
-    {e byte-identical} to the sequential path; a cut through open
-    transactions costs a repair window, never a divergent answer.
+    {e byte-identical} to the sequential path, whichever path runs; a
+    cut through open transactions costs a repair window, never a
+    divergent answer.
 
-    A run stays sequential whenever the exactness argument does not
-    apply: non-default checkers and runs with a [timeout].  Sharded runs
-    report ["shard.*"] entries; scheduler-level telemetry (steals,
-    injections, per-domain busy seconds) lives on the scheduler
-    ({!Parallel.Deque.stats}) because its counters span every run
-    sharing it. *)
+    A lent scheduler leaves a run sequential, and says why in
+    ["decision.exec_reason"], when [shards = 1], when the exactness
+    argument does not apply — non-default checkers and runs with a
+    [timeout] — when an auto run's trace is too small, and when an auto
+    plan's critical path does not beat one sequential feed.  Runs that
+    execute a plan report ["shard.*"] entries; scheduler-level telemetry
+    (steals, injections, per-domain busy seconds) lives on the
+    scheduler ({!Parallel.Deque.stats}) because its counters span every
+    run sharing it. *)
 
 type flight = {
   flight_dir : string;  (** directory the witness bundles are written to *)
@@ -154,8 +177,8 @@ val steal_worthwhile : shards:int -> events:int -> bool
     does, auto micro-chunking only from two minimum-size chunks up
     (below that the planner costs more than the parallelism returns).
     Core-count independent: the caller's scheduler fixes the domain
-    budget.  Exposed so the CLI can decide whether creating a
-    scheduler for a lone trace is worthwhile. *)
+    budget.  A run that passes it still stays sequential when its auto
+    plan does not pay (see {e Sharded checking}). *)
 
 val run :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->

@@ -13,6 +13,9 @@
    - [Int] renders as a counter, [Float] as a gauge, and [Hist] as a
      Prometheus histogram (cumulative [_bucket{le=...}] plus [_sum] and
      [_count]);
+   - a [Label] renders as a gauge of 1 carrying the label under its
+     metric name's last component (["decision.exec"] = [sequential] ->
+     [aerodrome_decision_exec{exec="sequential"} 1]);
    - every sample can carry extra labels (the live table tags each
      registry with the file it is checking);
    - the document ends with [# EOF], the OpenMetrics terminator.
@@ -101,6 +104,17 @@ let series_of_entry ~labels (e : Snapshot.entry) =
     | Some (family, ordinal) -> (family, labels @ [ ("chunk", ordinal) ])
     | None -> (name, labels)
   in
+  let labels =
+    match e.Snapshot.value with
+    | Snapshot.Label v ->
+      let key =
+        match String.rindex_opt raw_family '.' with
+        | Some i -> String.sub raw_family (i + 1) (String.length raw_family - i - 1)
+        | None -> raw_family
+      in
+      labels @ [ (key, v) ]
+    | _ -> labels
+  in
   { family = sanitize raw_family; help = raw_family; labels; value = e.Snapshot.value }
 
 (* Two live registries can publish the same family under the same
@@ -126,7 +140,7 @@ let combine a b =
 
 let type_of_value = function
   | Snapshot.Int _ -> "counter"
-  | Snapshot.Float _ -> "gauge"
+  | Snapshot.Float _ | Snapshot.Label _ -> "gauge"
   | Snapshot.Hist _ -> "histogram"
 
 let render_value b family labels = function
@@ -135,6 +149,7 @@ let render_value b family labels = function
     if Float.is_integer f && Float.abs f < 1e15 then
       Printf.bprintf b "%s%s %.0f\n" family (render_labels labels) f
     else Printf.bprintf b "%s%s %.6g\n" family (render_labels labels) f
+  | Snapshot.Label _ -> Printf.bprintf b "%s%s 1\n" family (render_labels labels)
   | Snapshot.Hist { bounds; counts; total; sum } ->
     let cumulative = ref 0 in
     Array.iteri

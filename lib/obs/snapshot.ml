@@ -6,6 +6,9 @@
 type value =
   | Int of int
   | Float of float
+  | Label of string
+      (* a categorical reading (which path a run took); merges keep the
+         later one *)
   | Hist of {
       bounds : int array;
       counts : int array;
@@ -107,6 +110,7 @@ let merge (snaps : t list) : t =
 let value_to_json = function
   | Int n -> Json.Num (float_of_int n)
   | Float f -> Json.Num f
+  | Label s -> Json.Str s
   | Hist { bounds; counts; total; sum } ->
     Json.Obj
       [
@@ -125,6 +129,7 @@ let pp_value ppf = function
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then Format.fprintf ppf "%.0f" f
     else Format.fprintf ppf "%.3f" f
+  | Label s -> Format.pp_print_string ppf s
   | Hist { bounds; counts; total; sum } ->
     Format.fprintf ppf "total=%d sum=%d" total sum;
     if total > 0 then begin

@@ -127,7 +127,8 @@ type 'a promise = {
 
 type t = {
   deques : (unit -> unit) Ws_deque.q array;
-  mutable domains : unit Domain.t array;
+  mutable domains : unit Domain.t array; (* empty until the first submit *)
+  on_start : t -> unit;
   inject : (unit -> unit) Queue.t;
   mu : Mutex.t;
   cond : Condition.t;
@@ -275,16 +276,25 @@ let wake_one sched =
     Mutex.unlock sched.mu
   end
 
+(* The first submit spawns the workers (under [mu], so two submitters
+   cannot both spawn; the new workers block on [mu] until the task is
+   queued).  A worker-domain submit implies the workers exist, so only
+   this external path can be the first. *)
 let inject_task sched f =
   Mutex.lock sched.mu;
   if sched.closed then begin
     Mutex.unlock sched.mu;
     invalid_arg "Deque.submit: scheduler is shut down"
   end;
+  let starting = Array.length sched.domains = 0 in
+  if starting then
+    sched.domains <-
+      Array.init (Array.length sched.deques) (fun i -> Domain.spawn (worker sched i));
   Queue.push f sched.inject;
   Condition.signal sched.cond;
   Mutex.unlock sched.mu;
-  Atomic.incr sched.injected
+  Atomic.incr sched.injected;
+  if starting then sched.on_start sched
 
 let submit sched (f : unit -> 'a) : 'a promise =
   let p = { st = Atomic.make Pending; pmu = Mutex.create (); pcond = Condition.create () } in
@@ -339,12 +349,13 @@ let await sched (p : 'a promise) : 'a =
     | _ -> ());
     unwrap (Atomic.get p.st)
 
-let create n =
+let create ?(on_start = ignore) n =
   let n = max 1 n in
   let sched =
     {
       deques = Array.init n (fun _ -> Ws_deque.make 256);
       domains = [||];
+      on_start;
       inject = Queue.create ();
       mu = Mutex.create ();
       cond = Condition.create ();
@@ -359,15 +370,21 @@ let create n =
       started = Unix.gettimeofday ();
     }
   in
-  sched.domains <- Array.init n (fun i -> Domain.spawn (worker sched i));
   sched
+
+let started sched =
+  Mutex.lock sched.mu;
+  let n = Array.length sched.domains in
+  Mutex.unlock sched.mu;
+  n > 0
 
 let shutdown sched =
   Mutex.lock sched.mu;
   sched.closed <- true;
   Condition.broadcast sched.cond;
+  let domains = sched.domains in
   Mutex.unlock sched.mu;
-  Array.iter Domain.join sched.domains
+  Array.iter Domain.join domains
 
 let with_scheduler n f =
   let sched = create n in

@@ -23,10 +23,17 @@ type t
 type 'a promise
 (** The eventual result of a submitted task. *)
 
-val create : int -> t
-(** [create n] spawns [max 1 n] worker domains.  The calling domain is
-    not a worker: its {!submit}s go through the injection queue and
-    its {!await}s block. *)
+val create : ?on_start:(t -> unit) -> int -> t
+(** [create n] is a scheduler of [max 1 n] worker domains, spawned by
+    the first {!submit}: a scheduler nothing is submitted to costs no
+    domain.  [on_start] (default: nothing) runs once, on the submitting
+    domain, right after the workers spawn.  The calling domain is not a
+    worker: its {!submit}s go through the injection queue and its
+    {!await}s block. *)
+
+val started : t -> bool
+(** Whether the worker domains have been spawned (something was
+    submitted). *)
 
 val size : t -> int
 (** Worker-domain count. *)

@@ -175,6 +175,65 @@ let prefix_counts ~threads arena ~upto =
       || String.starts_with ~prefix:"txn." e.name)
     (Aerodrome.Cmetrics.snapshot m)
 
+(* The plan an execution runs: the cuts and, from them alone, the
+   reconciliation fold ({!Aerodrome.Merge.seams}) and each owner's
+   repair segments.  Planning needs no scheduler, so a caller can weigh
+   the plan ({!critical_path}) before any worker domain exists. *)
+type schedule = {
+  plan : Aerodrome.Merge.plan;
+  bounds : (int * int) array;
+  seams : Aerodrome.Merge.seam array;
+  owned : (int * int) list array;
+  plan_seconds : float;
+}
+
+let plan ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ~domains ~shards ~threads
+    arena =
+  let n = Traces.Packed.Arena.length arena in
+  let shards =
+    match cuts with
+    | Some _ -> 0 (* the plan takes the forced cuts verbatim *)
+    | None when shards <> 0 -> shards (* forced chunk count (--shards N, tests) *)
+    | None ->
+      max 1 (min (max 1 domains * max 1 oversub) (max 1 (n / max 1 chunk_floor)))
+  in
+  let t0 = Unix.gettimeofday () in
+  let plan =
+    Obs.Chrome_trace.span ~cat:"shard" "plan" (fun () ->
+        Aerodrome.Merge.plan ~threads ~shards ?cuts arena)
+  in
+  let plan_seconds = Unix.gettimeofday () -. t0 in
+  let bounds = Aerodrome.Merge.bounds plan ~total:n in
+  let k = Array.length bounds in
+  let seams = Aerodrome.Merge.seams plan ~total:n in
+  (* seams grouped by owning chunk, ascending — the owner feeds its
+     segments in trace order, so its checker walks one contiguous
+     stream *)
+  let owned = Array.make k [] in
+  for i = k - 1 downto 1 do
+    let s = seams.(i) in
+    if s.Aerodrome.Merge.upto > s.Aerodrome.Merge.from_ then
+      owned.(s.Aerodrome.Merge.owner) <-
+        (s.Aerodrome.Merge.from_, s.Aerodrome.Merge.upto)
+        :: owned.(s.Aerodrome.Merge.owner)
+  done;
+  { plan; bounds; seams; owned; plan_seconds }
+
+(* A surviving chunk feeds its own range and then the repair segments it
+   owns; a skipped chunk feeds nothing.  No task can finish before its
+   longest chunk, and [domains] workers cannot finish the total sooner
+   than an even split of it. *)
+let critical_path ~domains s =
+  let work i (base, stop) =
+    if s.seams.(i).Aerodrome.Merge.survives then
+      List.fold_left (fun a (from, upto) -> a + upto - from) (stop - base) s.owned.(i)
+    else 0
+  in
+  let works = Array.mapi work s.bounds in
+  let total = Array.fold_left ( + ) 0 works in
+  let d = max 1 domains in
+  max (Array.fold_left max 0 works) ((total + d - 1) / d)
+
 (* Work-stealing execution over micro-chunks (DESIGN.md §18).  The
    left-to-right reconciliation fold (walk the cuts in order, feed each
    window into the live checker, let a surviving chunk take over) is
@@ -206,36 +265,10 @@ let prefix_counts ~threads arena ~upto =
      is the sequential checker's first violation — the same answer
      the fold reaches, computed from an unordered bag of retirements
      (the [retired] bitmap). *)
-let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
-    ~shards ~threads ~locks ~vars arena =
+let execute ~sched ?flight ~threads ~locks ~vars arena s =
   let n = Traces.Packed.Arena.length arena in
-  let shards =
-    match cuts with
-    | Some _ -> 0 (* the plan takes the forced cuts verbatim *)
-    | None when shards <> 0 -> shards (* forced chunk count (--shards N, tests) *)
-    | None ->
-      max 1 (min (Deque.size sched * max 1 oversub) (max 1 (n / max 1 chunk_floor)))
-  in
-  let t0 = Unix.gettimeofday () in
-  let plan =
-    Obs.Chrome_trace.span ~cat:"shard" "plan" (fun () ->
-        Aerodrome.Merge.plan ~threads ~shards ?cuts arena)
-  in
-  let plan_seconds = Unix.gettimeofday () -. t0 in
-  let bounds = Aerodrome.Merge.bounds plan ~total:n in
+  let { plan; bounds; seams; owned; plan_seconds } = s in
   let k = Array.length bounds in
-  let seams = Aerodrome.Merge.seams plan ~total:n in
-  (* seams grouped by owning chunk, ascending — the owner feeds its
-     segments in trace order, so its checker walks one contiguous
-     stream *)
-  let owned = Array.make k [] in
-  for i = k - 1 downto 1 do
-    let s = seams.(i) in
-    if s.Aerodrome.Merge.upto > s.Aerodrome.Merge.from_ then
-      owned.(s.Aerodrome.Merge.owner) <-
-        (s.Aerodrome.Merge.from_, s.Aerodrome.Merge.upto)
-        :: owned.(s.Aerodrome.Merge.owner)
-  done;
   let retired = Array.init k (fun _ -> Atomic.make false) in
   let work i () =
     let chunk = (plan.Aerodrome.Merge.boundaries.(i), bounds.(i)) in
@@ -344,3 +377,9 @@ let check_stealing ~sched ?(oversub = 8) ?(chunk_floor = 8192) ?cuts ?flight
     plan_seconds;
     merge_seconds;
   }
+
+let check_stealing ~sched ?oversub ?chunk_floor ?cuts ?flight ~shards ~threads
+    ~locks ~vars arena =
+  execute ~sched ?flight ~threads ~locks ~vars arena
+    (plan ?oversub ?chunk_floor ?cuts ~domains:(Deque.size sched) ~shards
+       ~threads arena)

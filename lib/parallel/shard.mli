@@ -1,7 +1,8 @@
 (** Single-trace chunked parallel checking over a packed arena.
 
-    {!check_stealing} partitions an arena into contiguous chunks at the
-    boundary-summary cuts chosen by {!Aerodrome.Merge.plan} and runs an
+    {!plan} partitions an arena into contiguous chunks at the
+    boundary-summary cuts chosen by {!Aerodrome.Merge.plan}, and
+    {!execute} runs an
     independent speculative {!Aerodrome.Opt} checker on each chunk —
     seeded from the cut's boundary summary
     ({!Aerodrome.Opt.seed_boundary}) and submitted as a task to a
@@ -25,7 +26,7 @@
 
     Soundness of the boundary seed is specific to the default
     {!Aerodrome.Opt} configuration (component-epoch fast checks,
-    non-faithful), which is why [check_stealing] takes no checker
+    non-faithful), which is why [execute] takes no checker
     module: the caller — normally {!Analysis.Runner} — gates sharding
     on the checker being ["aerodrome"].  Chunk checkers run with
     {!Aerodrome.Reclaim.Off} (reclamation is verdict-neutral, and
@@ -84,19 +85,45 @@ type outcome = {
   merge_seconds : float;  (** final verdict assembly wall-clock *)
 }
 
-val check_stealing :
-  sched:Deque.t -> ?oversub:int -> ?chunk_floor:int -> ?cuts:int list ->
-  ?flight:int -> shards:int -> threads:int -> locks:int -> vars:int ->
-  Traces.Packed.Arena.t -> outcome
-(** Check a fully built arena on [sched] (DESIGN.md §18).  With
-    [shards = 0] the arena is cut into fine-grained micro-chunks —
-    [oversub] (default 8) chunks per scheduler domain, floored at
+type schedule = {
+  plan : Aerodrome.Merge.plan;
+  bounds : (int * int) array;  (** [(base, stop)] per chunk *)
+  seams : Aerodrome.Merge.seam array;  (** the precomputed fold *)
+  owned : (int * int) list array;
+      (** per chunk, the repair segments its checker feeds after its
+          own range, ascending *)
+  plan_seconds : float;  (** cut-scan (boundary summary) wall-clock *)
+}
+(** A plan ready to run: the cuts ({!Aerodrome.Merge.plan}) and what
+    the reconciliation fold derives from them alone. *)
+
+val plan :
+  ?oversub:int -> ?chunk_floor:int -> ?cuts:int list -> domains:int ->
+  shards:int -> threads:int -> Traces.Packed.Arena.t -> schedule
+(** Plan a fully built arena for [domains] worker domains, without a
+    scheduler.  With [shards = 0] the arena is cut into fine-grained
+    micro-chunks — [oversub] (default 8) chunks per domain, floored at
     [chunk_floor] (default 8192) events per chunk; an explicit [shards]
     forces that exact chunk count.  [cuts] forces exact cuts, taken
     verbatim and never snapped (the adversarial-boundary test hook);
     [shards], [oversub] and [chunk_floor] are ignored when it is given.
-    [flight] attaches a violation flight recorder of that ring window
-    to every chunk.  A single-chunk plan runs in the calling domain.
+    When a Chrome trace collector is active the planner is recorded as
+    a "shard"-category span. *)
+
+val critical_path : domains:int -> schedule -> int
+(** The events the longest path through an execution on [domains]
+    domains feeds: [max (max_i w_i) (ceil (sum_i w_i / domains))], where
+    a surviving chunk's work [w_i] is its own range plus the repair
+    segments it owns and a skipped chunk's is 0.  A plan whose critical
+    path is close to the arena length saves nothing over one
+    sequential feed (DESIGN.md §18). *)
+
+val execute :
+  sched:Deque.t -> ?flight:int -> threads:int -> locks:int -> vars:int ->
+  Traces.Packed.Arena.t -> schedule -> outcome
+(** Run a plan of this arena on [sched] (DESIGN.md §18).  [flight]
+    attaches a violation flight recorder of that ring window to every
+    chunk.  A single-chunk plan runs in the calling domain.
 
     Every chunk is a scheduler task, executed in whatever order the
     deques and steals produce; a non-surviving chunk's task runs no
@@ -110,11 +137,16 @@ val check_stealing :
     repair segments — which partition the arena, so the answer is
     byte-identical to the sequential checker.  [merge_seconds] covers
     only the final assembly (repairs are on the chunk tasks' clock).
-    When a Chrome trace collector is active the planner and each
-    chunk's feed loop (on its worker domain) are recorded as
-    "shard"-category spans.
+    When a Chrome trace collector is active each chunk's feed loop (on
+    its worker domain) is recorded as a "shard"-category span.
 
     @raise Failure if a chunk's speculative violation inside a
     repaired window is not confirmed by the repair — impossible under
     the §17 containment invariant; the failure guards against silently
     reporting a verdict the sequential checker would not produce. *)
+
+val check_stealing :
+  sched:Deque.t -> ?oversub:int -> ?chunk_floor:int -> ?cuts:int list ->
+  ?flight:int -> shards:int -> threads:int -> locks:int -> vars:int ->
+  Traces.Packed.Arena.t -> outcome
+(** {!plan} for [sched]'s domain count, then {!execute}. *)

@@ -30,17 +30,20 @@ type header = {
   stats : bool;
 }
 
-(* LEB128, unsigned. *)
+(* LEB128 of all 63 bits of [n], read as unsigned: an accessor mask
+   with the overflow bit (bit 62, {!Varstats.mask_width}) set is a
+   negative int, and takes nine bytes — [get_uint] reads it back. *)
+let rec put_bits buf n =
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+  else begin
+    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    put_bits buf (n lsr 7)
+  end
+
+(* LEB128, unsigned; ids and counts are never negative. *)
 let put_uint buf n =
   if n < 0 then invalid_arg "Binfmt: negative id";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  put_bits buf n
 
 let get_uint next =
   let rec go shift acc =
@@ -144,11 +147,11 @@ let write_channel ?(last_use = true) ?(stats = true) oc tr =
     | None -> ()
     | Some vs ->
       for x = 0 to Trace.vars tr - 1 do
-        put_uint fb (Varstats.var_mask vs x);
+        put_bits fb (Varstats.var_mask vs x);
         put_uint fb (Varstats.var_writes vs x)
       done;
       for l = 0 to Trace.locks tr - 1 do
-        put_uint fb (Varstats.lock_mask vs l)
+        put_bits fb (Varstats.lock_mask vs l)
       done);
     Buffer.add_buffer buf fb;
     add_u64_le buf (Buffer.length fb);

@@ -1,9 +1,10 @@
 open Ids
 
-(* Bit 62 is the overflow bit shared by every thread id >= 62, so the
-   mask always fits a non-negative OCaml int (and a single varint in the
-   binfmt v3 footer).  An object touched by an overflow thread is never
-   classified single-threaded — the conservative direction. *)
+(* Bit 62 is the overflow bit shared by every thread id >= 62: the
+   top bit of a 63-bit OCaml int, so a mask with it set is negative
+   (the binfmt v3 footer writes all 63 bits unsigned).  An object
+   touched by an overflow thread is never classified single-threaded —
+   the conservative direction. *)
 let mask_width = 62
 let overflow_bit = 1 lsl mask_width
 let bit_of_thread t = if t < mask_width then 1 lsl t else overflow_bit

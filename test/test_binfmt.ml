@@ -207,6 +207,42 @@ let test_large_roundtrip () =
       check Alcotest.bool "fold_packed sees the written events" true
         (List.rev rev = List.map Packed.of_event (Trace.to_list tr)))
 
+(* Thread ids from Varstats.mask_width (62) up share the overflow bit,
+   which is the sign bit of a 63-bit int: the v3 footer must write such
+   a mask and give back exactly what the trace's statistics hold, with
+   one overflow thread (63 threads) and with many (200). *)
+let test_many_threads_roundtrip () =
+  List.iter
+    (fun threads ->
+      let tr =
+        Workloads.Generator.generate
+          { Workloads.Generator.default with events = 5_000; threads; vars = 2_000 }
+      in
+      let where = Printf.sprintf "%d threads" threads in
+      tmp (fun path ->
+          Binfmt.write_file path tr;
+          check Alcotest.bool (where ^ ": events") true
+            (Trace.to_list tr = Trace.to_list (Binfmt.read_file path));
+          match Binfmt.read_stats path with
+          | None -> Alcotest.failf "%s: expected a statistics footer" where
+          | Some vs ->
+            let expect = Varstats.of_trace tr in
+            for x = 0 to Trace.vars tr - 1 do
+              check Alcotest.int (where ^ ": var mask") (Varstats.var_mask expect x)
+                (Varstats.var_mask vs x);
+              check Alcotest.int (where ^ ": var writes")
+                (Varstats.var_writes expect x) (Varstats.var_writes vs x)
+            done;
+            for l = 0 to Trace.locks tr - 1 do
+              check Alcotest.int (where ^ ": lock mask")
+                (Varstats.lock_mask expect l) (Varstats.lock_mask vs l)
+            done;
+            check Alcotest.bool (where ^ ": an overflow mask was written") true
+              (List.exists
+                 (fun x -> Varstats.var_mask vs x < 0)
+                 (List.init (Trace.vars tr) Fun.id))))
+    [ 63; 200 ]
+
 let prop_roundtrip =
   QCheck.Test.make ~name:"binary roundtrip" ~count:100
     (Helpers.arb_trace ~threads:4 ~locks:2 ~vars:4 ~max_len:100 ~complete:false ())
@@ -234,5 +270,7 @@ let suite =
       Alcotest.test_case "truncated footer" `Quick test_truncated_footer;
       Alcotest.test_case "streaming runner" `Quick test_runner_streaming;
       Alcotest.test_case "large roundtrip" `Quick test_large_roundtrip;
+      Alcotest.test_case "63 and 200 threads roundtrip" `Quick
+        test_many_threads_roundtrip;
     ]
     @ Helpers.qcheck_tests [ prop_roundtrip ] )

@@ -313,6 +313,30 @@ let test_busy_accounting () =
         true (b <= st.D.age_seconds))
     st.D.busy_seconds
 
+(* Workers spawn at the first submit, not at create: a scheduler nothing
+   is submitted to has no domain to start, report or join, and
+   [on_start] runs once however many tasks follow.  A shut-down
+   scheduler that never started still refuses work. *)
+let test_lazy_start () =
+  let starts = ref 0 in
+  let s = D.create ~on_start:(fun _ -> incr starts) 2 in
+  Alcotest.(check bool) "not started by create" false (D.started s);
+  Alcotest.(check int) "size known before start" 2 (D.size s);
+  let ps = List.init 8 (fun i -> D.submit s (fun () -> i)) in
+  Alcotest.(check bool) "started by the first submit" true (D.started s);
+  Alcotest.(check int) "results" 28 (List.fold_left (fun a p -> a + D.await s p) 0 ps);
+  D.shutdown s;
+  Alcotest.(check int) "on_start ran once" 1 !starts;
+  Alcotest.(check int) "every task ran" 8 (D.stats s).D.completed;
+  let idle = D.create ~on_start:(fun _ -> incr starts) 2 in
+  D.shutdown idle;
+  Alcotest.(check bool) "never started" false (D.started idle);
+  Alcotest.(check int) "no start hook for an idle scheduler" 1 !starts;
+  Alcotest.check_raises "closed"
+    (Invalid_argument "Deque.submit: scheduler is shut down") (fun () ->
+      ignore (D.submit idle (fun () -> 0)));
+  Alcotest.(check bool) "a refused submit starts nothing" false (D.started idle)
+
 let suite =
   ( "deque",
     [
@@ -339,4 +363,6 @@ let suite =
       Alcotest.test_case "with_scheduler drains on exception" `Quick
         test_with_scheduler_drains_on_exception;
       Alcotest.test_case "busy-time accounting" `Quick test_busy_accounting;
+      Alcotest.test_case "workers spawn at the first submit" `Quick
+        test_lazy_start;
     ] )

@@ -217,7 +217,12 @@ let test_exporter_exposition () =
   Obs.Counter.add c 12;
   Obs.Gauge.set g 3.5;
   Obs.Histogram.observe h 2;
-  let series = Obs.Exporter.of_snapshot (Obs.Registry.snapshot reg) in
+  Obs.Registry.probe reg "decision.exec" (fun () -> Obs.Snapshot.Label "sequential");
+  let series =
+    Obs.Exporter.of_snapshot (Obs.Registry.snapshot reg)
+    @ Obs.Exporter.of_snapshot ~labels:[ ("file", "a.bin") ]
+        [ Obs.Snapshot.entry "decision.exec" (Obs.Snapshot.Label "stealing") ]
+  in
   let body = Obs.Exporter.render series in
   (match Obs.Exporter.validate body with
   | Ok () -> ()
@@ -233,6 +238,18 @@ let test_exporter_exposition () =
   check Alcotest.bool "gauge sample" true (contains "aerodrome_heap_peak_words 3.5");
   check Alcotest.bool "histogram +Inf bucket" true
     (contains "le=\"+Inf\"");
+  (* a categorical reading is a gauge of 1 labelled with its value *)
+  check Alcotest.bool "label family" true
+    (contains "# TYPE aerodrome_decision_exec gauge");
+  check Alcotest.bool "label sample" true
+    (contains "aerodrome_decision_exec{exec=\"sequential\"} 1\n");
+  check Alcotest.bool "label sample with run labels" true
+    (contains "aerodrome_decision_exec{file=\"a.bin\",exec=\"stealing\"} 1\n");
+  check Alcotest.string "label in --stats" "sequential"
+    (Format.asprintf "%a" Obs.Snapshot.pp_value (Obs.Snapshot.Label "sequential"));
+  check Alcotest.bool "label in --stats-json" true
+    (Obs.Snapshot.value_to_json (Obs.Snapshot.Label "sequential")
+    = Obs.Json.Str "sequential");
   check Alcotest.bool "terminated" true (contains "# EOF");
   (* the validator is strict: truncation and malformed lines are rejected *)
   check Alcotest.bool "truncated rejected" true

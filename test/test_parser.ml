@@ -338,6 +338,31 @@ let test_writer_streams () =
        `Serializable )
     :: Workloads.Scenarios.all)
 
+(* A text trace whose thread names outgrow the packed word
+   (Packed.max_tid + 1 of them) is a Parse_error on the first line past
+   the limit.  The file holds one short line per name, about 15 MB, and
+   reading it takes about 300 MB, so only the in-place scanner's check
+   is exercised here, not the per-line fallback's. *)
+let test_read_packed_overflow () =
+  let limit = Packed.max_tid + 1 in
+  let path = Filename.temp_file "aerodrome_overflow" ".std" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          for i = 0 to limit - 1 do
+            Printf.fprintf oc "%x|b\n" i
+          done;
+          output_string oc "new|b\n");
+      match Parser.read_packed path with
+      | _ -> Alcotest.failf "read %d thread names" (limit + 1)
+      | exception Parser.Parse_error e ->
+        Alcotest.(check int) "line" (limit + 1) e.Parser.line;
+        Alcotest.(check string) "message"
+          (Printf.sprintf "more than %d threads: ids no longer fit a packed word"
+             limit)
+          e.Parser.message)
+
 let suite =
   ( "parser",
     [
@@ -355,6 +380,8 @@ let suite =
         test_read_packed_noncanonical;
       Alcotest.test_case "read_packed = parse_string: malformed lines" `Quick
         test_read_packed_malformed;
+      Alcotest.test_case "read_packed: too many threads for a packed word" `Slow
+        test_read_packed_overflow;
     ]
     @ Helpers.qcheck_tests
         [ prop_roundtrip; prop_roundtrip_preserves_verdict; prop_mutated_text ] )

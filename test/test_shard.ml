@@ -920,6 +920,108 @@ let test_runner_sequential_fallbacks () =
     (normalized (Analysis.Runner.run opt tr))
     (normalized r)
 
+(* Auto sharding plans before it spawns: on a trace large enough to
+   shard, the runner weighs the plan's critical path against one
+   sequential feed.  Anchor transactions straddle every cut, so the
+   first chunk's repair re-feeds the rest: the run stays on the calling
+   domain, submits no task and never starts the workers.  Independent
+   transactions cut cheaply, so the chunks run as tasks.  Both reports
+   equal the sequential run's, and the metrics name the path taken. *)
+let test_runner_plan_choice () =
+  with_telemetry @@ fun () ->
+  let normalized r =
+    Format.asprintf "%a" Analysis.Runner.pp
+      { r with Analysis.Runner.seconds = 0.0 }
+  in
+  let label (r : Analysis.Runner.result) name =
+    match Obs.Snapshot.find r.Analysis.Runner.metrics name with
+    | Some { Obs.Snapshot.value = Obs.Snapshot.Label v; _ } -> v
+    | _ -> Alcotest.failf "no %s label" name
+  in
+  List.iter
+    (fun (shape, name, stealing) ->
+      let tr =
+        generated ~shape ~plan:(Workloads.Generator.Violate_at 0.8) ~threads:8
+          ~seed:5 ~events:140_000
+      in
+      Alcotest.(check bool) (name ^ ": large enough to shard") true
+        (Analysis.Runner.steal_worthwhile ~shards:0 ~events:(Trace.length tr));
+      let (r, started), tasks =
+        tasks_run (fun sched ->
+            let r = Analysis.Runner.run ~shards:0 ~sched opt tr in
+            (r, Parallel.Deque.started sched))
+      in
+      Alcotest.(check string) (name ^ ": sequential report")
+        (normalized (Analysis.Runner.run opt tr))
+        (normalized r);
+      Alcotest.(check string) (name ^ ": decision.exec")
+        (if stealing then "stealing" else "sequential")
+        (label r "decision.exec");
+      Alcotest.(check string) (name ^ ": decision.exec_reason") "critical-path"
+        (label r "decision.exec_reason");
+      Alcotest.(check bool) (name ^ ": workers started") stealing started;
+      if stealing then begin
+        if tasks <= 1 then Alcotest.failf "%s: %d task(s) ran" name tasks
+      end
+      else begin
+        Alcotest.(check int) (name ^ ": no task submitted") 0 tasks;
+        Alcotest.(check bool) (name ^ ": no shard entries") false
+          (List.exists
+             (fun (e : Obs.Snapshot.entry) ->
+               String.starts_with ~prefix:"shard." e.name)
+             r.Analysis.Runner.metrics)
+      end)
+    [
+      (Workloads.Generator.Anchored, "anchored", false);
+      (Workloads.Generator.Independent, "independent", true);
+    ]
+
+(* The critical path of a hand-built four-chunk plan of 400 events: a
+   surviving chunk costs its range plus the segments it repairs, a
+   skipped chunk nothing, and the path is the longest chunk or an even
+   split of the total over the domains, whichever is longer. *)
+let test_critical_path () =
+  let bounds = [| (0, 100); (100, 200); (200, 300); (300, 400) |] in
+  let schedule ~owned ~survives =
+    {
+      Parallel.Shard.plan = Aerodrome.Merge.trivial ~threads:1;
+      bounds;
+      seams =
+        Array.mapi
+          (fun i (base, _) ->
+            {
+              Aerodrome.Merge.owner = 0;
+              from_ = base;
+              upto = base;
+              exact_from = base;
+              survives = survives i;
+            })
+          bounds;
+      owned;
+      plan_seconds = 0.;
+    }
+  in
+  let cp ~domains s = Parallel.Shard.critical_path ~domains s in
+  let all = schedule ~owned:[| []; []; []; [] |] ~survives:(fun _ -> true) in
+  Alcotest.(check int) "all survive, 1 domain" 400 (cp ~domains:1 all);
+  Alcotest.(check int) "all survive, 2 domains" 200 (cp ~domains:2 all);
+  Alcotest.(check int) "all survive, 4 domains" 100 (cp ~domains:4 all);
+  Alcotest.(check int) "all survive, 8 domains" 100 (cp ~domains:8 all);
+  let one_owner =
+    schedule
+      ~owned:[| [ (100, 200); (200, 300); (300, 400) ]; []; []; [] |]
+      ~survives:(fun i -> i = 0)
+  in
+  Alcotest.(check int) "one owner repairs the rest, 2 domains" 400
+    (cp ~domains:2 one_owner);
+  Alcotest.(check int) "one owner repairs the rest, 4 domains" 400
+    (cp ~domains:4 one_owner);
+  let partial =
+    schedule ~owned:[| [ (100, 150) ]; []; []; [] |] ~survives:(fun _ -> true)
+  in
+  Alcotest.(check int) "a short repair, 2 domains" 225 (cp ~domains:2 partial);
+  Alcotest.(check int) "a short repair, 4 domains" 150 (cp ~domains:4 partial)
+
 (* Repair stays cheap where cuts are hardest: on the 8-thread mixed
    corpus almost no position is quiescent, so most cuts are seamed.  At
    every shard count the reconciled verdict is sequential Opt's, the
@@ -977,6 +1079,10 @@ let suite =
         `Quick test_auto_plan_sizing;
       Alcotest.test_case "runner: sequential fallbacks on a lent scheduler"
         `Quick test_runner_sequential_fallbacks;
+      Alcotest.test_case "runner: auto plans before it spawns" `Quick
+        test_runner_plan_choice;
+      Alcotest.test_case "plan: critical path of a hand-built plan" `Quick
+        test_critical_path;
       Alcotest.test_case "repair: bounded on the adversarial corpus" `Quick
         test_adversarial_repair_bound;
     ] )
