@@ -703,14 +703,25 @@ let convert_cmd =
     write_output out (fun f ->
         if to_text then Traces.Parser.to_file f tr
         else Traces.Binfmt.write_file f tr);
+    (* Sizes only of regular files: a pipe or a terminal has none.  The
+       summary goes to stderr when OUT is stdout itself, so it cannot
+       land inside the converted trace. *)
     let size f =
-      let ic = open_in_bin f in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> in_channel_length ic)
+      match Unix.stat f with
+      | { Unix.st_kind = Unix.S_REG; st_size; _ } -> Some st_size
+      | _ | (exception Unix.Unix_error _) -> None
     in
-    Format.printf "%s: %d events, %d -> %d bytes@." out
-      (Traces.Trace.length tr) (size path) (size out)
+    let is_stdout =
+      match (Unix.stat out, Unix.fstat Unix.stdout) with
+      | o, s -> o.Unix.st_dev = s.Unix.st_dev && o.Unix.st_ino = s.Unix.st_ino
+      | exception Unix.Unix_error _ -> false
+    in
+    let ppf = if is_stdout then Format.err_formatter else Format.std_formatter in
+    Format.fprintf ppf "%s: %d events" out (Traces.Trace.length tr);
+    (match (size path, size out) with
+    | Some a, Some b -> Format.fprintf ppf ", %d -> %d bytes" a b
+    | _ -> ());
+    Format.fprintf ppf "@."
   in
   Cmd.v
     (Cmd.info "convert"

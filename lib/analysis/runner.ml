@@ -559,15 +559,16 @@ let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
           words = Arena arena;
         })
 
-(* Accessor statistics for a binary file: the v3 footer is one seek away;
+(* Accessor statistics for a binary file: the v3 footer is one seek away
+   ([footer], shared with the last-use index);
    an explicit [Exact] request on a v1/v2 file (no statistics footer) is
    honored with a packed pre-scan — a full decode pass, so [Auto] runs
    unfiltered there instead. *)
-let binary_stats ~prefilter (h : Binfmt.header) path =
+let binary_stats ~prefilter (h : Binfmt.header) path footer =
   match prefilter with
   | Off -> None
   | Exact | Auto -> (
-    match Binfmt.read_stats path with
+    match snd (Lazy.force footer) with
     | Some _ as s -> s
     | None when prefilter = Exact ->
       let vs = Varstats.create ~vars:h.Binfmt.vars ~locks:h.Binfmt.locks in
@@ -593,9 +594,13 @@ let run_binary ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
             path threads locks vars (Packed.max_tid + 1)
             (Packed.max_target + 1)));
   (* v2 files carry the oracle in their footer, one seek away; chunk
-     checkers run without it *)
+     checkers run without it.  The footer is decoded at most once, with
+     only the sections this run uses. *)
+  let footer =
+    lazy (Binfmt.read_footer ~last_use:reclaim ~stats:(prefilter <> Off) path)
+  in
   let last_use =
-    if reclaim then lazy (Binfmt.read_last_use path) else lazy None
+    if reclaim then lazy (fst (Lazy.force footer)) else lazy None
   in
   run_source ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?flight checker
     (sharding ?sched ~shards ~timeout ~events:h.Binfmt.events checker)
@@ -606,7 +611,7 @@ let run_binary ?timeout ?heartbeat ~reclaim ~prefilter ~shards ?sched ?flight
       vars;
       events = h.Binfmt.events;
       last_use;
-      stats = binary_stats ~prefilter h path;
+      stats = binary_stats ~prefilter h path footer;
       words = Mapped path;
     }
 

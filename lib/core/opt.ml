@@ -6,9 +6,10 @@ let name = "aerodrome"
 let nil = -1
 
 (* Per-variable clock state, allocated on first access and recycled
-   through the pool.  Keeping W_x/R_x/hR_x and the lazy-update metadata
-   in one record (instead of seven parallel dense arrays) is what lets a
-   variable's whole footprint be released the moment it dies. *)
+   whole, clocks and Stale^r set included.  Keeping W_x/R_x/hR_x and the
+   lazy-update metadata in one record (instead of seven parallel dense
+   arrays) is what lets a variable's whole footprint be released the
+   moment it dies. *)
 type vstate = {
   vw : AC.t;  (* W_x *)
   vr : AC.t;  (* R_x *)
@@ -19,6 +20,20 @@ type vstate = {
   mutable vtouch : int;  (* processed-count of the last access (Inactivity) *)
 }
 
+(* The state of every untouched or released variable: one shared record,
+   told apart by physical equality and never written, so a variable
+   costs no option box and a lookup no indirection. *)
+let absent =
+  {
+    vw = AC.bottom 0;
+    vr = AC.bottom 0;
+    vhr = AC.bottom 0;
+    vstale_r = Iset.create 0;
+    vlast_w = nil;
+    vstale_w = false;
+    vtouch = 0;
+  }
+
 type t = {
   threads : int;
   locks : int;
@@ -28,7 +43,7 @@ type t = {
   c : AC.t array;
   cb : AC.t array;
   l : AC.t array;
-  v : vstate option array;  (* None: untouched, or released after last use *)
+  v : vstate array;  (* [absent]: untouched, or released after last use *)
   last_rel_thr : int array;
   upd_r : Iset.t array;  (* UpdateSet^r_t *)
   upd_w : Iset.t array;  (* UpdateSet^w_t *)
@@ -49,8 +64,10 @@ type t = {
                           fast checks read — flat for cache-friendliness *)
   seq : int array;  (* outermost-transaction sequence number per thread *)
   parent : (int * int) option array;  (* forking (thread, seq), per thread *)
+  end_site : Violation.site array;  (* At_end u, per thread u *)
   pool : AC.Pool.t;
-  mutable iset_free : Iset.t list;  (* recycled Stale^r sets *)
+  mutable free : vstate array;  (* released records, a stack *)
+  mutable free_n : int;
   reclaim : Reclaim.policy;
   mutable reclaimed : int;  (* vstates released at their last access *)
   mutable next_sweep : int;  (* processed-count of the next inactivity sweep *)
@@ -84,7 +101,7 @@ let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
       c = Array.init dim (fun t -> AC.unit dim t);
       cb = Array.init dim (fun _ -> AC.bottom dim);
       l = Array.init (max locks 0) (fun _ -> AC.bottom dim);
-      v = Array.make (max vars 0) None;
+      v = Array.make (max vars 0) absent;
       last_rel_thr = Array.make (max locks 0) nil;
       upd_r = Array.init dim (fun _ -> Iset.create (max vars 1));
       upd_w = Array.init dim (fun _ -> Iset.create (max vars 1));
@@ -98,8 +115,10 @@ let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
       cb_own = Array.make dim 0;
       seq = Array.make dim 0;
       parent = Array.make dim None;
+      end_site = Array.init dim (fun u -> Violation.At_end (Ids.Tid.of_int u));
       pool = AC.Pool.create dim;
-      iset_free = [];
+      free = [||];
+      free_n = 0;
       reclaim;
       reclaimed = 0;
       next_sweep =
@@ -123,39 +142,79 @@ let violation st = st.violation
 let processed st = st.processed
 let active st t = st.depth.(t) > 0
 
-let vget st x =
-  match Array.unsafe_get st.v x with
-  | Some vs -> vs
-  | None ->
-    let vstale_r =
-      match st.iset_free with
-      | s :: rest ->
-        st.iset_free <- rest;
-        s
-      | [] -> Iset.create st.threads
-    in
-    let vs =
+(* Index of the lowest set bit, for masks of bits 0..61: 2 generates the
+   multiplicative group mod 67, so [x land (-x)] (the lowest bit alone)
+   is distinct mod 67 for each of those bits and one lookup finds it. *)
+let ntz_table =
+  let a = Array.make 67 0 in
+  for k = 0 to 61 do
+    a.((1 lsl k) mod 67) <- k
+  done;
+  a
+
+let ntz x = Array.unsafe_get ntz_table ((x land -x) mod 67)
+
+(* A record for a variable met for the first time (or again after its
+   release): the last released one when there is one, its three clocks
+   counted as pool hits, else a fresh one whose clocks are pool misses —
+   the counters read as if each clock went through the pool. *)
+let fresh_var st x =
+  let vs =
+    if st.free_n > 0 then begin
+      st.free_n <- st.free_n - 1;
+      AC.Pool.recycled st.pool 3;
+      Array.unsafe_get st.free st.free_n
+    end
+    else
       {
         vw = AC.Pool.alloc st.pool;
         vr = AC.Pool.alloc st.pool;
         vhr = AC.Pool.alloc st.pool;
-        vstale_r;
+        vstale_r = Iset.create st.threads;
         vlast_w = nil;
         vstale_w = false;
         vtouch = 0;
       }
-    in
-    st.v.(x) <- Some vs;
-    vs
+  in
+  Array.unsafe_set st.v x vs;
+  vs
 
+let vget st x =
+  let vs = Array.unsafe_get st.v x in
+  if vs != absent then vs else fresh_var st x
+
+(* Reset the record to a fresh variable's state (clocks keep their
+   vectors for re-inflation) and push it on the free stack. *)
 let release_var st x vs =
-  AC.Pool.release st.pool vs.vw;
-  AC.Pool.release st.pool vs.vr;
-  AC.Pool.release st.pool vs.vhr;
+  AC.reset vs.vw;
+  AC.reset vs.vr;
+  AC.reset vs.vhr;
   Iset.clear vs.vstale_r;
-  st.iset_free <- vs.vstale_r :: st.iset_free;
-  st.v.(x) <- None;
-  st.reclaimed <- st.reclaimed + 1
+  vs.vlast_w <- nil;
+  vs.vstale_w <- false;
+  vs.vtouch <- 0;
+  if st.free_n = Array.length st.free then begin
+    let bigger = Array.make (max 16 (2 * st.free_n)) absent in
+    Array.blit st.free 0 bigger 0 st.free_n;
+    st.free <- bigger
+  end;
+  Array.unsafe_set st.free st.free_n vs;
+  st.free_n <- st.free_n + 1;
+  Array.unsafe_set st.v x absent;
+  st.reclaimed <- st.reclaimed + 1;
+  (* Only active threads' update sets hold entries, and an entry for a
+     released variable could only be skipped by the end's drains: drop
+     it now, so a long transaction's sets stay the size of its live
+     variables instead of every variable it ever reached. *)
+  if st.masked then begin
+    let m = ref st.active_mask in
+    while !m <> 0 do
+      let u = ntz !m in
+      Iset.remove (Array.unsafe_get st.upd_r u) x;
+      Iset.remove (Array.unsafe_get st.upd_w u) x;
+      m := !m land (!m - 1)
+    done
+  end
 
 (* Called after every successful read/write of [x].  Oracle: releasing at
    the recorded last access is exact — x is never accessed again, and the
@@ -179,12 +238,12 @@ let sweep st =
   | Reclaim.Inactivity { horizon } ->
     let cutoff = st.processed - horizon in
     for x = 0 to Array.length st.v - 1 do
-      match Array.unsafe_get st.v x with
-      | Some vs when vs.vtouch <= cutoff ->
+      let vs = Array.unsafe_get st.v x in
+      if vs != absent && vs.vtouch <= cutoff then begin
         ignore (AC.Pool.collapse st.pool vs.vw);
         ignore (AC.Pool.collapse st.pool vs.vr);
         ignore (AC.Pool.collapse st.pool vs.vhr)
-      | Some _ | None -> ()
+      end
     done;
     for l = 0 to st.locks - 1 do
       ignore (AC.Pool.collapse st.pool st.l.(l))
@@ -213,22 +272,26 @@ let join_c st t src =
   end
 
 (* {u | C⊲_u ⊑ C_t} on the active bits, from cache unless C_t grew in a
-   way no single-bit update covered. *)
+   way no single-bit update covered.  Under [fast_checks] the rebuild is
+   one [Aclock] call over C_t's representation. *)
 let covers_of st t =
   if Bytes.unsafe_get st.covers_dirty t <> '\000' then begin
-    let m = ref 0 in
     let c_t = st.c.(t) and active = st.active_mask in
-    for u = 0 to st.threads - 1 do
-      if active land (1 lsl u) <> 0 && begin_leq st u c_t then
-        m := !m lor (1 lsl u)
-    done;
-    st.covers.(t) <- !m;
+    let m =
+      if st.fast_checks then AC.covers_bits c_t st.cb_own active
+      else begin
+        let m = ref 0 in
+        for u = 0 to st.threads - 1 do
+          if active land (1 lsl u) <> 0 && begin_leq st u c_t then
+            m := !m lor (1 lsl u)
+        done;
+        !m
+      end
+    in
+    st.covers.(t) <- m;
     Bytes.unsafe_set st.covers_dirty t '\000'
   end;
   st.covers.(t)
-
-let rec ntz_loop x n = if x land 1 = 1 then n else ntz_loop (x lsr 1) (n + 1)
-let ntz x = ntz_loop x 0
 
 exception Found of Violation.site
 
@@ -413,10 +476,16 @@ let parent_alive st t =
    sound over-approximation; it also subsumes the alive-parent case, since
    a fork performed inside an active transaction transfers that
    transaction's begin to the child.  [faithful] reproduces the printed
-   behaviour. *)
+   behaviour.
+
+   With the masks and the component check, the question is the covers
+   mask itself: bit t is already out of [active_mask] here, and on the
+   active bits bit u of covers(t) is exactly C⊲_u(u) <= C_t(u). *)
 let has_incoming_edge st t =
   if st.faithful then
     parent_alive st t || not (AC.equal_except st.cb.(t) st.c.(t) t)
+  else if st.masked && st.fast_checks then
+    covers_of st t land st.active_mask <> 0
   else begin
     (* does C_t know the begin of some other active transaction? *)
     let c_t = st.c.(t) in
@@ -445,31 +514,31 @@ let refresh_lock st t l =
   end
 
 let refresh_write st t x =
-  match Array.unsafe_get st.v x with
-  | None -> ()
-  | Some vs ->
+  let vs = Array.unsafe_get st.v x in
+  if vs != absent then begin
     if (not vs.vstale_w) || vs.vlast_w = t then begin
       AC.join_into ~into:vs.vw st.c.(t);
       if not st.faithful then
         propagate_update_sets st st.upd_w x ~of_:t ~skip:t st.c.(t)
     end;
     if vs.vlast_w = t then vs.vstale_w <- false
+  end
 
 let refresh_read st t x =
-  match Array.unsafe_get st.v x with
-  | None -> ()
-  | Some vs ->
+  let vs = Array.unsafe_get st.v x in
+  if vs != absent then begin
     AC.join_into ~into:vs.vr st.c.(t);
     AC.join_into_zeroed ~into:vs.vhr st.c.(t) t;
     Iset.remove vs.vstale_r t;
     if not st.faithful then
       propagate_update_sets st st.upd_r x ~of_:t ~skip:t st.c.(t)
+  end
 
 let end_with_incoming_edge st t =
   let c_t = st.c.(t) in
   for u = 0 to st.threads - 1 do
     if u <> t && begin_leq st t st.c.(u) then
-      check_and_get st c_t c_t u (Violation.At_end (Ids.Tid.of_int u))
+      check_and_get st c_t c_t u (Array.unsafe_get st.end_site u)
   done;
   (* Refresh the lock clocks the transaction reached.  [upd_l.(t)] holds
      every lock for which [begin_leq] may hold (entries can be stale — a
@@ -487,16 +556,15 @@ let end_with_incoming_edge st t =
   Iset.drain refresh_read st t st.upd_r.(t)
 
 let forget_read st t x =
-  match Array.unsafe_get st.v x with
-  | None -> ()
-  | Some vs -> Iset.remove vs.vstale_r t
+  let vs = Array.unsafe_get st.v x in
+  if vs != absent then Iset.remove vs.vstale_r t
 
 let forget_write st t x =
-  match Array.unsafe_get st.v x with
-  | Some vs when vs.vlast_w = t ->
+  let vs = Array.unsafe_get st.v x in
+  if vs != absent && vs.vlast_w = t then begin
     vs.vstale_w <- false;
     vs.vlast_w <- nil
-  | Some _ | None -> ()
+  end
 
 let forget_release st t l =
   if st.last_rel_thr.(l) = t then st.last_rel_thr.(l) <- nil
@@ -611,21 +679,20 @@ let bottom_time st = snapshot (AC.bottom st.threads)
 let thread_clock st t = snapshot st.c.(t)
 let begin_clock st t = snapshot st.cb.(t)
 
-let write_clock st x =
-  match st.v.(x) with Some vs -> snapshot vs.vw | None -> bottom_time st
+(* [absent]'s clocks have dimension 0: an absent variable reads as ⊥ of
+   the checker's dimension. *)
+let var_clock st x clk =
+  if st.v.(x) == absent then bottom_time st else snapshot clk
 
-let read_clock_joined st x =
-  match st.v.(x) with Some vs -> snapshot vs.vr | None -> bottom_time st
+let write_clock st x = var_clock st x st.v.(x).vw
+let read_clock_joined st x = var_clock st x st.v.(x).vr
+let read_clock_check st x = var_clock st x st.v.(x).vhr
 
-let read_clock_check st x =
-  match st.v.(x) with Some vs -> snapshot vs.vhr | None -> bottom_time st
-
-let write_is_stale st x =
-  match st.v.(x) with Some vs -> vs.vstale_w | None -> false
+(* [absent] reads as never written, so these need no case of their own. *)
+let write_is_stale st x = st.v.(x).vstale_w
 
 let last_writer st x =
-  match st.v.(x) with
-  | Some vs when vs.vlast_w <> nil -> Some vs.vlast_w
-  | Some _ | None -> None
+  let vs = st.v.(x) in
+  if vs.vlast_w <> nil then Some vs.vlast_w else None
 
 let in_transaction st t = active st t

@@ -225,143 +225,7 @@ let check_header_size path header ~remaining =
        || header.vars + header.locks > remaining)
   then corrupt "%s: declared id domains exceed file size" path
 
-let checked_header_ic path ic =
-  let header = read_header_ic path ic in
-  check_header_size path header
-    ~remaining:(in_channel_length ic - pos_in ic);
-  header
-
 let read_header path = with_file path (read_header_ic path)
-
-(* --- footer decoding --- *)
-
-let read_u64_le next path =
-  let v = ref 0 in
-  for k = 0 to 7 do
-    match next () with
-    | -1 -> corrupt "%s: truncated footer" path
-    | b -> v := !v lor (b lsl (8 * k))
-  done;
-  !v
-
-(* The varint entries of a last-use footer, with the bytes consumed (the
-   8-byte length field is cross-checked against it). *)
-let decode_footer_entries next path header =
-  let counted = ref 0 in
-  let cnext () =
-    let b = next () in
-    if b >= 0 then incr counted;
-    b
-  in
-  let entry what i =
-    match get_uint cnext with
-    | exception Corrupt _ -> corrupt "%s: truncated footer" path
-    | v ->
-      if v > header.events then
-        corrupt "%s: last-use index out of range for %s %d" path what i;
-      v - 1
-  in
-  let vars = Array.make (max header.vars 0) Lifetime.never in
-  for x = 0 to header.vars - 1 do
-    vars.(x) <- entry "variable" x
-  done;
-  let locks = Array.make (max header.locks 0) Lifetime.never in
-  for l = 0 to header.locks - 1 do
-    locks.(l) <- entry "lock" l
-  done;
-  ({ Lifetime.vars; locks }, !counted)
-
-(* The v3 accessor-statistics entries that follow the last-use section. *)
-let decode_stats_entries next path header =
-  let counted = ref 0 in
-  let cnext () =
-    let b = next () in
-    if b >= 0 then incr counted;
-    b
-  in
-  let entry () =
-    match get_uint cnext with
-    | exception Corrupt _ -> corrupt "%s: truncated footer" path
-    | v -> v
-  in
-  let nvars = max header.vars 0 in
-  let var_mask = Array.make (max nvars 1) 0 in
-  let var_writes = Array.make (max nvars 1) 0 in
-  for x = 0 to nvars - 1 do
-    var_mask.(x) <- entry ();
-    var_writes.(x) <- entry ()
-  done;
-  let nlocks = max header.locks 0 in
-  let lock_mask = Array.make (max nlocks 1) 0 in
-  for l = 0 to nlocks - 1 do
-    lock_mask.(l) <- entry ()
-  done;
-  (Varstats.of_arrays ~var_mask ~var_writes ~lock_mask, !counted)
-
-(* Validate (and skip) the footer that must follow the last event record
-   of a v2/v3 file.  Raises [Corrupt] on any truncation, so a file cut
-   anywhere — events, entries, length, trailing magic — is rejected even
-   by readers that do not use the index. *)
-let read_footer_tail next path header =
-  let lt, counted = decode_footer_entries next path header in
-  let stats, counted =
-    if header.stats then begin
-      let vs, c = decode_stats_entries next path header in
-      (Some vs, counted + c)
-    end
-    else (None, counted)
-  in
-  let flen = read_u64_le next path in
-  if flen <> counted then corrupt "%s: footer length mismatch" path;
-  String.iter
-    (fun c ->
-      match next () with
-      | -1 -> corrupt "%s: truncated footer" path
-      | b -> if Char.chr b <> c then corrupt "%s: bad footer magic" path)
-    footer_magic;
-  (lt, stats)
-
-(* Seek from EOF to the footer varints and decode them (last-use, plus
-   accessor statistics for v3) without touching the event section. *)
-let read_footer_seek path =
-  with_file path (fun ic ->
-      let header = checked_header_ic path ic in
-      if not header.last_use then None
-      else begin
-        let hdr_end = pos_in ic in
-        let total = in_channel_length ic in
-        let tail = 8 + String.length footer_magic in
-        if total - hdr_end < tail then corrupt "%s: truncated footer" path;
-        seek_in ic (total - tail);
-        let flen = read_u64_le (channel_next ic) path in
-        let m = really_input_string ic (String.length footer_magic) in
-        if m <> footer_magic then corrupt "%s: bad footer magic" path;
-        let start = total - tail - flen in
-        if flen < 0 || start < hdr_end then
-          corrupt "%s: footer length out of range" path;
-        seek_in ic start;
-        let remaining = ref flen in
-        let next () =
-          if !remaining <= 0 then -1
-          else begin
-            decr remaining;
-            channel_next ic ()
-          end
-        in
-        let lt, counted = decode_footer_entries next path header in
-        let stats, counted =
-          if header.stats then begin
-            let vs, c = decode_stats_entries next path header in
-            (Some vs, counted + c)
-          end
-          else (None, counted)
-        in
-        if counted <> flen then corrupt "%s: footer length mismatch" path;
-        Some (lt, stats)
-      end)
-
-let read_last_use path = Option.map fst (read_footer_seek path)
-let read_stats path = Option.bind (read_footer_seek path) snd
 
 let is_binary path =
   try
@@ -420,6 +284,131 @@ let header_of_bsrc path s =
   check_header_size path header ~remaining:(s.blen - s.bpos);
   header
 
+(* --- footer decoding ---
+
+   The footer is decoded by index from the file's mapping, by one
+   decoder for both readers: [fold_packed] validates it after the last
+   record, and [read_footer] seeks to it from the end.  A section the
+   caller does not want is still walked varint by varint — every entry
+   is counted against the length field and every last-use index is
+   range-checked — but nothing is allocated for it. *)
+
+(* One footer varint at [!pos], below [limit]; cut short or overlong
+   is a truncated footer. *)
+let rec footer_uint (bb : bigbytes) path limit pos shift acc =
+  if shift > 56 || !pos >= limit then corrupt "%s: truncated footer" path
+  else begin
+    let b = Bigarray.Array1.unsafe_get bb !pos in
+    incr pos;
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else footer_uint bb path limit pos (shift + 7) acc
+  end
+
+(* A last-use section of [n] entries for [what]s, kept with [keep]. *)
+let last_use_section bb path header limit pos what n ~keep =
+  let a = Array.make (if keep then max n 0 else 0) Lifetime.never in
+  for i = 0 to n - 1 do
+    let v = footer_uint bb path limit pos 0 0 in
+    if v > header.events then
+      corrupt "%s: last-use index out of range for %s %d" path what i;
+    if keep then Array.unsafe_set a i (v - 1)
+  done;
+  a
+
+(* The footer entries from [pos] (last-use, then the v3 accessor
+   statistics), each returned only when asked for; [pos] ends past the
+   last entry. *)
+let decode_footer bb path header ~limit pos ~last_use ~stats =
+  let section what n = last_use_section bb path header limit pos what n ~keep:last_use in
+  let vars = section "variable" header.vars in
+  let locks = section "lock" header.locks in
+  let lt = if last_use then Some { Lifetime.vars; locks } else None in
+  let vs =
+    if not header.stats then None
+    else if not stats then begin
+      for _ = 1 to (2 * max header.vars 0) + max header.locks 0 do
+        ignore (footer_uint bb path limit pos 0 0)
+      done;
+      None
+    end
+    else begin
+      let entry () = footer_uint bb path limit pos 0 0 in
+      let nvars = max header.vars 0 in
+      let var_mask = Array.make (max nvars 1) 0 in
+      let var_writes = Array.make (max nvars 1) 0 in
+      for x = 0 to nvars - 1 do
+        var_mask.(x) <- entry ();
+        var_writes.(x) <- entry ()
+      done;
+      let nlocks = max header.locks 0 in
+      let lock_mask = Array.make (max nlocks 1) 0 in
+      for l = 0 to nlocks - 1 do
+        lock_mask.(l) <- entry ()
+      done;
+      Some (Varstats.of_arrays ~var_mask ~var_writes ~lock_mask)
+    end
+  in
+  (lt, vs)
+
+(* The 8-byte little-endian footer length at [pos], below [limit]. *)
+let footer_length (bb : bigbytes) path limit pos =
+  let v = ref 0 in
+  for k = 0 to 7 do
+    if pos + k >= limit then corrupt "%s: truncated footer" path;
+    v := !v lor (Bigarray.Array1.unsafe_get bb (pos + k) lsl (8 * k))
+  done;
+  !v
+
+(* The trailing magic at [pos], below [limit]. *)
+let check_footer_magic (bb : bigbytes) path limit pos =
+  String.iteri
+    (fun k c ->
+      if pos + k >= limit then corrupt "%s: truncated footer" path;
+      if Char.chr (Bigarray.Array1.unsafe_get bb (pos + k)) <> c then
+        corrupt "%s: bad footer magic" path)
+    footer_magic
+
+(* Validate the footer that must follow the last event record of a
+   v2/v3 file, at [s.bpos]: entries, length, trailing magic, nothing
+   after.  Any truncation raises [Corrupt], so a file cut anywhere is
+   rejected even by readers that do not use the index. *)
+let check_footer_tail path header s =
+  let bb = s.bb and len = s.blen in
+  let start = s.bpos in
+  let pos = ref start in
+  ignore (decode_footer bb path header ~limit:len pos ~last_use:false ~stats:false);
+  let flen = footer_length bb path len !pos in
+  if flen <> !pos - start then corrupt "%s: footer length mismatch" path;
+  let m = !pos + 8 in
+  check_footer_magic bb path len m;
+  if m + String.length footer_magic < len then
+    corrupt "%s: trailing garbage after footer" path
+
+let read_footer ?(last_use = true) ?(stats = true) path =
+  let bb = map_file path in
+  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0 } in
+  let header = header_of_bsrc path s in
+  if not header.last_use then (None, None)
+  else begin
+    let hdr_end = s.bpos and total = s.blen in
+    let tail = 8 + String.length footer_magic in
+    if total - hdr_end < tail then corrupt "%s: truncated footer" path;
+    let flen = footer_length bb path total (total - tail) in
+    check_footer_magic bb path total (total - String.length footer_magic);
+    let start = total - tail - flen in
+    if flen < 0 || start < hdr_end then
+      corrupt "%s: footer length out of range" path;
+    let pos = ref start in
+    let found =
+      decode_footer bb path header ~limit:(total - tail) pos ~last_use ~stats
+    in
+    if !pos - start <> flen then corrupt "%s: footer length mismatch" path;
+    found
+  end
+
+let read_last_use path = fst (read_footer ~stats:false path)
+let read_stats path = snd (read_footer ~last_use:false path)
+
 (* The mmap hot loop: LEB128 decoded inline from the mapping with a
    local position, one packed word per record out. *)
 let fold_packed_bb path header s ~init ~f =
@@ -471,9 +460,7 @@ let fold_packed_bb path header s ~init ~f =
       incr n
     done;
     s.bpos <- !pos;
-    let next = bsrc_next s in
-    ignore (read_footer_tail next path header);
-    if next () <> -1 then corrupt "%s: trailing garbage after footer" path
+    check_footer_tail path header s
   end
   else begin
     while !pos < len do

@@ -68,6 +68,17 @@ val read_file : string -> Trace.t
 (** Materialize the whole trace: {!fold_packed} with each word boxed.
     @raise Corrupt, also on ids beyond the packed ranges *)
 
+val read_footer :
+  ?last_use:bool -> ?stats:bool -> string -> Lifetime.t option * Varstats.t option
+(** The footer of a version-2/3 file, decoded once from the file's
+    mapping, by seeking from its end: the last-use index (with
+    [~last_use], default [true]) and the accessor statistics (with
+    [~stats], default [true]; version 3 only).  A section not asked for
+    is still validated — ranges, truncation, length and magic — but not
+    materialized.  [(None, None)] for version-1 files.  Decode it once
+    per run when both halves are needed.
+    @raise Corrupt if the footer is truncated or inconsistent. *)
+
 val read_last_use : string -> Lifetime.t option
 (** The last-use index of a version-2/3 file, read by seeking to the
     footer — O(vars + locks), independent of the event count.  [None]

@@ -72,6 +72,14 @@ val copy : t -> t
 val leq : t -> t -> bool
 (** Pointwise order; O(1) whenever the left clock is flat. *)
 
+val covers_bits : t -> int array -> int -> int
+(** [covers_bits clk own active] is the bitmask of the threads [u] with
+    bit [u] set in [active] and [own.(u) <= clk(u)]: a checker's
+    begin-covers mask, rebuilt in one call.  Requires [dim clk <= 62],
+    [Array.length own >= dim clk], no bit of [active] at or above
+    [dim clk], and [own.(u) > 0] on every bit of [active] (a flat clock
+    then covers at most its owner). *)
+
 val equal : t -> t -> bool
 val equal_except : t -> t -> int -> bool
 val is_bottom : t -> bool
@@ -121,6 +129,12 @@ module Pool : sig
       form (counted as a demotion), and an epoch-form clock dragging a
       stale vector from an earlier inflation drops it.  The freed array
       feeds later inflations.  Returns whether anything shrank. *)
+
+  val recycled : t -> int -> unit
+  (** [recycled p n] counts [n] hits for clocks the caller reused
+      without a round trip through the pool — a checker recycling whole
+      per-variable records, clocks included, keeps [hits] and [misses]
+      meaning what they would with {!release} and {!alloc}. *)
 
   val hits : t -> int
 

@@ -162,8 +162,49 @@ let test_truncated_footer () =
           Unix.ftruncate fd (size - cut);
           Unix.close fd;
           expect_corrupt (fun () -> Binfmt.read_file path);
-          expect_corrupt (fun () -> ignore (Binfmt.read_last_use path)))
+          expect_corrupt (fun () -> ignore (Binfmt.read_last_use path));
+          expect_corrupt (fun () -> ignore (Binfmt.read_stats path)))
         [ 1; 9; 15 ])
+
+(* The footer is decoded once, and a section the caller does not keep
+   is still checked: reading both halves at once gives what the two
+   single reads give, and a last-use index past the last event fails
+   every reader, the ones that keep no last-use index included. *)
+let test_footer_sections () =
+  tmp (fun path ->
+      Binfmt.write_file path Workloads.Scenarios.rho4;
+      check Alcotest.bool "read_footer = read_last_use, read_stats" true
+        (Binfmt.read_footer path = (Binfmt.read_last_use path, Binfmt.read_stats path));
+      let ic = open_in_bin path in
+      let whole = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let n = String.length whole in
+      let flen = ref 0 in
+      for k = 7 downto 0 do
+        flen := (!flen lsl 8) lor Char.code whole.[n - 16 + k]
+      done;
+      (* variable 0's entry is the footer's first byte; 0x7f keeps it a
+         one-byte varint and lies past rho4's 12 events *)
+      let b = Bytes.of_string whole in
+      Bytes.set b (n - 16 - !flen) '\x7f';
+      let oc = open_out_bin path in
+      output_bytes oc b;
+      close_out oc;
+      List.iter
+        (fun (what, read) ->
+          match read () with
+          | () -> Alcotest.failf "%s accepted an out-of-range last-use index" what
+          | exception Binfmt.Corrupt msg ->
+            check Alcotest.bool (what ^ ": " ^ msg) true
+              (Helpers.contains msg "last-use index out of range for variable 0"))
+        [
+          ("read_last_use", fun () -> ignore (Binfmt.read_last_use path));
+          ("read_stats", fun () -> ignore (Binfmt.read_stats path));
+          ( "read_footer, nothing kept",
+            fun () -> ignore (Binfmt.read_footer ~last_use:false ~stats:false path) );
+          ( "fold_packed",
+            fun () -> ignore (Binfmt.fold_packed path ~init:() ~f:(fun () _ -> ())) );
+        ])
 
 let test_runner_streaming () =
   let tr =
@@ -268,6 +309,7 @@ let suite =
       Alcotest.test_case "last-use roundtrip" `Quick test_last_use_roundtrip;
       Alcotest.test_case "no-footer compat" `Quick test_no_footer_compat;
       Alcotest.test_case "truncated footer" `Quick test_truncated_footer;
+      Alcotest.test_case "footer sections" `Quick test_footer_sections;
       Alcotest.test_case "streaming runner" `Quick test_runner_streaming;
       Alcotest.test_case "large roundtrip" `Quick test_large_roundtrip;
       Alcotest.test_case "63 and 200 threads roundtrip" `Quick

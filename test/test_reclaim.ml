@@ -192,11 +192,37 @@ let test_phased_peak_shrinks () =
   if oracle >= off then
     Alcotest.failf "peak state %d words with the oracle, %d without" oracle off
 
+(* The pool counters keep their meaning whether clocks go back to the
+   pool one by one or, as in Opt, with their whole per-variable record:
+   a record's three clocks count as three misses when it is fresh and
+   three hits when it is reused.  Ten variables, each written once, die
+   at their only access: the first needs a fresh record, the other nine
+   reuse it. *)
+let test_pool_counters () =
+  let tr =
+    Parser.parse_string_exn
+      (String.concat "\n" (List.init 10 (fun x -> Printf.sprintf "T0|w(V%d)" x)))
+  in
+  List.iter
+    (fun (cname, checker) ->
+      if cname <> "basic" then begin
+        let _, m =
+          run_with (Aerodrome.Reclaim.Oracle (Lifetime.of_trace tr)) checker tr
+        in
+        let get k = Option.value ~default:(-1) (Obs.Snapshot.get_int m k) in
+        check Alcotest.int (cname ^ ": reclaim.states") 10 (get "reclaim.states");
+        check Alcotest.int (cname ^ ": pool.misses") 3 (get "pool.misses");
+        check Alcotest.int (cname ^ ": pool.hits") 27 (get "pool.hits")
+      end)
+    checkers
+
 let suite =
   ( "reclaim",
     [
       Alcotest.test_case "differential 500 traces" `Quick test_differential;
       Alcotest.test_case "runner paths" `Quick test_runner_paths;
+      Alcotest.test_case "pool counters under record recycling" `Quick
+        test_pool_counters;
       Alcotest.test_case "phased oracle reclaims all" `Quick
         test_phased_reclaims_everything;
       Alcotest.test_case "phased peak shrinks under the oracle" `Quick

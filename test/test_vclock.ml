@@ -263,6 +263,56 @@ let prop_aclock_matches_vector_clock =
       done;
       !ok)
 
+(* [covers_bits] is the rebuild of Opt's covers mask; it must agree with
+   the per-thread component loop it replaced, on every representation:
+   ⊥, flat (epoch) and inflated clocks, inflated ones with an
+   epoch-shaped value included.  [own] is positive on the active bits,
+   as a begin clock's own component is; inactive bits get arbitrary
+   values, zero included, and must be ignored. *)
+let test_covers_bits () =
+  let rs = Random.State.make [| 22 |] in
+  let covers_loop clk own active =
+    let m = ref 0 in
+    for u = 0 to AC.dim clk - 1 do
+      if active land (1 lsl u) <> 0 && own.(u) <= AC.get clk u then
+        m := !m lor (1 lsl u)
+    done;
+    !m
+  in
+  let clock dim =
+    match Random.State.int rs 4 with
+    | 0 -> AC.bottom dim
+    | 1 ->
+      let t = Random.State.int rs dim in
+      let c = AC.unit dim t in
+      AC.set c t (1 + Random.State.int rs 6);
+      c
+    | 2 ->
+      let c = AC.of_list (List.init dim (fun _ -> 0)) in
+      AC.set c (Random.State.int rs dim) (Random.State.int rs 6);
+      c
+    | _ -> AC.of_list (List.init dim (fun _ -> Random.State.int rs 6))
+  in
+  for _ = 1 to 5_000 do
+    let dim = 1 + Random.State.int rs 62 in
+    let clk = clock dim in
+    let active =
+      Random.State.bits rs
+      lor (Random.State.bits rs lsl 30)
+      lor (Random.State.bits rs lsl 60)
+      land ((1 lsl dim) - 1)
+    in
+    let own =
+      Array.init dim (fun u ->
+          if active land (1 lsl u) <> 0 then 1 + Random.State.int rs 6
+          else Random.State.int rs 6)
+    in
+    let want = covers_loop clk own active and got = AC.covers_bits clk own active in
+    if want <> got then
+      Alcotest.failf "covers_bits %s active=%x: got %x, want %x" (AC.to_string clk)
+        active got want
+  done
+
 let suite =
   ( "vclock",
     [
@@ -279,6 +329,8 @@ let suite =
       Alcotest.test_case "vtime basics" `Quick test_vtime_basics;
       Alcotest.test_case "vtime orders" `Quick test_vtime_orders;
       Alcotest.test_case "vtime<->clock" `Quick test_vtime_clock_conversion;
+      Alcotest.test_case "covers_bits matches the component loop" `Quick
+        test_covers_bits;
     ]
     @ Helpers.qcheck_tests
         [
