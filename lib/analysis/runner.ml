@@ -560,10 +560,10 @@ let run ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off) ?(shards = 1)
         })
 
 (* Accessor statistics for a binary file: the v3 footer is one seek away
-   ([footer], shared with the last-use index);
-   an explicit [Exact] request on a v1/v2 file (no statistics footer) is
-   honored with a packed pre-scan — a full decode pass, so [Auto] runs
-   unfiltered there instead. *)
+   ([footer], decoded once with the last-use index); an explicit [Exact]
+   request on a v1/v2 file (no statistics footer) is honored with a
+   packed pre-scan — a full decode pass, so [Auto] runs unfiltered there
+   instead. *)
 let binary_stats ~prefilter (h : Binfmt.header) path footer =
   match prefilter with
   | Off -> None
