@@ -55,8 +55,8 @@
     Every run function takes [?reclaim] (default [true]), selecting the
     checkers' state-lifetime policy ({!Aerodrome.Reclaim}): when a
     last-use oracle is available — computed from a materialized trace,
-    read from a version-2 binary footer, or built from a text file's
-    scanned arena — each variable's clock state is released back to the
+    read from a version-2 binary footer, or noted while a text file is
+    scanned — each variable's clock state is released back to the
     pool at its final access, making peak memory proportional to live
     variables; a stream with no oracle falls back to the inactivity
     heuristic (periodic epoch-collapse of cold state).  Verdicts and
@@ -87,7 +87,7 @@ type prefilter =
   | Exact
       (** {!Traces.Prefilter.Exact}: whole-trace accessor statistics — from
           the materialized trace, a v3 binary footer, a text file's
-          scanned arena, or (binary v1/v2) a dedicated pre-scan *)
+          scan, or (binary v1/v2) a dedicated pre-scan *)
   | Auto
       (** exact when the statistics come for free (materialized trace, v3
           binary footer, text scan), {e off} otherwise (binary v1/v2

@@ -3,10 +3,11 @@
    only clears the membership byte (lazy deletion); the stale array entry
    is swept by the next [drain] or [clear], so no operation ever scans the
    member list looking for one element.  When removals leave the member
-   array more than half dead, it is compacted in place (preserving
-   insertion order, so [drain] sequences are unaffected) — without this a
-   long-lived set that keeps a few live members through many add/remove
-   cycles would re-scan its dead entries at every drain forever. *)
+   array more than half dead, or an add finds it full and more than half
+   dead, it is compacted in place (preserving insertion order, so [drain]
+   sequences are unaffected) — without this a long-lived set that keeps a
+   few live members through many add/remove cycles would re-scan its dead
+   entries at every drain forever, or double its array for them. *)
 
 type t = {
   mutable elems : int array;
@@ -23,12 +24,37 @@ let create n =
 let mem s i = Bytes.unsafe_get s.mem i <> '\000'
 let size s = s.live
 
-let push s i =
-  if s.n = Array.length s.elems then begin
+(* Keep each member once, at its first entry, in order at the front:
+   [drain] visits exactly these, in this order, before and after.  A
+   kept member's byte is 2 until the sweep ends, so later duplicates of
+   it (left by a remove and re-add) are dropped too. *)
+let compact s =
+  let k = ref 0 in
+  for j = 0 to s.n - 1 do
+    let i = Array.unsafe_get s.elems j in
+    if Bytes.unsafe_get s.mem i = '\001' then begin
+      Bytes.unsafe_set s.mem i '\002';
+      Array.unsafe_set s.elems !k i;
+      incr k
+    end
+  done;
+  for j = 0 to !k - 1 do
+    Bytes.unsafe_set s.mem (Array.unsafe_get s.elems j) '\001'
+  done;
+  s.n <- !k
+
+(* A full array more than half dead is compacted rather than doubled, so
+   its length stays within [max 16 (4 * size)]. *)
+let make_room s =
+  if 2 * s.live < s.n then compact s
+  else begin
     let bigger = Array.make (2 * s.n) 0 in
     Array.blit s.elems 0 bigger 0 s.n;
     s.elems <- bigger
-  end;
+  end
+
+let push s i =
+  if s.n = Array.length s.elems then make_room s;
   Array.unsafe_set s.elems s.n i;
   s.n <- s.n + 1
 
@@ -38,18 +64,6 @@ let add s i =
     s.live <- s.live + 1;
     push s i
   end
-
-(* Keep the live entries, in order, at the front. *)
-let compact s =
-  let k = ref 0 in
-  for j = 0 to s.n - 1 do
-    let i = Array.unsafe_get s.elems j in
-    if mem s i then begin
-      Array.unsafe_set s.elems !k i;
-      incr k
-    end
-  done;
-  s.n <- !k
 
 let remove s i =
   if mem s i then begin
@@ -78,3 +92,4 @@ let drain f a b s =
 let clear s = drain (fun () () _ -> ()) () () s
 
 let raw_length s = s.n
+let raw_capacity s = Array.length s.elems

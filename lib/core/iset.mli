@@ -4,8 +4,11 @@
 
     Removal is lazy (a membership byte is cleared; the member-array entry
     stays until the next drain), but the array is compacted in place once
-    more than half its entries are dead, so a long-lived set cycling
-    through a few members never accumulates an unbounded dead tail. *)
+    more than half its entries are dead, and a full array is compacted
+    before it is grown.  A long-lived set cycling through a few members
+    never accumulates an unbounded dead tail, and a set that never holds
+    more than [k] members never allocates more than [max 16 (4k)]
+    entries. *)
 
 type t
 
@@ -37,3 +40,6 @@ val clear : t -> unit
 val raw_length : t -> int
 (** Member-array length including dead entries — exposed so the unit
     tests can observe the compaction threshold. *)
+
+val raw_capacity : t -> int
+(** Allocated member-array length. *)

@@ -13,11 +13,6 @@ let note lt i (e : Event.t) =
   | Event.Acquire l | Event.Release l -> lt.locks.(Lid.to_int l) <- i
   | Event.Fork _ | Event.Join _ | Event.Begin | Event.End -> ()
 
-let note_packed lt i w =
-  let op = Packed.opcode w in
-  if op <= Packed.op_write then lt.vars.(Packed.target w) <- i
-  else if op <= Packed.op_release then lt.locks.(Packed.target w) <- i
-
 let of_trace tr =
   let lt = create ~vars:(Trace.vars tr) ~locks:(Trace.locks tr) in
   Trace.iteri (note lt) tr;

@@ -4,7 +4,7 @@
     A checker holding this oracle can release a variable's entire clock
     state the moment its last access is processed, making peak memory
     proportional to the {e live} variables instead of all of them.  The
-    index is computed from the text reader's scanned arena
+    index is noted by the text reader as it scans
     ({!Parser.read_packed}), stored in the binary format's optional footer
     ({!Binfmt}), or derived from a materialized trace ({!of_trace}). *)
 
@@ -26,9 +26,6 @@ val note : t -> int -> Event.t -> unit
 (** [note t i e] records event [e] at index [i]: accesses overwrite the
     entry, so after a full in-order pass each entry holds the final
     access.  Non-access events are ignored. *)
-
-val note_packed : t -> int -> int -> unit
-(** {!note} for a {!Packed} word. *)
 
 val of_trace : Trace.t -> t
 (** One pass over a materialized trace. *)

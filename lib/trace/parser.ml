@@ -118,15 +118,18 @@ let parse_file_exn path = parse_string_exn (read_file path)
    name's id is its order of first appearance), so the checker cannot be
    created before the last line.  Instead of reading the file twice, one
    pass decodes every event into a {!Packed.Arena} — 8 bytes per event —
-   and the domains, the last-use index and the accessor statistics come
-   from the finished arena.
+   and notes each variable's and lock's last use (and, when asked, its
+   accessors) as the word is pushed.
 
-   The scan reads the file through one reusable byte window and decodes
-   each canonical line in place: [name|kw(name)] or [name|begin|end|b|e],
-   with an optional [|...] third field, ending in [\n] or [\r\n].  A
-   known name is found by hashing its bytes in the window
-   ({!Ids.Interner.intern_sub}), so such a line allocates nothing.  Every
-   other line — blank, comment, padded, upper-case, malformed — goes to
+   The file is read through one reusable byte window, and every complete
+   line in it is decoded in place by the loop that finds its end.  A
+   canonical line is [name|kw(name)] or [name|begin|end|b|e], with an
+   optional [|...] third field, ending in [\n] or [\r\n].  Each name's
+   bytes are gathered into an int while they are validated: a name of at
+   most [short_max] bytes is then found by that int ({!Short}), a longer
+   one by hashing its bytes in the window ({!Ids.Interner.intern_sub}),
+   so a line of known names allocates nothing.  Every other line —
+   blank, comment, padded, upper-case, malformed — goes to
    {!parse_event_line} on the same interners, so ids, events and errors
    are exactly those of the per-line parser. *)
 
@@ -151,90 +154,223 @@ type packed = {
 let window_bytes = 65536
 let checkpoint_lines = 4096
 
-let rec name_end b i stop =
-  if i < stop && is_name_char (Bytes.unsafe_get b i) then name_end b (i + 1) stop else i
+(* A short name's key is its bytes, big-endian, in one int.  Name
+   characters are never NUL, so distinct names of at most [short_max]
+   bytes have distinct keys, and no key is 0. *)
+let short_max = 7
 
-let rec lower_end b i stop =
-  if i < stop then
-    match Bytes.unsafe_get b i with 'a' .. 'z' -> lower_end b (i + 1) stop | _ -> i
-  else i
+(* Short names of one interner, by key: open addressing over a
+   power-of-two table, 0 marking an empty slot.  The table only caches
+   ids the interner assigned, so ids stay in order of first appearance
+   whichever path meets a name first. *)
+module Short = struct
+  type t = {
+    names : Interner.t;
+    mutable slots : int array;  (* key at [2i], its id at [2i+1] *)
+    mutable shift : int;  (* 63 - log2 (number of slots) *)
+    mutable count : int;
+  }
 
-let rec newline b i stop =
-  if i >= stop || Bytes.unsafe_get b i = '\n' then i else newline b (i + 1) stop
+  let create names = { names; slots = Array.make 128 0; shift = 57; count = 0 }
 
-let rec same b pos s i =
-  i = String.length s
-  || (Bytes.unsafe_get b (pos + i) = String.unsafe_get s i && same b pos s (i + 1))
+  let rec probe slots key i =
+    let k = Array.unsafe_get slots i in
+    if k = key || k = 0 then i else probe slots key ((i + 2) land (Array.length slots - 1))
 
-let is_kw b pos len s = String.length s = len && same b pos s 0
+  (* Fibonacci hashing: the top bits of the key times an odd constant *)
+  let slot t key = probe t.slots key (((key * 0x1E3779B97F4A7C15) lsr t.shift) lsl 1)
 
-(* Opcode of the lower-case keyword [b.[pos .. pos+len-1]], or -1. *)
-let keyword b pos len =
-  match Bytes.unsafe_get b pos with
-  | 'r' ->
-    if len = 1 || is_kw b pos len "read" then Packed.op_read
-    else if is_kw b pos len "rel" || is_kw b pos len "release" then Packed.op_release
-    else -1
-  | 'w' -> if len = 1 || is_kw b pos len "write" then Packed.op_write else -1
-  | 'a' ->
-    if is_kw b pos len "acq" || is_kw b pos len "acquire" then Packed.op_acquire else -1
-  | 'l' -> if is_kw b pos len "lock" then Packed.op_acquire else -1
-  | 'u' -> if is_kw b pos len "unlock" then Packed.op_release else -1
-  | 'f' -> if is_kw b pos len "fork" then Packed.op_fork else -1
-  | 'j' -> if is_kw b pos len "join" then Packed.op_join else -1
-  | 'b' -> if len = 1 || is_kw b pos len "begin" then Packed.op_begin else -1
-  | 'e' -> if len = 1 || is_kw b pos len "end" then Packed.op_end else -1
+  let grow t =
+    let old = t.slots in
+    t.slots <- Array.make (2 * Array.length old) 0;
+    t.shift <- t.shift - 1;
+    for j = 0 to (Array.length old / 2) - 1 do
+      let key = old.(2 * j) in
+      if key <> 0 then begin
+        let i = slot t key in
+        t.slots.(i) <- key;
+        t.slots.(i + 1) <- old.((2 * j) + 1)
+      end
+    done
+
+  (* The id of the name [b.[pos .. pos+len-1]], whose key is [key]. *)
+  let id t key b pos len =
+    let i = slot t key in
+    if Array.unsafe_get t.slots i = key then Array.unsafe_get t.slots (i + 1)
+    else begin
+      let id = Interner.intern_sub t.names b pos len in
+      t.slots.(i) <- key;
+      t.slots.(i + 1) <- id;
+      t.count <- t.count + 1;
+      if 4 * t.count > Array.length t.slots then grow t;
+      id
+    end
+end
+
+let name_class = String.init 256 (fun c -> if is_name_char (Char.chr c) then '\001' else '\000')
+let [@inline] is_name c = String.unsafe_get name_class (Char.code c) <> '\000'
+
+(* Opcode of a lower-case keyword from its key (its bytes, big-endian),
+   or -1.  A run of eight or more letters keys outside [0, 2^56) and
+   matches nothing. *)
+let keyword = function
+  | 0x72 (* r *) | 0x72656164 (* read *) -> Packed.op_read
+  | 0x77 (* w *) | 0x7772697465 (* write *) -> Packed.op_write
+  | 0x616371 (* acq *) | 0x61637175697265 (* acquire *) | 0x6c6f636b (* lock *) ->
+    Packed.op_acquire
+  | 0x72656c (* rel *) | 0x72656c65617365 (* release *) | 0x756e6c6f636b (* unlock *) ->
+    Packed.op_release
+  | 0x666f726b (* fork *) -> Packed.op_fork
+  | 0x6a6f696e (* join *) -> Packed.op_join
+  | 0x62 (* b *) | 0x626567696e (* begin *) -> Packed.op_begin
+  | 0x65 (* e *) | 0x656e64 (* end *) -> Packed.op_end
   | _ -> -1
 
 let too_many line what limit =
   fail line "more than %d %s: ids no longer fit a packed word" limit what
 
-(* Decodes the canonical line [b.[s .. stop-1]] (no line terminator) and
-   pushes its word; [false] when the line is not canonical. *)
-let fast_line ~threads ~locks ~vars arena lineno b s stop =
-  let t_end = name_end b s stop in
-  if t_end = s || t_end >= stop || Bytes.unsafe_get b t_end <> '|' then false
-  else
-    let k = t_end + 1 in
-    let k_end = lower_end b k stop in
-    if k_end = k then false
-    else
-      let op = keyword b k (k_end - k) in
-      if op < 0 then false
-      else if k_end = stop || Bytes.unsafe_get b k_end = '|' then
-        op >= Packed.op_begin
-        && begin
-          let tid = Interner.intern_sub threads b s (t_end - s) in
-          if tid > Packed.max_tid then too_many lineno "threads" (Packed.max_tid + 1);
-          Packed.Arena.push arena (op lor (tid lsl 3));
-          true
-        end
-      else if op >= Packed.op_begin || Bytes.unsafe_get b k_end <> '(' then false
-      else
-        let n = k_end + 1 in
-        let n_end = name_end b n stop in
-        let after = n_end + 1 in
-        if n_end = n || n_end >= stop || Bytes.unsafe_get b n_end <> ')'
-           || (after < stop && Bytes.unsafe_get b after <> '|')
-        then false
-        else begin
-          let tid = Interner.intern_sub threads b s (t_end - s) in
-          if tid > Packed.max_tid then too_many lineno "threads" (Packed.max_tid + 1);
-          let names =
-            if op <= Packed.op_write then vars
-            else if op <= Packed.op_release then locks
-            else threads
-          in
-          let target = Interner.intern_sub names b n (n_end - n) in
-          if op >= Packed.op_fork && target > Packed.max_tid then
-            too_many lineno "threads" (Packed.max_tid + 1);
-          if target > Packed.max_target then
-            too_many lineno "names" (Packed.max_target + 1);
-          Packed.Arena.push arena (Packed.pack ~op ~tid ~target);
-          true
-        end
+(* The scan's state.  [buf.[fill]] is always NUL, a byte that ends every
+   name and keyword and matches no delimiter, so the decoder reads up to
+   it without bounds tests.  A line it rejects there may only be cut
+   short: the scan refills and decodes it again when its newline is not
+   in the window yet. *)
+type scan = {
+  ic : in_channel;
+  mutable buf : Bytes.t;
+  mutable fill : int;
+  mutable eof : bool;
+  mutable lines : int;  (* complete lines so far *)
+  mutable slow : int;
+  checkpoint : unit -> unit;
+  threads : Short.t;
+  locks : Short.t;
+  vars : Short.t;
+  arena : Packed.Arena.t;
+  mutable events : int;
+  (* last use per id, each array grown on demand *)
+  mutable last_var : int array;
+  mutable last_lock : int array;
+  stats : Varstats.t option;
+}
 
-let slow_line ~threads ~locks ~vars arena lineno raw =
+(* {!fast_line}'s result for a line it cannot decode in place *)
+let not_canonical = -1
+
+let rec newline b i stop =
+  if i >= stop || Bytes.unsafe_get b i = '\n' then i else newline b (i + 1) stop
+
+(* Start of the next line when the current one may end at [j]: a line
+   terminator, a third field, or the end of the file. *)
+let line_end st b j =
+  match Bytes.unsafe_get b j with
+  | '\n' -> j + 1
+  | '\r' ->
+    if Bytes.unsafe_get b (j + 1) = '\n' then j + 2
+    else if j + 1 = st.fill && st.eof then j + 1
+    else not_canonical
+  | '|' ->
+    let nl = newline b (j + 1) st.fill in
+    if nl < st.fill then nl + 1 else if st.eof then st.fill else not_canonical
+  | _ -> if j = st.fill && st.eof then j else not_canonical
+
+(* [last] with room for index [x], new entries [Lifetime.never] *)
+let grow last x =
+  let a = Array.make (max (x + 1) (2 * Array.length last)) Lifetime.never in
+  Array.blit last 0 a 0 (Array.length last);
+  a
+
+(* Appends the event and notes its access, as index [st.events]. *)
+let push st op tid target =
+  let w = Packed.pack ~op ~tid ~target in
+  Packed.Arena.push st.arena w;
+  if op <= Packed.op_write then begin
+    if target >= Array.length st.last_var then st.last_var <- grow st.last_var target;
+    Array.unsafe_set st.last_var target st.events
+  end
+  else if op <= Packed.op_release then begin
+    if target >= Array.length st.last_lock then st.last_lock <- grow st.last_lock target;
+    Array.unsafe_set st.last_lock target st.events
+  end;
+  (match st.stats with Some vs -> Varstats.note_packed vs w | None -> ());
+  st.events <- st.events + 1
+
+let name_id names key b pos stop =
+  if stop - pos <= short_max then Short.id names key b pos (stop - pos)
+  else Interner.intern_sub names.Short.names b pos (stop - pos)
+
+let thread_id st key b pos stop =
+  let tid = name_id st.threads key b pos stop in
+  if tid > Packed.max_tid then too_many (st.lines + 1) "threads" (Packed.max_tid + 1);
+  tid
+
+(* Decodes the line starting at [s] in place and pushes its word, giving
+   the next line's start; or [not_canonical], having interned and pushed
+   nothing, when the line is not canonical or not wholly in the window. *)
+let fast_line st b s =
+  let i = ref s and key = ref 0 and c = ref (Bytes.unsafe_get b s) in
+  while is_name !c do
+    key := (!key lsl 8) lor Char.code !c;
+    incr i;
+    c := Bytes.unsafe_get b !i
+  done;
+  let t_end = !i and t_key = !key in
+  if t_end = s || !c <> '|' then not_canonical
+  else begin
+    incr i;
+    key := 0;
+    c := Bytes.unsafe_get b !i;
+    while !c >= 'a' && !c <= 'z' do
+      key := (!key lsl 8) lor Char.code !c;
+      incr i;
+      c := Bytes.unsafe_get b !i
+    done;
+    let k_end = !i in
+    let op = keyword !key in
+    if op < 0 then not_canonical
+    else if op >= Packed.op_begin then begin
+      let next = line_end st b k_end in
+      if next >= 0 then push st op (thread_id st t_key b s t_end) 0;
+      next
+    end
+    else if !c <> '(' then not_canonical
+    else begin
+      let n = k_end + 1 in
+      i := n;
+      key := 0;
+      c := Bytes.unsafe_get b n;
+      while is_name !c do
+        key := (!key lsl 8) lor Char.code !c;
+        incr i;
+        c := Bytes.unsafe_get b !i
+      done;
+      let n_end = !i in
+      if n_end = n || !c <> ')' then not_canonical
+      else begin
+        let next = line_end st b (n_end + 1) in
+        if next >= 0 then begin
+          let tid = thread_id st t_key b s t_end in
+          let names =
+            if op <= Packed.op_write then st.vars
+            else if op <= Packed.op_release then st.locks
+            else st.threads
+          in
+          let target = name_id names !key b n n_end in
+          if op >= Packed.op_fork && target > Packed.max_tid then
+            too_many (st.lines + 1) "threads" (Packed.max_tid + 1);
+          if target > Packed.max_target then
+            too_many (st.lines + 1) "names" (Packed.max_target + 1);
+          push st op tid target
+        end;
+        next
+      end
+    end
+  end
+
+let slow_line st raw =
+  let lineno = st.lines + 1 in
+  if lineno = 1 then refuse_binary raw;
+  st.slow <- st.slow + 1;
+  let threads = st.threads.names and locks = st.locks.names and vars = st.vars.names in
   match parse_event_line ~threads ~locks ~vars lineno raw with
   | None -> ()
   | Some e ->
@@ -242,74 +378,80 @@ let slow_line ~threads ~locks ~vars arena lineno raw =
       too_many lineno "threads" (Packed.max_tid + 1);
     if max (Interner.count vars) (Interner.count locks) > Packed.max_target + 1 then
       too_many lineno "names" (Packed.max_target + 1);
-    Packed.Arena.push arena (Packed.of_event e)
+    let w = Packed.of_event e in
+    push st (Packed.opcode w) (Packed.tid w) (Packed.target w)
 
-(* Lines of [ic] as [line lineno buf start stop], [stop] excluding the
-   ['\n'] — the lines [In_channel.input_line] would return, read into
-   one window that only grows for a line longer than itself. *)
-let scan_lines ?checkpoint ic line =
-  let buf = ref (Bytes.create window_bytes) in
-  let pos = ref 0 and fill = ref 0 and eof = ref false in
-  let lineno = ref 0 in
-  (* refill after [pos]: shift the partial line to the front, growing
-     the window when the partial line already fills it *)
-  let refill () =
-    let keep = !fill - !pos in
-    if !pos = 0 && keep = Bytes.length !buf then begin
-      let grown = Bytes.create (2 * Bytes.length !buf) in
-      Bytes.blit !buf 0 grown 0 keep;
-      buf := grown
+(* Reads more after the line starting at [s], moved to the front; the
+   window grows only when that line already fills it. *)
+let refill st s =
+  let keep = st.fill - s in
+  let room = Bytes.length st.buf - 1 in
+  if s = 0 && keep = room then begin
+    let grown = Bytes.create ((2 * room) + 1) in
+    Bytes.blit st.buf 0 grown 0 keep;
+    st.buf <- grown
+  end
+  else Bytes.blit st.buf s st.buf 0 keep;
+  let got = In_channel.input st.ic st.buf keep (Bytes.length st.buf - 1 - keep) in
+  if got = 0 then st.eof <- true;
+  st.fill <- keep + got;
+  Bytes.unsafe_set st.buf st.fill '\000'
+
+let line_done st =
+  st.lines <- st.lines + 1;
+  if st.lines land (checkpoint_lines - 1) = 0 then st.checkpoint ()
+
+(* Every line from [s] on: the loop of the whole scan. *)
+let rec scan st s =
+  if s < st.fill then begin
+    let next = fast_line st st.buf s in
+    if next >= 0 then begin
+      line_done st;
+      scan st next
     end
-    else Bytes.blit !buf !pos !buf 0 keep;
-    pos := 0;
-    fill := keep;
-    let got = In_channel.input ic !buf keep (Bytes.length !buf - keep) in
-    if got = 0 then eof := true else fill := keep + got
-  in
-  let rec next_line search =
-    let nl = newline !buf search !fill in
-    if nl < !fill then emit nl (nl + 1)
-    else if !eof then (if !pos < !fill then emit !fill !fill)
     else begin
-      let scanned = !fill - !pos in
-      refill ();
-      next_line scanned
+      let nl = newline st.buf s st.fill in
+      if nl < st.fill || st.eof then begin
+        slow_line st (Bytes.sub_string st.buf s (nl - s));
+        line_done st;
+        scan st (min (nl + 1) st.fill)
+      end
+      else begin
+        refill st s;
+        scan st 0
+      end
     end
-  and emit stop resume =
-    incr lineno;
-    line !lineno !buf !pos stop;
-    pos := resume;
-    (match checkpoint with
-    | Some f when !lineno land (checkpoint_lines - 1) = 0 -> f ()
-    | _ -> ());
-    next_line !pos
-  in
-  next_line 0;
-  !lineno
+  end
+  else if not st.eof then begin
+    refill st s;
+    scan st 0
+  end
 
-let read_packed ?(stats = false) ?checkpoint path =
+let read_packed ?(stats = false) ?(checkpoint = ignore) path =
   let threads = Interner.create ()
   and locks = Interner.create ()
   and vars = Interner.create () in
-  let arena = Packed.Arena.create () in
-  let slow = ref 0 in
-  let line lineno b s stop =
-    let content =
-      if stop > s && Bytes.unsafe_get b (stop - 1) = '\r' then stop - 1 else stop
-    in
-    if not (fast_line ~threads ~locks ~vars arena lineno b s content) then begin
-      let raw = Bytes.sub_string b s (stop - s) in
-      if lineno = 1 then refuse_binary raw;
-      incr slow;
-      slow_line ~threads ~locks ~vars arena lineno raw
-    end
+  let ic = open_in_bin path in
+  let st =
+    {
+      ic;
+      buf = Bytes.make (window_bytes + 1) '\000';
+      fill = 0;
+      eof = false;
+      lines = 0;
+      slow = 0;
+      checkpoint;
+      threads = Short.create threads;
+      locks = Short.create locks;
+      vars = Short.create vars;
+      arena = Packed.Arena.create ();
+      events = 0;
+      last_var = Array.make 64 Lifetime.never;
+      last_lock = Array.make 64 Lifetime.never;
+      stats = (if stats then Some (Varstats.create ~vars:1 ~locks:1) else None);
+    }
   in
-  let lines =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> scan_lines ?checkpoint ic line)
-  in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> scan st 0);
   let symbols : Trace.Symbols.t =
     {
       threads = Interner.names threads;
@@ -318,19 +460,26 @@ let read_packed ?(stats = false) ?checkpoint path =
     }
   in
   let nvars = Interner.count vars and nlocks = Interner.count locks in
-  let lifetime = Lifetime.create ~vars:nvars ~locks:nlocks in
-  let vs = if stats then Some (Varstats.create ~vars:nvars ~locks:nlocks) else None in
-  let i = ref 0 in
-  Packed.Arena.iter arena (fun w ->
-      Lifetime.note_packed lifetime !i w;
-      (match vs with Some vs -> Varstats.note_packed vs w | None -> ());
-      incr i);
+  let lifetime : Lifetime.t =
+    { vars = Array.sub st.last_var 0 nvars; locks = Array.sub st.last_lock 0 nlocks }
+  in
+  (* the statistics trimmed to the domains, as {!Varstats.create} sizes them *)
+  let vs =
+    Option.map
+      (fun vs ->
+        let trim n f = Array.init (max n 1) f in
+        Varstats.of_arrays
+          ~var_mask:(trim nvars (Varstats.var_mask vs))
+          ~var_writes:(trim nvars (Varstats.var_writes vs))
+          ~lock_mask:(trim nlocks (Varstats.lock_mask vs)))
+      st.stats
+  in
   if Obs.on () then begin
-    Obs.Shared_counter.add lines_read lines;
-    Obs.Shared_counter.add slow_lines_read !slow;
-    Obs.Shared_counter.add events_parsed (Packed.Arena.length arena)
+    Obs.Shared_counter.add lines_read st.lines;
+    Obs.Shared_counter.add slow_lines_read st.slow;
+    Obs.Shared_counter.add events_parsed st.events
   end;
-  { arena; symbols; lifetime; stats = vs; slow_lines = !slow }
+  { arena = st.arena; symbols; lifetime; stats = vs; slow_lines = st.slow }
 
 let fold_file_exn ?last_use ?stats path ~init ~f =
   let p = read_packed ~stats:(stats <> None) path in
@@ -349,52 +498,71 @@ let fold_file ?last_use ?stats path ~init ~f =
   | acc -> Ok acc
   | exception Parse_error e -> Error e
 
-(* One event's line through [add], piece by piece: no per-event string
-   is built. *)
-let add_target add kw name =
-  add kw;
-  add name;
-  add ")\n"
 
-let render_event symbols add (e : Event.t) =
-  let s = (symbols : Trace.Symbols.t) in
-  add (Trace.Symbols.thread s e.thread);
-  match e.op with
-  | Event.Read x -> add_target add "|r(" (Trace.Symbols.var s x)
-  | Event.Write x -> add_target add "|w(" (Trace.Symbols.var s x)
-  | Event.Acquire l -> add_target add "|acq(" (Trace.Symbols.lock s l)
-  | Event.Release l -> add_target add "|rel(" (Trace.Symbols.lock s l)
-  | Event.Fork u -> add_target add "|fork(" (Trace.Symbols.thread s u)
-  | Event.Join u -> add_target add "|join(" (Trace.Symbols.thread s u)
-  | Event.Begin -> add "|begin\n"
-  | Event.End -> add "|end\n"
+(* --- writer ---
+
+   Each name is rendered once: a thread's ["name|"] prefix and a
+   target's ["name)\n"] suffix.  An event is then two or three blits into
+   one window, handed to [flush] whenever the next piece would not fit. *)
 
 let default_symbols : Trace.Symbols.t = { threads = [||]; locks = [||]; vars = [||] }
 
 let symbols_of tr = Option.value ~default:default_symbols (Trace.symbols tr)
 
-let to_string tr =
-  let symbols = symbols_of tr in
-  let buf = Buffer.create (16 * Trace.length tr) in
-  let add = Buffer.add_string buf in
-  Trace.iter (render_event symbols add) tr;
-  Buffer.contents buf
-
-(* Streams through one window-sized buffer: a channel write per piece
-   would pay the channel lock each time. *)
-let to_channel oc tr =
-  let symbols = symbols_of tr in
-  let buf = Buffer.create (window_bytes + 256) in
-  let add = Buffer.add_string buf in
+let render tr flush =
+  let s = symbols_of tr in
+  let names n name suffix = Array.init n (fun i -> name s i ^ suffix) in
+  let thread_name s i = Trace.Symbols.thread s (Tid.of_int i) in
+  let prefix = names (Trace.threads tr) thread_name "|" in
+  let thread = names (Trace.threads tr) thread_name ")\n"
+  and lock = names (Trace.locks tr) (fun s i -> Trace.Symbols.lock s (Lid.of_int i)) ")\n"
+  and var = names (Trace.vars tr) (fun s i -> Trace.Symbols.var s (Vid.of_int i)) ")\n" in
+  let buf = Bytes.create window_bytes and pos = ref 0 in
+  let add piece =
+    let n = String.length piece in
+    if !pos + n > window_bytes then begin
+      flush buf !pos;
+      pos := 0
+    end;
+    if n > window_bytes then flush (Bytes.unsafe_of_string piece) n
+    else begin
+      Bytes.unsafe_blit_string piece 0 buf !pos n;
+      pos := !pos + n
+    end
+  in
   Trace.iter
-    (fun e ->
-      render_event symbols add e;
-      if Buffer.length buf >= window_bytes then begin
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      end)
+    (fun (e : Event.t) ->
+      add prefix.(Tid.to_int e.thread);
+      match e.op with
+      | Event.Read x ->
+        add "r(";
+        add var.(Vid.to_int x)
+      | Event.Write x ->
+        add "w(";
+        add var.(Vid.to_int x)
+      | Event.Acquire l ->
+        add "acq(";
+        add lock.(Lid.to_int l)
+      | Event.Release l ->
+        add "rel(";
+        add lock.(Lid.to_int l)
+      | Event.Fork u ->
+        add "fork(";
+        add thread.(Tid.to_int u)
+      | Event.Join u ->
+        add "join(";
+        add thread.(Tid.to_int u)
+      | Event.Begin -> add "begin\n"
+      | Event.End -> add "end\n")
     tr;
-  Buffer.output_buffer oc buf
+  flush buf !pos
+
+let to_string tr =
+  let out = Buffer.create (16 * Trace.length tr) in
+  render tr (fun b n -> Buffer.add_subbytes out b 0 n);
+  Buffer.contents out
+
+let to_channel oc tr = render tr (fun b n -> output oc b 0 n)
 
 let to_file path tr =
   let oc = open_out_bin path in

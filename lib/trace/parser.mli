@@ -56,19 +56,22 @@ val read_packed : ?stats:bool -> ?checkpoint:(unit -> unit) -> string -> packed
     the symbol tables and one read window.  Events, ids, symbols and
     errors are exactly those of {!parse_file}.
 
-    Lines are read through one reusable byte window.  A canonical line —
-    [name|kw(name)] or [name|begin], [end], [b], [e], with a lower-case
-    keyword, an optional [|...] third field, ending in [\n] or [\r\n] —
-    is decoded in place and allocates nothing once its names are known.
-    Every other line (padded, commented, blank, upper-case, malformed)
-    goes through the per-line parser on the same interners;
-    [slow_lines] counts them, as does the process-wide
-    [ingest.text.slow_lines] counter.
+    The file is read through one reusable byte window, and each complete
+    line in it is decoded in place by the loop that finds its end.  A
+    canonical line — [name|kw(name)] or [name|begin], [end], [b], [e],
+    with a lower-case keyword, an optional [|...] third field, ending in
+    [\n] or [\r\n] — allocates nothing once its names are known: a name
+    of at most 7 bytes is looked up by its bytes packed into one int, a
+    longer one by hashing its bytes in the window.  Every other line
+    (padded, commented, blank, upper-case, malformed) goes through the
+    per-line parser on the same interners; [slow_lines] counts them, as
+    does the process-wide [ingest.text.slow_lines] counter.
 
-    The last-use index is always built; with [~stats:true] the
-    {!Varstats} accessor statistics are too.  [checkpoint] runs every
-    4096 lines; an exception it raises aborts the scan and propagates.
-    I/O exceptions propagate.
+    The last-use index is always built, and with [~stats:true] the
+    {!Varstats} accessor statistics too, both noted as each event is
+    decoded: there is no second pass over the arena.  [checkpoint] runs
+    after every 4096th line; an exception it raises aborts the scan and
+    propagates.  I/O exceptions propagate.
     @raise Parse_error on a malformed line, on a line whose new name
     would overflow the packed id ranges ({!Packed.fits}), and on a first
     line that starts with a binary trace's magic (a binary trace piped
@@ -90,7 +93,7 @@ val fold_file :
 
     [last_use] receives the {!Lifetime} index (final access of every
     variable and lock) and [stats] the {!Varstats} accessor statistics
-    (the exact-mode prefilter oracle), both built from the arena before
+    (the exact-mode prefilter oracle), both noted during the scan, before
     [init] runs. *)
 
 val fold_file_exn :

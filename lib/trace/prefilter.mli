@@ -17,7 +17,7 @@
 
     One mode, {!Exact}: the whole-trace {!Varstats} are known up front
     (from a materialized trace, the binfmt v3 footer, the text reader's
-    scanned arena, or a dedicated pre-scan), and all four rules are a
+    scan, or a dedicated pre-scan), and all four rules are a
     pure per-event decision, so the filter buffers nothing.
 
     The filter preserves the verdict of every checker: the reduced

@@ -7,7 +7,7 @@
     access can ever contribute a cross-thread conflict edge.
 
     Statistics are gathered in one cheap pass — over a materialized
-    trace ({!of_trace}), from the text reader's scanned arena, or
+    trace ({!of_trace}), by the text reader as it scans, or
     while scanning a binary file — and persisted in the binfmt v3
     footer so later runs skip the pass entirely.
 

@@ -76,6 +76,44 @@ let test_churn () =
     (Iset.raw_length s <= 32);
   check Alcotest.int "empty after churn" 0 (Iset.size s)
 
+(* A set kept at k or fewer members through many random add/remove
+   cycles never allocates more than [max 16 (4k)] entries, and drains
+   what a plain list model holds, in first-insertion order. *)
+let test_bounded_capacity () =
+  let rs = Random.State.make [| 7 |] in
+  List.iter
+    (fun k ->
+      let universe = 4 * k + 8 in
+      let s = Iset.create universe in
+      let bound = max 16 (4 * k) in
+      let peak = ref 0 in
+      for _ = 1 to 20_000 do
+        let i = Random.State.int rs universe in
+        if Iset.mem s i then Iset.remove s i
+        else if Iset.size s < k then Iset.add s i
+        else Iset.remove s (Random.State.int rs universe);
+        peak := max !peak (Iset.raw_capacity s)
+      done;
+      check Alcotest.bool
+        (Printf.sprintf "k=%d: capacity %d within %d" k !peak bound)
+        true (!peak <= bound))
+    [ 1; 3; 8; 40; 300 ];
+  (* members removed and re-added while others stay leave duplicate
+     entries behind; a full array drops them rather than doubling *)
+  let s = Iset.create 64 in
+  List.iter (Iset.add s) [ 5; 6; 7 ];
+  for round = 0 to 99 do
+    let i = 8 + (round mod 40) in
+    Iset.add s i;
+    Iset.remove s i;
+    Iset.remove s 6;
+    Iset.add s 6
+  done;
+  check Alcotest.bool "small array under re-adds" true (Iset.raw_capacity s <= 16);
+  let order = ref [] in
+  Iset.drain (fun () () i -> order := i :: !order) () () s;
+  check Alcotest.(list int) "members" [ 5; 6; 7 ] (List.sort compare !order)
+
 let suite =
   ( "iset",
     [
@@ -85,4 +123,5 @@ let suite =
       Alcotest.test_case "small sets never compact" `Quick
         test_small_sets_never_compact;
       Alcotest.test_case "churn" `Quick test_churn;
+      Alcotest.test_case "capacity within max 16 (4k)" `Quick test_bounded_capacity;
     ] )

@@ -246,6 +246,103 @@ let test_read_packed_noncanonical () =
       ("padded line longer than the window", "t1|w(x)\n  t2|w(" ^ long ^ ")  \n", 1);
     ]
 
+(* The read window is 65536 bytes; a regular file's first read fills it.
+   [at_window ~offset line] is a file whose canonical filler ends
+   [offset] bytes before the window's end, followed by [line] and one
+   more line: [line] straddles the boundary at [offset]. *)
+let window = 65536
+
+let at_window ~offset line =
+  let filler = Buffer.create window in
+  let short = "a|w(x)\n" in
+  while window - offset - Buffer.length filler > 32 do
+    Buffer.add_string filler short
+  done;
+  (* one line "a|w(vvv...)\n" takes up the rest exactly *)
+  let rest = window - offset - Buffer.length filler in
+  Buffer.add_string filler ("a|w(" ^ String.make (rest - 6) 'v' ^ ")\n");
+  assert (Buffer.length filler = window - offset);
+  Buffer.contents filler ^ line ^ "b|r(x)\n"
+
+(* Lines across the window boundary, names around the 7-byte short-key
+   limit, and files that end at the window's edge. *)
+let test_read_packed_window () =
+  List.iter
+    (fun (line, slow) ->
+      for offset = 0 to String.length line do
+        same_reading ~slow
+          (Printf.sprintf "%S straddling the window at %d" line offset)
+          (at_window ~offset line)
+      done)
+    [
+      ("t1|w(x)\n", 0);
+      ("thread7|acq(lock_01)\r\n", 0);
+      ("long_thread_name|rel(lock_01)|Foo.java:42\n", 0);
+      ("t1|begin\n", 0);
+      ("t1|e\r\n", 0);
+      ("main|fork(worker)\n", 0);
+      ("  t1|w(x)  \r\n", 1);
+      ("# comment\n", 1);
+    ];
+  List.iter
+    (fun (label, text, slow) -> same_reading ~slow label text)
+    [
+      ("\\r as the window's last byte, then \\n", at_window ~offset:8 "t1|w(x)\r\n", 0);
+      ( "\\r as the window's last byte, then a field",
+        at_window ~offset:8 "t1|w(x)\r|z\n",
+        1 );
+      ("\\r as the file's last byte, at the window's end",
+        String.sub (at_window ~offset:8 "t1|w(x)\r") 0 window, 0);
+      ( "exactly one window, no final newline",
+        String.sub (at_window ~offset:7 "t1|w(x)\n") 0 window,
+        0 );
+      ( "exactly one window, final newline",
+        String.sub (at_window ~offset:8 "t1|w(x)\n") 0 window,
+        0 );
+      ( "names of 7 and 8 bytes",
+        "abcdefg|w(xxxxxxx)\nabcdefgh|w(xxxxxxxx)\nabcdefg|acq(lllllll)\n\
+         abcdefgh|rel(llllllll)\nabcdefg|r(xxxxxxxx)\n",
+        0 );
+      ( "names that differ only after byte 7",
+        "threadA1|w(variable1)\nthreadA2|w(variable2)\nthreadA1|r(variable2)\n\
+         threadA2|r(variable1)\nthreadA|w(variable)\n",
+        0 );
+      ( "long names that differ only in their first byte",
+        "xthread_1|w(avariable)\nythread_1|w(bvariable)\nxthread_1|r(bvariable)\n",
+        0 );
+      ( "short and long names first met on slow lines",
+        " t7|w(short)\n thread_8|w(variable_9)\nt7|r(variable_9)\nthread_8|r(short)\n",
+        2 );
+      ( "a thread name that is also a variable and a lock",
+        "x|w(x)\nx|acq(x)\nx|fork(y)\ny|rel(x)\n",
+        0 );
+    ]
+
+(* A text [--timeout] is honored by the scan itself: the deadline is
+   checked every 4096 lines, and a scan that runs out reports no event
+   fed.  [checkpoint] runs after each 4096th line, and its exception
+   ends the scan. *)
+let test_read_packed_checkpoint () =
+  let text = String.concat "" (List.init 10_000 (fun i -> Printf.sprintf "t%d|w(x)\n" (i mod 3))) in
+  with_text text (fun path ->
+      let calls = ref 0 in
+      (match
+         Parser.read_packed
+           ~checkpoint:(fun () ->
+             incr calls;
+             if !calls = 2 then raise Exit)
+           path
+       with
+      | _ -> Alcotest.fail "scan did not stop"
+      | exception Exit -> ());
+      Alcotest.(check int) "stopped at the second checkpoint" 2 !calls;
+      let calls = ref 0 in
+      ignore (Parser.read_packed ~checkpoint:(fun () -> incr calls) path);
+      Alcotest.(check int) "one checkpoint per 4096 lines" 2 !calls;
+      let r = Analysis.Runner.run_stream ~timeout:0.0 (module Aerodrome.Opt) path in
+      Alcotest.(check bool) "timed out" true (r.outcome = Analysis.Runner.Timed_out);
+      Alcotest.(check int) "no event fed" 0 r.events_fed)
+
 (* Malformed lines, each the third line of its file: the scan fails with
    the per-line parser's error, on line 3. *)
 let test_read_packed_malformed () =
@@ -323,6 +420,36 @@ let prop_mutated_text =
   QCheck.Test.make ~name:"mutated .std: scan agrees with the per-line parser" ~count:500
     arb_mutated (fun text -> fst (scanned text) = reference text)
 
+(* The writer as it was before names were rendered once per trace: four
+   pieces per event, each name looked up per event.  The window writer
+   must give the same bytes. *)
+let piecewise tr =
+  let s =
+    Option.value (Trace.symbols tr)
+      ~default:{ Trace.Symbols.threads = [||]; locks = [||]; vars = [||] }
+  in
+  let b = Buffer.create 256 in
+  let add = Buffer.add_string b in
+  let target kw name =
+    add kw;
+    add name;
+    add ")\n"
+  in
+  Trace.iter
+    (fun (e : Event.t) ->
+      add (Trace.Symbols.thread s e.thread);
+      match e.op with
+      | Event.Read x -> target "|r(" (Trace.Symbols.var s x)
+      | Event.Write x -> target "|w(" (Trace.Symbols.var s x)
+      | Event.Acquire l -> target "|acq(" (Trace.Symbols.lock s l)
+      | Event.Release l -> target "|rel(" (Trace.Symbols.lock s l)
+      | Event.Fork u -> target "|fork(" (Trace.Symbols.thread s u)
+      | Event.Join u -> target "|join(" (Trace.Symbols.thread s u)
+      | Event.Begin -> add "|begin\n"
+      | Event.End -> add "|end\n")
+    tr;
+  Buffer.contents b
+
 let test_writer_streams () =
   List.iter
     (fun (name, tr, _) ->
@@ -336,6 +463,32 @@ let test_writer_streams () =
     (( "unnamed",
        Trace.of_events [ Event.write 0 0; Event.fork 0 1; Event.acquire 1 0 ],
        `Serializable )
+    :: Workloads.Scenarios.all)
+
+let test_writer_piecewise () =
+  let huge = String.make 100_000 'v' in
+  List.iter
+    (fun (name, tr, _) ->
+      let path = Filename.temp_file "aerodrome" ".std" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Parser.to_file path tr;
+          Alcotest.(check string) (name ^ ": to_string") (piecewise tr) (Parser.to_string tr);
+          Alcotest.(check string) (name ^ ": to_file") (piecewise tr)
+            (In_channel.with_open_bin path In_channel.input_all)))
+    (( "unnamed",
+       Trace.of_events [ Event.write 0 0; Event.fork 0 1; Event.acquire 1 0 ],
+       `Serializable )
+    :: ( "names longer than 7 bytes",
+         Parser.parse_string_exn
+           "main_thread|fork(worker_1)\nworker_1|begin\nworker_1|acq(the_lock_0)\n\
+            worker_1|w(variable_10)\nworker_1|rel(the_lock_0)\nworker_1|end\n\
+            main_thread|join(worker_1)\nmain_thread|r(variable_10)\n",
+         `Serializable )
+    :: ( "a name longer than the window",
+         Parser.parse_string_exn ("t1|w(x)\nt1|w(" ^ huge ^ ")\nt2|r(x)\n"),
+         `Serializable )
     :: Workloads.Scenarios.all)
 
 (* A text trace whose thread names outgrow the packed word
@@ -374,12 +527,17 @@ let suite =
       Alcotest.test_case "scenario roundtrips" `Quick test_roundtrip_scenarios;
       Alcotest.test_case "file io" `Quick test_file_io;
       Alcotest.test_case "to_file bytes = to_string bytes" `Quick test_writer_streams;
+      Alcotest.test_case "writer = piecewise renderer" `Quick test_writer_piecewise;
       Alcotest.test_case "read_packed = parse_string: scenarios, generated" `Quick
         test_read_packed_scenarios;
       Alcotest.test_case "read_packed = parse_string: non-canonical lines" `Quick
         test_read_packed_noncanonical;
       Alcotest.test_case "read_packed = parse_string: malformed lines" `Quick
         test_read_packed_malformed;
+      Alcotest.test_case "read_packed = parse_string: window boundaries" `Quick
+        test_read_packed_window;
+      Alcotest.test_case "read_packed: checkpoints and a text timeout" `Quick
+        test_read_packed_checkpoint;
       Alcotest.test_case "read_packed: too many threads for a packed word" `Slow
         test_read_packed_overflow;
     ]
