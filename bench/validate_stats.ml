@@ -42,6 +42,7 @@ let required_metrics =
     "txn.begins";
     "txn.commits";
     "vc.joins";
+    "vc.joins_elided";
     "violation.index";
   ]
 

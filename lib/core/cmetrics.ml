@@ -14,6 +14,7 @@ type t = {
   txn_begins : Obs.Counter.t;
   txn_commits : Obs.Counter.t;
   vc_joins : Obs.Counter.t;
+  vc_joins_elided : Obs.Counter.t;
   stale_readers : Obs.Histogram.t;
   lock_updates : Obs.Histogram.t;
   violation_index : Obs.Gauge.t;
@@ -37,6 +38,7 @@ let create ?(attach = true) () =
       txn_begins = c "txn.begins";
       txn_commits = c "txn.commits";
       vc_joins = c "vc.joins";
+      vc_joins_elided = c "vc.joins_elided";
       stale_readers = Obs.Registry.histogram reg "sets.stale_readers";
       lock_updates = Obs.Registry.histogram reg "sets.lock_updates";
       violation_index = Obs.Registry.gauge ~init:(-1.0) reg "violation.index";
@@ -64,6 +66,7 @@ let txn_begin m = Obs.Counter.inc m.txn_begins
 let txn_commit m = Obs.Counter.inc m.txn_commits
 let vc_join m = Obs.Counter.inc m.vc_joins
 let vc_joins_add m n = Obs.Counter.add m.vc_joins n
+let vc_join_elided m = Obs.Counter.inc m.vc_joins_elided
 let observe_stale_readers m n = Obs.Histogram.observe m.stale_readers n
 let observe_lock_updates m n = Obs.Histogram.observe m.lock_updates n
 let found_violation m index = Obs.Gauge.set_int m.violation_index index

@@ -25,6 +25,10 @@ type t = {
   txn_begins : Obs.Counter.t;  (** outermost transaction begins *)
   txn_commits : Obs.Counter.t;  (** outermost transaction ends *)
   vc_joins : Obs.Counter.t;  (** vector-clock join operations *)
+  vc_joins_elided : Obs.Counter.t;
+      (** joins into a thread clock that were skipped because the thread
+          had already absorbed the source's current value (Opt only);
+          still counted in [vc_joins] *)
   stale_readers : Obs.Histogram.t;
       (** size of [Stale^r_x] at each flush (Opt only) *)
   lock_updates : Obs.Histogram.t;
@@ -43,6 +47,7 @@ val txn_begin : t -> unit
 val txn_commit : t -> unit
 val vc_join : t -> unit
 val vc_joins_add : t -> int -> unit
+val vc_join_elided : t -> unit
 val observe_stale_readers : t -> int -> unit
 val observe_lock_updates : t -> int -> unit
 val found_violation : t -> int -> unit

@@ -6,7 +6,7 @@ let name = "aerodrome"
 let nil = -1
 
 (* Per-variable clock state, allocated on first access and recycled
-   whole, clocks and Stale^r set included.  Keeping W_x/R_x/hR_x and the
+   whole, clocks and Stale^r bitset included.  Keeping W_x/R_x/hR_x and the
    lazy-update metadata in one record (instead of seven parallel dense
    arrays) is what lets a variable's whole footprint be released the
    moment it dies. *)
@@ -14,7 +14,9 @@ type vstate = {
   vw : AC.t;  (* W_x *)
   vr : AC.t;  (* R_x *)
   vhr : AC.t;  (* hR_x *)
-  vstale_r : Iset.t;  (* Stale^r_x: readers not yet flushed into R_x *)
+  vstale_r : int array;
+      (* Stale^r_x, readers not yet flushed into R_x: a thread bitset,
+         thread t at bit [t mod 62] of word [t / 62] *)
   mutable vlast_w : int;
   mutable vstale_w : bool;  (* Stale^w_x: is W_x represented by C_lastW? *)
   mutable vtouch : int;  (* processed-count of the last access (Inactivity) *)
@@ -28,7 +30,7 @@ let absent =
     vw = AC.bottom 0;
     vr = AC.bottom 0;
     vhr = AC.bottom 0;
-    vstale_r = Iset.create 0;
+    vstale_r = [||];
     vlast_w = nil;
     vstale_w = false;
     vtouch = 0;
@@ -36,6 +38,8 @@ let absent =
 
 type t = {
   threads : int;
+  tele : bool;  (* [Obs.on ()] at [create]: telemetry is switched before
+                   checking starts *)
   locks : int;
   vars : int;
   fast_checks : bool;
@@ -69,6 +73,7 @@ type t = {
   mutable free : vstate array;  (* released records, a stack *)
   mutable free_n : int;
   reclaim : Reclaim.policy;
+  last_use : int array;  (* the oracle's last access per variable, else [||] *)
   mutable reclaimed : int;  (* vstates released at their last access *)
   mutable next_sweep : int;  (* processed-count of the next inactivity sweep *)
   mutable violation : Violation.t option;
@@ -94,6 +99,7 @@ let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
   let st =
     {
       threads = dim;
+      tele = Obs.on ();
       locks;
       vars;
       fast_checks;
@@ -120,6 +126,10 @@ let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
       free = [||];
       free_n = 0;
       reclaim;
+      last_use =
+        (match reclaim with
+        | Reclaim.Oracle lt -> lt.Lifetime.vars
+        | Reclaim.Off | Reclaim.Inactivity _ -> [||]);
       reclaimed = 0;
       next_sweep =
         (match reclaim with
@@ -170,7 +180,7 @@ let fresh_var st x =
         vw = AC.Pool.alloc st.pool;
         vr = AC.Pool.alloc st.pool;
         vhr = AC.Pool.alloc st.pool;
-        vstale_r = Iset.create st.threads;
+        vstale_r = Array.make ((st.threads + 61) / 62) 0;
         vlast_w = nil;
         vstale_w = false;
         vtouch = 0;
@@ -189,7 +199,7 @@ let release_var st x vs =
   AC.reset vs.vw;
   AC.reset vs.vr;
   AC.reset vs.vhr;
-  Iset.clear vs.vstale_r;
+  Array.fill vs.vstale_r 0 (Array.length vs.vstale_r) 0;
   vs.vlast_w <- nil;
   vs.vstale_w <- false;
   vs.vtouch <- 0;
@@ -225,8 +235,10 @@ let release_var st x vs =
 let reclaim_after_access st x vs =
   match st.reclaim with
   | Reclaim.Off -> ()
-  | Reclaim.Oracle lt ->
-    if Lifetime.last_var lt x = st.processed - 1 then release_var st x vs
+  | Reclaim.Oracle _ ->
+    let lu = st.last_use in
+    if x < Array.length lu && Array.unsafe_get lu x = st.processed - 1 then
+      release_var st x vs
   | Reclaim.Inactivity _ -> vs.vtouch <- st.processed
 
 (* Inactivity sweep: collapse the clocks of variables untouched for a full
@@ -258,18 +270,22 @@ let begin_leq st t clk =
 (* C_t grew: the cached covers mask is stale. *)
 let note_c_grew st t = Bytes.unsafe_set st.covers_dirty t '\001'
 
-(* When the source is flat, C_t grew at the owner's component only, and
-   under [fast_checks] bit u of covers(t) reads C_t at component u only:
-   just the owner's bit can flip.  The full order can flip any bit. *)
+(* The join is skipped when [src]'s seen bit t says C_t already
+   contains it (DESIGN.md §9); it still counts as a logical join.  When
+   the source is flat, C_t grew at the owner's component only, and under
+   [fast_checks] bit u of covers(t) reads C_t at component u only: just
+   the owner's bit can flip.  The full order can flip any bit. *)
 let join_c st t src =
-  if Obs.on () then Cmetrics.vc_join st.m;
+  if st.tele then Cmetrics.vc_join st.m;
   let c_t = st.c.(t) in
-  if AC.join_into_grew ~into:c_t src then begin
+  let r = AC.join_thread ~into:c_t src t in
+  if r > 0 then begin
     let u = AC.flat_owner src in
     if u < 0 || not st.fast_checks then note_c_grew st t
     else if st.masked && Array.unsafe_get st.cb_own u <= AC.unsafe_get c_t u
     then st.covers.(t) <- st.covers.(t) lor (1 lsl u)
   end
+  else if r < 0 && st.tele then Cmetrics.vc_join_elided st.m
 
 (* {u | C⊲_u ⊑ C_t} on the active bits, from cache unless C_t grew in a
    way no single-bit update covered.  Under [fast_checks] the rebuild is
@@ -385,11 +401,22 @@ let check_vs_last_write st t vs site =
     else check_and_get st vs.vw vs.vw t site
   end
 
+(* Add reader t to Stale^r_x, or drop it. *)
+let stale_reader vs t =
+  let w = t / 62 in
+  Array.unsafe_set vs.vstale_r w
+    (Array.unsafe_get vs.vstale_r w lor (1 lsl (t - (62 * w))))
+
+let unstale_reader vs t =
+  let w = t / 62 in
+  Array.unsafe_set vs.vstale_r w
+    (Array.unsafe_get vs.vstale_r w land lnot (1 lsl (t - (62 * w))))
+
 let handle_read st t x =
   let vs = vget st x in
   check_vs_last_write st t vs Violation.At_read;
   if active st t || st.faithful then begin
-    Iset.add vs.vstale_r t;
+    stale_reader vs t;
     (* Algorithm 3 lines 34–36: every covered active transaction must
        refresh R_x at its end; the reader's own transaction qualifies. *)
     propagate_update_sets st st.upd_r x ~of_:t ~skip:nil st.c.(t)
@@ -404,20 +431,39 @@ let handle_read st t x =
   end;
   reclaim_after_access st x vs
 
-(* The drain bodies below are closed top-level functions taking their
-   environment through [Iset.drain]'s two pass-through arguments, so no
-   event allocates a closure. *)
-let flush_reader st vs u =
-  if Obs.on () then Cmetrics.vc_joins_add st.m 2;
-  AC.join_into ~into:vs.vr st.c.(u);
-  AC.join_into_zeroed ~into:vs.vhr st.c.(u) u
+(* Flush Stale^r_x into R_x and hR_x.  The joins commute, so visiting
+   the readers in thread order instead of reading order changes no
+   value. *)
+let flush_stale_readers st vs =
+  let a = vs.vstale_r in
+  for i = 0 to Array.length a - 1 do
+    let m = ref (Array.unsafe_get a i) in
+    if !m <> 0 then begin
+      Array.unsafe_set a i 0;
+      while !m <> 0 do
+        let u = (62 * i) + ntz !m in
+        if st.tele then Cmetrics.vc_joins_add st.m 2;
+        AC.join_into ~into:vs.vr st.c.(u);
+        AC.join_into_zeroed ~into:vs.vhr st.c.(u) u;
+        m := !m land (!m - 1)
+      done
+    end
+  done
 
-let flush_stale_readers st vs = Iset.drain flush_reader st vs vs.vstale_r
+let popcount m =
+  let m = ref m and n = ref 0 in
+  while !m <> 0 do
+    incr n;
+    m := !m land (!m - 1)
+  done;
+  !n
+
+let stale_readers vs = Array.fold_left (fun n w -> n + popcount w) 0 vs.vstale_r
 
 let handle_write st t x =
   let vs = vget st x in
   check_vs_last_write st t vs Violation.At_write_vs_write;
-  if Obs.on () then Cmetrics.observe_stale_readers st.m (Iset.size vs.vstale_r);
+  if st.tele then Cmetrics.observe_stale_readers st.m (stale_readers vs);
   flush_stale_readers st vs;
   check_read_and_get st t vs Violation.At_write_vs_read;
   if active st t || st.faithful then vs.vstale_w <- true
@@ -433,7 +479,7 @@ let handle_write st t x =
 let handle_begin st t =
   st.depth.(t) <- st.depth.(t) + 1;
   if st.depth.(t) = 1 then begin
-    if Obs.on () then Cmetrics.txn_begin st.m;
+    if st.tele then Cmetrics.txn_begin st.m;
     st.seq.(t) <- st.seq.(t) + 1;
     AC.bump st.c.(t) t;
     AC.assign ~into:st.cb.(t) st.c.(t);
@@ -501,14 +547,17 @@ let has_incoming_edge st t =
     !u < st.threads
   end
 
-(* The end-of-transaction drains skip variables whose state was released
-   at their last access: a refresh of a dead variable's clocks could only
-   feed a check at a later access of that variable, and there are none.
+(* The end-of-transaction drain bodies are closed top-level functions
+   taking their environment through [Iset.drain]'s two pass-through
+   arguments, so no end allocates a closure.  They skip variables whose
+   state was released at their last access: a refresh of a dead
+   variable's clocks could only feed a check at a later access of that
+   variable, and there are none.
    (These joins are uncounted in the seed code too, so the skip leaves
    every metric counter unchanged.) *)
 let refresh_lock st t l =
   if begin_leq st t st.l.(l) then begin
-    if Obs.on () then Cmetrics.vc_join st.m;
+    if st.tele then Cmetrics.vc_join st.m;
     AC.join_into ~into:st.l.(l) st.c.(t);
     propagate_lock_update st l ~of_:t ~skip:t st.c.(t)
   end
@@ -529,23 +578,39 @@ let refresh_read st t x =
   if vs != absent then begin
     AC.join_into ~into:vs.vr st.c.(t);
     AC.join_into_zeroed ~into:vs.vhr st.c.(t) t;
-    Iset.remove vs.vstale_r t;
+    unstale_reader vs t;
     if not st.faithful then
       propagate_update_sets st st.upd_r x ~of_:t ~skip:t st.c.(t)
   end
 
+(* Every other thread whose clock holds t's begin checks against and
+   absorbs C_t.  With the masks and the component check, those threads
+   are one [Aclock] call's mask, walked in ascending order so the first
+   violation site is the loop's. *)
 let end_with_incoming_edge st t =
   let c_t = st.c.(t) in
-  for u = 0 to st.threads - 1 do
-    if u <> t && begin_leq st t st.c.(u) then
-      check_and_get st c_t c_t u (Array.unsafe_get st.end_site u)
-  done;
+  if st.masked && st.fast_checks then begin
+    let m =
+      ref
+        (AC.geq_bits st.c t (Array.unsafe_get st.cb_own t) land lnot (1 lsl t))
+    in
+    while !m <> 0 do
+      let u = ntz !m in
+      check_and_get st c_t c_t u (Array.unsafe_get st.end_site u);
+      m := !m land (!m - 1)
+    done
+  end
+  else
+    for u = 0 to st.threads - 1 do
+      if u <> t && begin_leq st t st.c.(u) then
+        check_and_get st c_t c_t u (Array.unsafe_get st.end_site u)
+    done;
   (* Refresh the lock clocks the transaction reached.  [upd_l.(t)] holds
      every lock for which [begin_leq] may hold (entries can be stale — a
      later release overwrites L_l — hence the re-check); the Slow variant
      scans the whole table, see [propagate_lock_update]. *)
   if st.fast_checks then begin
-    if Obs.on () then Cmetrics.observe_lock_updates st.m (Iset.size st.upd_l.(t));
+    if st.tele then Cmetrics.observe_lock_updates st.m (Iset.size st.upd_l.(t));
     Iset.drain refresh_lock st t st.upd_l.(t)
   end
   else
@@ -557,7 +622,7 @@ let end_with_incoming_edge st t =
 
 let forget_read st t x =
   let vs = Array.unsafe_get st.v x in
-  if vs != absent then Iset.remove vs.vstale_r t
+  if vs != absent then unstale_reader vs t
 
 let forget_write st t x =
   let vs = Array.unsafe_get st.v x in
@@ -579,7 +644,7 @@ let handle_end st t =
   if st.depth.(t) > 0 then begin
     st.depth.(t) <- st.depth.(t) - 1;
     if st.depth.(t) = 0 then begin
-      if Obs.on () then Cmetrics.txn_commit st.m;
+      if st.tele then Cmetrics.txn_commit st.m;
       if st.masked then st.active_mask <- st.active_mask land lnot (1 lsl t);
       if has_incoming_edge st t then end_with_incoming_edge st t
       else end_garbage_collect st t
@@ -612,6 +677,18 @@ let seed_boundary st depths =
   done;
   Bytes.fill st.covers_dirty 0 st.threads '\001'
 
+(* The packed word's layout, spelled out here so the per-event decode
+   and dispatch are shifts and a jump table instead of calls into
+   [Packed] (DESIGN.md §9), and checked against [Packed] at load time. *)
+let () =
+  assert (
+    Packed.op_read = 0 && Packed.op_write = 1 && Packed.op_acquire = 2
+    && Packed.op_release = 3 && Packed.op_fork = 4 && Packed.op_join = 5
+    && Packed.op_begin = 6 && Packed.op_end = 7
+    && Packed.max_tid = 0x1f_ffff
+    && Packed.pack ~op:7 ~tid:Packed.max_tid ~target:1
+       = 7 lor (0x1f_ffff lsl 3) lor (1 lsl 24))
+
 (* The one event entry: ids straight from the packed word's bit slices,
    the boxed event materialized only at a violation. *)
 let feed_packed st w =
@@ -620,25 +697,26 @@ let feed_packed st w =
   | None -> (
     st.processed <- st.processed + 1;
     if st.processed >= st.next_sweep then sweep st;
-    if Obs.on () then Cmetrics.count_op st.m (Packed.opcode w);
-    let t = Packed.tid w in
-    let d = Packed.target w in
+    let op = w land 7 in
+    if st.tele then Cmetrics.count_op st.m op;
+    let t = (w lsr 3) land 0x1f_ffff in
+    let d = w lsr 24 in
     match
-      (let op = Packed.opcode w in
-       if op = Packed.op_read then handle_read st t d
-       else if op = Packed.op_write then handle_write st t d
-       else if op = Packed.op_acquire then handle_acquire st t d
-       else if op = Packed.op_release then handle_release st t d
-       else if op = Packed.op_fork then handle_fork st t d
-       else if op = Packed.op_join then handle_join st t d
-       else if op = Packed.op_begin then handle_begin st t
-       else handle_end st t)
+      match op with
+      | 0 -> handle_read st t d
+      | 1 -> handle_write st t d
+      | 2 -> handle_acquire st t d
+      | 3 -> handle_release st t d
+      | 4 -> handle_fork st t d
+      | 5 -> handle_join st t d
+      | 6 -> handle_begin st t
+      | _ -> handle_end st t
     with
     | () -> None
     | exception Found site ->
       let e = Packed.to_event w in
       let v = Violation.make ~index:(st.processed - 1) ~event:e ~site in
-      if Obs.on () then Cmetrics.found_violation st.m (st.processed - 1);
+      if st.tele then Cmetrics.found_violation st.m (st.processed - 1);
       st.violation <- Some v;
       Some v)
 

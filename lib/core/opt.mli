@@ -100,4 +100,5 @@ val in_transaction : t -> int -> bool
 
 val metrics : t -> Obs.Snapshot.t
 (** Current reading of this instance's {!Cmetrics} registry.  Counters
-    only advance while [Obs.on ()] — see {!Cmetrics}. *)
+    only advance when [Obs.on ()] held at [create] (telemetry is
+    switched before checking starts) — see {!Cmetrics}. *)

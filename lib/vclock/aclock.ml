@@ -29,29 +29,34 @@ type t = {
          and [vec] is stale; otherwise [vec] is authoritative *)
   mutable vec : int array;  (* [||] until the first inflation *)
   dim : int;
+  mutable seen : int;
+      (* bit u set: the clock of thread u (u < 62) is known to contain
+         this clock's current value.  Noted by the checker, cleared here by
+         every operation that changes the value. *)
 }
 
 let dim a = a.dim
 
 let create dim =
   if dim < 0 then invalid_arg "Aclock.create: negative dimension";
-  { ep = ep_bottom; vec = [||]; dim }
+  { ep = ep_bottom; vec = [||]; dim; seen = 0 }
 
 let bottom = create
 
 let unit dim t =
   if t < 0 || t >= dim then invalid_arg "Aclock.unit: thread out of range";
-  { ep = ep_make ~tid:t ~clock:1; vec = [||]; dim }
+  { ep = ep_make ~tid:t ~clock:1; vec = [||]; dim; seen = 0 }
 
 let is_flat a = not (is_none a.ep)
 
 let flat_owner a = if is_none a.ep then -1 else ep_tid a.ep
 
-let check_dim name a b =
-  if a.dim <> b.dim then invalid_arg (name ^ ": dimension mismatch")
-
-let check_index name a t =
-  if t < 0 || t >= a.dim then invalid_arg (name ^ ": thread out of range")
+(* The failing branches are functions of their own, so the checks stay
+   small enough to inline into every operation. *)
+let dim_mismatch name = invalid_arg (name ^ ": dimension mismatch")
+let out_of_range name = invalid_arg (name ^ ": thread out of range")
+let check_dim name a b = if a.dim <> b.dim then dim_mismatch name
+let check_index name a t = if t < 0 || t >= a.dim then out_of_range name
 
 (* Epoch representation churn, process-wide (clocks can live on pool
    worker domains, so the counters are atomic).  Updated only while
@@ -90,6 +95,7 @@ let unsafe_get a t =
 let set a t c =
   if c < 0 then invalid_arg "Aclock.set: negative component";
   check_index "Aclock.set" a t;
+  a.seen <- 0;
   if is_none a.ep then a.vec.(t) <- c
   else if ep_tid a.ep = t then a.ep <- ep_make ~tid:t ~clock:c
   else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:c
@@ -100,6 +106,7 @@ let set a t c =
 
 let bump a t =
   check_index "Aclock.bump" a t;
+  a.seen <- 0;
   if is_none a.ep then a.vec.(t) <- a.vec.(t) + 1
   else if ep_tid a.ep = t then a.ep <- ep_bump a.ep
   else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:1
@@ -109,9 +116,8 @@ let bump a t =
   end
 
 (* into := into ⊔ v, reporting whether [into] changed.  O(1) whenever [v]
-   is flat. *)
-let join_into_grew ~into v =
-  check_dim "Aclock.join_into_grew" into v;
+   is flat.  The caller clears [into.seen] on growth. *)
+let join_grew ~into v =
   if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
@@ -153,13 +159,37 @@ let join_into_grew ~into v =
     end
   end
 
+let join_into_grew ~into v =
+  check_dim "Aclock.join_into_grew" into v;
+  let grew = join_grew ~into v in
+  if grew then into.seen <- 0;
+  grew
+
 let join_into ~into v = ignore (join_into_grew ~into v)
+
+(* The join into thread [t]'s own clock: skipped when [v]'s seen bit t
+   says C_t already contains [v], noted afterwards.  Thread clocks only
+   grow, so a noted bit stays true until [v] itself changes. *)
+let join_thread ~into v t =
+  check_dim "Aclock.join_thread" into v;
+  let bit = if t < 62 then 1 lsl t else 0 in
+  if v.seen land bit <> 0 then -1
+  else begin
+    let grew = join_grew ~into v in
+    if grew then into.seen <- 0;
+    v.seen <- v.seen lor bit;
+    Bool.to_int grew
+  end
+
+let seen a t = t < 62 && a.seen land (1 lsl t) <> 0
+let note_seen a t = if t < 62 then a.seen <- a.seen lor (1 lsl t)
 
 (* into := into ⊔ v[0/z].  O(1) whenever [v] is flat (and a no-op when its
    only non-zero component is the zeroed one). *)
 let join_into_zeroed ~into v z =
   check_dim "Aclock.join_into_zeroed" into v;
   check_index "Aclock.join_into_zeroed" v z;
+  into.seen <- 0;
   if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
@@ -189,6 +219,7 @@ let join_into_zeroed ~into v z =
 
 let assign ~into v =
   check_dim "Aclock.assign" into v;
+  into.seen <- 0;
   if is_none v.ep then begin
     if Array.length into.vec <> into.dim then into.vec <- Array.copy v.vec
     else Array.blit v.vec 0 into.vec 0 into.dim;
@@ -206,8 +237,8 @@ let assign_zeroed ~into v z =
   else if ep_tid into.ep = z then into.ep <- ep_bottom
 
 let copy a =
-  if is_none a.ep then { ep = none; vec = Array.copy a.vec; dim = a.dim }
-  else { ep = a.ep; vec = [||]; dim = a.dim }
+  if is_none a.ep then { ep = none; vec = Array.copy a.vec; dim = a.dim; seen = 0 }
+  else { ep = a.ep; vec = [||]; dim = a.dim; seen = 0 }
 
 (* v1 ⊑ v2, O(1) whenever [v1] is flat. *)
 let leq v1 v2 =
@@ -258,6 +289,23 @@ let covers_bits clk (own : int array) active =
     else 0
   end
 
+(* {u | clks.(u)(t) >= c} as a bitmask (at most 62 clocks): which
+   threads' clocks reached component [c] of thread [t], in one call
+   instead of one [unsafe_get] per thread. *)
+let geq_bits (clks : t array) t c =
+  let r = ref 0 in
+  for u = 0 to Array.length clks - 1 do
+    let a = Array.unsafe_get clks u in
+    let e = a.ep in
+    let x =
+      if is_none e then Array.unsafe_get a.vec t
+      else if ep_tid e = t then ep_clock e
+      else 0
+    in
+    if x >= c then r := !r lor (1 lsl u)
+  done;
+  !r
+
 let equal v1 v2 =
   check_dim "Aclock.equal" v1 v2;
   match (is_none v1.ep, is_none v2.ep) with
@@ -280,7 +328,9 @@ let is_bottom a =
   else ep_clock a.ep = 0
 
 let reset a =
-  a.ep <- ep_bottom (* vec (if any) becomes stale; kept for reuse *)
+  (* vec (if any) becomes stale; kept for reuse *)
+  a.ep <- ep_bottom;
+  a.seen <- 0
 
 let to_list a = List.init a.dim (fun t -> get a t)
 
@@ -288,7 +338,7 @@ let of_list cs =
   if List.exists (fun c -> c < 0) cs then
     invalid_arg "Aclock.of_list: negative component";
   let vec = Array.of_list cs in
-  { ep = none; vec; dim = Array.length vec }
+  { ep = none; vec; dim = Array.length vec; seen = 0 }
 
 module Pool = struct
   type clock = t
@@ -351,11 +401,12 @@ module Pool = struct
       in
       (* the spare vector is stale under epoch form; [inflate] zero-fills
          it before first use, exactly as after [reset] *)
-      { ep = ep_bottom; vec; dim = p.dim }
+      { ep = ep_bottom; vec; dim = p.dim; seen = 0 }
 
   let release p (c : clock) =
     if c.dim <> p.dim then invalid_arg "Aclock.Pool.release: dimension mismatch";
     c.ep <- ep_bottom;
+    c.seen <- 0;
     (* vec stays in the record: a recycled clock re-inflates without
        allocating *)
     p.free <- c :: p.free;

@@ -59,6 +59,28 @@ val join_into_grew : into:t -> t -> bool
     the checkers use this to invalidate caches keyed on a clock's
     value. *)
 
+val join_thread : into:t -> t -> int -> int
+(** [join_thread ~into:c_t v t] joins [v] into [c_t], the clock of
+    thread [t], unless [v]'s seen bit [t] says [c_t] already contains
+    [v]; afterwards it notes bit [t].  Returns [1] if [c_t] grew, [0] if
+    the join changed nothing and [-1] if it was skipped.  Exact as long
+    as the caller's thread clocks only grow: then bit [t] stays true
+    until [v]'s value changes, which clears it.  Threads from 62 up have
+    no bit and always join. *)
+
+val seen : t -> int -> bool
+(** Bit [t] of the seen mask: the clock of thread [t] was noted to
+    contain this clock's current value.  Every operation that changes
+    the value ({!set}, {!bump}, a join that grew the clock,
+    {!join_into_zeroed}, {!assign}, {!assign_zeroed}, {!reset},
+    {!Pool.release}) clears the mask; representation changes
+    ({!Pool.collapse}) keep it.  Always [false] for [t >= 62]. *)
+
+val note_seen : t -> int -> unit
+(** Set bit [t] of the seen mask (a no-op for [t >= 62]).  The caller
+    asserts that thread [t]'s clock contains this clock's value and only
+    grows. *)
+
 val join_into_zeroed : into:t -> t -> int -> unit
 (** [into := into ⊔ v\[0/z\]]; a no-op when [v] is flat and owned by [z]
     (the read-own-write fast path of the checkers' [hR_x] updates). *)
@@ -79,6 +101,11 @@ val covers_bits : t -> int array -> int -> int
     [Array.length own >= dim clk], no bit of [active] at or above
     [dim clk], and [own.(u) > 0] on every bit of [active] (a flat clock
     then covers at most its owner). *)
+
+val geq_bits : t array -> int -> int -> int
+(** [geq_bits clks t c] is the bitmask of the indices [u] with
+    [clks.(u)(t) >= c].  Requires [Array.length clks <= 62] and
+    [0 <= t < dim] for every clock. *)
 
 val equal : t -> t -> bool
 val equal_except : t -> t -> int -> bool

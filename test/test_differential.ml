@@ -199,6 +199,21 @@ let prop_63_threads =
     (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:63))
     agree_opt
 
+(* Above 62 threads the stale-reader bitset spans words: 64 threads end
+   just past the first word's last bit, 130 threads fill two words and
+   start a third. *)
+let prop_64_threads =
+  QCheck.Test.make ~name:"opt = pre-epoch (64 threads, two-word bitsets)"
+    ~count:100
+    (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:64))
+    agree_opt
+
+let prop_130_threads =
+  QCheck.Test.make ~name:"opt = pre-epoch (130 threads, three-word bitsets)"
+    ~count:50
+    (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:130))
+    agree_opt
+
 let suite =
   ( "differential (pre-epoch reference)",
     Helpers.qcheck_tests
@@ -209,4 +224,6 @@ let suite =
         prop_single_writer;
         prop_many_threads;
         prop_63_threads;
+        prop_64_threads;
+        prop_130_threads;
       ] )

@@ -263,6 +263,128 @@ let prop_aclock_matches_vector_clock =
       done;
       !ok)
 
+(* The seen mask against a model: a bank of clocks under random
+   operations, and one clock per thread that only grows.  A set bit u
+   must always mean that thread u's clock contains the bank clock (or
+   the other thread clock, which thread clocks absorb too); every
+   operation that changes a bank clock's value must clear its mask;
+   [Pool.collapse] and a join that changes nothing (inflating or not)
+   must keep it, and [Pool.release] must clear it. *)
+
+type sop =
+  | Op of aop
+  | Absorb of int * int  (* join_thread ~into:thread u, bank clock *)
+  | Absorb_thread of int * int  (* join_thread ~into:thread u, thread v *)
+  | Note of int * int  (* join_into thread u, then note_seen *)
+  | Grow of int * int  (* bump thread u's clock at a component *)
+  | Collapse of int
+  | Release of int
+
+let pp_sop = function
+  | Op op -> pp_aop op
+  | Absorb (u, a) -> Printf.sprintf "absorb %d %d" u a
+  | Absorb_thread (u, v) -> Printf.sprintf "absorb-thread %d %d" u v
+  | Note (u, a) -> Printf.sprintf "note %d %d" u a
+  | Grow (u, t) -> Printf.sprintf "grow %d %d" u t
+  | Collapse a -> Printf.sprintf "collapse %d" a
+  | Release a -> Printf.sprintf "release %d" a
+
+let arb_sops =
+  let gen rs =
+    let rand n = Random.State.int rs n in
+    let aop () =
+      match rand 7 with
+      | 0 -> Bump (rand bank, rand adim)
+      | 1 -> Set (rand bank, rand adim, rand 8)
+      | 2 -> Join (rand bank, rand bank)
+      | 3 -> Join_zeroed (rand bank, rand bank, rand adim)
+      | 4 -> Assign (rand bank, rand bank)
+      | 5 -> Assign_zeroed (rand bank, rand bank, rand adim)
+      | _ -> Reset (rand bank)
+    in
+    List.init
+      (20 + rand 80)
+      (fun _ ->
+        match rand 13 with
+        | 0 | 1 | 2 | 3 -> Op (aop ())
+        | 12 -> Absorb_thread (rand adim, rand adim)
+        | 4 | 5 | 6 -> Absorb (rand adim, rand bank)
+        | 7 -> Note (rand adim, rand bank)
+        | 8 | 9 -> Grow (rand adim, rand adim)
+        | 10 -> Collapse (rand bank)
+        | _ -> Release (rand bank))
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_sop ops))
+    gen
+
+let prop_seen_mask =
+  QCheck.Test.make ~name:"seen bits imply leq; value changes clear them"
+    ~count:1000 arb_sops (fun ops ->
+      let pool = AC.Pool.create adim in
+      let acs =
+        Array.init bank (fun i ->
+            if i < 2 then AC.unit adim i else AC.create adim)
+      in
+      let thr = Array.init adim (fun u -> AC.unit adim u) in
+      let mask a = List.filter (AC.seen a) (List.init adim Fun.id) in
+      let ok = ref true in
+      let fail () = ok := false in
+      List.iter
+        (fun op ->
+          let values = Array.map AC.to_list acs in
+          let masks = Array.map mask acs in
+          (match op with
+          | Op (Bump (a, t)) -> AC.bump acs.(a) t
+          | Op (Set (a, t, c)) -> AC.set acs.(a) t c
+          | Op (Join (a, b)) ->
+            if not (AC.join_into_grew ~into:acs.(a) acs.(b)) then
+              (* no value change, inflated or not: the mask stays *)
+              if mask acs.(a) <> masks.(a) then fail ()
+          | Op (Join_zeroed (a, b, z)) -> AC.join_into_zeroed ~into:acs.(a) acs.(b) z
+          | Op (Assign (a, b)) -> AC.assign ~into:acs.(a) acs.(b)
+          | Op (Assign_zeroed (a, b, z)) -> AC.assign_zeroed ~into:acs.(a) acs.(b) z
+          | Op (Reset a) -> AC.reset acs.(a)
+          | Absorb (u, a) ->
+            let before = AC.to_list thr.(u) and was_seen = AC.seen acs.(a) u in
+            let r = AC.join_thread ~into:thr.(u) acs.(a) u in
+            let want =
+              VT.join (VT.of_list before) (VT.of_list (AC.to_list acs.(a)))
+            in
+            if not (VT.equal want (VT.of_list (AC.to_list thr.(u)))) then fail ();
+            (match r with
+            | -1 -> if not was_seen then fail ()
+            | 0 -> if was_seen || AC.to_list thr.(u) <> before then fail ()
+            | 1 -> if was_seen || AC.to_list thr.(u) = before then fail ()
+            | _ -> fail ());
+            if not (AC.seen acs.(a) u) then fail ()
+          | Absorb_thread (u, v) ->
+            let r = AC.join_thread ~into:thr.(u) thr.(v) u in
+            if r > 0 && mask thr.(u) <> [] then fail ()
+          | Note (u, a) ->
+            AC.join_into ~into:thr.(u) acs.(a);
+            AC.note_seen acs.(a) u
+          | Grow (u, t) -> AC.bump thr.(u) t
+          | Collapse a ->
+            ignore (AC.Pool.collapse pool acs.(a));
+            if mask acs.(a) <> masks.(a) || AC.to_list acs.(a) <> values.(a)
+            then fail ()
+          | Release a ->
+            AC.Pool.release pool acs.(a);
+            acs.(a) <- AC.Pool.alloc pool;
+            if mask acs.(a) <> [] then fail ());
+          Array.iteri
+            (fun a clk ->
+              if AC.to_list clk <> values.(a) && mask clk <> [] then fail ();
+              List.iter (fun u -> if not (AC.leq clk thr.(u)) then fail ()) (mask clk))
+            acs;
+          Array.iter
+            (fun clk ->
+              List.iter (fun u -> if not (AC.leq clk thr.(u)) then fail ()) (mask clk))
+            thr)
+        ops;
+      !ok)
+
 (* [covers_bits] is the rebuild of Opt's covers mask; it must agree with
    the per-thread component loop it replaced, on every representation:
    ⊥, flat (epoch) and inflated clocks, inflated ones with an
@@ -343,4 +465,5 @@ let suite =
           prop_mutable_matches_persistent;
           prop_zeroed_join_matches;
           prop_aclock_matches_vector_clock;
+          prop_seen_mask;
         ] )
