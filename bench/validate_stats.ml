@@ -56,17 +56,18 @@ let metric_value ~where metrics key =
 (* Which path a run took, and why.  [decision.exec] is [stealing] or
    [sequential] and [decision.exec_reason] one of [exec_reasons].  A
    planned run — auto ([critical-path]) or a forced count ([forced]) —
-   also reports the plan's critical path and the arena length it was
-   weighed against, which is what the checker was fed; a run that never
-   planned reports neither.  A stealing run has [shard.chunks]; a
-   sequential one has no [shard.*] entry at all. *)
+   also reports the plan's critical path, the arena length it was
+   weighed against (which is what the checker was fed), and the time to
+   build that arena and to plan it, each within the run's seconds; a
+   run that never planned reports none of these.  A stealing run has
+   [shard.chunks]; a sequential one has no [shard.*] entry at all. *)
 let exec_reasons =
   [
     "no-scheduler"; "shards-1"; "timeout"; "checker"; "small-trace";
     "critical-path"; "forced";
   ]
 
-let check_decision ~where ~fed metrics =
+let check_decision ~where ~fed ~seconds metrics =
   let label key =
     match List.assoc_opt key metrics with
     | Some (Str s) -> s
@@ -89,7 +90,14 @@ let check_decision ~where ~fed metrics =
           bad "%s: sequential run with %S" where k)
       metrics
   | e -> bad "%s: unknown decision.exec %S" where e);
-  let plan_keys = [ "decision.critical_path_events"; "decision.events" ] in
+  let plan_keys =
+    [
+      "decision.critical_path_events";
+      "decision.events";
+      "decision.arena_seconds";
+      "decision.plan_seconds";
+    ]
+  in
   if planned then begin
     let cp = metric_value ~where metrics "decision.critical_path_events" in
     let events = metric_value ~where metrics "decision.events" in
@@ -99,7 +107,13 @@ let check_decision ~where ~fed metrics =
        twice over *)
     if cp < 0. || cp > 2. *. events then
       bad "%s: decision.critical_path_events (%.0f) outside [0, 2 * %.0f]"
-        where cp events
+        where cp events;
+    List.iter
+      (fun k ->
+        let v = metric_value ~where metrics k in
+        if v < 0. || v > seconds then
+          bad "%s: %s (%g) outside [0, seconds = %g]" where k v seconds)
+      [ "decision.arena_seconds"; "decision.plan_seconds" ]
   end
   else
     List.iter
@@ -117,8 +131,8 @@ let check_stats_file ~where f =
     (match verdict with
     | "serializable" | "timeout" | "violation" -> ()
     | v -> bad "%s: unknown verdict %S" where v);
-    if as_num (where ^ ".seconds") (field f "seconds") < 0. then
-      bad "%s: negative seconds" where;
+    let seconds = as_num (where ^ ".seconds") (field f "seconds") in
+    if seconds < 0. then bad "%s: negative seconds" where;
     let fed = as_num (where ^ ".events_fed") (field f "events_fed") in
     if fed < 0. then bad "%s: negative events_fed" where;
     let metrics = as_obj (where ^ ".metrics") (field f "metrics") in
@@ -136,7 +150,7 @@ let check_stats_file ~where f =
         bad "%s: shard.skipped_chunks (%.0f) outside [0, shard.chunks)" where
           skipped
     end;
-    check_decision ~where:mwhere ~fed metrics;
+    check_decision ~where:mwhere ~fed ~seconds metrics;
     let total = metric_value ~where:mwhere metrics "events.total" in
     (* The runner feeds the whole trace even after a violation, but the
        checker's own counters freeze at the violating event — so strict

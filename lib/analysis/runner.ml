@@ -266,10 +266,18 @@ let sharding ?sched ~shards ~timeout ~events (module C : Aerodrome.Checker.S) =
   | Some _ when not (steal_worthwhile ~shards ~events) -> Error "small-trace"
   | Some sched -> Ok sched
 
+type planned = {
+  critical_path : int;
+  events : int;  (** the arena length the plan was weighed against *)
+  arena_seconds : float;  (** building that arena; 0 when it was handed in *)
+  plan_seconds : float;  (** {!Parallel.Shard.plan} and its weighing *)
+}
+
 (* Which path the run took and why, as [decision.*] entries: a
    scope-attached registry, so they also reach a live exposition.  A
-   planned run adds the plan's critical path and the arena length it
-   was weighed against. *)
+   planned run adds the plan's critical path, the arena length it was
+   weighed against, and the serial prefix in front of the checker:
+   building that arena and planning it. *)
 let note_decision ?plan ~stealing reason =
   if Obs.on () then begin
     let reg = Obs.Registry.create () in
@@ -278,9 +286,11 @@ let note_decision ?plan ~stealing reason =
       (Obs.Snapshot.Label (if stealing then "stealing" else "sequential"));
     probe "decision.exec_reason" (Obs.Snapshot.Label reason);
     Option.iter
-      (fun (critical_path, events) ->
-        probe "decision.critical_path_events" (Obs.Snapshot.Int critical_path);
-        probe "decision.events" (Obs.Snapshot.Int events))
+      (fun p ->
+        probe "decision.critical_path_events" (Obs.Snapshot.Int p.critical_path);
+        probe "decision.events" (Obs.Snapshot.Int p.events);
+        probe "decision.arena_seconds" (Obs.Snapshot.Float p.arena_seconds);
+        probe "decision.plan_seconds" (Obs.Snapshot.Float p.plan_seconds))
       plan;
     Obs.Scope.attach reg
   end
@@ -473,19 +483,20 @@ let run_packed_sharded ?heartbeat ~reclaim ~prefilter ~shards ~sched ?flight
       let started =
         match started with Some t -> t | None -> Unix.gettimeofday ()
       in
-      let arena =
+      let t0 = Unix.gettimeofday () in
+      (* [arena_seconds] is 0 when the source's own arena is planned *)
+      let arena, built =
         match (src.words, pf) with
-        | Arena a, None -> a
-        | words, _ ->
+        | Arena a, None -> (a, false)
+        | Mapped path, None -> (snd (Binfmt.read_packed path), true)
+        | words, Some p ->
           let arena = Packed.Arena.create () in
           let push w = Packed.Arena.push arena w in
-          (match pf with
-          | None -> fold_words words (fun () w -> push w)
-          | Some p ->
-            fold_words words (fun () w -> Prefilter.feed_packed p w push);
-            Prefilter.finish_packed p ignore);
-          arena
+          fold_words words (fun () w -> Prefilter.feed_packed p w push);
+          Prefilter.finish_packed p ignore;
+          (arena, true)
       in
+      let t1 = Unix.gettimeofday () in
       let events = Packed.Arena.length arena in
       let domains = Parallel.Deque.size sched in
       let plan =
@@ -493,7 +504,15 @@ let run_packed_sharded ?heartbeat ~reclaim ~prefilter ~shards ~sched ?flight
       in
       let critical_path = Parallel.Shard.critical_path ~domains plan in
       let stealing = shards <> 0 || stealing_pays ~critical_path ~events in
-      note_decision ~plan:(critical_path, events) ~stealing
+      note_decision
+        ~plan:
+          {
+            critical_path;
+            events;
+            arena_seconds = (if built then t1 -. t0 else 0.);
+            plan_seconds = Unix.gettimeofday () -. t1;
+          }
+        ~stealing
         (if shards = 0 then "critical-path" else "forced");
       if not stealing then
         feed_source ?heartbeat ~reclaim ~prefilter:Off ?flight ~started

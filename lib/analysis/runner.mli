@@ -19,11 +19,18 @@
       [shards-1], [timeout], [checker] (a non-default checker),
       [small-trace] (see {!steal_worthwhile}), [critical-path] (an auto
       plan weighed, see {e Sharded checking}) or [forced] (an explicit
-      chunk count).  A planned run adds ["decision.critical_path_events"]
-      ({!Parallel.Shard.critical_path}) and ["decision.events"], the
-      arena length it was weighed against.  These are categorical
+      chunk count).  The two labels are categorical
       ({!Obs.Snapshot.Label}) readings: text in [--stats] and
       [--stats-json], a labelled gauge in the OpenMetrics exposition.
+      A planned run, stealing or sequential, adds
+      ["decision.critical_path_events"] ({!Parallel.Shard.critical_path}),
+      ["decision.events"], the arena length it was weighed against, and
+      the serial prefix in front of any checker:
+      ["decision.arena_seconds"], the time to build that arena (decoding
+      a binary file, or filtering the input; [0] when a scanned text
+      file or a materialized trace hands its arena in), and
+      ["decision.plan_seconds"], the time of {!Parallel.Shard.plan} and
+      its weighing.
 
     Runs that execute a plan on the scheduler report ["shard.chunks"],
     ["shard.skipped_chunks"]

@@ -46,6 +46,12 @@
 
 open Traces
 
+(* The planner scan decodes words with the {!Packed} layout's literal
+   shifts: under separate compilation a call per field would cost more
+   than the scan itself. *)
+let () =
+  assert (Packed.max_tid = 0x1fffff && Packed.op_begin = 6 && Packed.op_end = 7)
+
 type boundary = {
   cut : int;
   depths : int array;
@@ -74,46 +80,6 @@ let trivial ~threads =
     tainted_events = 0;
     repair_events = 0;
   }
-
-(* One pass over the arena: per-thread transaction depth, per-thread
-   count of accesses since the outermost open begin (begins and ends
-   only manipulate the transaction structure itself, which depth
-   seeding reproduces, so they do not count), and a callback at every
-   position with the live frontier.  [at ~pos] runs before event [pos]
-   (position p = the gap before event p), with [quiet] true iff no
-   thread is mid-transaction there and [closed] the thread whose
-   outermost transaction event [pos - 1] just closed ([-1] if none). *)
-let scan ~threads arena at =
-  let depth = Array.make threads 0 in
-  let touch = Array.make threads 0 in
-  let open_txns = ref 0 in
-  let pos = ref 0 in
-  let closed = ref (-1) in
-  at ~pos:0 ~quiet:true ~closed:(-1) ~depth ~touch;
-  Packed.Arena.iter arena (fun w ->
-      let op = Packed.opcode w in
-      let t = Packed.tid w in
-      if op = Packed.op_begin then begin
-        if depth.(t) = 0 then begin
-          incr open_txns;
-          touch.(t) <- 0
-        end;
-        depth.(t) <- depth.(t) + 1
-      end
-      else if op = Packed.op_end then begin
-        if depth.(t) > 0 then begin
-          depth.(t) <- depth.(t) - 1;
-          if depth.(t) = 0 then begin
-            decr open_txns;
-            touch.(t) <- 0;
-            closed := t
-          end
-        end
-      end
-      else if depth.(t) > 0 then touch.(t) <- touch.(t) + 1;
-      incr pos;
-      at ~pos:!pos ~quiet:(!open_txns = 0) ~closed:!closed ~depth ~touch;
-      closed := -1)
 
 (* Snapshot a boundary summary from the live frontier.  [window = -1]
    marks a summary whose repair window is still open: it closes once
@@ -196,55 +162,118 @@ let plan ~threads ~shards ?cuts arena =
       | Some b -> summary.(j) <- Some { b with window = stop - b.cut }
       | None -> assert false
     in
-    scan ~threads arena (fun ~pos ~quiet ~closed ~depth ~touch ->
-        if quiet then begin
-          while !lo < m && candidates.(!lo) + snap_window < pos do
-            incr lo
-          done;
-          let j = ref !lo in
-          while !j < m && candidates.(!j) - snap_window <= pos do
-            let d = abs (pos - candidates.(!j)) in
-            if d < snapd.(!j) then begin
-              snapd.(!j) <- d;
-              snapped.(!j) <- pos
-            end;
-            incr j
-          done
-        end;
-        if closed >= 0 && !nopen > 0 then begin
-          let kept = ref 0 in
-          for r = 0 to !nopen - 1 do
-            let j = opened.(r) in
-            let mem = members.(j) in
-            if Bytes.unsafe_get mem closed <> '\000' then begin
-              Bytes.unsafe_set mem closed '\000';
-              waiting.(j) <- waiting.(j) - 1;
-              if waiting.(j) = 0 && not phase2.(j) then begin
-                phase2.(j) <- true;
-                wait_on_openers j depth
-              end
-            end;
-            if waiting.(j) = 0 then close j pos
-            else begin
-              opened.(!kept) <- j;
-              incr kept
-            end
-          done;
-          nopen := !kept
-        end;
-        if !next < m && candidates.(!next) = pos then begin
-          let j = !next in
-          let b, s = summarize ~pos ~depth ~touch in
-          summary.(j) <- Some b;
-          straddlers.(j) <- s;
-          if b.window < 0 then begin
-            members.(j) <- Bytes.make threads '\000';
-            wait_on_openers j depth;
-            opened.(!nopen) <- j;
-            incr nopen
+    (* The planner scan: one pass over the arena keeping per-thread
+       transaction depth and the count of accesses since the outermost
+       open begin (begins and ends only manipulate the transaction
+       structure itself, which depth seeding reproduces, so they do not
+       count).  Position [p] is the gap before event [p]; [at p closed]
+       runs the window bookkeeping there, with [closed] the thread whose
+       outermost transaction event [p - 1] just closed ([-1] if none).
+       The scan calls it only where a plan can change: at a quiescent
+       position within snapping range of a candidate ([snap_from]), at
+       an outermost [End] while a window is open, and at the next
+       candidate ([next_cut]). *)
+    let depth = Array.make threads 0 in
+    let touch = Array.make threads 0 in
+    let open_txns = ref 0 in
+    let snap_from = ref (candidates.(0) - snap_window) in
+    let next_cut = ref candidates.(0) in
+    let at pos closed =
+      if !open_txns = 0 then begin
+        while !lo < m && candidates.(!lo) + snap_window < pos do
+          incr lo
+        done;
+        let j = ref !lo in
+        while !j < m && candidates.(!j) - snap_window <= pos do
+          let d = abs (pos - candidates.(!j)) in
+          if d < snapd.(!j) then begin
+            snapd.(!j) <- d;
+            snapped.(!j) <- pos
           end;
-          incr next
-        end);
+          incr j
+        done;
+        snap_from := if !lo < m then candidates.(!lo) - snap_window else max_int
+      end;
+      if closed >= 0 && !nopen > 0 then begin
+        let kept = ref 0 in
+        for r = 0 to !nopen - 1 do
+          let j = opened.(r) in
+          let mem = members.(j) in
+          if Bytes.unsafe_get mem closed <> '\000' then begin
+            Bytes.unsafe_set mem closed '\000';
+            waiting.(j) <- waiting.(j) - 1;
+            if waiting.(j) = 0 && not phase2.(j) then begin
+              phase2.(j) <- true;
+              wait_on_openers j depth
+            end
+          end;
+          if waiting.(j) = 0 then close j pos
+          else begin
+            opened.(!kept) <- j;
+            incr kept
+          end
+        done;
+        nopen := !kept
+      end;
+      if pos = !next_cut then begin
+        let j = !next in
+        let b, s = summarize ~pos ~depth ~touch in
+        summary.(j) <- Some b;
+        straddlers.(j) <- s;
+        if b.window < 0 then begin
+          members.(j) <- Bytes.make threads '\000';
+          wait_on_openers j depth;
+          opened.(!nopen) <- j;
+          incr nopen
+        end;
+        incr next;
+        next_cut := if !next < m then candidates.(!next) else -1
+      end
+    in
+    if 0 >= !snap_from then at 0 (-1);
+    let base = ref 0 in
+    (* words decoded with the {!Packed} layout's literal shifts *)
+    Packed.Arena.iter_chunks arena (fun c len ->
+        for i = 0 to len - 1 do
+          let w = Bigarray.Array1.unsafe_get c i in
+          let op = w land 7 in
+          let t = (w lsr 3) land 0x1fffff in
+          let closed =
+            if op = 6 then begin
+              let d = depth.(t) in
+              if d = 0 then begin
+                incr open_txns;
+                touch.(t) <- 0
+              end;
+              depth.(t) <- d + 1;
+              -1
+            end
+            else if op = 7 then begin
+              let d = depth.(t) in
+              if d = 1 then begin
+                depth.(t) <- 0;
+                decr open_txns;
+                touch.(t) <- 0;
+                t
+              end
+              else begin
+                if d > 0 then depth.(t) <- d - 1;
+                -1
+              end
+            end
+            else begin
+              if depth.(t) > 0 then touch.(t) <- touch.(t) + 1;
+              -1
+            end
+          in
+          let pos = !base + i + 1 in
+          if
+            (!open_txns = 0 && pos >= !snap_from)
+            || (closed >= 0 && !nopen > 0)
+            || pos = !next_cut
+          then at pos closed
+        done;
+        base := !base + len);
     (* Windows still open at the end of the arena span to it. *)
     for r = 0 to !nopen - 1 do
       close opened.(r) n

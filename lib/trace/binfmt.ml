@@ -1,5 +1,3 @@
-open Ids
-
 exception Corrupt of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
@@ -34,9 +32,9 @@ type header = {
    with the overflow bit (bit 62, {!Varstats.mask_width}) set is a
    negative int, and takes nine bytes — [get_uint] reads it back. *)
 let rec put_bits buf n =
-  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+  if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.unsafe_chr n)
   else begin
-    Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
     put_bits buf (n lsr 7)
   end
 
@@ -67,40 +65,25 @@ and op_join = Packed.op_join
 and op_begin = Packed.op_begin
 and op_end = Packed.op_end
 
+(* One record: the opcode byte, the thread id and, below [op_begin],
+   the target id — no closure and no call out of this module per event,
+   since every trace written goes through here. *)
+let put_record buf op t d =
+  Buffer.add_char buf (Char.unsafe_chr op);
+  put_uint buf t;
+  if op < op_begin then put_uint buf d
+
 let encode_event buf (e : Event.t) =
-  let t = Tid.to_int e.thread in
-  let simple op = Buffer.add_char buf (Char.chr op) in
+  let t = (e.thread :> int) in
   match e.op with
-  | Event.Read x ->
-    simple op_read;
-    put_uint buf t;
-    put_uint buf (Vid.to_int x)
-  | Event.Write x ->
-    simple op_write;
-    put_uint buf t;
-    put_uint buf (Vid.to_int x)
-  | Event.Acquire l ->
-    simple op_acquire;
-    put_uint buf t;
-    put_uint buf (Lid.to_int l)
-  | Event.Release l ->
-    simple op_release;
-    put_uint buf t;
-    put_uint buf (Lid.to_int l)
-  | Event.Fork u ->
-    simple op_fork;
-    put_uint buf t;
-    put_uint buf (Tid.to_int u)
-  | Event.Join u ->
-    simple op_join;
-    put_uint buf t;
-    put_uint buf (Tid.to_int u)
-  | Event.Begin ->
-    simple op_begin;
-    put_uint buf t
-  | Event.End ->
-    simple op_end;
-    put_uint buf t
+  | Event.Read x -> put_record buf op_read t (x :> int)
+  | Event.Write x -> put_record buf op_write t (x :> int)
+  | Event.Acquire l -> put_record buf op_acquire t (l :> int)
+  | Event.Release l -> put_record buf op_release t (l :> int)
+  | Event.Fork u -> put_record buf op_fork t (u :> int)
+  | Event.Join u -> put_record buf op_join t (u :> int)
+  | Event.Begin -> put_record buf op_begin t 0
+  | Event.End -> put_record buf op_end t 0
 
 let add_u64_le buf n =
   for k = 0 to 7 do
@@ -265,7 +248,14 @@ let map_file path : bigbytes =
         | exception Unix.Unix_error (e, _, _) ->
           corrupt "%s: cannot map file (%s)" path (Unix.error_message e))
 
-type bsrc = { bb : bigbytes; blen : int; mutable bpos : int }
+(* A decode position in a mapping; [fault] is a corrupt record the
+   block decoder stopped in front of. *)
+type bsrc = {
+  bb : bigbytes;
+  blen : int;
+  mutable bpos : int;
+  mutable fault : exn option;
+}
 
 let bsrc_next s () =
   if s.bpos >= s.blen then -1
@@ -386,7 +376,7 @@ let check_footer_tail path header s =
 
 let read_footer ?(last_use = true) ?(stats = true) path =
   let bb = map_file path in
-  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0 } in
+  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0; fault = None } in
   let header = header_of_bsrc path s in
   if not header.last_use then (None, None)
   else begin
@@ -409,75 +399,113 @@ let read_footer ?(last_use = true) ?(stats = true) path =
 let read_last_use path = fst (read_footer ~stats:false path)
 let read_stats path = snd (read_footer ~last_use:false path)
 
-(* The mmap hot loop: LEB128 decoded inline from the mapping with a
-   local position, one packed word per record out. *)
-let fold_packed_bb path header s ~init ~f =
-  let b = s.bb in
-  let len = s.blen in
-  let pos = ref s.bpos in
-  (* the recursion lives at this level, not inside a per-call wrapper —
-     a closure built per LEB128 read would put ~14 words of garbage on
-     every event of the "zero-copy" path *)
-  let rec get_u shift acc =
-    if shift > 56 then corrupt "%s: id overflow" path
-    else if !pos >= len then corrupt "%s: truncated integer" path
-    else begin
-      let byte = Bigarray.Array1.unsafe_get b !pos in
-      incr pos;
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 = 0 then acc else get_u (shift + 7) acc
-    end
-  in
-  (* one-byte varints are the overwhelmingly common case (thread ids
-     almost always, variable ids often); decode them inline and only
-     call into the loop for multi-byte encodings *)
-  let get_u_fast () =
-    if !pos >= len then corrupt "%s: truncated integer" path
-    else begin
-      let b0 = Bigarray.Array1.unsafe_get b !pos in
-      incr pos;
-      if b0 < 0x80 then b0 else get_u 7 (b0 land 0x7f)
-    end
-  in
-  let acc = ref init in
-  (* the record decode is spelled out in the loop bodies — the word is
-     assembled with the codec's shift constants rather than
-     [Packed.pack], because without cross-module inlining a function
-     call per event here costs ~10% of the whole decode *)
-  let n = ref 0 in
-  if header.last_use then begin
-    while !n < header.events do
-      if !pos >= len then
-        corrupt "%s: expected %d events, found %d" path header.events !n;
-      let op = Bigarray.Array1.unsafe_get b !pos in
-      incr pos;
-      if op > op_end then corrupt "%s: unknown opcode %d" path op;
-      let t = get_u_fast () in
-      let d = if op < op_begin then get_u_fast () else 0 in
-      if t > Packed.max_tid || d > Packed.max_target then
-        corrupt "%s: id exceeds packed range" path;
-      acc := f !acc (op lor (t lsl 3) lor (d lsl Packed.target_shift));
-      incr n
-    done;
-    s.bpos <- !pos;
-    check_footer_tail path header s
+(* --- the block decoder ---
+
+   Every reader of the event records goes through [decode_events], one
+   loop for every version: v2/v3 files stop at the declared count (the
+   footer follows), v1 files at the end of the mapping.  Records are
+   decoded into a block of packed words — the caller's Bigarray chunk —
+   by [fill_block], which keeps the position and the block index in
+   registers and decodes inline every record with a one-byte thread id
+   and a target of at most three bytes.  Any other record (a longer id,
+   a record near the end of the mapping, a bad opcode) goes through
+   [decode_record], which makes the checks of the original per-record
+   loop in the same order and with the same messages.  A block stops
+   before the first corrupt record: the caller consumes the words
+   decoded so far and only then raises, so a consumer sees exactly the
+   words in front of the fault. *)
+
+(* A record varint at [s.bpos]; cut short or overlong. *)
+let rec record_uint (b : bigbytes) path s shift acc =
+  if shift > 56 then corrupt "%s: id overflow" path
+  else if s.bpos >= s.blen then corrupt "%s: truncated integer" path
+  else begin
+    let byte = Bigarray.Array1.unsafe_get b s.bpos in
+    s.bpos <- s.bpos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 = 0 then acc else record_uint b path s (shift + 7) acc
+  end
+
+(* The general path: the record at [s.bpos < s.blen], with every check;
+   [s.bpos] ends past it. *)
+let decode_record path (b : bigbytes) s =
+  let op = Bigarray.Array1.unsafe_get b s.bpos in
+  s.bpos <- s.bpos + 1;
+  if op > op_end then corrupt "%s: unknown opcode %d" path op;
+  let t = record_uint b path s 0 0 in
+  let d = if op < op_begin then record_uint b path s 0 0 else 0 in
+  if t > Packed.max_tid || d > Packed.max_target then
+    corrupt "%s: id exceeds packed range" path;
+  Packed.pack ~op ~tid:t ~target:d
+
+(* The inline path assembles words with literal shifts: a call into
+   [Packed] per record would cost more than the decode itself. *)
+let () = assert (Packed.target_shift = 24 && Packed.op_begin = 6)
+
+(* Records from [pos] into [dst.(k .. stop-1)], up to the end of the
+   mapping [len]; returns the index past the last word stored and
+   leaves the position in [s.bpos].  Inline: a record whose thread id
+   takes one byte and whose target, if any, one to three (below 2^21,
+   so inside the packed range: no check is due).  An opcode byte of 8
+   or more, a longer varint, or a record near the end of the mapping
+   takes the general path. *)
+let rec fill_block path (b : bigbytes) len s (dst : Packed.chunk) stop pos k =
+  if k = stop || pos >= len then begin
+    s.bpos <- pos;
+    k
   end
   else begin
-    while !pos < len do
-      let op = Bigarray.Array1.unsafe_get b !pos in
-      incr pos;
-      if op > op_end then corrupt "%s: unknown opcode %d" path op;
-      let t = get_u_fast () in
-      let d = if op < op_begin then get_u_fast () else 0 in
-      if t > Packed.max_tid || d > Packed.max_target then
-        corrupt "%s: id exceeds packed range" path;
-      acc := f !acc (op lor (t lsl 3) lor (d lsl Packed.target_shift));
-      incr n
-    done;
-    if !n <> header.events then
-      corrupt "%s: expected %d events, found %d" path header.events !n
-  end;
-  !acc
+    let op = Bigarray.Array1.unsafe_get b pos in
+    if pos + 4 >= len then general path b len s dst stop pos k
+    else begin
+      let t = Bigarray.Array1.unsafe_get b (pos + 1) in
+      if t >= 0x80 || op >= 8 then general path b len s dst stop pos k
+      else if op >= 6 then begin
+        Bigarray.Array1.unsafe_set dst k (op lor (t lsl 3));
+        fill_block path b len s dst stop (pos + 2) (k + 1)
+      end
+      else begin
+        let w = op lor (t lsl 3) in
+        let d0 = Bigarray.Array1.unsafe_get b (pos + 2) in
+        if d0 < 0x80 then begin
+          Bigarray.Array1.unsafe_set dst k (w lor (d0 lsl 24));
+          fill_block path b len s dst stop (pos + 3) (k + 1)
+        end
+        else begin
+          let d1 = Bigarray.Array1.unsafe_get b (pos + 3) in
+          let d = (d0 land 0x7f) lor ((d1 land 0x7f) lsl 7) in
+          if d1 < 0x80 then begin
+            Bigarray.Array1.unsafe_set dst k (w lor (d lsl 24));
+            fill_block path b len s dst stop (pos + 4) (k + 1)
+          end
+          else begin
+            let d2 = Bigarray.Array1.unsafe_get b (pos + 4) in
+            if d2 < 0x80 then begin
+              Bigarray.Array1.unsafe_set dst k (w lor ((d lor (d2 lsl 14)) lsl 24));
+              fill_block path b len s dst stop (pos + 5) (k + 1)
+            end
+            else general path b len s dst stop pos k
+          end
+        end
+      end
+    end
+  end
+
+and general path b len s dst stop pos k =
+  s.bpos <- pos;
+  match decode_record path b s with
+  | w ->
+    Bigarray.Array1.unsafe_set dst k w;
+    fill_block path b len s dst stop s.bpos (k + 1)
+  | exception (Corrupt _ as e) ->
+    s.fault <- Some e;
+    k
+
+(* Decode up to [room] records into [dst] from index [off]; returns how
+   many were stored.  Fewer than [room] means the mapping ended or a
+   record is corrupt ([s.fault]). *)
+let decode_into path s (dst : Packed.chunk) off room =
+  fill_block path s.bb s.blen s dst (off + room) s.bpos off - off
 
 let note_ingest_bytes n bytes =
   if Obs.on () then begin
@@ -485,20 +513,55 @@ let note_ingest_bytes n bytes =
     Obs.Shared_counter.add bytes_read bytes
   end
 
-let fold_packed path ~init ~f =
+(* The one decode loop.  [step s want acc] decodes at most [want]
+   records with [decode_into] into the caller's storage, consumes them
+   and returns how many it decoded with the new accumulator; the loop
+   stops at the declared count (v2/v3) or when a step makes no progress
+   (the end of a v1 file), and raises a fault once the words in front
+   of it are consumed. *)
+let decode_events path ~init step =
   let bb = map_file path in
-  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0 } in
+  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0; fault = None } in
   let header = header_of_bsrc path s in
-  let acc = fold_packed_bb path header s ~init ~f in
+  let rec go n acc =
+    let want = if header.last_use then header.events - n else max_int in
+    if want = 0 then (n, acc)
+    else begin
+      let k, acc = step s want acc in
+      Option.iter raise s.fault;
+      if k = 0 then (n, acc) else go (n + k) acc
+    end
+  in
+  let n, acc = go 0 init in
+  if n <> header.events then
+    corrupt "%s: expected %d events, found %d" path header.events n;
+  if header.last_use then check_footer_tail path header s;
   note_ingest_bytes header.events s.blen;
   (header, acc)
 
+(* The block [fold_packed] decodes into before applying [f]: small
+   enough to stay in cache, large enough that the per-block cost
+   vanishes. *)
+let block_words = 4096
+
+let fold_packed path ~init ~f =
+  let block = Bigarray.Array1.create Bigarray.int Bigarray.c_layout block_words in
+  decode_events path ~init (fun s want acc ->
+      let k = decode_into path s block 0 (min want block_words) in
+      (* a local accumulator: no write barrier per word *)
+      let acc = ref acc in
+      for i = 0 to k - 1 do
+        acc := f !acc (Bigarray.Array1.unsafe_get block i)
+      done;
+      (k, !acc))
+
+(* Straight into the arena's chunks, with no call per word. *)
 let read_packed path =
   let a = Packed.Arena.create () in
-  let header, () =
-    fold_packed path ~init:() ~f:(fun () w -> Packed.Arena.push a w)
-  in
-  (header, a)
+  decode_events path ~init:a (fun s want a ->
+      ( Packed.Arena.fill a (fun c off room ->
+            decode_into path s c off (min want room)),
+        a ))
 
 let read_file path =
   let b = Trace.Builder.create () in

@@ -20,9 +20,10 @@
     and 2 files (no or shorter footer) remain fully readable.
 
     Reading is streaming: {!fold_packed} decodes the memory-mapped file
-    one record at a time, so a checker can analyze a file without
+    one block of records at a time, so a checker can analyze a file without
     materializing the trace ([Analysis.Runner.run_file] does).  Every
-    reader of the event records decodes through it. *)
+    reader of the event records ({!fold_packed}, {!read_packed},
+    {!read_file}) decodes through one block decoder. *)
 
 
 exception Corrupt of string
@@ -106,7 +107,9 @@ val is_binary : string -> bool
 
 val fold_packed : string -> init:'a -> f:('a -> int -> 'a) -> header * 'a
 (** [fold_packed path ~init ~f] folds [f] over the file's events as
-    packed words, in order, from the memory-mapped file.
+    packed words, in order, from the memory-mapped file.  Records are
+    decoded a block at a time; on a corrupt record [f] has seen exactly
+    the words in front of it when [Corrupt] is raised.
     Ids beyond the packed ranges ({!Packed.max_tid}/{!Packed.max_target})
     raise [Corrupt]; callers gate on {!Packed.fits} against the header
     before choosing this path.  Every [Corrupt] message starts with
@@ -114,7 +117,9 @@ val fold_packed : string -> init:'a -> f:('a -> int -> 'a) -> header * 'a
     @raise Sys_error when the file cannot be opened *)
 
 val read_packed : string -> header * Packed.Arena.t
-(** Materialize the whole event section as a packed arena.
+(** Materialize the whole event section as a packed arena, decoded
+    straight into its chunks by the same decoder as {!fold_packed}, with
+    the same checks and the same ingestion counters.
     @raise Corrupt *)
 
 (**/**)

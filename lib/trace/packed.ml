@@ -122,6 +122,16 @@ module Arena = struct
     Bigarray.Array1.unsafe_set t.chunks.(t.nchunks - 1) t.fill w;
     t.fill <- t.fill + 1
 
+  (* Hand [write] the free tail of the last chunk (a fresh chunk when it
+     is full): [write c off room] stores up to [room] words from [off]
+     and returns how many it stored.  A block decoder fills chunks in
+     place this way, with no call per word. *)
+  let fill t write =
+    if t.fill = t.chunk_words then grow t;
+    let k = write t.chunks.(t.nchunks - 1) t.fill (t.chunk_words - t.fill) in
+    t.fill <- t.fill + k;
+    k
+
   let get t i =
     if i < 0 || i >= length t then invalid_arg "Packed.Arena.get";
     Bigarray.Array1.unsafe_get t.chunks.(i lsr t.shift) (i land t.mask)

@@ -88,6 +88,12 @@ module Arena : sig
   val push : t -> int -> unit
   val length : t -> int
 
+  val fill : t -> (chunk -> int -> int -> int) -> int
+  (** [fill t write] appends words in place: [write c off room] stores
+      up to [room >= 1] words into [c] from index [off] and returns how
+      many it stored, which [fill] returns too.  [c] is the last chunk,
+      or a fresh one when the last is full. *)
+
   val capacity_words : t -> int
   (** Words of chunk storage held (≥ {!length}). *)
 

@@ -503,7 +503,8 @@ let fold_file ?last_use ?stats path ~init ~f =
 
    Each name is rendered once: a thread's ["name|"] prefix and a
    target's ["name)\n"] suffix.  An event is then two or three blits into
-   one window, handed to [flush] whenever the next piece would not fit. *)
+   one window, handed to [flush] whenever the next piece would not fit.
+   Ids index the name tables through [:> int], not [to_int] calls. *)
 
 let default_symbols : Trace.Symbols.t = { threads = [||]; locks = [||]; vars = [||] }
 
@@ -532,26 +533,26 @@ let render tr flush =
   in
   Trace.iter
     (fun (e : Event.t) ->
-      add prefix.(Tid.to_int e.thread);
+      add prefix.((e.thread :> int));
       match e.op with
       | Event.Read x ->
         add "r(";
-        add var.(Vid.to_int x)
+        add var.((x :> int))
       | Event.Write x ->
         add "w(";
-        add var.(Vid.to_int x)
+        add var.((x :> int))
       | Event.Acquire l ->
         add "acq(";
-        add lock.(Lid.to_int l)
+        add lock.((l :> int))
       | Event.Release l ->
         add "rel(";
-        add lock.(Lid.to_int l)
+        add lock.((l :> int))
       | Event.Fork u ->
         add "fork(";
-        add thread.(Tid.to_int u)
+        add thread.((u :> int))
       | Event.Join u ->
         add "join(";
-        add thread.(Tid.to_int u)
+        add thread.((u :> int))
       | Event.Begin -> add "begin\n"
       | Event.End -> add "end\n")
     tr;

@@ -56,10 +56,15 @@ type t = {
      conservative direction — matching {!Varstats.var_mask} = 0. *)
   vclass : Bytes.t;
   lclass : Bytes.t;
-  mutable threads : tstate option array;
+  (* per-thread state, [no_thread] where a thread has not appeared *)
+  mutable threads : tstate array;
   (* per-variable rule-(c) counters (grown on demand) *)
   mutable wstamp : int array;
   mutable astamp : int array;
+  (* every per-variable array — [wstamp], [astamp] and each thread's
+     stamps — holds at least [cap] entries, so the packed engine makes
+     one grow check per access *)
+  mutable cap : int;
 }
 
 let new_tstate ~vars () =
@@ -73,6 +78,9 @@ let new_tstate ~vars () =
     s_last_wa = Array.make n 0;
     s_own = Array.make n 0;
   }
+
+(* The placeholder of a thread that has not appeared yet. *)
+let no_thread = new_tstate ~vars:0 ()
 
 let create (Exact s) =
   let vc = Bytes.make (Varstats.vars s) '\000' in
@@ -98,9 +106,10 @@ let create (Exact s) =
         redundant = 0;
         lock_local = 0;
       };
-    threads = Array.make 8 None;
+    threads = Array.make 8 no_thread;
     wstamp = Array.make vars 0;
     astamp = Array.make vars 0;
+    cap = vars;
   }
 
 let counts t = t.c
@@ -120,18 +129,41 @@ let ensure_var t x =
     t.astamp <- grow t.astamp (x + 1) 0
   end
 
-let tstate t tid =
+let new_thread t tid =
   if tid >= Array.length t.threads then begin
-    let a = Array.make (max (tid + 1) (2 * Array.length t.threads)) None in
+    let a = Array.make (max (tid + 1) (2 * Array.length t.threads)) no_thread in
     Array.blit t.threads 0 a 0 (Array.length t.threads);
     t.threads <- a
   end;
-  match t.threads.(tid) with
-  | Some ts -> ts
-  | None ->
-    let ts = new_tstate ~vars:(Array.length t.wstamp) () in
-    t.threads.(tid) <- Some ts;
-    ts
+  let ts = new_tstate ~vars:(Array.length t.wstamp) () in
+  t.threads.(tid) <- ts;
+  ts
+
+(* The state of thread [tid], created at its first event. *)
+let [@inline] tstate t tid =
+  let threads = t.threads in
+  if tid < Array.length threads then begin
+    let ts = Array.unsafe_get threads tid in
+    if ts != no_thread then ts else new_thread t tid
+  end
+  else new_thread t tid
+
+(* Raise [cap] past [x]: every per-variable array grows to it. *)
+let grow_cap t x =
+  let n = max (x + 1) (2 * t.cap) in
+  t.wstamp <- grow t.wstamp n 0;
+  t.astamp <- grow t.astamp n 0;
+  Array.iter
+    (fun ts ->
+      if ts != no_thread then begin
+        ts.sgen <- grow ts.sgen n 0;
+        ts.s_last_rw <- grow ts.s_last_rw n 0;
+        ts.s_last_ww <- grow ts.s_last_ww n 0;
+        ts.s_last_wa <- grow ts.s_last_wa n 0;
+        ts.s_own <- grow ts.s_own n 0
+      end)
+    t.threads;
+  t.cap <- n
 
 let keep t e emit =
   t.c.kept <- t.c.kept + 1;
@@ -230,50 +262,100 @@ let feed t (e : Event.t) emit =
     if ts.depth = 0 then ts.gen <- ts.gen + 1;
     keep t e emit
 
-(* The same decisions over packed words: rules (a)/(b)/(d) read only the
-   opcode and the target id, rule (c) shares [retained_decision], so
-   elided events are never materialized as [Event.t]. *)
+(* The same decisions over packed words, as one engine: the word is
+   decoded with the {!Packed} layout's literal shifts, rules (a)/(b)/(d)
+   read only the opcode and the target id, and rule (c) is
+   [retained_decision] spelled out behind one grow check per access
+   (the [cap] invariant makes every later array access in range).
+   Elided events are never materialized as [Event.t]; the boxed [feed]
+   above is the readable form the tests hold this one to. *)
+let () =
+  assert (Packed.target_shift = 24 && Packed.max_tid = 0x1fffff && Packed.op_begin = 6)
+
 let feed_packed t w emit =
-  t.c.events_in <- t.c.events_in + 1;
-  let op = Packed.opcode w in
-  if op <= Packed.op_write then begin
-    let x = Packed.target w in
-    let wr = op = Packed.op_write in
+  let c = t.c in
+  c.events_in <- c.events_in + 1;
+  let op = w land 7 in
+  if op <= 1 then begin
+    let x = w lsr 24 in
     let cls =
-      if x < Bytes.length t.vclass then
-        Char.code (Bytes.unsafe_get t.vclass x)
+      if x < Bytes.length t.vclass then Char.code (Bytes.unsafe_get t.vclass x)
       else 0
     in
-    if cls = 1 then t.c.thread_local <- t.c.thread_local + 1
-    else if cls = 2 && not wr then t.c.read_only <- t.c.read_only + 1
+    if cls = 1 then c.thread_local <- c.thread_local + 1
+    else if cls = 2 && op = 0 then c.read_only <- c.read_only + 1
     else begin
-      ensure_var t x;
-      if retained_decision t (tstate t (Packed.tid w)) x ~w:wr then begin
-        t.c.kept <- t.c.kept + 1;
+      if x >= t.cap then grow_cap t x;
+      let ts = tstate t ((w lsr 3) land 0x1fffff) in
+      let wstamp = t.wstamp and astamp = t.astamp in
+      let a = Array.unsafe_get astamp x in
+      let retained =
+        if ts.depth = 0 then begin
+          (* unary access: a singleton transaction, nothing covers it *)
+          Array.unsafe_set astamp x (a + 1);
+          if op = 1 then Array.unsafe_set wstamp x (Array.unsafe_get wstamp x + 1);
+          true
+        end
+        else begin
+          if Array.unsafe_get ts.sgen x <> ts.gen then begin
+            Array.unsafe_set ts.sgen x ts.gen;
+            Array.unsafe_set ts.s_last_rw x (-1);
+            Array.unsafe_set ts.s_last_ww x (-1);
+            Array.unsafe_set ts.s_last_wa x (-1);
+            Array.unsafe_set ts.s_own x 0
+          end;
+          let ws = Array.unsafe_get wstamp x in
+          if op = 1 then begin
+            let lwa = Array.unsafe_get ts.s_last_wa x in
+            if lwa >= 0 && lwa + Array.unsafe_get ts.s_own x = a then false
+            else begin
+              Array.unsafe_set astamp x (a + 1);
+              Array.unsafe_set wstamp x (ws + 1);
+              Array.unsafe_set ts.s_last_ww x (ws + 1);
+              Array.unsafe_set ts.s_last_wa x (a + 1);
+              Array.unsafe_set ts.s_own x 0;
+              true
+            end
+          end
+          else begin
+            let lrw = Array.unsafe_get ts.s_last_rw x in
+            let lww = Array.unsafe_get ts.s_last_ww x in
+            if (lrw >= 0 && lrw = ws) || (lww >= 0 && lww = ws) then false
+            else begin
+              Array.unsafe_set astamp x (a + 1);
+              Array.unsafe_set ts.s_last_rw x ws;
+              Array.unsafe_set ts.s_own x (Array.unsafe_get ts.s_own x + 1);
+              true
+            end
+          end
+        end
+      in
+      if retained then begin
+        c.kept <- c.kept + 1;
         emit w
       end
+      else c.redundant <- c.redundant + 1
     end
   end
-  else if op <= Packed.op_release then begin
-    let l = Packed.target w in
+  else if op <= 3 then begin
+    let l = w lsr 24 in
     if l < Bytes.length t.lclass && Bytes.unsafe_get t.lclass l = '\001' then
-      t.c.lock_local <- t.c.lock_local + 1
+      c.lock_local <- c.lock_local + 1
     else begin
-      t.c.kept <- t.c.kept + 1;
+      c.kept <- c.kept + 1;
       emit w
     end
   end
   else begin
-    (if op = Packed.op_begin then begin
-       let ts = tstate t (Packed.tid w) in
-       ts.depth <- ts.depth + 1
-     end
-     else if op = Packed.op_end then begin
-       let ts = tstate t (Packed.tid w) in
-       ts.depth <- max 0 (ts.depth - 1);
-       if ts.depth = 0 then ts.gen <- ts.gen + 1
-     end);
-    t.c.kept <- t.c.kept + 1;
+    if op >= 6 then begin
+      let ts = tstate t ((w lsr 3) land 0x1fffff) in
+      if op = 6 then ts.depth <- ts.depth + 1
+      else begin
+        ts.depth <- max 0 (ts.depth - 1);
+        if ts.depth = 0 then ts.gen <- ts.gen + 1
+      end
+    end;
+    c.kept <- c.kept + 1;
     emit w
   end
 

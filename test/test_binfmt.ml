@@ -296,6 +296,161 @@ let prop_roundtrip =
               Trace.to_list (Binfmt.read_file path) = Trace.to_list tr))
         [ false; true ])
 
+(* --- the decoder against a frozen copy ---
+
+   [Reference.Reference_binfmt] is the per-record decoder the block
+   decoder replaced.  On crafted v1/v2/v3 files — ids at the varint
+   edges (127/128, 16383/16384) and at the packed limits, long enough
+   to cross the decode blocks, then damaged by bit flips, overwrites,
+   truncations and insertions — [fold_packed] must hand [f] exactly the
+   reference's words and end as it does (the same header, or the same
+   exception with the same message), and [read_packed] must give the
+   same words or the same exception. *)
+
+let leb buf n =
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let edge_tids = [| 0; 1; 127; 128; 16383; 16384; Packed.max_tid - 1; Packed.max_tid |]
+
+let edge_targets =
+  [| 0; 1; 127; 128; 16383; 16384; Packed.max_target - 1; Packed.max_target |]
+
+(* Bytes a mutation writes: record-shaped ones (small opcodes, the last
+   valid and first invalid opcode, varint continuation edges) and any. *)
+let palette = [| 0x00; 0x01; 0x06; 0x07; 0x08; 0x7f; 0x80; 0x81; 0xff |]
+
+let mutate st s =
+  let b = ref (Bytes.of_string s) in
+  let byte () =
+    if Random.State.bool st then palette.(Random.State.int st (Array.length palette))
+    else Random.State.int st 256
+  in
+  for _ = 1 to Random.State.int st 4 do
+    let len = Bytes.length !b in
+    if len > 0 then begin
+      let pos = Random.State.int st len in
+      match Random.State.int st 5 with
+      | 0 ->
+        let c = Char.code (Bytes.get !b pos) lxor (1 lsl Random.State.int st 8) in
+        Bytes.set !b pos (Char.chr c)
+      | 1 -> Bytes.set !b pos (Char.chr (byte ()))
+      | 2 -> b := Bytes.sub !b 0 pos
+      | k ->
+        (* random bytes, or a run of continuation bytes that may
+           overflow a varint *)
+        let ins =
+          if k = 3 then
+            Bytes.init (1 + Random.State.int st 9) (fun _ -> Char.chr (byte ()))
+          else Bytes.make (6 + Random.State.int st 6) '\xff'
+        in
+        b :=
+          Bytes.concat Bytes.empty
+            [ Bytes.sub !b 0 pos; ins; Bytes.sub !b pos (len - pos) ]
+    end
+  done;
+  Bytes.to_string !b
+
+(* A file of [n] records, then 0 to 3 mutations.  The header declares
+   small domains, since no reader checks ids against them, only against
+   the packed limits; one file in four also draws ids one past those
+   limits. *)
+let gen_damaged st =
+  let version = 1 + Random.State.int st 3 in
+  let n =
+    if Random.State.int st 6 = 0 then 4000 + Random.State.int st 5000
+    else Random.State.int st 200
+  in
+  let over = Random.State.int st 4 = 0 in
+  let pick edges =
+    match Random.State.int st 3 with
+    | 0 -> edges.(Random.State.int st (Array.length edges))
+    | 1 when over && Random.State.int st 16 = 0 -> edges.(Array.length edges - 1) + 1
+    | _ -> Random.State.int st 4
+  in
+  let vars = 3 and locks = 2 in
+  let buf = Buffer.create ((4 * n) + 64) in
+  Buffer.add_string buf
+    (match version with 1 -> Binfmt.magic | 2 -> Binfmt.magic_v2 | _ -> Binfmt.magic_v3);
+  List.iter (leb buf) [ 4; locks; vars; n ];
+  for _ = 1 to n do
+    let op = Random.State.int st 8 in
+    Buffer.add_char buf (Char.chr op);
+    leb buf (pick edge_tids);
+    if op < Packed.op_begin then leb buf (pick edge_targets)
+  done;
+  if version >= 2 then begin
+    let fb = Buffer.create 64 in
+    for _ = 1 to vars + locks do
+      leb fb (Random.State.int st (n + 1))
+    done;
+    if version = 3 then
+      for _ = 1 to (2 * vars) + locks do
+        leb fb (Random.State.int st 16)
+      done;
+    Buffer.add_buffer buf fb;
+    for k = 0 to 7 do
+      Buffer.add_char buf (Char.chr ((Buffer.length fb lsr (8 * k)) land 0xff))
+    done;
+    Buffer.add_string buf Binfmt.footer_magic
+  end;
+  mutate st (Buffer.contents buf)
+
+let arb_damaged =
+  QCheck.make
+    ~print:(fun s ->
+      Printf.sprintf "%d bytes: %S" (String.length s)
+        (String.sub s 0 (min 96 (String.length s))))
+    gen_damaged
+
+(* The words a fold handed [f], in order, and how the fold ended. *)
+let folded fold path =
+  let seen = ref [] in
+  let ending =
+    match fold path ~init:() ~f:(fun () w -> seen := w :: !seen) with
+    | h, () -> Ok h
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (List.rev !seen, ending)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"decoder matches the frozen copy on damaged files"
+    ~count:400 arb_damaged (fun bytes ->
+      tmp (fun path ->
+          let oc = open_out_bin path in
+          output_string oc bytes;
+          close_out oc;
+          let expect = folded Reference.Reference_binfmt.fold_packed path in
+          let got = folded Binfmt.fold_packed path in
+          if got <> expect then
+            QCheck.Test.fail_reportf "fold_packed: %s, the reference: %s"
+              (match snd got with Ok _ -> "ok" | Error m -> m)
+              (match snd expect with Ok _ -> "ok" | Error m -> m);
+          let read =
+            match Binfmt.read_packed path with
+            | h, a ->
+              let words = ref [] in
+              Packed.Arena.iter a (fun w -> words := w :: !words);
+              (List.rev !words, Ok h)
+            | exception e -> ([], Error (Printexc.to_string e))
+          in
+          let expect_read =
+            match expect with
+            | words, (Ok _ as h) -> (words, h)
+            | _, (Error _ as e) -> ([], e)
+          in
+          if read <> expect_read then
+            QCheck.Test.fail_reportf "read_packed: %s, the reference: %s"
+              (match snd read with Ok _ -> "ok" | Error m -> m)
+              (match snd expect_read with Ok _ -> "ok" | Error m -> m);
+          true))
+
 let suite =
   ( "binfmt",
     [
@@ -315,4 +470,4 @@ let suite =
       Alcotest.test_case "63 and 200 threads roundtrip" `Quick
         test_many_threads_roundtrip;
     ]
-    @ Helpers.qcheck_tests [ prop_roundtrip ] )
+    @ Helpers.qcheck_tests [ prop_roundtrip; prop_matches_reference ] )

@@ -72,28 +72,69 @@ let test_counts_consistent () =
 
 (* Every run filters packed words; the boxed [feed] is the oracle.  The
    two keep the same events with the same counters, and [finish] emits
-   nothing, since nothing is buffered. *)
+   nothing, since nothing is buffered.  Besides the corpus, two inputs
+   take the packed engine's grow paths: a trace of 20 threads, past the
+   initial per-thread array of 8, and statistics built from a prefix of
+   the trace whose second half touches fresh variables and locks, so
+   their ids fall past the class tables (retained, like any id the
+   statistics never saw) and past the initial stamp arrays. *)
+let packed_matches_boxed name tr stats =
+  let boxed = Prefilter.create (Exact stats) in
+  let reduced = ref [] in
+  Trace.iter (fun e -> Prefilter.feed boxed e (fun e -> reduced := e :: !reduced)) tr;
+  let pf = Prefilter.create (Exact stats) in
+  let kept = ref [] in
+  Trace.iter
+    (fun e -> Prefilter.feed_packed pf (Packed.of_event e) (fun w -> kept := w :: !kept))
+    tr;
+  Prefilter.finish_packed pf (fun _ ->
+      Alcotest.failf "%s: finish emitted an event" name);
+  check
+    Alcotest.(list int)
+    (name ^ ": packed keeps the boxed events")
+    (List.rev_map Packed.of_event !reduced)
+    (List.rev !kept);
+  check Alcotest.bool (name ^ ": same counters") true
+    (Prefilter.counts pf = Prefilter.counts boxed)
+
 let test_packed_matches_boxed () =
   List.iter
     (fun (name, tr) ->
       let reduced, c = Prefilter.run_trace `Exact tr in
+      packed_matches_boxed name tr (Varstats.of_trace tr);
       let pf = Prefilter.create (Exact (Varstats.of_trace tr)) in
-      let kept = ref [] in
-      Trace.iter
-        (fun e ->
-          Prefilter.feed_packed pf (Packed.of_event e) (fun w ->
-              kept := w :: !kept))
-        tr;
-      Prefilter.finish_packed pf (fun _ ->
-          Alcotest.failf "%s: finish emitted an event" name);
-      check
-        Alcotest.(list int)
-        (name ^ ": packed keeps the boxed events")
-        (List.map Packed.of_event (events_of reduced))
-        (List.rev !kept);
-      check Alcotest.bool (name ^ ": same counters") true
+      Trace.iter (fun e -> Prefilter.feed_packed pf (Packed.of_event e) ignore) tr;
+      check Alcotest.int (name ^ ": run_trace keeps what the engine keeps")
+        (Trace.length reduced) (Prefilter.counts pf).Prefilter.kept;
+      check Alcotest.bool (name ^ ": run_trace counters") true
         (Prefilter.counts pf = c))
-    (corpus ~traces:40 ())
+    (corpus ~traces:40 ());
+  let many = Workloads.Corpus.mixed ~threads:20 ~events_total:40_000 () in
+  check Alcotest.bool "20 threads" true (Trace.threads many > 8);
+  packed_matches_boxed "20 threads" many (Varstats.of_trace many);
+  (* [tr], then [tr] again on fresh variables and locks: statistics of
+     the first half leave every id of the second past their tables *)
+  let twice tr =
+    let off = max (Trace.vars tr) (Trace.locks tr) in
+    let shifted e =
+      let w = Packed.of_event e in
+      if Packed.opcode w <= Packed.op_release then
+        Packed.to_event (w + (off lsl Packed.target_shift))
+      else e
+    in
+    ( Trace.of_events (Trace.to_list tr @ List.map shifted (Trace.to_list tr)),
+      Varstats.of_trace tr )
+  in
+  let doubled, partial = twice many in
+  check Alcotest.bool "ids past the prefix's tables" true
+    (Varstats.vars partial < Trace.vars doubled
+    && Varstats.locks partial < Trace.locks doubled);
+  packed_matches_boxed "prefix statistics" doubled partial;
+  List.iter
+    (fun (name, tr) ->
+      let doubled, partial = twice tr in
+      packed_matches_boxed (name ^ ", prefix statistics") doubled partial)
+    (corpus ~traces:20 ())
 
 (* --- verdict preservation: >= 500 instances --- *)
 

@@ -926,7 +926,10 @@ let test_runner_sequential_fallbacks () =
    first chunk's repair re-feeds the rest: the run stays on the calling
    domain, submits no task and never starts the workers.  Independent
    transactions cut cheaply, so the chunks run as tasks.  Both reports
-   equal the sequential run's, and the metrics name the path taken. *)
+   equal the sequential run's, and the metrics name the path taken and
+   time the serial prefix: the arena a materialized trace hands in costs
+   0 to build, the one a binary file is decoded into more, and the
+   plan's time reaches the OpenMetrics exposition too. *)
 let test_runner_plan_choice () =
   with_telemetry @@ fun () ->
   let normalized r =
@@ -960,6 +963,35 @@ let test_runner_plan_choice () =
       Alcotest.(check string) (name ^ ": decision.exec_reason") "critical-path"
         (label r "decision.exec_reason");
       Alcotest.(check bool) (name ^ ": workers started") stealing started;
+      let seconds (r : Analysis.Runner.result) key =
+        match Obs.Snapshot.find r.Analysis.Runner.metrics key with
+        | Some { Obs.Snapshot.value = Obs.Snapshot.Float v; _ } -> v
+        | _ -> Alcotest.failf "%s: no %s" name key
+      in
+      Alcotest.(check (float 0.)) (name ^ ": an arena handed in") 0.
+        (seconds r "decision.arena_seconds");
+      Alcotest.(check bool) (name ^ ": plan seconds") true
+        (seconds r "decision.plan_seconds" >= 0.);
+      Alcotest.(check bool) (name ^ ": plan seconds exposed") true
+        (Helpers.contains
+           (Obs.Exporter.render (Obs.Exporter.of_snapshot r.Analysis.Runner.metrics))
+           "aerodrome_decision_plan_seconds ");
+      let path = Filename.temp_file "aerodrome_plan" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Traces.Binfmt.write_file path tr;
+          match
+            fst
+              (tasks_run (fun sched ->
+                   Analysis.Runner.run_file ~shards:0 ~sched opt path))
+          with
+          | Ok rb ->
+            Alcotest.(check string) (name ^ ": binary report") (normalized r)
+              (normalized rb);
+            Alcotest.(check bool) (name ^ ": a decoded arena") true
+              (seconds rb "decision.arena_seconds" > 0.)
+          | Error msg -> Alcotest.fail msg);
       if stealing then begin
         if tasks <= 1 then Alcotest.failf "%s: %d task(s) ran" name tasks
       end
