@@ -21,7 +21,7 @@ let compact_min = 16
 let create n =
   { elems = Array.make 16 0; n = 0; live = 0; mem = Bytes.make (max n 1) '\000' }
 
-let mem s i = Bytes.unsafe_get s.mem i <> '\000'
+let [@inline] mem s i = Bytes.unsafe_get s.mem i <> '\000'
 let size s = s.live
 
 (* Keep each member once, at its first entry, in order at the front:
@@ -53,19 +53,19 @@ let make_room s =
     s.elems <- bigger
   end
 
-let push s i =
+let [@inline] push s i =
   if s.n = Array.length s.elems then make_room s;
   Array.unsafe_set s.elems s.n i;
   s.n <- s.n + 1
 
-let add s i =
+let [@inline] add s i =
   if not (mem s i) then begin
     Bytes.unsafe_set s.mem i '\001';
     s.live <- s.live + 1;
     push s i
   end
 
-let remove s i =
+let [@inline] remove s i =
   if mem s i then begin
     Bytes.unsafe_set s.mem i '\000';
     s.live <- s.live - 1;

@@ -46,12 +46,6 @@
 
 open Traces
 
-(* The planner scan decodes words with the {!Packed} layout's literal
-   shifts: under separate compilation a call per field would cost more
-   than the scan itself. *)
-let () =
-  assert (Packed.max_tid = 0x1fffff && Packed.op_begin = 6 && Packed.op_end = 7)
-
 type boundary = {
   cut : int;
   depths : int array;
@@ -232,14 +226,13 @@ let plan ~threads ~shards ?cuts arena =
     in
     if 0 >= !snap_from then at 0 (-1);
     let base = ref 0 in
-    (* words decoded with the {!Packed} layout's literal shifts *)
     Packed.Arena.iter_chunks arena (fun c len ->
         for i = 0 to len - 1 do
           let w = Bigarray.Array1.unsafe_get c i in
-          let op = w land 7 in
-          let t = (w lsr 3) land 0x1fffff in
+          let op = Packed.opcode w in
+          let t = Packed.tid w in
           let closed =
-            if op = 6 then begin
+            if op = Packed.op_begin then begin
               let d = depth.(t) in
               if d = 0 then begin
                 incr open_txns;
@@ -248,7 +241,7 @@ let plan ~threads ~shards ?cuts arena =
               depth.(t) <- d + 1;
               -1
             end
-            else if op = 7 then begin
+            else if op = Packed.op_end then begin
               let d = depth.(t) in
               if d = 1 then begin
                 depth.(t) <- 0;

@@ -189,7 +189,7 @@ let fresh_var st x =
   Array.unsafe_set st.v x vs;
   vs
 
-let vget st x =
+let [@inline] vget st x =
   let vs = Array.unsafe_get st.v x in
   if vs != absent then vs else fresh_var st x
 
@@ -232,7 +232,7 @@ let release_var st x vs =
    could only feed checks at later accesses of x, of which there are
    none).  Inactivity: just stamp the access; the sweep in [feed] demotes
    cold state. *)
-let reclaim_after_access st x vs =
+let [@inline] reclaim_after_access st x vs =
   match st.reclaim with
   | Reclaim.Off -> ()
   | Reclaim.Oracle _ ->
@@ -263,19 +263,19 @@ let sweep st =
     st.next_sweep <- st.processed + horizon
 
 (* C⊲_t ⊑ clk, in O(1) when the whole-clock-join invariant allows it. *)
-let begin_leq st t clk =
+let [@inline] begin_leq st t clk =
   if st.fast_checks then Array.unsafe_get st.cb_own t <= AC.unsafe_get clk t
   else AC.leq st.cb.(t) clk
 
 (* C_t grew: the cached covers mask is stale. *)
-let note_c_grew st t = Bytes.unsafe_set st.covers_dirty t '\001'
+let [@inline] note_c_grew st t = Bytes.unsafe_set st.covers_dirty t '\001'
 
 (* The join is skipped when [src]'s seen bit t says C_t already
    contains it (DESIGN.md §9); it still counts as a logical join.  When
    the source is flat, C_t grew at the owner's component only, and under
    [fast_checks] bit u of covers(t) reads C_t at component u only: just
    the owner's bit can flip.  The full order can flip any bit. *)
-let join_c st t src =
+let [@inline] join_c st t src =
   if st.tele then Cmetrics.vc_join st.m;
   let c_t = st.c.(t) in
   let r = AC.join_thread ~into:c_t src t in
@@ -290,7 +290,7 @@ let join_c st t src =
 (* {u | C⊲_u ⊑ C_t} on the active bits, from cache unless C_t grew in a
    way no single-bit update covered.  Under [fast_checks] the rebuild is
    one [Aclock] call over C_t's representation. *)
-let covers_of st t =
+let [@inline] covers_of st t =
   if Bytes.unsafe_get st.covers_dirty t <> '\000' then begin
     let c_t = st.c.(t) and active = st.active_mask in
     let m =
@@ -312,14 +312,14 @@ let covers_of st t =
 exception Found of Violation.site
 
 (* checkAndGet(clk1, clk2, t) of Algorithm 3. *)
-let check_and_get st clk1 clk2 t site =
+let [@inline] check_and_get st clk1 clk2 t site =
   if active st t && begin_leq st t clk1 then raise (Found site);
   join_c st t clk2
 
 (* The hR_x check compares only the t-component, independently of
    [fast_checks]: hR_x zeroes each reader's own component, so the full
    pointwise order is the wrong comparison for it (see Reduced). *)
-let check_read_and_get st t vs site =
+let [@inline] check_read_and_get st t vs site =
   if active st t && Array.unsafe_get st.cb_own t <= AC.unsafe_get vs.vhr t
   then raise (Found site);
   join_c st t vs.vr
@@ -334,7 +334,7 @@ let check_read_and_get st t vs site =
    Every call site passes the *calling thread's* clock, so with <= 62
    threads the scan collapses to iterating the set bits of the cached
    covers mask — usually none or one. *)
-let propagate_update_sets st upd x ~of_ ~skip clk =
+let [@inline] propagate_update_sets st upd x ~of_ ~skip clk =
   if st.masked then begin
     let m = ref (covers_of st of_ land st.active_mask) in
     if skip >= 0 then m := !m land lnot (1 lsl skip);
@@ -361,7 +361,7 @@ let propagate_update_sets st upd x ~of_ ~skip clk =
       done
   end
 
-let handle_acquire st t l =
+let [@inline] handle_acquire st t l =
   if st.last_rel_thr.(l) <> t then
     check_and_get st st.l.(l) st.l.(l) t Violation.At_acquire
 
@@ -373,26 +373,26 @@ let handle_acquire st t l =
    true through a join combining components of the old L_l and [clk]
    without holding against either alone, so the Slow variant keeps the
    original whole-table scan at ends. *)
-let propagate_lock_update st l ~of_ ~skip clk =
+let [@inline] propagate_lock_update st l ~of_ ~skip clk =
   if st.fast_checks then propagate_update_sets st st.upd_l l ~of_ ~skip clk
 
-let handle_release st t l =
+let [@inline] handle_release st t l =
   AC.assign ~into:st.l.(l) st.c.(t);
   st.last_rel_thr.(l) <- t;
   Iset.add st.rel_locks.(t) l;
   propagate_lock_update st l ~of_:t ~skip:nil st.c.(t)
 
-let handle_fork st t u =
+let [@inline] handle_fork st t u =
   join_c st u st.c.(t);
   st.parent.(u) <- (if active st t then Some (t, st.seq.(t)) else None)
 
-let handle_join st t u =
+let [@inline] handle_join st t u =
   check_and_get st st.c.(u) st.c.(u) t Violation.At_join
 
 (* Check a read or write against the last write: against the writer's live
    clock while its transaction is active (W_x stale), against the
    materialized W_x otherwise. *)
-let check_vs_last_write st t vs site =
+let [@inline] check_vs_last_write st t vs site =
   if vs.vlast_w <> t then begin
     if vs.vstale_w then begin
       let wt = vs.vlast_w in
@@ -402,17 +402,17 @@ let check_vs_last_write st t vs site =
   end
 
 (* Add reader t to Stale^r_x, or drop it. *)
-let stale_reader vs t =
+let [@inline] stale_reader vs t =
   let w = t / 62 in
   Array.unsafe_set vs.vstale_r w
     (Array.unsafe_get vs.vstale_r w lor (1 lsl (t - (62 * w))))
 
-let unstale_reader vs t =
+let [@inline] unstale_reader vs t =
   let w = t / 62 in
   Array.unsafe_set vs.vstale_r w
     (Array.unsafe_get vs.vstale_r w land lnot (1 lsl (t - (62 * w))))
 
-let handle_read st t x =
+let [@inline] handle_read st t x =
   let vs = vget st x in
   check_vs_last_write st t vs Violation.At_read;
   if active st t || st.faithful then begin
@@ -434,7 +434,7 @@ let handle_read st t x =
 (* Flush Stale^r_x into R_x and hR_x.  The joins commute, so visiting
    the readers in thread order instead of reading order changes no
    value. *)
-let flush_stale_readers st vs =
+let [@inline] flush_stale_readers st vs =
   let a = vs.vstale_r in
   for i = 0 to Array.length a - 1 do
     let m = ref (Array.unsafe_get a i) in
@@ -460,7 +460,7 @@ let popcount m =
 
 let stale_readers vs = Array.fold_left (fun n w -> n + popcount w) 0 vs.vstale_r
 
-let handle_write st t x =
+let [@inline] handle_write st t x =
   let vs = vget st x in
   check_vs_last_write st t vs Violation.At_write_vs_write;
   if st.tele then Cmetrics.observe_stale_readers st.m (stale_readers vs);
@@ -476,7 +476,7 @@ let handle_write st t x =
   propagate_update_sets st st.upd_w x ~of_:t ~skip:nil st.c.(t);
   reclaim_after_access st x vs
 
-let handle_begin st t =
+let [@inline] handle_begin st t =
   st.depth.(t) <- st.depth.(t) + 1;
   if st.depth.(t) = 1 then begin
     if st.tele then Cmetrics.txn_begin st.m;
@@ -640,7 +640,7 @@ let end_garbage_collect st t =
   Iset.clear st.upd_l.(t);
   Iset.drain forget_release st t st.rel_locks.(t)
 
-let handle_end st t =
+let [@inline] handle_end st t =
   if st.depth.(t) > 0 then begin
     st.depth.(t) <- st.depth.(t) - 1;
     if st.depth.(t) = 0 then begin
@@ -677,30 +677,20 @@ let seed_boundary st depths =
   done;
   Bytes.fill st.covers_dirty 0 st.threads '\001'
 
-(* The packed word's layout, spelled out here so the per-event decode
-   and dispatch are shifts and a jump table instead of calls into
-   [Packed] (DESIGN.md §9), and checked against [Packed] at load time. *)
-let () =
-  assert (
-    Packed.op_read = 0 && Packed.op_write = 1 && Packed.op_acquire = 2
-    && Packed.op_release = 3 && Packed.op_fork = 4 && Packed.op_join = 5
-    && Packed.op_begin = 6 && Packed.op_end = 7
-    && Packed.max_tid = 0x1f_ffff
-    && Packed.pack ~op:7 ~tid:Packed.max_tid ~target:1
-       = 7 lor (0x1f_ffff lsl 3) lor (1 lsl 24))
-
 (* The one event entry: ids straight from the packed word's bit slices,
-   the boxed event materialized only at a violation. *)
+   the boxed event materialized only at a violation.  The patterns are
+   [Packed]'s opcodes, literal so the dispatch is one jump table
+   (test/test_packed.ml pins their values). *)
 let feed_packed st w =
   match st.violation with
   | Some _ as v -> v
   | None -> (
     st.processed <- st.processed + 1;
     if st.processed >= st.next_sweep then sweep st;
-    let op = w land 7 in
+    let op = Packed.opcode w in
     if st.tele then Cmetrics.count_op st.m op;
-    let t = (w lsr 3) land 0x1f_ffff in
-    let d = w lsr 24 in
+    let t = Packed.tid w in
+    let d = Packed.target w in
     match
       match op with
       | 0 -> handle_read st t d

@@ -249,13 +249,28 @@ let map_file path : bigbytes =
           corrupt "%s: cannot map file (%s)" path (Unix.error_message e))
 
 (* A decode position in a mapping; [fault] is a corrupt record the
-   block decoder stopped in front of. *)
+   block decoder stopped in front of.  The id domains are the header's,
+   set by [set_domains] once it is read; until then no record fits. *)
 type bsrc = {
   bb : bigbytes;
   blen : int;
   mutable bpos : int;
   mutable fault : exn option;
+  mutable threads : int;
+  mutable inline_tids : int;  (* [min threads 0x80]: the one-byte ids that fit *)
+  mutable targets : int array;  (* per opcode, the domain of its target id *)
 }
+
+let bsrc_of bb =
+  let blen = Bigarray.Array1.dim bb in
+  { bb; blen; bpos = 0; fault = None; threads = 0; inline_tids = 0; targets = Array.make 8 0 }
+
+(* Every opcode's target domain, indexed by opcode: variables, locks,
+   threads, and for begin/end (whose target is 0) one. *)
+let set_domains s (h : header) =
+  s.threads <- h.threads;
+  s.inline_tids <- min h.threads 0x80;
+  s.targets <- [| h.vars; h.vars; h.locks; h.locks; h.threads; h.threads; 1; 1 |]
 
 let bsrc_next s () =
   if s.bpos >= s.blen then -1
@@ -376,7 +391,7 @@ let check_footer_tail path header s =
 
 let read_footer ?(last_use = true) ?(stats = true) path =
   let bb = map_file path in
-  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0; fault = None } in
+  let s = bsrc_of bb in
   let header = header_of_bsrc path s in
   if not header.last_use then (None, None)
   else begin
@@ -415,19 +430,25 @@ let read_stats path = snd (read_footer ~last_use:false path)
    decoded so far and only then raises, so a consumer sees exactly the
    words in front of the fault. *)
 
-(* A record varint at [s.bpos]; cut short or overlong. *)
+(* A record varint at [s.bpos]; cut short or overlong.  A ninth byte
+   carries bits 56..62, and bit 62 would make the id negative. *)
 let rec record_uint (b : bigbytes) path s shift acc =
   if shift > 56 then corrupt "%s: id overflow" path
   else if s.bpos >= s.blen then corrupt "%s: truncated integer" path
   else begin
     let byte = Bigarray.Array1.unsafe_get b s.bpos in
     s.bpos <- s.bpos + 1;
+    if shift = 56 && byte >= 0x40 then corrupt "%s: id overflow" path;
     let acc = acc lor ((byte land 0x7f) lsl shift) in
     if byte land 0x80 = 0 then acc else record_uint b path s (shift + 7) acc
   end
 
+let domain_name op =
+  if op <= op_write then "variable" else if op <= op_release then "lock" else "thread"
+
 (* The general path: the record at [s.bpos < s.blen], with every check;
-   [s.bpos] ends past it. *)
+   [s.bpos] ends past it.  The checks against the header's domains come
+   last, so a record that also fails an earlier one reports that. *)
 let decode_record path (b : bigbytes) s =
   let op = Bigarray.Array1.unsafe_get b s.bpos in
   s.bpos <- s.bpos + 1;
@@ -436,19 +457,21 @@ let decode_record path (b : bigbytes) s =
   let d = if op < op_begin then record_uint b path s 0 0 else 0 in
   if t > Packed.max_tid || d > Packed.max_target then
     corrupt "%s: id exceeds packed range" path;
+  if t >= s.threads then
+    corrupt "%s: thread id %d exceeds the header's %d threads" path t s.threads;
+  let n = s.targets.(op) in
+  if d >= n then
+    corrupt "%s: %s id %d exceeds the header's %d %ss" path (domain_name op) d n
+      (domain_name op);
   Packed.pack ~op ~tid:t ~target:d
-
-(* The inline path assembles words with literal shifts: a call into
-   [Packed] per record would cost more than the decode itself. *)
-let () = assert (Packed.target_shift = 24 && Packed.op_begin = 6)
 
 (* Records from [pos] into [dst.(k .. stop-1)], up to the end of the
    mapping [len]; returns the index past the last word stored and
    leaves the position in [s.bpos].  Inline: a record whose thread id
    takes one byte and whose target, if any, one to three (below 2^21,
-   so inside the packed range: no check is due).  An opcode byte of 8
-   or more, a longer varint, or a record near the end of the mapping
-   takes the general path. *)
+   so inside the packed range), both inside the header's domains.  An
+   opcode byte of 8 or more, a longer varint, an id outside its domain
+   or a record near the end of the mapping takes the general path. *)
 let rec fill_block path (b : bigbytes) len s (dst : Packed.chunk) stop pos k =
   if k = stop || pos >= len then begin
     s.bpos <- pos;
@@ -459,32 +482,40 @@ let rec fill_block path (b : bigbytes) len s (dst : Packed.chunk) stop pos k =
     if pos + 4 >= len then general path b len s dst stop pos k
     else begin
       let t = Bigarray.Array1.unsafe_get b (pos + 1) in
-      if t >= 0x80 || op >= 8 then general path b len s dst stop pos k
-      else if op >= 6 then begin
-        Bigarray.Array1.unsafe_set dst k (op lor (t lsl 3));
+      if t >= s.inline_tids || op >= 8 then general path b len s dst stop pos k
+      else if op >= op_begin then begin
+        Bigarray.Array1.unsafe_set dst k (Packed.pack ~op ~tid:t ~target:0);
         fill_block path b len s dst stop (pos + 2) (k + 1)
       end
       else begin
-        let w = op lor (t lsl 3) in
+        (* [op < 6]: [targets] has 8 entries *)
+        let dom = Array.unsafe_get s.targets op in
         let d0 = Bigarray.Array1.unsafe_get b (pos + 2) in
         if d0 < 0x80 then begin
-          Bigarray.Array1.unsafe_set dst k (w lor (d0 lsl 24));
-          fill_block path b len s dst stop (pos + 3) (k + 1)
+          if d0 >= dom then general path b len s dst stop pos k
+          else begin
+            Bigarray.Array1.unsafe_set dst k (Packed.pack ~op ~tid:t ~target:d0);
+            fill_block path b len s dst stop (pos + 3) (k + 1)
+          end
         end
         else begin
           let d1 = Bigarray.Array1.unsafe_get b (pos + 3) in
           let d = (d0 land 0x7f) lor ((d1 land 0x7f) lsl 7) in
           if d1 < 0x80 then begin
-            Bigarray.Array1.unsafe_set dst k (w lor (d lsl 24));
-            fill_block path b len s dst stop (pos + 4) (k + 1)
+            if d >= dom then general path b len s dst stop pos k
+            else begin
+              Bigarray.Array1.unsafe_set dst k (Packed.pack ~op ~tid:t ~target:d);
+              fill_block path b len s dst stop (pos + 4) (k + 1)
+            end
           end
           else begin
             let d2 = Bigarray.Array1.unsafe_get b (pos + 4) in
-            if d2 < 0x80 then begin
-              Bigarray.Array1.unsafe_set dst k (w lor ((d lor (d2 lsl 14)) lsl 24));
+            let d = d lor (d2 lsl 14) in
+            if d2 >= 0x80 || d >= dom then general path b len s dst stop pos k
+            else begin
+              Bigarray.Array1.unsafe_set dst k (Packed.pack ~op ~tid:t ~target:d);
               fill_block path b len s dst stop (pos + 5) (k + 1)
             end
-            else general path b len s dst stop pos k
           end
         end
       end
@@ -521,8 +552,9 @@ let note_ingest_bytes n bytes =
    of it are consumed. *)
 let decode_events path ~init step =
   let bb = map_file path in
-  let s = { bb; blen = Bigarray.Array1.dim bb; bpos = 0; fault = None } in
+  let s = bsrc_of bb in
   let header = header_of_bsrc path s in
+  set_domains s header;
   let rec go n acc =
     let want = if header.last_use then header.events - n else max_int in
     if want = 0 then (n, acc)

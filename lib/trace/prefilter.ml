@@ -262,38 +262,34 @@ let feed t (e : Event.t) emit =
     if ts.depth = 0 then ts.gen <- ts.gen + 1;
     keep t e emit
 
-(* The same decisions over packed words, as one engine: the word is
-   decoded with the {!Packed} layout's literal shifts, rules (a)/(b)/(d)
-   read only the opcode and the target id, and rule (c) is
+(* The same decisions over packed words, as one engine: rules
+   (a)/(b)/(d) read only the opcode and the target id, and rule (c) is
    [retained_decision] spelled out behind one grow check per access
    (the [cap] invariant makes every later array access in range).
    Elided events are never materialized as [Event.t]; the boxed [feed]
    above is the readable form the tests hold this one to. *)
-let () =
-  assert (Packed.target_shift = 24 && Packed.max_tid = 0x1fffff && Packed.op_begin = 6)
-
 let feed_packed t w emit =
   let c = t.c in
   c.events_in <- c.events_in + 1;
-  let op = w land 7 in
-  if op <= 1 then begin
-    let x = w lsr 24 in
+  let op = Packed.opcode w in
+  if op <= Packed.op_write then begin
+    let x = Packed.target w in
     let cls =
       if x < Bytes.length t.vclass then Char.code (Bytes.unsafe_get t.vclass x)
       else 0
     in
     if cls = 1 then c.thread_local <- c.thread_local + 1
-    else if cls = 2 && op = 0 then c.read_only <- c.read_only + 1
+    else if cls = 2 && op = Packed.op_read then c.read_only <- c.read_only + 1
     else begin
       if x >= t.cap then grow_cap t x;
-      let ts = tstate t ((w lsr 3) land 0x1fffff) in
+      let ts = tstate t (Packed.tid w) in
       let wstamp = t.wstamp and astamp = t.astamp in
       let a = Array.unsafe_get astamp x in
       let retained =
         if ts.depth = 0 then begin
           (* unary access: a singleton transaction, nothing covers it *)
           Array.unsafe_set astamp x (a + 1);
-          if op = 1 then Array.unsafe_set wstamp x (Array.unsafe_get wstamp x + 1);
+          if op = Packed.op_write then Array.unsafe_set wstamp x (Array.unsafe_get wstamp x + 1);
           true
         end
         else begin
@@ -305,7 +301,7 @@ let feed_packed t w emit =
             Array.unsafe_set ts.s_own x 0
           end;
           let ws = Array.unsafe_get wstamp x in
-          if op = 1 then begin
+          if op = Packed.op_write then begin
             let lwa = Array.unsafe_get ts.s_last_wa x in
             if lwa >= 0 && lwa + Array.unsafe_get ts.s_own x = a then false
             else begin
@@ -337,8 +333,8 @@ let feed_packed t w emit =
       else c.redundant <- c.redundant + 1
     end
   end
-  else if op <= 3 then begin
-    let l = w lsr 24 in
+  else if op <= Packed.op_release then begin
+    let l = Packed.target w in
     if l < Bytes.length t.lclass && Bytes.unsafe_get t.lclass l = '\001' then
       c.lock_local <- c.lock_local + 1
     else begin
@@ -347,9 +343,9 @@ let feed_packed t w emit =
     end
   end
   else begin
-    if op >= 6 then begin
-      let ts = tstate t ((w lsr 3) land 0x1fffff) in
-      if op = 6 then ts.depth <- ts.depth + 1
+    if op >= Packed.op_begin then begin
+      let ts = tstate t (Packed.tid w) in
+      if op = Packed.op_begin then ts.depth <- ts.depth + 1
       else begin
         ts.depth <- max 0 (ts.depth - 1);
         if ts.depth = 0 then ts.gen <- ts.gen + 1

@@ -6,8 +6,9 @@
 
 (* The epoch c@t, FastTrack style: one immediate int, the clock above the
    low [tid_bits] bits and the thread id in them.  The negative [none]
-   marks an inflated clock.  The encoding stays local to this module so
-   the compiler inlines it even where libraries are compiled [-opaque]. *)
+   marks an inflated clock.  The encoding is private to this module; the
+   operations a checker calls per event are [@inline], and inline into
+   it in the release build (DESIGN.md §9). *)
 let tid_bits = 20
 let max_tid = (1 lsl tid_bits) - 1
 let max_clock = max_int lsr tid_bits
@@ -49,14 +50,14 @@ let unit dim t =
 
 let is_flat a = not (is_none a.ep)
 
-let flat_owner a = if is_none a.ep then -1 else ep_tid a.ep
+let [@inline] flat_owner a = if is_none a.ep then -1 else ep_tid a.ep
 
 (* The failing branches are functions of their own, so the checks stay
    small enough to inline into every operation. *)
 let dim_mismatch name = invalid_arg (name ^ ": dimension mismatch")
 let out_of_range name = invalid_arg (name ^ ": thread out of range")
-let check_dim name a b = if a.dim <> b.dim then dim_mismatch name
-let check_index name a t = if t < 0 || t >= a.dim then out_of_range name
+let [@inline] check_dim name a b = if a.dim <> b.dim then dim_mismatch name
+let [@inline] check_index name a t = if t < 0 || t >= a.dim then out_of_range name
 
 (* Epoch representation churn, process-wide (clocks can live on pool
    worker domains, so the counters are atomic).  Updated only while
@@ -81,16 +82,14 @@ let inflate a =
     a.ep <- none
   end
 
-let get a t =
-  check_index "Aclock.get" a t;
+let [@inline] unsafe_get a t =
   if is_none a.ep then Array.unsafe_get a.vec t
   else if ep_tid a.ep = t then ep_clock a.ep
   else 0
 
-let unsafe_get a t =
-  if is_none a.ep then Array.unsafe_get a.vec t
-  else if ep_tid a.ep = t then ep_clock a.ep
-  else 0
+let get a t =
+  check_index "Aclock.get" a t;
+  unsafe_get a t
 
 let set a t c =
   if c < 0 then invalid_arg "Aclock.set: negative component";
@@ -104,7 +103,7 @@ let set a t c =
     a.vec.(t) <- c
   end
 
-let bump a t =
+let [@inline] bump a t =
   check_index "Aclock.bump" a t;
   a.seen <- 0;
   if is_none a.ep then a.vec.(t) <- a.vec.(t) + 1
@@ -117,7 +116,7 @@ let bump a t =
 
 (* into := into ⊔ v, reporting whether [into] changed.  O(1) whenever [v]
    is flat.  The caller clears [into.seen] on growth. *)
-let join_grew ~into v =
+let [@inline] join_grew ~into v =
   if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
@@ -159,18 +158,18 @@ let join_grew ~into v =
     end
   end
 
-let join_into_grew ~into v =
+let [@inline] join_into_grew ~into v =
   check_dim "Aclock.join_into_grew" into v;
   let grew = join_grew ~into v in
   if grew then into.seen <- 0;
   grew
 
-let join_into ~into v = ignore (join_into_grew ~into v)
+let [@inline] join_into ~into v = ignore (join_into_grew ~into v)
 
 (* The join into thread [t]'s own clock: skipped when [v]'s seen bit t
    says C_t already contains [v], noted afterwards.  Thread clocks only
    grow, so a noted bit stays true until [v] itself changes. *)
-let join_thread ~into v t =
+let [@inline] join_thread ~into v t =
   check_dim "Aclock.join_thread" into v;
   let bit = if t < 62 then 1 lsl t else 0 in
   if v.seen land bit <> 0 then -1
@@ -186,7 +185,7 @@ let note_seen a t = if t < 62 then a.seen <- a.seen lor (1 lsl t)
 
 (* into := into ⊔ v[0/z].  O(1) whenever [v] is flat (and a no-op when its
    only non-zero component is the zeroed one). *)
-let join_into_zeroed ~into v z =
+let [@inline] join_into_zeroed ~into v z =
   check_dim "Aclock.join_into_zeroed" into v;
   check_index "Aclock.join_into_zeroed" v z;
   into.seen <- 0;
@@ -217,7 +216,7 @@ let join_into_zeroed ~into v z =
     end
   end
 
-let assign ~into v =
+let [@inline] assign ~into v =
   check_dim "Aclock.assign" into v;
   into.seen <- 0;
   if is_none v.ep then begin
@@ -295,14 +294,7 @@ let covers_bits clk (own : int array) active =
 let geq_bits (clks : t array) t c =
   let r = ref 0 in
   for u = 0 to Array.length clks - 1 do
-    let a = Array.unsafe_get clks u in
-    let e = a.ep in
-    let x =
-      if is_none e then Array.unsafe_get a.vec t
-      else if ep_tid e = t then ep_clock e
-      else 0
-    in
-    if x >= c then r := !r lor (1 lsl u)
+    if unsafe_get (Array.unsafe_get clks u) t >= c then r := !r lor (1 lsl u)
   done;
   !r
 

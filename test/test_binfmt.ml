@@ -304,8 +304,13 @@ let prop_roundtrip =
    to cross the decode blocks, then damaged by bit flips, overwrites,
    truncations and insertions — [fold_packed] must hand [f] exactly the
    reference's words and end as it does (the same header, or the same
-   exception with the same message), and [read_packed] must give the
-   same words or the same exception. *)
+   exception with the same message).  The one exception is a record the
+   reference decodes but the decoder rejects, which the reference never
+   checked: an id outside the header's domain, or a nine-byte varint
+   that sets bit 62 (the reference decodes it negative).  There the
+   decoder must have handed [f] the reference's words in front of that
+   record and raise its own [Corrupt].  [read_packed] must give the
+   same words as [fold_packed], or the same exception. *)
 
 let leb buf n =
   let rec go n =
@@ -358,9 +363,11 @@ let mutate st s =
   Bytes.to_string !b
 
 (* A file of [n] records, then 0 to 3 mutations.  The header declares
-   small domains, since no reader checks ids against them, only against
-   the packed limits; one file in four also draws ids one past those
-   limits. *)
+   the packed limits as its domains, except for the variables and locks
+   of a v2/v3 file, whose footer has an entry for each: 3 and 2 there,
+   and edge targets above them become the largest that fits.  One file
+   in four also draws ids one past the domains: past the packed limits,
+   or past the header's for v2/v3 variables and locks. *)
 let gen_damaged st =
   let version = 1 + Random.State.int st 3 in
   let n =
@@ -368,22 +375,27 @@ let gen_damaged st =
     else Random.State.int st 200
   in
   let over = Random.State.int st 4 = 0 in
-  let pick edges =
+  let pick edges limit =
     match Random.State.int st 3 with
-    | 0 -> edges.(Random.State.int st (Array.length edges))
-    | 1 when over && Random.State.int st 16 = 0 -> edges.(Array.length edges - 1) + 1
-    | _ -> Random.State.int st 4
+    | 0 -> min edges.(Random.State.int st (Array.length edges)) (limit - 1)
+    | 1 when over && Random.State.int st 16 = 0 -> limit
+    | _ -> Random.State.int st (min 4 limit)
   in
-  let vars = 3 and locks = 2 in
+  let threads = Packed.max_tid + 1 in
+  let vars, locks =
+    if version = 1 then (Packed.max_target + 1, Packed.max_target + 1) else (3, 2)
+  in
   let buf = Buffer.create ((4 * n) + 64) in
   Buffer.add_string buf
     (match version with 1 -> Binfmt.magic | 2 -> Binfmt.magic_v2 | _ -> Binfmt.magic_v3);
-  List.iter (leb buf) [ 4; locks; vars; n ];
+  List.iter (leb buf) [ threads; locks; vars; n ];
   for _ = 1 to n do
     let op = Random.State.int st 8 in
     Buffer.add_char buf (Char.chr op);
-    leb buf (pick edge_tids);
-    if op < Packed.op_begin then leb buf (pick edge_targets)
+    leb buf (pick edge_tids threads);
+    if op <= Packed.op_write then leb buf (pick edge_targets vars)
+    else if op <= Packed.op_release then leb buf (pick edge_targets locks)
+    else if op < Packed.op_begin then leb buf (pick edge_tids threads)
   done;
   if version >= 2 then begin
     let fb = Buffer.create 64 in
@@ -409,6 +421,30 @@ let arb_damaged =
         (String.sub s 0 (min 96 (String.length s))))
     gen_damaged
 
+(* Whether the reference's word [w] has an id outside [h]'s domains. *)
+let exceeds_domains (h : Binfmt.header) w =
+  let op = Packed.opcode w and d = Packed.target w in
+  w < 0
+  || Packed.tid w >= h.threads
+  || (op <= Packed.op_write && d >= h.vars)
+  || (op <= Packed.op_release && op > Packed.op_write && d >= h.locks)
+  || (op <= Packed.op_join && op > Packed.op_release && d >= h.threads)
+
+(* [got] ends as [expect] does, or stops with a fault the reference does
+   not check, in front of a word the reference decoded: past the
+   header's domains, or a nine-byte id overflow. *)
+let agrees path (words, ending) ((ref_words, _) as expect) =
+  (words, ending) = expect
+  ||
+  match ending with
+  | Error m when Helpers.contains m "exceeds the header's" || Helpers.contains m "id overflow" ->
+    let k = List.length words in
+    List.length ref_words > k
+    && List.filteri (fun i _ -> i < k) ref_words = words
+    && (Helpers.contains m "id overflow"
+       || exceeds_domains (Binfmt.read_header path) (List.nth ref_words k))
+  | _ -> false
+
 (* The words a fold handed [f], in order, and how the fold ended. *)
 let folded fold path =
   let seen = ref [] in
@@ -428,7 +464,7 @@ let prop_matches_reference =
           close_out oc;
           let expect = folded Reference.Reference_binfmt.fold_packed path in
           let got = folded Binfmt.fold_packed path in
-          if got <> expect then
+          if not (agrees path got expect) then
             QCheck.Test.fail_reportf "fold_packed: %s, the reference: %s"
               (match snd got with Ok _ -> "ok" | Error m -> m)
               (match snd expect with Ok _ -> "ok" | Error m -> m);
@@ -441,15 +477,77 @@ let prop_matches_reference =
             | exception e -> ([], Error (Printexc.to_string e))
           in
           let expect_read =
-            match expect with
+            match got with
             | words, (Ok _ as h) -> (words, h)
             | _, (Error _ as e) -> ([], e)
           in
           if read <> expect_read then
-            QCheck.Test.fail_reportf "read_packed: %s, the reference: %s"
+            QCheck.Test.fail_reportf "read_packed: %s, fold_packed: %s"
               (match snd read with Ok _ -> "ok" | Error m -> m)
               (match snd expect_read with Ok _ -> "ok" | Error m -> m);
           true))
+
+(* Each id is bounded by its header domain: variables, locks or threads
+   by opcode, and the thread id always.  Each bad record comes once
+   with three begins after it (the inline path, for one-byte ids) and
+   once last in the file (the general path).  A nine-byte id that sets
+   bit 62 is an overflow, not a negative id. *)
+let test_header_domains () =
+  let file records =
+    let buf = Buffer.create 64 in
+    Buffer.add_string buf Binfmt.magic;
+    List.iter (leb buf) [ 2; 1; 1; List.length records ];
+    List.iter
+      (fun (op, ids) ->
+        Buffer.add_char buf (Char.chr op);
+        List.iter (leb buf) ids)
+      records;
+    Buffer.contents buf
+  in
+  let ok = (Packed.op_begin, [ 1 ]) in
+  let decodes bytes =
+    tmp (fun path ->
+        let oc = open_out_bin path in
+        output_string oc bytes;
+        close_out oc;
+        match Binfmt.fold_packed path ~init:0 ~f:(fun n _ -> n + 1) with
+        | _, n -> Ok n
+        | exception Binfmt.Corrupt m -> Error (path, m))
+  in
+  let rejects record expect =
+    List.iter
+      (fun records ->
+        match decodes (file records) with
+        | Ok _ -> Alcotest.failf "decoded: %s" expect
+        | Error (path, m) -> Alcotest.(check string) expect (path ^ ": " ^ expect) m)
+      [ [ ok; record; ok; ok; ok ]; [ ok; record ] ]
+  in
+  rejects (Packed.op_write, [ 0; 7 ]) "variable id 7 exceeds the header's 1 variables";
+  rejects (Packed.op_read, [ 0; 100_000 ])
+    "variable id 100000 exceeds the header's 1 variables";
+  rejects (Packed.op_acquire, [ 0; 5 ]) "lock id 5 exceeds the header's 1 locks";
+  rejects (Packed.op_fork, [ 0; 9 ]) "thread id 9 exceeds the header's 2 threads";
+  rejects (Packed.op_begin, [ 5 ]) "thread id 5 exceeds the header's 2 threads";
+  rejects (Packed.op_end, [ 200 ]) "thread id 200 exceeds the header's 2 threads";
+  let overflow = String.make 8 '\xff' ^ "\x7f" in
+  List.iter
+    (fun bytes ->
+      match decodes bytes with
+      | Ok _ -> Alcotest.fail "decoded a negative id"
+      | Error (path, m) -> Alcotest.(check string) "overflow" (path ^ ": id overflow") m)
+    [ file [] ^ "\x06" ^ overflow; file [] ^ "\x00\x00" ^ overflow ];
+  (* the largest ids that fit *)
+  Alcotest.(check (result int reject))
+    "in range" (Ok 4)
+    (Result.map_error ignore
+       (decodes
+          (file
+             [
+               (Packed.op_write, [ 1; 0 ]);
+               (Packed.op_release, [ 1; 0 ]);
+               (Packed.op_join, [ 0; 1 ]);
+               (Packed.op_end, [ 1 ]);
+             ])))
 
 let suite =
   ( "binfmt",
@@ -467,6 +565,7 @@ let suite =
       Alcotest.test_case "footer sections" `Quick test_footer_sections;
       Alcotest.test_case "streaming runner" `Quick test_runner_streaming;
       Alcotest.test_case "large roundtrip" `Quick test_large_roundtrip;
+      Alcotest.test_case "ids beyond the header's domains" `Quick test_header_domains;
       Alcotest.test_case "63 and 200 threads roundtrip" `Quick
         test_many_threads_roundtrip;
     ]

@@ -44,11 +44,35 @@ let test_word_codec () =
       check Alcotest.int "tid" t (Packed.tid w);
       check Alcotest.int "target" d (Packed.target w))
     cases;
-  (* the exported layout constant is the one the codec actually uses:
-     the binfmt decode loop assembles words with it directly *)
   check Alcotest.int "target_shift layout"
     (Packed.pack ~op:0 ~tid:0 ~target:1)
-    (1 lsl Packed.target_shift)
+    (1 lsl Packed.target_shift);
+  (* [Opt.feed_packed] dispatches on these literals, and the prefilter
+     relies on their order *)
+  check
+    Alcotest.(list int)
+    "opcodes"
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ]
+    Packed.
+      [ op_read; op_write; op_acquire; op_release; op_fork; op_join; op_begin; op_end ]
+
+(* The packed layout, pinned in one place: every opcode with random ids
+   and the edges (0 and each slice's maximum) round-trips through the
+   accessors, to a nonnegative word. *)
+let prop_layout =
+  let id st hi =
+    match Random.State.int st 3 with
+    | 0 -> 0
+    | 1 -> hi
+    | _ -> Random.State.full_int st (hi + 1)
+  in
+  QCheck.Test.make ~name:"pack round-trips through opcode/tid/target" ~count:2000
+    (QCheck.make
+       ~print:(fun (op, t, d) -> Printf.sprintf "op %d, tid %d, target %d" op t d)
+       (fun st -> (Random.State.int st 8, id st Packed.max_tid, id st Packed.max_target)))
+    (fun (op, t, d) ->
+      let w = Packed.pack ~op ~tid:t ~target:d in
+      w >= 0 && Packed.opcode w = op && Packed.tid w = t && Packed.target w = d)
 
 let test_event_roundtrip () =
   List.iter
@@ -587,4 +611,5 @@ let suite =
       Alcotest.test_case "Checker.run and Monitor refuse oversized traces"
         `Quick test_library_refuses_oversized_trace;
       Alcotest.test_case "packed range gate" `Quick test_packed_range_gate;
-    ] )
+    ]
+    @ Helpers.qcheck_tests [ prop_layout ] )
