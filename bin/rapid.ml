@@ -82,6 +82,16 @@ let metainfo_cmd =
 
 (* check *)
 
+(* The process's peak resident set in KiB, [VmHWM] of /proc/self/status:
+   read once when a run is over, and absent where that file is. *)
+let peak_rss_kb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id)
+      (String.split_on_char '\n' status)
+
 let check_cmd =
   let algo =
     Arg.(
@@ -371,6 +381,12 @@ let check_cmd =
         Some (Parallel.Deque.stats sc)
       | _ -> None
     in
+    (if Obs.on () then
+       match peak_rss_kb () with
+       | Some kb ->
+         Obs.Registry.probe Obs.Registry.global "process.peak_rss_kb" (fun () ->
+             Obs.Snapshot.Int kb)
+       | None -> ());
     let single = match paths with [ _ ] -> true | _ -> false in
     List.iter
       (fun fr ->

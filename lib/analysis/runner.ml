@@ -192,24 +192,6 @@ let prefilter_mode ~prefilter ~stats =
   | (Exact | Auto), Some vs -> Some (Prefilter.Exact vs)
   | _ -> None
 
-(* High-water mark of the major heap, sampled at the same 4096-event
-   checkpoints as the timeout — the per-run memory axis the bench
-   harness compares across reclamation settings.  Registers its own
-   scope-attached registry so the gauge lands in [result.metrics]
-   alongside the checker's counters. *)
-let heap_sampler () =
-  if Obs.on () then begin
-    let reg = Obs.Registry.create () in
-    Obs.Scope.attach reg;
-    let g = Obs.Registry.gauge reg "heap.peak_words" in
-    let sample () =
-      Obs.Gauge.set_max g (float_of_int (Gc.quick_stat ()).Gc.heap_words)
-    in
-    sample ();
-    sample
-  end
-  else fun () -> ()
-
 (* --- sharded checking ---
 
    With a work-stealing scheduler lent ([?sched]) and [shards] other
@@ -407,7 +389,6 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
   let pf =
     Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
   in
-  let sample_heap = heap_sampler () in
   let fl = flight_recorder flight ~threads:src.threads in
   arm_heartbeat heartbeat ~total:(Some src.events);
   let started =
@@ -427,7 +408,6 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
     incr fed;
     if !fed land (check_interval - 1) = 0 then begin
       tick heartbeat !fed;
-      sample_heap ();
       match deadline with
       | Some d when Unix.gettimeofday () > d ->
         timed_out := true;
@@ -444,7 +424,6 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
   (match pf with
   | None -> ()
   | Some p -> Prefilter.finish_packed p ignore);
-  sample_heap ();
   let outcome =
     if !timed_out then Timed_out else Verdict (C.violation st)
   in

@@ -67,9 +67,7 @@
     pool at its final access, making peak memory proportional to live
     variables; a stream with no oracle falls back to the inactivity
     heuristic (periodic epoch-collapse of cold state).  Verdicts and
-    violation indices are identical either way.  With telemetry on, runs
-    additionally report ["heap.peak_words"], the major-heap high-water
-    mark sampled at the 4096-event checkpoints. *)
+    violation indices are identical either way. *)
 
 type outcome =
   | Verdict of Aerodrome.Violation.t option

@@ -54,16 +54,18 @@ type t = {
   upd_l : Iset.t array;  (* locks whose clock may contain t's begin *)
   rel_locks : Iset.t array;  (* locks t last released (may be stale) *)
   depth : int array;
-  (* Bitmask acceleration of [propagate_update_sets] (threads <= 62 only):
-     [covers.(t)] caches {u | C⊲_u ⊑ C_t} as a bitmask, exact on the bits
-     of [active_mask] (bit u set while u is inside an outermost
+  (* Thread bitsets of [words] words, as [Aclock]'s.  [covers] caches
+     covers(t) = {u | C⊲_u ⊑ C_t} at words [t * words ..], exact on the
+     bits of [active] (bit u set while u is inside an outermost
      transaction), the only bits ever read.  Begins and joins from flat
      clocks update single bits; other joins set [covers_dirty] and the
-     mask is rebuilt on its next read (DESIGN.md §9). *)
-  masked : bool;
+     mask is rebuilt on its next read (DESIGN.md §9).  [scratch] holds
+     the one bitset a transaction end computes. *)
+  words : int;
   covers : int array;
   covers_dirty : Bytes.t;
-  mutable active_mask : int;
+  active : int array;
+  scratch : int array;
   cb_own : int array;  (* cb_own.(u) = C⊲_u(u), the only component the
                           fast checks read — flat for cache-friendliness *)
   seq : int array;  (* outermost-transaction sequence number per thread *)
@@ -95,6 +97,7 @@ let register_reclaim_probes st =
 let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
     ~vars () =
   let dim = max threads 1 in
+  let words = AC.words dim in
   let reclaim = Reclaim.ambient () in
   let st =
     {
@@ -114,10 +117,11 @@ let create_with ?(fast_checks = true) ?(faithful = false) ~threads ~locks
       upd_l = Array.init dim (fun _ -> Iset.create (max locks 1));
       rel_locks = Array.init dim (fun _ -> Iset.create (max locks 1));
       depth = Array.make dim 0;
-      masked = dim <= 62;
-      covers = Array.make dim 0;
+      words;
+      covers = Array.make (dim * words) 0;
       covers_dirty = Bytes.make dim '\001';
-      active_mask = 0;
+      active = Array.make words 0;
+      scratch = Array.make words 0;
       cb_own = Array.make dim 0;
       seq = Array.make dim 0;
       parent = Array.make dim None;
@@ -152,17 +156,16 @@ let violation st = st.violation
 let processed st = st.processed
 let active st t = st.depth.(t) > 0
 
-(* Index of the lowest set bit, for masks of bits 0..61: 2 generates the
-   multiplicative group mod 67, so [x land (-x)] (the lowest bit alone)
-   is distinct mod 67 for each of those bits and one lookup finds it. *)
-let ntz_table =
-  let a = Array.make 67 0 in
-  for k = 0 to 61 do
-    a.((1 lsl k) mod 67) <- k
-  done;
-  a
+(* Add thread u to, or drop it from, the bitset at [a.(off) ..]. *)
+let [@inline] set_bit a off u =
+  let i = u / 62 in
+  let k = off + i in
+  Array.unsafe_set a k (Array.unsafe_get a k lor (1 lsl (u - (62 * i))))
 
-let ntz x = Array.unsafe_get ntz_table ((x land -x) mod 67)
+let [@inline] clear_bit a off u =
+  let i = u / 62 in
+  let k = off + i in
+  Array.unsafe_set a k (Array.unsafe_get a k land lnot (1 lsl (u - (62 * i))))
 
 (* A record for a variable met for the first time (or again after its
    release): the last released one when there is one, its three clocks
@@ -180,7 +183,7 @@ let fresh_var st x =
         vw = AC.Pool.alloc st.pool;
         vr = AC.Pool.alloc st.pool;
         vhr = AC.Pool.alloc st.pool;
-        vstale_r = Array.make ((st.threads + 61) / 62) 0;
+        vstale_r = Array.make st.words 0;
         vlast_w = nil;
         vstale_w = false;
         vtouch = 0;
@@ -216,15 +219,15 @@ let release_var st x vs =
      released variable could only be skipped by the end's drains: drop
      it now, so a long transaction's sets stay the size of its live
      variables instead of every variable it ever reached. *)
-  if st.masked then begin
-    let m = ref st.active_mask in
+  for i = 0 to st.words - 1 do
+    let m = ref (Array.unsafe_get st.active i) in
     while !m <> 0 do
-      let u = ntz !m in
+      let u = (62 * i) + AC.ntz !m in
       Iset.remove (Array.unsafe_get st.upd_r u) x;
       Iset.remove (Array.unsafe_get st.upd_w u) x;
       m := !m land (!m - 1)
     done
-  end
+  done
 
 (* Called after every successful read/write of [x].  Oracle: releasing at
    the recorded last access is exact — x is never accessed again, and the
@@ -282,32 +285,33 @@ let [@inline] join_c st t src =
   if r > 0 then begin
     let u = AC.flat_owner src in
     if u < 0 || not st.fast_checks then note_c_grew st t
-    else if st.masked && Array.unsafe_get st.cb_own u <= AC.unsafe_get c_t u
-    then st.covers.(t) <- st.covers.(t) lor (1 lsl u)
+    else if Array.unsafe_get st.cb_own u <= AC.unsafe_get c_t u then
+      set_bit st.covers (t * st.words) u
   end
   else if r < 0 && st.tele then Cmetrics.vc_join_elided st.m
 
-(* {u | C⊲_u ⊑ C_t} on the active bits, from cache unless C_t grew in a
-   way no single-bit update covered.  Under [fast_checks] the rebuild is
+(* Rebuild covers(t) on the active bits.  Under [fast_checks] that is
    one [Aclock] call over C_t's representation. *)
+let rebuild_covers st t base =
+  let c_t = st.c.(t) in
+  if st.fast_checks then AC.covers_bits c_t st.cb_own st.active st.covers base
+  else
+    for i = 0 to st.words - 1 do
+      let m = ref (Array.unsafe_get st.active i) and r = ref 0 in
+      while !m <> 0 do
+        if begin_leq st ((62 * i) + AC.ntz !m) c_t then r := !r lor (!m land - !m);
+        m := !m land (!m - 1)
+      done;
+      Array.unsafe_set st.covers (base + i) !r
+    done;
+  Bytes.unsafe_set st.covers_dirty t '\000'
+
+(* The offset of covers(t) in [covers], rebuilt first unless C_t grew
+   only in ways single-bit updates covered. *)
 let [@inline] covers_of st t =
-  if Bytes.unsafe_get st.covers_dirty t <> '\000' then begin
-    let c_t = st.c.(t) and active = st.active_mask in
-    let m =
-      if st.fast_checks then AC.covers_bits c_t st.cb_own active
-      else begin
-        let m = ref 0 in
-        for u = 0 to st.threads - 1 do
-          if active land (1 lsl u) <> 0 && begin_leq st u c_t then
-            m := !m lor (1 lsl u)
-        done;
-        !m
-      end
-    in
-    st.covers.(t) <- m;
-    Bytes.unsafe_set st.covers_dirty t '\000'
-  end;
-  st.covers.(t)
+  let base = t * st.words in
+  if Bytes.unsafe_get st.covers_dirty t <> '\000' then rebuild_covers st t base;
+  base
 
 exception Found of Violation.site
 
@@ -324,42 +328,25 @@ let [@inline] check_read_and_get st t vs site =
   then raise (Found site);
   join_c st t vs.vr
 
-(* After C_{of_} (the value just folded into W_x or R_x) grew the
-   variable's clock, record x in the update set of every other active
+(* After C_t (the value just folded into W_x or R_x) grew the
+   variable's clock, record x in the update set of every active
    transaction the new value covers, so that transaction's end refreshes
    the clock too.  Algorithm 3 runs this loop at reads and writes only;
    running it at ends as well closes the transitive-ordering gap (see the
-   .mli).
-
-   Every call site passes the *calling thread's* clock, so with <= 62
-   threads the scan collapses to iterating the set bits of the cached
-   covers mask — usually none or one. *)
-let [@inline] propagate_update_sets st upd x ~of_ ~skip clk =
-  if st.masked then begin
-    let m = ref (covers_of st of_ land st.active_mask) in
-    if skip >= 0 then m := !m land lnot (1 lsl skip);
+   .mli).  At an end, t is no longer active, so it skips itself.  The
+   threads are the set bits of the cached covers mask on the active
+   bits — usually none or one. *)
+let [@inline] propagate_update_sets st upd x t =
+  let base = covers_of st t in
+  for i = 0 to st.words - 1 do
+    let m =
+      ref (Array.unsafe_get st.covers (base + i) land Array.unsafe_get st.active i)
+    in
     while !m <> 0 do
-      Iset.add upd.(ntz !m) x;
+      Iset.add (Array.unsafe_get upd ((62 * i) + AC.ntz !m)) x;
       m := !m land (!m - 1)
     done
-  end
-  else begin
-    (* Epoch fast path: while [clk] is flat, every component other than
-       its owner's is zero, and an *active* transaction has C⊲_u(u) >= 1,
-       so no other thread can satisfy [begin_leq] (in either check mode:
-       the full pointwise order already fails at component [u]) — one
-       check instead of a thread scan. *)
-    let owner = AC.flat_owner clk in
-    if owner >= 0 then begin
-      let u = owner in
-      if u <> skip && active st u && begin_leq st u clk then Iset.add upd.(u) x
-    end
-    else
-      for u = 0 to st.threads - 1 do
-        if u <> skip && active st u && begin_leq st u clk then
-          Iset.add upd.(u) x
-      done
-  end
+  done
 
 let [@inline] handle_acquire st t l =
   if st.last_rel_thr.(l) <> t then
@@ -373,14 +360,14 @@ let [@inline] handle_acquire st t l =
    true through a join combining components of the old L_l and [clk]
    without holding against either alone, so the Slow variant keeps the
    original whole-table scan at ends. *)
-let [@inline] propagate_lock_update st l ~of_ ~skip clk =
-  if st.fast_checks then propagate_update_sets st st.upd_l l ~of_ ~skip clk
+let [@inline] propagate_lock_update st l t =
+  if st.fast_checks then propagate_update_sets st st.upd_l l t
 
 let [@inline] handle_release st t l =
   AC.assign ~into:st.l.(l) st.c.(t);
   st.last_rel_thr.(l) <- t;
   Iset.add st.rel_locks.(t) l;
-  propagate_lock_update st l ~of_:t ~skip:nil st.c.(t)
+  propagate_lock_update st l t
 
 let [@inline] handle_fork st t u =
   join_c st u st.c.(t);
@@ -401,25 +388,14 @@ let [@inline] check_vs_last_write st t vs site =
     else check_and_get st vs.vw vs.vw t site
   end
 
-(* Add reader t to Stale^r_x, or drop it. *)
-let [@inline] stale_reader vs t =
-  let w = t / 62 in
-  Array.unsafe_set vs.vstale_r w
-    (Array.unsafe_get vs.vstale_r w lor (1 lsl (t - (62 * w))))
-
-let [@inline] unstale_reader vs t =
-  let w = t / 62 in
-  Array.unsafe_set vs.vstale_r w
-    (Array.unsafe_get vs.vstale_r w land lnot (1 lsl (t - (62 * w))))
-
 let [@inline] handle_read st t x =
   let vs = vget st x in
   check_vs_last_write st t vs Violation.At_read;
   if active st t || st.faithful then begin
-    stale_reader vs t;
+    set_bit vs.vstale_r 0 t;
     (* Algorithm 3 lines 34–36: every covered active transaction must
        refresh R_x at its end; the reader's own transaction qualifies. *)
-    propagate_update_sets st st.upd_r x ~of_:t ~skip:nil st.c.(t)
+    propagate_update_sets st st.upd_r x t
   end
   else begin
     (* Unary read: update eagerly.  The printed algorithm leaves it in
@@ -427,7 +403,7 @@ let [@inline] handle_read st t x =
        inflated by its subsequent transactions — a false positive. *)
     AC.join_into ~into:vs.vr st.c.(t);
     AC.join_into_zeroed ~into:vs.vhr st.c.(t) t;
-    propagate_update_sets st st.upd_r x ~of_:t ~skip:nil st.c.(t)
+    propagate_update_sets st st.upd_r x t
   end;
   reclaim_after_access st x vs
 
@@ -441,7 +417,7 @@ let [@inline] flush_stale_readers st vs =
     if !m <> 0 then begin
       Array.unsafe_set a i 0;
       while !m <> 0 do
-        let u = (62 * i) + ntz !m in
+        let u = (62 * i) + AC.ntz !m in
         if st.tele then Cmetrics.vc_joins_add st.m 2;
         AC.join_into ~into:vs.vr st.c.(u);
         AC.join_into_zeroed ~into:vs.vhr st.c.(u) u;
@@ -473,7 +449,7 @@ let [@inline] handle_write st t x =
     vs.vstale_w <- false
   end;
   vs.vlast_w <- t;
-  propagate_update_sets st st.upd_w x ~of_:t ~skip:nil st.c.(t);
+  propagate_update_sets st st.upd_w x t;
   reclaim_after_access st x vs
 
 let [@inline] handle_begin st t =
@@ -484,19 +460,16 @@ let [@inline] handle_begin st t =
     AC.bump st.c.(t) t;
     AC.assign ~into:st.cb.(t) st.c.(t);
     st.cb_own.(t) <- AC.unsafe_get st.cb.(t) t;
-    if st.masked then begin
-      let bit = 1 lsl t in
-      st.active_mask <- st.active_mask lor bit;
-      (* The bump put C_t(t) = C⊲_t(t) above the t-component of every
-         other clock, so no other thread's clock covers the fresh C⊲_t:
-         clear bit t everywhere.  C_t itself grew at t only, so under
-         [fast_checks] its own mask just gains bit t. *)
-      for u = 0 to st.threads - 1 do
-        Array.unsafe_set st.covers u (Array.unsafe_get st.covers u land lnot bit)
-      done;
-      if st.fast_checks then st.covers.(t) <- st.covers.(t) lor bit
-      else note_c_grew st t
-    end
+    set_bit st.active 0 t;
+    (* The bump put C_t(t) = C⊲_t(t) above the t-component of every
+       other clock, so no other thread's clock covers the fresh C⊲_t:
+       clear bit t everywhere.  C_t itself grew at t only, so under
+       [fast_checks] its own mask just gains bit t. *)
+    for u = 0 to st.threads - 1 do
+      clear_bit st.covers (u * st.words) t
+    done;
+    if st.fast_checks then set_bit st.covers (t * st.words) t
+    else note_c_grew st t
   end
 
 let parent_alive st t =
@@ -524,27 +497,27 @@ let parent_alive st t =
    transaction's begin to the child.  [faithful] reproduces the printed
    behaviour.
 
-   With the masks and the component check, the question is the covers
-   mask itself: bit t is already out of [active_mask] here, and on the
-   active bits bit u of covers(t) is exactly C⊲_u(u) <= C_t(u). *)
+   The question is a covers mask: bit t is already out of [active] here,
+   and on the active bits bit u of covers(t) is exactly
+   C⊲_u(u) <= C_t(u) under [fast_checks]; the full order would be a
+   different test, so Slow asks [Aclock] for the component one. *)
+let any_active st a base =
+  let i = ref 0 in
+  while
+    !i < st.words
+    && Array.unsafe_get a (base + !i) land Array.unsafe_get st.active !i = 0
+  do
+    incr i
+  done;
+  !i < st.words
+
 let has_incoming_edge st t =
   if st.faithful then
     parent_alive st t || not (AC.equal_except st.cb.(t) st.c.(t) t)
-  else if st.masked && st.fast_checks then
-    covers_of st t land st.active_mask <> 0
+  else if st.fast_checks then any_active st st.covers (covers_of st t)
   else begin
-    (* does C_t know the begin of some other active transaction? *)
-    let c_t = st.c.(t) in
-    let u = ref 0 in
-    while
-      !u < st.threads
-      && not
-           (!u <> t && st.depth.(!u) > 0
-           && AC.unsafe_get c_t !u >= st.cb_own.(!u))
-    do
-      incr u
-    done;
-    !u < st.threads
+    AC.covers_bits st.c.(t) st.cb_own st.active st.scratch 0;
+    any_active st st.scratch 0
   end
 
 (* The end-of-transaction drain bodies are closed top-level functions
@@ -559,7 +532,7 @@ let refresh_lock st t l =
   if begin_leq st t st.l.(l) then begin
     if st.tele then Cmetrics.vc_join st.m;
     AC.join_into ~into:st.l.(l) st.c.(t);
-    propagate_lock_update st l ~of_:t ~skip:t st.c.(t)
+    propagate_lock_update st l t
   end
 
 let refresh_write st t x =
@@ -568,7 +541,7 @@ let refresh_write st t x =
     if (not vs.vstale_w) || vs.vlast_w = t then begin
       AC.join_into ~into:vs.vw st.c.(t);
       if not st.faithful then
-        propagate_update_sets st st.upd_w x ~of_:t ~skip:t st.c.(t)
+        propagate_update_sets st st.upd_w x t
     end;
     if vs.vlast_w = t then vs.vstale_w <- false
   end
@@ -578,26 +551,26 @@ let refresh_read st t x =
   if vs != absent then begin
     AC.join_into ~into:vs.vr st.c.(t);
     AC.join_into_zeroed ~into:vs.vhr st.c.(t) t;
-    unstale_reader vs t;
-    if not st.faithful then
-      propagate_update_sets st st.upd_r x ~of_:t ~skip:t st.c.(t)
+    clear_bit vs.vstale_r 0 t;
+    if not st.faithful then propagate_update_sets st st.upd_r x t
   end
 
 (* Every other thread whose clock holds t's begin checks against and
-   absorbs C_t.  With the masks and the component check, those threads
-   are one [Aclock] call's mask, walked in ascending order so the first
+   absorbs C_t.  Under the component check, those threads are one
+   [Aclock] call's bitset, walked in ascending order so the first
    violation site is the loop's. *)
 let end_with_incoming_edge st t =
   let c_t = st.c.(t) in
-  if st.masked && st.fast_checks then begin
-    let m =
-      ref
-        (AC.geq_bits st.c t (Array.unsafe_get st.cb_own t) land lnot (1 lsl t))
-    in
-    while !m <> 0 do
-      let u = ntz !m in
-      check_and_get st c_t c_t u (Array.unsafe_get st.end_site u);
-      m := !m land (!m - 1)
+  if st.fast_checks then begin
+    AC.geq_bits st.c t (Array.unsafe_get st.cb_own t) st.scratch;
+    clear_bit st.scratch 0 t;
+    for i = 0 to st.words - 1 do
+      let m = ref (Array.unsafe_get st.scratch i) in
+      while !m <> 0 do
+        let u = (62 * i) + AC.ntz !m in
+        check_and_get st c_t c_t u (Array.unsafe_get st.end_site u);
+        m := !m land (!m - 1)
+      done
     done
   end
   else
@@ -622,7 +595,7 @@ let end_with_incoming_edge st t =
 
 let forget_read st t x =
   let vs = Array.unsafe_get st.v x in
-  if vs != absent then unstale_reader vs t
+  if vs != absent then clear_bit vs.vstale_r 0 t
 
 let forget_write st t x =
   let vs = Array.unsafe_get st.v x in
@@ -645,7 +618,7 @@ let [@inline] handle_end st t =
     st.depth.(t) <- st.depth.(t) - 1;
     if st.depth.(t) = 0 then begin
       if st.tele then Cmetrics.txn_commit st.m;
-      if st.masked then st.active_mask <- st.active_mask land lnot (1 lsl t);
+      clear_bit st.active 0 t;
       if has_incoming_edge st t then end_with_incoming_edge st t
       else end_garbage_collect st t
     end
@@ -672,7 +645,7 @@ let seed_boundary st depths =
       AC.bump st.c.(t) t;
       AC.assign ~into:st.cb.(t) st.c.(t);
       st.cb_own.(t) <- AC.unsafe_get st.cb.(t) t;
-      if st.masked then st.active_mask <- st.active_mask lor (1 lsl t)
+      set_bit st.active 0 t
     end
   done;
   Bytes.fill st.covers_dirty 0 st.threads '\001'

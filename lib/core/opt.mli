@@ -77,11 +77,6 @@ val faithful_checker : Checker.t
 val slow_checker : Checker.t
 (** Full-vector comparisons instead of the [O(1)] epoch shortcut. *)
 
-val ntz : int -> int
-(** Index of the lowest set bit of a non-zero mask whose lowest set bit
-    is one of bits 0..61 (the covers masks' range): a single table
-    lookup. *)
-
 (** {1 Introspection} *)
 
 val thread_clock : t -> int -> Vclock.Vtime.t

@@ -258,7 +258,7 @@ let feed t (e : Event.t) emit =
     keep t e emit
   | Event.End ->
     let ts = ts () in
-    ts.depth <- max 0 (ts.depth - 1);
+    if ts.depth > 0 then ts.depth <- ts.depth - 1;
     if ts.depth = 0 then ts.gen <- ts.gen + 1;
     keep t e emit
 
@@ -347,7 +347,7 @@ let feed_packed t w emit =
       let ts = tstate t (Packed.tid w) in
       if op = Packed.op_begin then ts.depth <- ts.depth + 1
       else begin
-        ts.depth <- max 0 (ts.depth - 1);
+        if ts.depth > 0 then ts.depth <- ts.depth - 1;
         if ts.depth = 0 then ts.gen <- ts.gen + 1
       end
     end;

@@ -30,23 +30,39 @@ type t = {
          and [vec] is stale; otherwise [vec] is authoritative *)
   mutable vec : int array;  (* [||] until the first inflation *)
   dim : int;
-  mutable seen : int;
-      (* bit u set: the clock of thread u (u < 62) is known to contain
-         this clock's current value.  Noted by the checker, cleared here by
-         every operation that changes the value. *)
+  seen : int array;
+      (* a thread bitset, thread u at bit [u mod 62] of word [u / 62]: bit
+         u set, the clock of thread u is known to contain this clock's
+         current value.  Noted by the checker, cleared here by every
+         operation that changes the value. *)
 }
 
-let dim a = a.dim
+(* Words of a thread bitset over [dim] threads, 62 bits each. *)
+let words dim = (dim + 61) / 62
+
+(* Index of the lowest set bit, for masks of bits 0..61: 2 generates the
+   multiplicative group mod 67, so [x land (-x)] (the lowest bit alone)
+   is distinct mod 67 for each of those bits and one lookup finds it. *)
+let ntz_table =
+  let a = Array.make 67 0 in
+  for k = 0 to 61 do
+    a.((1 lsl k) mod 67) <- k
+  done;
+  a
+
+let [@inline] ntz x = Array.unsafe_get ntz_table ((x land -x) mod 67)
+
+let make ep vec dim = { ep; vec; dim; seen = Array.make (words dim) 0 }
 
 let create dim =
   if dim < 0 then invalid_arg "Aclock.create: negative dimension";
-  { ep = ep_bottom; vec = [||]; dim; seen = 0 }
+  make ep_bottom [||] dim
 
 let bottom = create
 
 let unit dim t =
   if t < 0 || t >= dim then invalid_arg "Aclock.unit: thread out of range";
-  { ep = ep_make ~tid:t ~clock:1; vec = [||]; dim; seen = 0 }
+  make (ep_make ~tid:t ~clock:1) [||] dim
 
 let is_flat a = not (is_none a.ep)
 
@@ -58,6 +74,12 @@ let dim_mismatch name = invalid_arg (name ^ ": dimension mismatch")
 let out_of_range name = invalid_arg (name ^ ": thread out of range")
 let [@inline] check_dim name a b = if a.dim <> b.dim then dim_mismatch name
 let [@inline] check_index name a t = if t < 0 || t >= a.dim then out_of_range name
+
+let [@inline] clear_seen a =
+  let s = a.seen in
+  for i = 0 to Array.length s - 1 do
+    Array.unsafe_set s i 0
+  done
 
 (* Epoch representation churn, process-wide (clocks can live on pool
    worker domains, so the counters are atomic).  Updated only while
@@ -94,7 +116,7 @@ let get a t =
 let set a t c =
   if c < 0 then invalid_arg "Aclock.set: negative component";
   check_index "Aclock.set" a t;
-  a.seen <- 0;
+  clear_seen a;
   if is_none a.ep then a.vec.(t) <- c
   else if ep_tid a.ep = t then a.ep <- ep_make ~tid:t ~clock:c
   else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:c
@@ -105,7 +127,7 @@ let set a t c =
 
 let [@inline] bump a t =
   check_index "Aclock.bump" a t;
-  a.seen <- 0;
+  clear_seen a;
   if is_none a.ep then a.vec.(t) <- a.vec.(t) + 1
   else if ep_tid a.ep = t then a.ep <- ep_bump a.ep
   else if ep_clock a.ep = 0 then a.ep <- ep_make ~tid:t ~clock:1
@@ -115,7 +137,7 @@ let [@inline] bump a t =
   end
 
 (* into := into ⊔ v, reporting whether [into] changed.  O(1) whenever [v]
-   is flat.  The caller clears [into.seen] on growth. *)
+   is flat.  The caller clears [into]'s seen mask on growth. *)
 let [@inline] join_grew ~into v =
   if is_none v.ep then begin
     inflate into;
@@ -161,7 +183,7 @@ let [@inline] join_grew ~into v =
 let [@inline] join_into_grew ~into v =
   check_dim "Aclock.join_into_grew" into v;
   let grew = join_grew ~into v in
-  if grew then into.seen <- 0;
+  if grew then clear_seen into;
   grew
 
 let [@inline] join_into ~into v = ignore (join_into_grew ~into v)
@@ -171,24 +193,24 @@ let [@inline] join_into ~into v = ignore (join_into_grew ~into v)
    grow, so a noted bit stays true until [v] itself changes. *)
 let [@inline] join_thread ~into v t =
   check_dim "Aclock.join_thread" into v;
-  let bit = if t < 62 then 1 lsl t else 0 in
-  if v.seen land bit <> 0 then -1
+  let i = t / 62 in
+  let bit = 1 lsl (t - (62 * i)) in
+  if v.seen.(i) land bit <> 0 then -1
   else begin
     let grew = join_grew ~into v in
-    if grew then into.seen <- 0;
-    v.seen <- v.seen lor bit;
+    if grew then clear_seen into;
+    Array.unsafe_set v.seen i (Array.unsafe_get v.seen i lor bit);
     Bool.to_int grew
   end
 
-let seen a t = t < 62 && a.seen land (1 lsl t) <> 0
-let note_seen a t = if t < 62 then a.seen <- a.seen lor (1 lsl t)
+let seen a t = a.seen.(t / 62) land (1 lsl (t mod 62)) <> 0
 
 (* into := into ⊔ v[0/z].  O(1) whenever [v] is flat (and a no-op when its
    only non-zero component is the zeroed one). *)
 let [@inline] join_into_zeroed ~into v z =
   check_dim "Aclock.join_into_zeroed" into v;
   check_index "Aclock.join_into_zeroed" v z;
-  into.seen <- 0;
+  clear_seen into;
   if is_none v.ep then begin
     inflate into;
     let iv = into.vec and vv = v.vec in
@@ -218,7 +240,7 @@ let [@inline] join_into_zeroed ~into v z =
 
 let [@inline] assign ~into v =
   check_dim "Aclock.assign" into v;
-  into.seen <- 0;
+  clear_seen into;
   if is_none v.ep then begin
     if Array.length into.vec <> into.dim then into.vec <- Array.copy v.vec
     else Array.blit v.vec 0 into.vec 0 into.dim;
@@ -234,10 +256,6 @@ let assign_zeroed ~into v z =
   assign ~into v;
   if is_none into.ep then into.vec.(z) <- 0
   else if ep_tid into.ep = z then into.ep <- ep_bottom
-
-let copy a =
-  if is_none a.ep then { ep = none; vec = Array.copy a.vec; dim = a.dim; seen = 0 }
-  else { ep = a.ep; vec = [||]; dim = a.dim; seen = 0 }
 
 (* v1 ⊑ v2, O(1) whenever [v1] is flat. *)
 let leq v1 v2 =
@@ -265,38 +283,52 @@ let leq v1 v2 =
     go 0
   end
 
-(* {u ∈ active | own.(u) <= clk(u)} as a bitmask (dim <= 62), the
-   rebuild of a checker's covers mask in one call instead of one
-   [unsafe_get] per thread.  Every [own.(u)] on an active bit is
-   positive (a begin's own component), so a flat clock, zero outside its
-   owner, can cover only the owner. *)
-let covers_bits clk (own : int array) active =
+(* {u ∈ active | own.(u) <= clk(u)} as a thread bitset, written to
+   [dst] from [off]: the rebuild of a checker's covers mask in one call
+   instead of one [unsafe_get] per thread.  Every [own.(u)] on an active
+   bit is positive (a begin's own component), so a flat clock, zero
+   outside its owner, can cover only the owner. *)
+let covers_bits clk (own : int array) (active : int array) (dst : int array) off =
+  let w = Array.length active in
   if is_none clk.ep then begin
     let v = clk.vec in
-    let m = ref active and u = ref 0 and r = ref 0 in
-    while !m <> 0 do
-      if !m land 1 <> 0 && Array.unsafe_get own !u <= Array.unsafe_get v !u then
-        r := !r lor (1 lsl !u);
-      m := !m lsr 1;
-      incr u
-    done;
-    !r
+    for i = 0 to w - 1 do
+      let m = ref (Array.unsafe_get active i) and r = ref 0 in
+      while !m <> 0 do
+        let u = (62 * i) + ntz !m in
+        if Array.unsafe_get own u <= Array.unsafe_get v u then
+          r := !r lor (!m land - !m);
+        m := !m land (!m - 1)
+      done;
+      dst.(off + i) <- !r
+    done
   end
   else begin
+    for i = off to off + w - 1 do
+      dst.(i) <- 0
+    done;
     let u = ep_tid clk.ep in
-    if active land (1 lsl u) <> 0 && own.(u) <= ep_clock clk.ep then 1 lsl u
-    else 0
+    let i = u / 62 in
+    let bit = 1 lsl (u - (62 * i)) in
+    if i < w && active.(i) land bit <> 0 && own.(u) <= ep_clock clk.ep then
+      dst.(off + i) <- bit
   end
 
-(* {u | clks.(u)(t) >= c} as a bitmask (at most 62 clocks): which
-   threads' clocks reached component [c] of thread [t], in one call
-   instead of one [unsafe_get] per thread. *)
-let geq_bits (clks : t array) t c =
-  let r = ref 0 in
-  for u = 0 to Array.length clks - 1 do
-    if unsafe_get (Array.unsafe_get clks u) t >= c then r := !r lor (1 lsl u)
-  done;
-  !r
+(* {u | clks.(u)(t) >= c} as a thread bitset in [dst]: which threads'
+   clocks reached component [c] of thread [t], in one call instead of
+   one [unsafe_get] per thread. *)
+let geq_bits (clks : t array) t c (dst : int array) =
+  let n = Array.length clks in
+  for i = 0 to words n - 1 do
+    let lo = 62 * i in
+    let hi = if lo + 61 < n then lo + 61 else n - 1 in
+    let r = ref 0 in
+    for u = lo to hi do
+      if unsafe_get (Array.unsafe_get clks u) t >= c then
+        r := !r lor (1 lsl (u - lo))
+    done;
+    dst.(i) <- !r
+  done
 
 let equal v1 v2 =
   check_dim "Aclock.equal" v1 v2;
@@ -315,14 +347,10 @@ let equal_except v1 v2 z =
   in
   go 0
 
-let is_bottom a =
-  if is_none a.ep then Array.for_all (fun c -> c = 0) a.vec
-  else ep_clock a.ep = 0
-
 let reset a =
   (* vec (if any) becomes stale; kept for reuse *)
   a.ep <- ep_bottom;
-  a.seen <- 0
+  clear_seen a
 
 let to_list a = List.init a.dim (fun t -> get a t)
 
@@ -330,7 +358,7 @@ let of_list cs =
   if List.exists (fun c -> c < 0) cs then
     invalid_arg "Aclock.of_list: negative component";
   let vec = Array.of_list cs in
-  { ep = none; vec; dim = Array.length vec; seen = 0 }
+  make none vec (Array.length vec)
 
 module Pool = struct
   type clock = t
@@ -343,12 +371,10 @@ module Pool = struct
   type t = {
     dim : int;
     mutable free : clock list;
-    mutable free_n : int;
     mutable spare : int array list;
     mutable spare_n : int;
     mutable hits : int;
     mutable misses : int;
-    mutable released : int;
     mutable collapsed : int;
   }
 
@@ -357,16 +383,12 @@ module Pool = struct
     {
       dim;
       free = [];
-      free_n = 0;
       spare = [];
       spare_n = 0;
       hits = 0;
       misses = 0;
-      released = 0;
       collapsed = 0;
     }
-
-  let dim p = p.dim
 
   let stash p v =
     if Array.length v = p.dim && p.spare_n < spare_cap then begin
@@ -378,7 +400,6 @@ module Pool = struct
     match p.free with
     | c :: rest ->
       p.free <- rest;
-      p.free_n <- p.free_n - 1;
       p.hits <- p.hits + 1;
       c
     | [] ->
@@ -393,17 +414,15 @@ module Pool = struct
       in
       (* the spare vector is stale under epoch form; [inflate] zero-fills
          it before first use, exactly as after [reset] *)
-      { ep = ep_bottom; vec; dim = p.dim; seen = 0 }
+      make ep_bottom vec p.dim
 
   let release p (c : clock) =
     if c.dim <> p.dim then invalid_arg "Aclock.Pool.release: dimension mismatch";
     c.ep <- ep_bottom;
-    c.seen <- 0;
+    clear_seen c;
     (* vec stays in the record: a recycled clock re-inflates without
        allocating *)
-    p.free <- c :: p.free;
-    p.free_n <- p.free_n + 1;
-    p.released <- p.released + 1
+    p.free <- c :: p.free
 
   let collapse p (c : clock) =
     if c.dim <> p.dim then invalid_arg "Aclock.Pool.collapse: dimension mismatch";
@@ -447,9 +466,7 @@ module Pool = struct
 
   let hits p = p.hits
   let misses p = p.misses
-  let released p = p.released
   let collapsed p = p.collapsed
-  let in_pool p = p.free_n
 end
 
 let pp ppf a =

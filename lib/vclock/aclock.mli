@@ -30,8 +30,6 @@ val unit : int -> int -> t
 (** [unit dim t] is [⊥\[1/t\]] in epoch form: the initial thread clock.
     @raise Invalid_argument unless [0 <= t < dim] and [t < 2{^20}]. *)
 
-val dim : t -> int
-
 val is_flat : t -> bool
 (** True while the clock is in epoch form. *)
 
@@ -65,21 +63,16 @@ val join_thread : into:t -> t -> int -> int
     [v]; afterwards it notes bit [t].  Returns [1] if [c_t] grew, [0] if
     the join changed nothing and [-1] if it was skipped.  Exact as long
     as the caller's thread clocks only grow: then bit [t] stays true
-    until [v]'s value changes, which clears it.  Threads from 62 up have
-    no bit and always join. *)
+    until [v]'s value changes, which clears it.  Requires
+    [0 <= t < dim]. *)
 
 val seen : t -> int -> bool
-(** Bit [t] of the seen mask: the clock of thread [t] was noted to
-    contain this clock's current value.  Every operation that changes
-    the value ({!set}, {!bump}, a join that grew the clock,
-    {!join_into_zeroed}, {!assign}, {!assign_zeroed}, {!reset},
-    {!Pool.release}) clears the mask; representation changes
-    ({!Pool.collapse}) keep it.  Always [false] for [t >= 62]. *)
-
-val note_seen : t -> int -> unit
-(** Set bit [t] of the seen mask (a no-op for [t >= 62]).  The caller
-    asserts that thread [t]'s clock contains this clock's value and only
-    grows. *)
+(** Bit [t] of the seen mask, a thread bitset of [⌈dim / 62⌉] words:
+    the clock of thread [t] was noted to contain this clock's current
+    value.  Every operation that changes the value ({!set}, {!bump}, a
+    join that grew the clock, {!join_into_zeroed}, {!assign},
+    {!assign_zeroed}, {!reset}, {!Pool.release}) clears the mask;
+    representation changes ({!Pool.collapse}) keep it. *)
 
 val join_into_zeroed : into:t -> t -> int -> unit
 (** [into := into ⊔ v\[0/z\]]; a no-op when [v] is flat and owned by [z]
@@ -89,27 +82,40 @@ val assign : into:t -> t -> unit
 (** Copy [v]'s value; O(1) when [v] is flat. *)
 
 val assign_zeroed : into:t -> t -> int -> unit
-val copy : t -> t
 
 val leq : t -> t -> bool
 (** Pointwise order; O(1) whenever the left clock is flat. *)
 
-val covers_bits : t -> int array -> int -> int
-(** [covers_bits clk own active] is the bitmask of the threads [u] with
-    bit [u] set in [active] and [own.(u) <= clk(u)]: a checker's
-    begin-covers mask, rebuilt in one call.  Requires [dim clk <= 62],
+(** {2 Thread bitsets}
+
+    A set of threads is an [int array] of words, thread [u] at bit
+    [u mod 62] of word [u / 62]; [⌈n / 62⌉] words hold [n] threads.
+    The calls below write their result into an array the caller owns,
+    so a per-event loop allocates nothing. *)
+
+val words : int -> int
+(** [words n] is [⌈n / 62⌉]. *)
+
+val ntz : int -> int
+(** Index of the lowest set bit of a non-zero word whose lowest set bit
+    is one of bits [0..61]: a single table lookup. *)
+
+val covers_bits : t -> int array -> int array -> int array -> int -> unit
+(** [covers_bits clk own active dst off] writes to
+    [dst.(off) .. dst.(off + w - 1)], [w = Array.length active], the
+    bitset of the threads [u] in [active] with [own.(u) <= clk(u)]: a
+    checker's begin-covers mask, rebuilt in one call.  Requires
     [Array.length own >= dim clk], no bit of [active] at or above
     [dim clk], and [own.(u) > 0] on every bit of [active] (a flat clock
     then covers at most its owner). *)
 
-val geq_bits : t array -> int -> int -> int
-(** [geq_bits clks t c] is the bitmask of the indices [u] with
-    [clks.(u)(t) >= c].  Requires [Array.length clks <= 62] and
-    [0 <= t < dim] for every clock. *)
+val geq_bits : t array -> int -> int -> int array -> unit
+(** [geq_bits clks t c dst] writes to the first [⌈n / 62⌉] words of
+    [dst], [n = Array.length clks], the bitset of the indices [u] with
+    [clks.(u)(t) >= c].  Requires [0 <= t < dim] for every clock. *)
 
 val equal : t -> t -> bool
 val equal_except : t -> t -> int -> bool
-val is_bottom : t -> bool
 
 val reset : t -> unit
 (** Back to [⊥] (and back to epoch form). *)
@@ -140,8 +146,6 @@ module Pool : sig
   val create : int -> t
   (** [create dim] recycles clocks of dimension [dim] only. *)
 
-  val dim : t -> int
-
   val alloc : t -> clock
   (** A [⊥] clock of the pool's dimension, recycled when possible. *)
 
@@ -167,10 +171,5 @@ module Pool : sig
 
   val misses : t -> int
 
-  val released : t -> int
-
   val collapsed : t -> int
-
-  val in_pool : t -> int
-  (** Clocks currently available to [alloc]. *)
 end

@@ -149,21 +149,6 @@ let prop_detection_point_is_violating =
       | None -> true
       | Some i -> Helpers.reference_violating (Trace.prefix tr (i + 1)))
 
-(* Opt walks covers masks with a table-driven [ntz]; it must agree with
-   shifting one place at a time, for every single bit of the masks'
-   range (0..61) and for random masks over it. *)
-let test_ntz () =
-  let rec shift_ntz x n = if x land 1 = 1 then n else shift_ntz (x lsr 1) (n + 1) in
-  for k = 0 to 61 do
-    check Alcotest.int (Printf.sprintf "bit %d" k) k (Aerodrome.Opt.ntz (1 lsl k))
-  done;
-  let rs = Random.State.make [| 61 |] in
-  for _ = 1 to 100_000 do
-    let x = (Random.State.bits rs lor (Random.State.bits rs lsl 30)) land ((1 lsl 62) - 1) in
-    if x <> 0 && Aerodrome.Opt.ntz x <> shift_ntz x 0 then
-      Alcotest.failf "ntz %x: got %d, want %d" x (Aerodrome.Opt.ntz x) (shift_ntz x 0)
-  done
-
 let suite =
   ( "checkers",
     [
@@ -176,7 +161,6 @@ let suite =
         test_faithful_transitive_miss;
       Alcotest.test_case "freeze at first violation" `Quick test_freeze;
       Alcotest.test_case "processed counts" `Quick test_processed_counts;
-      Alcotest.test_case "Opt.ntz matches a shift loop" `Quick test_ntz;
     ]
     @ Helpers.qcheck_tests
         [

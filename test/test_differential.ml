@@ -194,14 +194,15 @@ let prop_many_threads =
          gen_many_threads ~threads:(16 + Random.State.int rs 47) rs))
     agree_opt
 
-let prop_63_threads =
-  QCheck.Test.make ~name:"opt = pre-epoch (63 threads, unmasked)" ~count:100
+(* Above 62 threads every thread bitset (covers, active, seen and
+   stale-reader masks) spans words: 63 threads put one thread in a
+   second word, 64 threads end just past the first word's last bit, 130
+   threads fill two words and start a third, 200 threads span four. *)
+let prop_word_boundary =
+  QCheck.Test.make ~name:"opt = pre-epoch (63 threads, word boundary)" ~count:100
     (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:63))
     agree_opt
 
-(* Above 62 threads the stale-reader bitset spans words: 64 threads end
-   just past the first word's last bit, 130 threads fill two words and
-   start a third. *)
 let prop_64_threads =
   QCheck.Test.make ~name:"opt = pre-epoch (64 threads, two-word bitsets)"
     ~count:100
@@ -214,6 +215,12 @@ let prop_130_threads =
     (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:130))
     agree_opt
 
+let prop_200_threads =
+  QCheck.Test.make ~name:"opt = pre-epoch (200 threads, four-word bitsets)"
+    ~count:30
+    (QCheck.make ~print:Parser.to_string (gen_many_threads ~threads:200))
+    agree_opt
+
 let suite =
   ( "differential (pre-epoch reference)",
     Helpers.qcheck_tests
@@ -223,7 +230,8 @@ let suite =
         prop_incomplete;
         prop_single_writer;
         prop_many_threads;
-        prop_63_threads;
+        prop_word_boundary;
         prop_64_threads;
         prop_130_threads;
+        prop_200_threads;
       ] )

@@ -394,10 +394,11 @@ let test_opt_steady_state_allocation () =
    last-use oracle), where long anchor transactions keep many variables
    alive and the oracle releases one at almost every access.  Whole
    records are recycled and a record's stale readers are one bitset
-   word, so the middle half allocates about 0.35 words/event: the live
+   word, so the middle half allocates about 0.38 words/event: the live
    set is still growing, and each new variable costs a fresh record with
-   three clocks (25 words, about 0.13 words/event) plus the vectors its
-   clocks inflate to (17 words each, about 0.23).  A per-record [Iset]
+   three clocks and their one-word seen masks (31 words, about 0.16
+   words/event) plus the vectors its clocks inflate to (17 words each,
+   about 0.23).  A per-record [Iset]
    (16 slots and a byte per thread) cost about 0.46; a fresh record, an
    option box and four list cells per released variable about 2.4. *)
 let test_opt_anchored_steady_state_allocation () =

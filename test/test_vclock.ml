@@ -269,13 +269,14 @@ let prop_aclock_matches_vector_clock =
    the other thread clock, which thread clocks absorb too); every
    operation that changes a bank clock's value must clear its mask;
    [Pool.collapse] and a join that changes nothing (inflating or not)
-   must keep it, and [Pool.release] must clear it. *)
+   must keep it, and [Pool.release] must clear it.  Half the cases draw
+   a dimension up to 200, so the mask spans up to four words; a few hot
+   threads per case keep repeated joins, and so set bits, common. *)
 
 type sop =
   | Op of aop
   | Absorb of int * int  (* join_thread ~into:thread u, bank clock *)
   | Absorb_thread of int * int  (* join_thread ~into:thread u, thread v *)
-  | Note of int * int  (* join_into thread u, then note_seen *)
   | Grow of int * int  (* bump thread u's clock at a component *)
   | Collapse of int
   | Release of int
@@ -284,7 +285,6 @@ let pp_sop = function
   | Op op -> pp_aop op
   | Absorb (u, a) -> Printf.sprintf "absorb %d %d" u a
   | Absorb_thread (u, v) -> Printf.sprintf "absorb-thread %d %d" u v
-  | Note (u, a) -> Printf.sprintf "note %d %d" u a
   | Grow (u, t) -> Printf.sprintf "grow %d %d" u t
   | Collapse a -> Printf.sprintf "collapse %d" a
   | Release a -> Printf.sprintf "release %d" a
@@ -292,42 +292,46 @@ let pp_sop = function
 let arb_sops =
   let gen rs =
     let rand n = Random.State.int rs n in
+    let dim = if rand 2 = 0 then adim else 2 + rand 199 in
+    let hot = Array.init 4 (fun _ -> rand dim) in
+    let thread () = if rand 4 = 0 then rand dim else hot.(rand 4) in
     let aop () =
       match rand 7 with
-      | 0 -> Bump (rand bank, rand adim)
-      | 1 -> Set (rand bank, rand adim, rand 8)
+      | 0 -> Bump (rand bank, thread ())
+      | 1 -> Set (rand bank, thread (), rand 8)
       | 2 -> Join (rand bank, rand bank)
-      | 3 -> Join_zeroed (rand bank, rand bank, rand adim)
+      | 3 -> Join_zeroed (rand bank, rand bank, thread ())
       | 4 -> Assign (rand bank, rand bank)
-      | 5 -> Assign_zeroed (rand bank, rand bank, rand adim)
+      | 5 -> Assign_zeroed (rand bank, rand bank, thread ())
       | _ -> Reset (rand bank)
     in
-    List.init
-      (20 + rand 80)
-      (fun _ ->
-        match rand 13 with
-        | 0 | 1 | 2 | 3 -> Op (aop ())
-        | 12 -> Absorb_thread (rand adim, rand adim)
-        | 4 | 5 | 6 -> Absorb (rand adim, rand bank)
-        | 7 -> Note (rand adim, rand bank)
-        | 8 | 9 -> Grow (rand adim, rand adim)
-        | 10 -> Collapse (rand bank)
-        | _ -> Release (rand bank))
+    ( dim,
+      List.init
+        (20 + rand 80)
+        (fun _ ->
+          match rand 13 with
+          | 0 | 1 | 2 | 3 -> Op (aop ())
+          | 12 -> Absorb_thread (thread (), thread ())
+          | 4 | 5 | 6 | 7 -> Absorb (thread (), rand bank)
+          | 8 | 9 -> Grow (thread (), thread ())
+          | 10 -> Collapse (rand bank)
+          | _ -> Release (rand bank)) )
   in
   QCheck.make
-    ~print:(fun ops -> String.concat "; " (List.map pp_sop ops))
+    ~print:(fun (dim, ops) ->
+      Printf.sprintf "dim %d: %s" dim (String.concat "; " (List.map pp_sop ops)))
     gen
 
 let prop_seen_mask =
   QCheck.Test.make ~name:"seen bits imply leq; value changes clear them"
-    ~count:1000 arb_sops (fun ops ->
-      let pool = AC.Pool.create adim in
+    ~count:1000 arb_sops (fun (dim, ops) ->
+      let pool = AC.Pool.create dim in
       let acs =
         Array.init bank (fun i ->
-            if i < 2 then AC.unit adim i else AC.create adim)
+            if i < 2 then AC.unit dim i else AC.create dim)
       in
-      let thr = Array.init adim (fun u -> AC.unit adim u) in
-      let mask a = List.filter (AC.seen a) (List.init adim Fun.id) in
+      let thr = Array.init dim (fun u -> AC.unit dim u) in
+      let mask a = List.filter (AC.seen a) (List.init dim Fun.id) in
       let ok = ref true in
       let fail () = ok := false in
       List.iter
@@ -361,9 +365,6 @@ let prop_seen_mask =
           | Absorb_thread (u, v) ->
             let r = AC.join_thread ~into:thr.(u) thr.(v) u in
             if r > 0 && mask thr.(u) <> [] then fail ()
-          | Note (u, a) ->
-            AC.join_into ~into:thr.(u) acs.(a);
-            AC.note_seen acs.(a) u
           | Grow (u, t) -> AC.bump thr.(u) t
           | Collapse a ->
             ignore (AC.Pool.collapse pool acs.(a));
@@ -385,54 +386,93 @@ let prop_seen_mask =
         ops;
       !ok)
 
+(* Thread bitsets in the tests: thread u at bit [u mod 62] of word
+   [u / 62], built and printed one bit at a time. *)
+let bitset dim mem =
+  let a = Array.make (AC.words dim) 0 in
+  for u = 0 to dim - 1 do
+    if mem u then a.(u / 62) <- a.(u / 62) lor (1 lsl (u mod 62))
+  done;
+  a
+
+let bit_set a u = a.(u / 62) land (1 lsl (u mod 62)) <> 0
+
+let pp_bitset a =
+  String.concat "," (Array.to_list (Array.map (Printf.sprintf "%x") a))
+
+(* The table-driven [ntz] must agree with shifting one place at a time,
+   for every single bit of a mask word (0..61) and for random words. *)
+let test_ntz () =
+  let rec shift_ntz x n = if x land 1 = 1 then n else shift_ntz (x lsr 1) (n + 1) in
+  for k = 0 to 61 do
+    check Alcotest.int (Printf.sprintf "bit %d" k) k (AC.ntz (1 lsl k))
+  done;
+  let rs = Random.State.make [| 61 |] in
+  for _ = 1 to 100_000 do
+    let x = (Random.State.bits rs lor (Random.State.bits rs lsl 30)) land ((1 lsl 62) - 1) in
+    if x <> 0 && AC.ntz x <> shift_ntz x 0 then
+      Alcotest.failf "ntz %x: got %d, want %d" x (AC.ntz x) (shift_ntz x 0)
+  done
+
+(* A random clock of dimension [dim] in every representation: ⊥, flat
+   (epoch) and inflated, inflated with an epoch-shaped value included. *)
+let random_clock rs dim =
+  match Random.State.int rs 4 with
+  | 0 -> AC.bottom dim
+  | 1 ->
+    let t = Random.State.int rs dim in
+    let c = AC.unit dim t in
+    AC.set c t (1 + Random.State.int rs 6);
+    c
+  | 2 ->
+    let c = AC.of_list (List.init dim (fun _ -> 0)) in
+    AC.set c (Random.State.int rs dim) (Random.State.int rs 6);
+    c
+  | _ -> AC.of_list (List.init dim (fun _ -> Random.State.int rs 6))
+
 (* [covers_bits] is the rebuild of Opt's covers mask; it must agree with
-   the per-thread component loop it replaced, on every representation:
-   ⊥, flat (epoch) and inflated clocks, inflated ones with an
-   epoch-shaped value included.  [own] is positive on the active bits,
-   as a begin clock's own component is; inactive bits get arbitrary
-   values, zero included, and must be ignored. *)
+   the per-thread component loop it replaced, on every representation,
+   for dimensions up to 200 (up to four words), written at an offset
+   inside a larger array whose other words it must leave alone.  [own]
+   is positive on the active bits, as a begin clock's own component is;
+   inactive bits get arbitrary values, zero included, and must be
+   ignored. *)
 let test_covers_bits () =
   let rs = Random.State.make [| 22 |] in
-  let covers_loop clk own active =
-    let m = ref 0 in
-    for u = 0 to AC.dim clk - 1 do
-      if active land (1 lsl u) <> 0 && own.(u) <= AC.get clk u then
-        m := !m lor (1 lsl u)
-    done;
-    !m
-  in
-  let clock dim =
-    match Random.State.int rs 4 with
-    | 0 -> AC.bottom dim
-    | 1 ->
-      let t = Random.State.int rs dim in
-      let c = AC.unit dim t in
-      AC.set c t (1 + Random.State.int rs 6);
-      c
-    | 2 ->
-      let c = AC.of_list (List.init dim (fun _ -> 0)) in
-      AC.set c (Random.State.int rs dim) (Random.State.int rs 6);
-      c
-    | _ -> AC.of_list (List.init dim (fun _ -> Random.State.int rs 6))
-  in
   for _ = 1 to 5_000 do
-    let dim = 1 + Random.State.int rs 62 in
-    let clk = clock dim in
-    let active =
-      Random.State.bits rs
-      lor (Random.State.bits rs lsl 30)
-      lor (Random.State.bits rs lsl 60)
-      land ((1 lsl dim) - 1)
-    in
+    let dim = 1 + Random.State.int rs 200 in
+    let clk = random_clock rs dim in
+    let active = bitset dim (fun _ -> Random.State.bool rs) in
     let own =
       Array.init dim (fun u ->
-          if active land (1 lsl u) <> 0 then 1 + Random.State.int rs 6
+          if bit_set active u then 1 + Random.State.int rs 6
           else Random.State.int rs 6)
     in
-    let want = covers_loop clk own active and got = AC.covers_bits clk own active in
+    let want = bitset dim (fun u -> bit_set active u && own.(u) <= AC.get clk u) in
+    let w = Array.length active in
+    let off = Random.State.int rs 3 in
+    let dst = Array.make (off + w + 1) (-1) in
+    AC.covers_bits clk own active dst off;
+    let got = Array.sub dst off w in
+    if want <> got || dst.(off + w) <> -1 || (off > 0 && dst.(0) <> -1) then
+      Alcotest.failf "covers_bits %s active=%s: got %s, want %s" (AC.to_string clk)
+        (pp_bitset active) (pp_bitset got) (pp_bitset want)
+  done
+
+(* [geq_bits] likewise against the loop over the clocks, for up to 200
+   clocks. *)
+let test_geq_bits () =
+  let rs = Random.State.make [| 23 |] in
+  for _ = 1 to 2_000 do
+    let dim = 1 + Random.State.int rs 200 in
+    let clks = Array.init dim (fun _ -> random_clock rs dim) in
+    let t = Random.State.int rs dim and c = Random.State.int rs 7 in
+    let want = bitset dim (fun u -> AC.get clks.(u) t >= c) in
+    let got = Array.make (AC.words dim) (-1) in
+    AC.geq_bits clks t c got;
     if want <> got then
-      Alcotest.failf "covers_bits %s active=%x: got %x, want %x" (AC.to_string clk)
-        active got want
+      Alcotest.failf "geq_bits dim=%d t=%d c=%d: got %s, want %s" dim t c
+        (pp_bitset got) (pp_bitset want)
   done
 
 let suite =
@@ -453,6 +493,8 @@ let suite =
       Alcotest.test_case "vtime<->clock" `Quick test_vtime_clock_conversion;
       Alcotest.test_case "covers_bits matches the component loop" `Quick
         test_covers_bits;
+      Alcotest.test_case "geq_bits matches the clock loop" `Quick test_geq_bits;
+      Alcotest.test_case "Aclock.ntz matches a shift loop" `Quick test_ntz;
     ]
     @ Helpers.qcheck_tests
         [
