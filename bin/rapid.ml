@@ -267,24 +267,16 @@ let check_cmd =
       & opt (some string) None
       & info [ "flight-record" ] ~docv:"DIR"
           ~doc:
-            "Keep a bounded per-thread ring of recent events while \
-             checking; a run that ends in a violation writes a witness \
-             bundle into $(docv): a JSON diagnosis \
-             ($(i,trace).witness.json) and, whenever the rings still \
-             cover a globally quiescent cut, a replayable binary slice \
-             ($(i,trace).slice.bin) on which $(b,rapid check) reproduces \
-             the violation.  The slice is re-checked before the run \
+            "A run that ends in a violation writes a witness bundle into \
+             $(docv): a JSON diagnosis ($(i,trace).witness.json) and a \
+             replayable binary slice ($(i,trace).slice.bin) on which \
+             $(b,rapid check) reproduces the violation.  The slice holds \
+             the checked events from the latest point before the \
+             violation where no transaction is open; it is cut after \
+             the run from the input, so recording costs nothing while \
+             checking.  $(i,trace) is the input path with '%' and '/' \
+             percent-escaped.  The slice is re-checked before the run \
              returns and the outcome recorded in the bundle.")
-  in
-  let flight_window =
-    Arg.(
-      value
-      & opt int Traces.Flight.default_window
-      & info [ "flight-window" ] ~docv:"N"
-          ~doc:
-            "Per-thread flight-recorder ring capacity, in events \
-             (default 256).  Larger windows reach further back for a \
-             quiescent cut at proportional memory cost.")
   in
   (* the positionals are plain strings, not Arg.file: a missing file must
      produce a per-file error and leave the remaining files checked *)
@@ -294,17 +286,8 @@ let check_cmd =
       & info [] ~docv:"TRACE" ~doc:"Trace files in the rapid .std or binary format.")
   in
   let run checker timeout quiet jobs shards reclaim prefilter stats stats_json
-      trace_out progress metrics_addr flight_record flight_window paths =
+      trace_out progress metrics_addr flight paths =
     let (module C : Aerodrome.Checker.S) = checker in
-    let flight =
-      Option.map
-        (fun dir ->
-          {
-            Analysis.Runner.flight_dir = dir;
-            flight_window = max 1 flight_window;
-          })
-        flight_record
-    in
     let cores = Domain.recommended_domain_count () in
     if jobs > cores then
       Format.eprintf "rapid: warning: --jobs %d exceeds %d available core%s@."
@@ -550,7 +533,7 @@ let check_cmd =
     Term.(
       const run $ algo $ timeout $ quiet $ jobs $ shards $ reclaim $ prefilter
       $ stats $ stats_json $ trace_out $ progress $ metrics_addr
-      $ flight_record $ flight_window $ traces)
+      $ flight_record $ traces)
 
 (* scrape: one-shot GET against a running metrics exporter.  Exists so
    the cram tests (and machines without curl) can exercise the exporter

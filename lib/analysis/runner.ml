@@ -12,11 +12,6 @@ type result = {
 
 type prefilter = Off | Exact | Auto
 
-type flight = {
-  flight_dir : string;
-  flight_window : int;
-}
-
 let check_interval = 4096
 
 (* --- telemetry plumbing ---
@@ -80,16 +75,11 @@ let file_size path =
 
 (* --- violation flight recording ---
 
-   With [?flight] a bounded per-thread ring of packed words rides along
-   the checker ({!Traces.Flight}): every event is noted (one arithmetic
-   pack plus a ring store) until the first violation freezes the
-   recorder, and a violating run then emits a witness bundle — JSON
-   diagnosis plus a replayable binfmt slice — via {!Witness.emit}.
-   The noted index is the fed-stream position — the same coordinate
-   space as [Violation.index], filtered or not. *)
-
-let flight_recorder flight ~threads =
-  Option.map (fun f -> Flight.create ~window:f.flight_window ~threads ()) flight
+   With [?flight] (the bundle directory) a violating run emits a witness
+   bundle — JSON diagnosis plus a replayable binfmt slice — via
+   {!Witness.emit}, cut after the run from the words the checker was
+   fed ([fed], read again from the source); nothing rides along the
+   feed loop. *)
 
 let flight_entries (info : Witness.info) =
   if not (Obs.on ()) then []
@@ -97,57 +87,23 @@ let flight_entries (info : Witness.info) =
     Obs.Snapshot.
       [
         entry "flight.slice_events" (Int info.Witness.slice_events);
-        entry "flight.replayable" (Int (if info.Witness.replayable then 1 else 0));
         entry "flight.validated" (Int (if info.Witness.validated then 1 else 0));
       ]
 
 (* Emit the bundle for a finished run.  A bundle that cannot be written
    (unwritable directory, full disk) degrades to a warning: the check
    verdict is the product, the witness is diagnostics. *)
-let flight_finish flight fl checker ~source ~threads ~locks ~vars outcome =
-  match (flight, fl, outcome) with
-  | Some fopt, Some f, Verdict (Some v) -> (
+let flight_finish flight checker ~source ~threads ~locks ~vars ~fed outcome =
+  match (flight, outcome) with
+  | Some dir, Verdict (Some v) -> (
     match
-      Witness.emit ~dir:fopt.flight_dir ~source ~checker ~threads ~locks ~vars
-        ~flight:f ~violation:v ()
+      Witness.emit ~dir ~source ~checker ~threads ~locks ~vars ~fed
+        ~violation:v
     with
     | Ok info -> flight_entries info
     | Error msg ->
       Printf.eprintf "rapid: flight-record: %s\n%!" msg;
       [])
-  | _ -> []
-
-(* Sharded runs record per chunk, and a surviving chunk's recorder
-   follows its checker through the repairs it owns.  The bundle comes
-   from the first recorder (in trace order) that noted the reconciled
-   violation: that is the recorder of the checker which found it — a
-   repairing owner, exact from before the seam, rather than the chunk
-   that merely contains the index — rebased by its arena position. *)
-let flight_finish_sharded flight checker ~source ~threads ~locks ~vars
-    (o : Parallel.Shard.outcome) =
-  match (flight, o.Parallel.Shard.violation) with
-  | Some fopt, Some v -> (
-    let idx = v.Aerodrome.Violation.index in
-    let owner =
-      Array.to_list o.Parallel.Shard.tasks
-      |> List.find_opt (fun (t : Parallel.Shard.task) ->
-             match t.Parallel.Shard.flight with
-             | Some f ->
-               t.Parallel.Shard.base <= idx
-               && idx < t.Parallel.Shard.base + Flight.noted f
-             | None -> false)
-    in
-    match owner with
-    | Some ({ Parallel.Shard.flight = Some f; _ } as t) -> (
-      match
-        Witness.emit ~dir:fopt.flight_dir ~source ~checker ~threads ~locks
-          ~vars ~flight:f ~base:t.Parallel.Shard.base ~violation:v ()
-      with
-      | Ok info -> flight_entries info
-      | Error msg ->
-        Printf.eprintf "rapid: flight-record: %s\n%!" msg;
-        [])
-    | _ -> [])
   | _ -> []
 
 (* --- state reclamation ---
@@ -315,16 +271,17 @@ let shard_entries ~events (o : Parallel.Shard.outcome) =
    (it covers ingestion into the arena, like the sequential paths'
    decode). *)
 let finish_sharded (module C : Aerodrome.Checker.S) ~started ?file_bytes
-    ?flight ~source ~threads ~locks ~vars (o : Parallel.Shard.outcome)
+    ?flight ~source ~threads ~locks ~vars arena (o : Parallel.Shard.outcome)
     ~events_fed =
   let seconds = Unix.gettimeofday () -. started in
   let viol_at =
     ref (if o.Parallel.Shard.violation <> None then seconds else -1.0)
   in
   let flight_metrics =
-    flight_finish_sharded flight
+    flight_finish flight
       (module C : Aerodrome.Checker.S)
-      ~source ~threads ~locks ~vars o
+      ~source ~threads ~locks ~vars ~fed:(Packed.Arena.iter arena)
+      (Verdict o.Parallel.Shard.violation)
   in
   {
     checker = C.name;
@@ -386,10 +343,8 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
       (policy ~reclaim (Lazy.force src.last_use))
       (fun () -> C.create ~threads:src.threads ~locks:src.locks ~vars:src.vars)
   in
-  let pf =
-    Option.map Prefilter.create (prefilter_mode ~prefilter ~stats:src.stats)
-  in
-  let fl = flight_recorder flight ~threads:src.threads in
+  let mode = prefilter_mode ~prefilter ~stats:src.stats in
+  let pf = Option.map Prefilter.create mode in
   arm_heartbeat heartbeat ~total:(Some src.events);
   let started =
     match started with Some t -> t | None -> Unix.gettimeofday ()
@@ -399,9 +354,6 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
   let viol_at = ref (-1.0) in
   let fed = ref 0 in
   let feed_one w =
-    (match fl with
-    | Some f when !viol_at < 0.0 -> Flight.note f !fed w
-    | _ -> ());
     (match C.feed_packed st w with
     | Some _ -> note_violation viol_at ~started
     | None -> ());
@@ -427,17 +379,26 @@ let feed_source ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started
   let outcome =
     if !timed_out then Timed_out else Verdict (C.violation st)
   in
+  let seconds = Unix.gettimeofday () -. started in
+  (* the fed stream again, through a fresh filter when the run filtered *)
+  let fed_words f =
+    match mode with
+    | None -> fold_words src.words (fun () w -> f w)
+    | Some m ->
+      let p = Prefilter.create m in
+      fold_words src.words (fun () w -> Prefilter.feed_packed p w f)
+  in
   {
     checker = C.name;
     outcome;
-    seconds = Unix.gettimeofday () -. started;
+    seconds;
     events_fed = !fed;
     metrics =
       runner_entries ?file_bytes:(Option.bind src.file file_size) viol_at
-      @ flight_finish flight fl
+      @ flight_finish flight
           (module C : Aerodrome.Checker.S)
           ~source:(source_name src) ~threads:src.threads ~locks:src.locks
-          ~vars:src.vars outcome;
+          ~vars:src.vars ~fed:fed_words outcome;
   }
 
 let run_packed ?timeout ?heartbeat ~reclaim ~prefilter ?flight ?started ~reason
@@ -499,15 +460,14 @@ let run_packed_sharded ?heartbeat ~reclaim ~prefilter ~shards ~sched ?flight
           { src with events; words = Arena arena }
       else begin
         let o =
-          Parallel.Shard.execute ~sched
-            ?flight:(Option.map (fun f -> f.flight_window) flight)
-            ~threads:src.threads ~locks:src.locks ~vars:src.vars arena plan
+          Parallel.Shard.execute ~sched ~threads:src.threads ~locks:src.locks
+            ~vars:src.vars arena plan
         in
         tick heartbeat events;
         finish_sharded (module C) ~started
           ?file_bytes:(Option.bind src.file file_size)
           ?flight ~source:(source_name src) ~threads:src.threads
-          ~locks:src.locks ~vars:src.vars o ~events_fed:events
+          ~locks:src.locks ~vars:src.vars arena o ~events_fed:events
       end)
 
 (* Run [src] on the scheduler {!sharding} lent, or sequentially. *)

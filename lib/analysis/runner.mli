@@ -42,8 +42,8 @@
     ["shard.chunk<i>.seconds"] entries.  Their ["events.*"],
     ["txn.begins"] and ["txn.commits"] equal the sequential run's
     ({!Parallel.Shard.outcome}).
-    Flight-recorded violating runs add ["flight.slice_events"],
-    ["flight.replayable"] and ["flight.validated"] (see {!flight}).
+    Flight-recorded violating runs add ["flight.slice_events"] and
+    ["flight.validated"] (see {e Violation flight recording}).
 
     While a metrics exporter is live ({!Obs.Exporter.serve}), each
     file-based run's scope is exposed with a [file="<path>"] label, so
@@ -107,22 +107,23 @@ type prefilter =
 
     {2 Violation flight recording}
 
-    Every run function takes [?flight].  When set, a bounded per-thread
-    ring of packed words ({!Traces.Flight}) rides along the checker —
-    one pack plus one ring store per event, frozen at the first
-    violation — and a violating run emits a witness bundle into
-    [flight_dir] ({!Witness.emit}): a JSON diagnosis
-    ([<source>.witness.json]) and, whenever the rings still cover a
-    globally quiescent cut, a replayable binfmt slice
-    ([<source>.slice.bin]) that [rapid check] reproduces the violation
-    on.  The bundle is validated in-process before the run returns (the
-    slice is re-checked from its on-disk bytes) and the outcome lands
-    in [metrics] as [flight.*].  A bundle that cannot be written
-    degrades to a warning on stderr.
-    Sharded runs record per chunk (each recorder seeded with its
-    boundary's open-transaction depths, and following its checker
-    through the repairs it owns) and emit from the first recorder that
-    noted the reconciled violation — the one whose checker found it.
+    Every run function takes [?flight], a directory.  When set, a run
+    that ends in a violation emits a witness bundle into it
+    ({!Witness.emit}): a JSON diagnosis ([<name>.witness.json]) and a
+    replayable binfmt slice ([<name>.slice.bin]) that [rapid check]
+    reproduces the violation on, where [<name>] is the input path with
+    ['%'] and ['/'] percent-escaped (["trace"] for {!run}).  Nothing is
+    recorded while the run goes on: after it, the words the checker was
+    fed are read again from the run's source — the mapped binary file
+    (through a fresh prefilter when the run filtered) or the packed
+    arena — and the slice is cut from the latest globally quiescent
+    position at or before the violation (position 0 at worst, so every
+    violation gets one).  The bundle is validated in-process before the
+    run returns (the slice is re-checked from its on-disk bytes) and
+    the outcome lands in [metrics] as [flight.*].  A bundle that cannot
+    be written degrades to a warning on stderr.  Sequential and sharded
+    runs feed the same words, so they write the same bundle, byte for
+    byte.
 
     {2 Sharded checking}
 
@@ -168,14 +169,6 @@ type prefilter =
     scheduler ({!Parallel.Deque.stats}) because its counters span every
     run sharing it. *)
 
-type flight = {
-  flight_dir : string;  (** directory the witness bundles are written to *)
-  flight_window : int;  (** per-thread ring capacity, in events *)
-}
-(** Violation flight-recorder configuration (see {e Violation flight
-    recording} above).  {!Traces.Flight.default_window} is the
-    conventional window. *)
-
 val steal_worthwhile : shards:int -> events:int -> bool
 (** Whether a run with [?shards] on a trace of [events] events would
     use a lent work-stealing scheduler: an explicit chunk count always
@@ -188,7 +181,7 @@ val steal_worthwhile : shards:int -> events:int -> bool
 val run :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
   ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
-  ?flight:flight -> Aerodrome.Checker.t -> Traces.Trace.t -> result
+  ?flight:string -> Aerodrome.Checker.t -> Traces.Trace.t -> result
 (** [timeout] in seconds; default: none.  [heartbeat] is restarted, given
     the trace length as total, and ticked as the run progresses.  The
     trace is filtered, and packed into an arena, before the timer
@@ -201,7 +194,7 @@ val run :
 val run_stream :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
   ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
-  ?flight:flight -> Aerodrome.Checker.t -> string -> result
+  ?flight:string -> Aerodrome.Checker.t -> string -> result
 (** Analyze a trace file, auto-detecting the format.  Binary files
     stream in one pass (domains from the header): peak memory is the
     checker's state plus an I/O buffer, independent of the trace length.
@@ -241,7 +234,7 @@ type file_report = {
 val run_file :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
   ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
-  ?flight:flight -> Aerodrome.Checker.t -> string ->
+  ?flight:string -> Aerodrome.Checker.t -> string ->
   (result, string) Stdlib.result
 (** {!run_stream} with per-file error capture instead of exceptions:
     [Sys_error], {!Traces.Binfmt.Corrupt} and
@@ -250,7 +243,7 @@ val run_file :
 val run_many :
   ?timeout:float -> ?heartbeat:Obs.Heartbeat.t -> ?reclaim:bool ->
   ?prefilter:prefilter -> ?shards:int -> ?sched:Parallel.Deque.t ->
-  ?flight:flight -> Aerodrome.Checker.t -> string list -> file_report list
+  ?flight:string -> Aerodrome.Checker.t -> string list -> file_report list
 (** Check many trace files, one {!file_report} per input path {e in input
     order}.  A failing file yields its [Error] report and the remaining
     files are still checked.

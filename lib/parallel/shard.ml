@@ -20,7 +20,6 @@ type task = {
   violation : Aerodrome.Violation.t option; (* chunk-local index *)
   seconds : float;
   metrics : Obs.Snapshot.t;
-  flight : Traces.Flight.t option;
 }
 
 type outcome = {
@@ -34,36 +33,15 @@ type outcome = {
   merge_seconds : float;
 }
 
-(* The per-chunk flight recorder, noting chunk-local indices seeded
-   with the boundary depths: position 0 of the recorder is the chunk
-   base, so with open transactions straddling the cut no position
-   counts as quiescent until they close, and the recorder never claims
-   a replayable slice the §15/§17 argument does not cover. *)
-let recorder ?flight ~threads (b : Aerodrome.Merge.boundary) =
-  Option.map
-    (fun window ->
-      Traces.Flight.create ~window
-        ?depths:
-          (if Array.exists (fun d -> d > 0) b.Aerodrome.Merge.depths then
-             Some b.Aerodrome.Merge.depths
-           else None)
-        ~threads ())
-    flight
-
-(* Feed [from, upto) of the arena into a live checker whose recorder
-   (if any) has position 0 at [base]; each event is noted before it is
-   fed.  Returns the first violation, rebased to its arena-global
-   position, and the number of events actually fed (the feed stops at
-   a violation, so a recorder's tail ends exactly there). *)
-let feed_range st fl ~base arena ~from ~upto =
+(* Feed [from, upto) of the arena into a live checker.  Returns the
+   first violation, rebased to its arena-global position, and the
+   number of events actually fed (the feed stops at a violation). *)
+let feed_range st arena ~from ~upto =
   let fed = ref 0 in
   let violation = ref None in
   (try
      Traces.Packed.Arena.iter_range arena from upto (fun w ->
          let p = from + !fed in
-         (match fl with
-         | Some f -> Traces.Flight.note f (p - base) w
-         | None -> ());
          incr fed;
          match Aerodrome.Opt.feed_packed st w with
          | Some (v : Aerodrome.Violation.t) ->
@@ -78,20 +56,16 @@ let feed_range st fl ~base arena ~from ~upto =
    summary runs over [base, stop) — it freezes at its first violation,
    which by the containment invariant is real, though a repair window
    may surface an earlier one — and then, unless frozen, feeds the
-   repair segments the chunk owns ([owned], ascending).  Those segments
-   continue the chunk's stream contiguously, so the recorder keeps
-   noting through them: a violation a repair finds gets a witness from
-   the recorder whose checker found it.
+   repair segments the chunk owns ([owned], ascending).
 
    The checker lives only inside this call, so its state is garbage
    once the task retires.  Each chunk's own feed loop is also a Chrome
    span (cat "shard"), so a [--trace-out] run shows the chunk lanes per
    worker domain in Perfetto, next to the planner span recorded by
    {!check_stealing}. *)
-let run_chunk ?flight ~threads ~locks ~vars arena
+let run_chunk ~threads ~locks ~vars arena
     ((b : Aerodrome.Merge.boundary), (base, stop)) owned =
   let t0 = Unix.gettimeofday () in
-  let fl = recorder ?flight ~threads b in
   let work () =
     let st =
       Aerodrome.Reclaim.with_policy Aerodrome.Reclaim.Off (fun () ->
@@ -100,7 +74,7 @@ let run_chunk ?flight ~threads ~locks ~vars arena
     if Array.exists (fun d -> d > 0) b.Aerodrome.Merge.depths then
       Aerodrome.Opt.seed_boundary st b.Aerodrome.Merge.depths;
     Obs.Chrome_trace.span ~cat:"shard" "feed" (fun () ->
-        ignore (feed_range st fl ~base arena ~from:base ~upto:stop));
+        ignore (feed_range st arena ~from:base ~upto:stop));
     (st, Aerodrome.Opt.violation st)
   in
   (* each chunk opens its own (domain-local) scope so the checker's
@@ -116,35 +90,18 @@ let run_chunk ?flight ~threads ~locks ~vars arena
     List.iter
       (fun (from, upto) ->
         if !rv = None then begin
-          let r, f = feed_range st fl ~base arena ~from ~upto in
+          let r, f = feed_range st arena ~from ~upto in
           fed := !fed + f;
           rv := r
         end)
       owned;
-  ({ base; stop; violation = v; seconds; metrics; flight = fl }, !rv, !fed)
+  ({ base; stop; violation = v; seconds; metrics }, !rv, !fed)
 
 (* A non-surviving chunk: its whole range is re-fed by an earlier
    owner's repair, and neither its verdict nor its checker would ever
-   be read, so no checker runs.  With [?flight] its recorder still
-   notes the range, so every task carries one. *)
-let skip_chunk ?flight ~threads arena
-    ((b : Aerodrome.Merge.boundary), (base, stop)) =
-  let fl = recorder ?flight ~threads b in
-  Option.iter
-    (fun f ->
-      let p = ref 0 in
-      Traces.Packed.Arena.iter_range arena base stop (fun w ->
-          Traces.Flight.note f !p w;
-          incr p))
-    fl;
-  ( {
-      base;
-      stop;
-      violation = None;
-      seconds = 0.;
-      metrics = Obs.Snapshot.empty;
-      flight = fl;
-    },
+   be read, so no checker runs. *)
+let skip_chunk (base, stop) =
+  ( { base; stop; violation = None; seconds = 0.; metrics = Obs.Snapshot.empty },
     None,
     0 )
 
@@ -265,7 +222,7 @@ let critical_path ~domains s =
      is the sequential checker's first violation — the same answer
      the fold reaches, computed from an unordered bag of retirements
      (the [retired] bitmap). *)
-let execute ~sched ?flight ~threads ~locks ~vars arena s =
+let execute ~sched ~threads ~locks ~vars arena s =
   let n = Traces.Packed.Arena.length arena in
   let { plan; bounds; seams; owned; plan_seconds } = s in
   let k = Array.length bounds in
@@ -274,8 +231,8 @@ let execute ~sched ?flight ~threads ~locks ~vars arena s =
     let chunk = (plan.Aerodrome.Merge.boundaries.(i), bounds.(i)) in
     let r =
       if seams.(i).Aerodrome.Merge.survives then
-        run_chunk ?flight ~threads ~locks ~vars arena chunk owned.(i)
-      else skip_chunk ?flight ~threads arena chunk
+        run_chunk ~threads ~locks ~vars arena chunk owned.(i)
+      else skip_chunk bounds.(i)
     in
     Atomic.set retired.(i) true;
     r
@@ -378,8 +335,8 @@ let execute ~sched ?flight ~threads ~locks ~vars arena s =
     merge_seconds;
   }
 
-let check_stealing ~sched ?oversub ?chunk_floor ?cuts ?flight ~shards ~threads
-    ~locks ~vars arena =
-  execute ~sched ?flight ~threads ~locks ~vars arena
+let check_stealing ~sched ?oversub ?chunk_floor ?cuts ~shards ~threads ~locks
+    ~vars arena =
+  execute ~sched ~threads ~locks ~vars arena
     (plan ?oversub ?chunk_floor ?cuts ~domains:(Deque.size sched) ~shards
        ~threads arena)

@@ -44,15 +44,6 @@ type task = {
   metrics : Obs.Snapshot.t;
       (** the chunk checker's own counters, collected on the worker
           domain; empty with telemetry off and for a skipped chunk *)
-  flight : Traces.Flight.t option;
-      (** the chunk's flight recorder when one was requested; indices
-          are chunk-local ([base] is the recorder's position 0, seeded
-          with the boundary's open-transaction depths so quiescence
-          bookkeeping stays honest at a non-quiescent cut).  A
-          surviving chunk's recorder also notes the repair segments
-          its checker feeds (they continue its stream contiguously),
-          so it covers [\[base, base + Flight.noted)]; a skipped
-          chunk's recorder notes its range without a checker. *)
 }
 (** One chunk of the plan, in trace order.  A chunk whose seam does not
     survive ({!Aerodrome.Merge.seam.survives} false) is {e skipped}: its
@@ -119,15 +110,14 @@ val critical_path : domains:int -> schedule -> int
     sequential feed (DESIGN.md §18). *)
 
 val execute :
-  sched:Deque.t -> ?flight:int -> threads:int -> locks:int -> vars:int ->
+  sched:Deque.t -> threads:int -> locks:int -> vars:int ->
   Traces.Packed.Arena.t -> schedule -> outcome
-(** Run a plan of this arena on [sched] (DESIGN.md §18).  [flight]
-    attaches a violation flight recorder of that ring window to every
-    chunk.  A single-chunk plan runs in the calling domain.
+(** Run a plan of this arena on [sched] (DESIGN.md §18).  A
+    single-chunk plan runs in the calling domain.
 
     Every chunk is a scheduler task, executed in whatever order the
     deques and steals produce; a non-surviving chunk's task runs no
-    checker (only its flight recorder, when one is attached).  Reconciliation is the {e precomputed}
+    checker.  Reconciliation is the {e precomputed}
     left-to-right fold ({!Aerodrome.Merge.seams}): each chunk task, once
     its own range is fed, immediately performs the seam repairs it owns
     (its exact state already reaches them, and the arena is immutable,
@@ -147,6 +137,6 @@ val execute :
 
 val check_stealing :
   sched:Deque.t -> ?oversub:int -> ?chunk_floor:int -> ?cuts:int list ->
-  ?flight:int -> shards:int -> threads:int -> locks:int -> vars:int ->
+  shards:int -> threads:int -> locks:int -> vars:int ->
   Traces.Packed.Arena.t -> outcome
 (** {!plan} for [sched]'s domain count, then {!execute}. *)

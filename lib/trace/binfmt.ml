@@ -603,34 +603,35 @@ let read_file path =
   in
   Trace.Builder.build b
 
-(* ---- packed-window re-encoding (violation flight recorder) ---- *)
+(* ---- witness slices ---- *)
 
-(* Serialize a window of packed words as a stand-alone version-1 file.
-   The header keeps the source trace's id domains so thread/lock/var
-   ids in the slice stay meaningful, and the event count is the window
-   length.  Version 1 deliberately: a slice has no use for last-use or
-   accessor footers (it exists to be replayed once, not optimized), and
-   v1 is the format every reader path accepts. *)
-let write_packed_window path ~threads ~locks ~vars (words : int array) =
-  let buf = Buffer.create (min 65536 ((16 * Array.length words) + 64)) in
+(* Serialize the [events] packed words [iter] hands over as a
+   stand-alone version-1 file, streaming through one buffer.  The
+   header keeps the source trace's id domains so thread/lock/var ids in
+   the slice stay meaningful.  Version 1 deliberately: a slice has no
+   use for last-use or accessor footers (it exists to be replayed once,
+   not optimized), and v1 is the format every reader path accepts. *)
+let write_packed_slice path ~threads ~locks ~vars ~events iter =
+  let buf = Buffer.create 65536 in
   Buffer.add_string buf magic;
   put_uint buf threads;
   put_uint buf locks;
   put_uint buf vars;
-  put_uint buf (Array.length words);
+  put_uint buf events;
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Array.iter
-        (fun w ->
-          let op = Packed.opcode w in
-          Buffer.add_char buf (Char.chr op);
-          put_uint buf (Packed.tid w);
-          if op <> op_begin && op <> op_end then put_uint buf (Packed.target w);
+      let n = ref 0 in
+      iter (fun w ->
+          put_record buf (Packed.opcode w) (Packed.tid w) (Packed.target w);
+          incr n;
           if Buffer.length buf > 60000 then begin
             Buffer.output_buffer oc buf;
             Buffer.clear buf
-          end)
-        words;
-      Buffer.output_buffer oc buf)
+          end);
+      Buffer.output_buffer oc buf;
+      (* the header's count is what a v1 reader checks the records
+         against *)
+      if !n <> events then
+        invalid_arg "Binfmt.write_packed_slice: event count mismatch")

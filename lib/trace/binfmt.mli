@@ -124,9 +124,14 @@ val read_packed : string -> header * Packed.Arena.t
 
 (**/**)
 
-val write_packed_window :
-  string -> threads:int -> locks:int -> vars:int -> int array -> unit
-(** [write_packed_window path ~threads ~locks ~vars words] serializes a
-    window of packed words as a stand-alone version-1 binary trace whose
-    header keeps the source trace's id domains (so ids in the slice stay
-    meaningful) — the flight recorder's replayable witness slice. *)
+val write_packed_slice :
+  string -> threads:int -> locks:int -> vars:int -> events:int ->
+  ((int -> unit) -> unit) -> unit
+(** [write_packed_slice path ~threads ~locks ~vars ~events iter]
+    streams the packed words [iter] hands to its callback into a
+    stand-alone version-1 binary trace whose header keeps the source
+    trace's id domains (so ids in the slice stay meaningful) — a
+    violation witness slice.  Memory stays one write buffer, whatever
+    the slice length.
+    @raise Invalid_argument unless [iter] hands over exactly [events]
+    words. *)
